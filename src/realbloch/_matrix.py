@@ -1,4 +1,8 @@
-"""Small dense-matrix helpers used throughout the package."""
+"""Dense-matrix helpers used throughout the package.
+
+Functions named in the plural act on stacks: arrays of shape (n, m, m)
+holding one small matrix per site, link or plaquette.
+"""
 
 import numpy as np
 import scipy.linalg
@@ -10,15 +14,41 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def frob_each(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+def max_frob(a: np.ndarray) -> float:
+    """Largest Frobenius norm in a stack; 0 for an empty stack."""
+    return float(frob_each(a).max(initial=0.0))
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 def polar_unitary(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Unitary factor of the polar decomposition and the smallest singular value."""
     u, s, vh = np.linalg.svd(a)
     return u @ vh, float(s[-1]) if s.size else 0.0
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    m = u.shape[-1]
-    return frob(u.conj().swapaxes(-1, -2) @ u - np.eye(m))
+def polar_unitaries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar unitary factors of a stack and each smallest singular value.
+
+    Rank one takes the phase z/|z| directly, and 1 where z = 0 as the SVD
+    does; an empty fiber has smallest singular value 0.
+    """
+    if a.shape[1:] == (1, 1):
+        z = a[:, 0, 0]
+        mag = np.abs(z)
+        phase = np.ones_like(z)
+        np.divide(z, mag, out=phase, where=mag > 0)
+        return phase[:, None, None], mag
+    u, s, vh = np.linalg.svd(a)
+    smin = s[:, -1] if s.shape[-1] else np.zeros(a.shape[0])
+    return u @ vh, smin
 
 
 def principal_log_unitary(u: np.ndarray, *, guard: float = 1e-9, what: str = "matrix"):
@@ -43,10 +73,39 @@ def principal_log_unitary(u: np.ndarray, *, guard: float = 1e-9, what: str = "ma
     return 0.5 * (a - a.conj().T)
 
 
+def principal_log_unitaries(
+    u: np.ndarray, *, guard: float = 1e-9, what: str = "matrix"
+):
+    """Principal logarithm of every unitary in a stack.
+
+    Rank one is one vectorised np.angle; larger ranks take the exact
+    per-matrix logarithm.  The BranchCutError names the first offending
+    entry as "<what> <index>".
+    """
+    if u.shape[1:] == (1, 1):
+        z = u[:, 0, 0]
+        bad = np.flatnonzero(np.abs(z + 1.0) < guard)
+        if bad.size:
+            raise BranchCutError(
+                f"{what} {bad[0]}: eigenvalue at -1 within {guard:g}; "
+                "refine the lattice"
+            )
+        return (1j * np.angle(z))[:, None, None]
+    out = np.empty(u.shape, dtype=complex)
+    for i in range(u.shape[0]):
+        out[i] = principal_log_unitary(u[i], guard=guard, what=f"{what} {i}")
+    return out
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     if a.shape == (1, 1):
         return np.array([[np.exp(a[0, 0])]], dtype=complex)
     return scipy.linalg.expm(a)
+
+
+def expms(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every matrix in a stack."""
+    return scipy.linalg.expm(a.astype(complex))
 
 
 def symmetric_unitary_sqrt(w: np.ndarray, *, guard: float = 1e-9) -> np.ndarray:

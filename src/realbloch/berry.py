@@ -11,7 +11,15 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._matrix import expm, frob, polar_unitary, principal_log_unitary
+from ._matrix import (
+    adjoint,
+    expms,
+    frob_each,
+    max_frob,
+    polar_unitaries,
+    principal_log_unitaries,
+    principal_log_unitary,
+)
 from .errors import DiscretizationError, DomainError
 from .lattice import InvolutiveLattice
 from .spectral import Frame
@@ -95,21 +103,49 @@ class ProductConnectionSpec:
 def link_field(f: Frame, lat: InvolutiveLattice) -> LinkField:
     """Unitarized frame overlaps on every canonical link.
 
-    Raises DiscretizationError naming the link when an overlap is singular
-    (band crossing or a lattice too coarse for the model's variation).
+    One gather of the tail and head frames, one batched overlap and one
+    batched polar decomposition (rank one: z/|z|).  Raises
+    DiscretizationError naming the first link whose overlap is singular or
+    not finite (band crossing or a lattice too coarse for the model's
+    variation).
     """
-    m = f.rank
-    u = np.empty((lat.n_links, m, m), dtype=complex)
-    for lk in range(lat.n_links):
-        a, b = int(lat.link_tail[lk]), int(lat.link_head[lk])
-        overlap = f.columns[a].conj().T @ f.columns[b]
-        u[lk], smin = polar_unitary(overlap)
-        if smin <= OVERLAP_SINGULAR_TOL:
-            raise DiscretizationError(
-                f"singular frame overlap on link {lk} ({a}->{b}), "
-                f"smallest singular value {smin:.3e}"
-            )
+    tail, head = lat.link_tail, lat.link_head
+    u, smin = polar_unitaries(adjoint(f.columns[tail]) @ f.columns[head])
+    bad = np.flatnonzero(~(smin > OVERLAP_SINGULAR_TOL))
+    if bad.size:
+        lk = int(bad[0])
+        raise DiscretizationError(
+            f"singular frame overlap on link {lk} ({tail[lk]}->{head[lk]}), "
+            f"smallest singular value {smin[lk]:.3e}"
+        )
     return LinkField(u, lat)
+
+
+def _connection_steps(
+    spec: ProductConnectionSpec, lat: InvolutiveLattice
+) -> np.ndarray:
+    """Closed-form connection times the link step, per canonical link.
+
+    Evaluated at link midpoints; diagonal links carry both coordinate
+    components, each times its grid spacing.
+    """
+    mids = lat.link_midpoints()
+    first = spec.connection_at(mids[0])
+    # (n_links, dim, m, m)
+    comps = np.empty((lat.n_links,) + first.shape, dtype=complex)
+    for lk, c in enumerate(mids):
+        comps[lk] = spec.connection_at(c)
+    mu = lat.link_mu
+    steps = np.empty((lat.n_links,) + comps.shape[2:], dtype=complex)
+    straight = np.flatnonzero(mu != 2)
+    steps[straight] = (
+        comps[straight, mu[straight]] * lat.link_spacing[straight, None, None]
+    )
+    diagonal = np.flatnonzero(mu == 2)
+    if diagonal.size:
+        h1, h2 = 2.0 * np.pi / _grid_len(lat, 0), 2.0 * np.pi / _grid_len(lat, 1)
+        steps[diagonal] = comps[diagonal, 0] * h1 + comps[diagonal, 1] * h2
+    return steps
 
 
 def link_field_from_connection(
@@ -121,25 +157,10 @@ def link_field_from_connection(
     per-link forms exponentiate their own values.
     """
     if isinstance(source, LocalConnectionForm):
-        m = source.rank
-        u = np.empty((lat.n_links, m, m), dtype=complex)
-        for lk in range(lat.n_links):
-            u[lk] = expm(source.a[lk] * float(lat.link_spacing[lk]))
-        return LinkField(u, lat)
-    m = source.rank
-    u = np.empty((lat.n_links, m, m), dtype=complex)
-    for lk in range(lat.n_links):
-        mid = lat.link_midpoint(lk)
-        a = source.connection_at(mid)
-        mu = int(lat.link_mu[lk])
-        if mu == 2:  # diagonal links carry both coordinate components
-            step = a[0] * (2.0 * np.pi / _grid_len(lat, 0)) + a[1] * (
-                2.0 * np.pi / _grid_len(lat, 1)
-            )
-        else:
-            step = a[mu] * float(lat.link_spacing[lk])
-        u[lk] = expm(step)
-    return LinkField(u, lat)
+        steps = source.a * lat.link_spacing[:, None, None]
+    else:
+        steps = _connection_steps(source, lat)
+    return LinkField(expms(steps), lat)
 
 
 def _grid_len(lat: InvolutiveLattice, mu: int) -> int:
@@ -151,15 +172,13 @@ def local_connection_from_links(
 ) -> LocalConnectionForm:
     """Principal-log connection components, per unit coordinate.
 
-    Raises BranchCutError (advising a finer lattice) when a link unitary has
-    an eigenvalue at -1 where the principal branch is ambiguous.
+    Raises BranchCutError (advising a finer lattice) naming the first link
+    whose unitary has an eigenvalue at -1, where the principal branch is
+    ambiguous.
     """
     lat = u.lattice
     h = lat.link_spacing if spacing is None else np.asarray(spacing, dtype=float)
-    m = u.rank
-    a = np.empty((lat.n_links, m, m), dtype=complex)
-    for lk in range(lat.n_links):
-        a[lk] = principal_log_unitary(u.u[lk], what=f"link {lk}") / float(h[lk])
+    a = principal_log_unitaries(u.u, what="link") / h[:, None, None]
     return LocalConnectionForm(a, lat)
 
 
@@ -167,34 +186,22 @@ def local_connection_from_spec(
     spec: ProductConnectionSpec, lat: InvolutiveLattice
 ) -> LocalConnectionForm:
     """Evaluate a closed-form connection on canonical links (midpoint rule)."""
-    m = spec.rank
-    a = np.empty((lat.n_links, m, m), dtype=complex)
-    for lk in range(lat.n_links):
-        mid = lat.link_midpoint(lk)
-        comps = spec.connection_at(mid)
-        mu = int(lat.link_mu[lk])
-        if mu == 2:
-            h1, h2 = 2.0 * np.pi / _grid_len(lat, 0), 2.0 * np.pi / _grid_len(lat, 1)
-            a[lk] = (comps[0] * h1 + comps[1] * h2) / float(lat.link_spacing[lk])
-        else:
-            a[lk] = comps[mu]
+    a = _connection_steps(spec, lat) / lat.link_spacing[:, None, None]
     return LocalConnectionForm(a, lat)
 
 
 def gauge_transform(u: LinkField, g: np.ndarray) -> LinkField:
-    """Apply a per-site gauge: U on link x->y becomes g(x)^dag U g(y)."""
+    """Apply a per-site gauge: U on link x->y becomes g(x)^dag U g(y).
+
+    Raises DomainError naming the first site whose matrix is not unitary.
+    """
     g = np.asarray(g, dtype=complex)
-    m = u.rank
-    eye = np.eye(m)
-    for s in range(g.shape[0]):
-        if frob(g[s].conj().T @ g[s] - eye) > 1e-10:
-            raise DomainError(f"gauge matrix at site {s} is not unitary")
+    defect = frob_each(adjoint(g) @ g - np.eye(u.rank))
+    bad = np.flatnonzero(defect > 1e-10)
+    if bad.size:
+        raise DomainError(f"gauge matrix at site {bad[0]} is not unitary")
     lat = u.lattice
-    out = np.empty_like(u.u)
-    for lk in range(lat.n_links):
-        a, b = int(lat.link_tail[lk]), int(lat.link_head[lk])
-        out[lk] = g[a].conj().T @ u.u[lk] @ g[b]
-    return LinkField(out, lat)
+    return LinkField(adjoint(g[lat.link_tail]) @ u.u @ g[lat.link_head], lat)
 
 
 def equivariance_residual(
@@ -207,18 +214,15 @@ def equivariance_residual(
     reversal of the image link is handled through the adjoint.  A residual
     at discretization order certifies the connection equivariant.
     """
-    worst = 0.0
-    q = quaternionic_q(u.rank) if parity == -1 else None
-    for lk in range(lat.n_links):
-        a, b = int(lat.link_tail[lk]), int(lat.link_head[lk])
-        img = u.on(int(lat.link_image[lk]), int(lat.link_image_sign[lk]))
-        lhs = w.w[a].conj().T @ img @ w.w[b]
-        if parity == -1:
-            rhs = -q @ u.u[lk].conj() @ q
-        else:
-            rhs = u.u[lk].conj()
-        worst = max(worst, frob(lhs - rhs))
-    return worst
+    img = u.u[lat.link_image]
+    reverse = lat.link_image_sign < 0
+    img[reverse] = adjoint(img[reverse])
+    lhs = adjoint(w.w[lat.link_tail]) @ img @ w.w[lat.link_head]
+    rhs = u.u.conj()
+    if parity == -1:
+        q = quaternionic_q(u.rank)
+        rhs = -q @ rhs @ q
+    return max_frob(lhs - rhs)
 
 
 def _log_step(j: SymmetryData, lat: InvolutiveLattice, link_id: int) -> np.ndarray:

@@ -33,7 +33,10 @@ from .spectral import (
 from .symmetry import (
     SewingField,
     SymmetryData,
+    orbit_blocks,
+    sample_stack,
     sewing_matrix,
+    unitary_residual,
     verify_hamiltonian_symmetry,
     verify_projection_symmetry,
 )
@@ -202,18 +205,12 @@ def classify_real_bundle(
 
 
 def _j_consistency(j: SymmetryData, lat: InvolutiveLattice) -> float:
-    tau = lat.involution
-    eye = np.eye(j.dimension)
+    """Max over sites of || J(tau x) conj(J(x)) - parity * 1 ||, with J
+    evaluated once per site and the tau side gathered."""
     res = 0.0
-    for s in range(lat.n_sites):
-        res = max(
-            res,
-            float(
-                np.linalg.norm(
-                    j(lat.sites[tau[s]]) @ j(lat.sites[s]).conj() - j.parity * eye
-                )
-            ),
-        )
+    for sites, tau in orbit_blocks(lat, j.dimension):
+        js = sample_stack(j, lat.sites[sites])
+        res = max(res, unitary_residual(js, js[tau], j.parity))
     return res
 
 

@@ -246,6 +246,15 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     is_product = isinstance(model, ProductConnectionSpec)
+    oscillator = getattr(model, "oscillator_params", None)
+    if "oscillator-oracle" in config.tasks:
+        if oscillator is None:
+            raise ConfigError("oscillator-oracle task needs the oscillator model")
+        if sorted(set(int(b) for b in config.bands)) != [oscillator.level]:
+            raise ConfigError(
+                f"oscillator-oracle compares the level-{oscillator.level} band; "
+                f"bands must be [{oscillator.level}], got {config.bands}"
+            )
     u = w = frame = proj = None
 
     def ensure_connection():
@@ -258,8 +267,9 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
         else:
             spec_data = eigensolve_family(model, lat, threads=config.threads)
             proj = select_projection(spec_data, config.bands)
-            if hasattr(model, "oscillator_params"):
-                reference = oscillator_reference_section(model.oscillator_params, lat)
+            if oscillator is not None and proj.band_indices == (oscillator.level,):
+                # the analytic section spans exactly the level band
+                reference = oscillator_reference_section(oscillator, lat)
                 frame = frame_from_projection(proj, reference)
             else:
                 frame = smooth_frame_gauge(frame_from_projection(proj), lat)
@@ -344,12 +354,8 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
                 for a in config.moduli_values
             ]
         elif task == "oscillator-oracle":
-            if not hasattr(model, "oscillator_params"):
-                raise ConfigError("oscillator-oracle task needs the oscillator model")
             ensure_connection()
-            report["oscillator_oracle"] = _oscillator_oracle(
-                model.oscillator_params, u, lat
-            )
+            report["oscillator_oracle"] = _oscillator_oracle(oscillator, u, lat)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._matrix import principal_log_unitary
+from ._matrix import adjoint, principal_log_unitaries
 from .berry import LinkField
 from .errors import UnsupportedBaseError
 from .lattice import InvolutiveLattice
@@ -40,20 +40,31 @@ class CurvatureField:
         return self.f.shape[2]
 
 
+def _plaquette_holonomies(u: LinkField, lat: InvolutiveLattice) -> np.ndarray:
+    """Ordered link product around every plaquette, (n_plaquettes, m, m).
+
+    Gathers the links of the lattice's padded plaquette table; sign -1
+    takes the adjoint and sign 0 (padding) the identity.
+    """
+    links, signs = lat.plaquette_links, lat.plaquette_signs
+    eye = np.eye(u.rank, dtype=complex)
+    hol = np.broadcast_to(eye, (lat.n_plaquettes, u.rank, u.rank))
+    for k in range(links.shape[1]):
+        step, sign = u.u[links[:, k]], signs[:, k]
+        step[sign < 0] = adjoint(step[sign < 0])
+        step[sign == 0] = eye
+        hol = hol @ step
+    return hol
+
+
 def plaquette_curvature(u: LinkField, lat: InvolutiveLattice) -> CurvatureField:
     """Principal log of the ordered link product around each plaquette.
 
-    Raises BranchCutError naming the plaquette when the holonomy has an
+    Raises BranchCutError naming the first plaquette whose holonomy has an
     eigenvalue at -1 (advice: refine the lattice).
     """
-    m = u.rank
-    f = np.empty((lat.n_plaquettes, m, m), dtype=complex)
-    for p, rows in enumerate(lat.plaquettes):
-        hol = np.eye(m, dtype=complex)
-        for link_id, sign in rows:
-            hol = hol @ u.on(int(link_id), int(sign))
-        f[p] = principal_log_unitary(hol, what=f"plaquette {p}")
-    return CurvatureField(f, lat)
+    hol = _plaquette_holonomies(u, lat)
+    return CurvatureField(principal_log_unitaries(hol, what="plaquette"), lat)
 
 
 def chern_weil_density(curv: CurvatureField, k: int) -> np.ndarray:
@@ -66,21 +77,15 @@ def chern_weil_density(curv: CurvatureField, k: int) -> np.ndarray:
     m = curv.rank
     if not 1 <= k <= m:
         raise ValueError(f"polynomial degree {k} outside 1..{m}")
-    out = np.empty(curv.f.shape[0])
-    for p in range(curv.f.shape[0]):
-        x = np.linalg.eigvals(curv.f[p] / (2.0j * np.pi))
-        ek = _elementary_symmetric(x, k)
-        out[p] = ((-1.0) ** k * ek).real
-    return out
-
-
-def _elementary_symmetric(x: np.ndarray, k: int) -> complex:
-    e = np.zeros(k + 1, dtype=complex)
+    x = curv.f / (2.0j * np.pi)
+    eig = np.linalg.eigvals(x)
+    # elementary symmetric polynomials of the eigenvalues, all plaquettes at once
+    e = np.zeros((k + 1, eig.shape[0]), dtype=complex)
     e[0] = 1.0
-    for xi in x:
-        for d in range(min(k, len(x)), 0, -1):
-            e[d] += xi * e[d - 1]
-    return e[k]
+    for i in range(m):
+        for d in range(k, 0, -1):
+            e[d] += eig[:, i] * e[d - 1]
+    return ((-1.0) ** k * e[k]).real
 
 
 def chern_number(curv: CurvatureField, lat: InvolutiveLattice):
@@ -113,13 +118,9 @@ def curvature_parity_check(curv: CurvatureField, lat: InvolutiveLattice) -> floa
     certifies the first Chern density odd/even as the involution
     reverses/preserves orientation.
     """
-    worst = 0.0
     tr = np.trace(curv.f, axis1=1, axis2=2)
-    for p in range(lat.n_plaquettes):
-        q = int(lat.plaquette_image[p])
-        s = int(lat.plaquette_image_sign[p])
-        worst = max(worst, abs(s * tr[q] - np.conj(tr[p])))
-    return worst
+    defect = np.abs(lat.plaquette_image_sign * tr[lat.plaquette_image] - tr.conj())
+    return float(defect.max(initial=0.0))
 
 
 def gb_curvature_direct(

@@ -59,11 +59,15 @@ class LoopPath:
 class InvolutiveLattice:
     """Immutable discretized involutive manifold.
 
-    Plaquettes are stored as vertex cycles; the oriented boundary of
-    plaquette ``p`` is recovered as ``plaquettes[p]``, an integer array of
-    rows ``(link_id, sign)``.  ``link_image`` / ``plaquette_image`` record
-    the exact action of the involution on links and plaquettes together
-    with direction / orientation signs.
+    Plaquettes are stored as vertex cycles.  Their oriented boundaries are
+    built once per lattice as the padded plaquette table ``plaquette_links``
+    / ``plaquette_signs`` of shape (n_plaquettes, width), width being the
+    longest boundary (4 on the shipped lattices): entry ``k`` of row ``p``
+    is the k-th boundary link and its traversal sign, and sign 0 pads a
+    shorter boundary with the identity.  ``plaquettes[p]`` lists the same
+    boundary as rows ``(link_id, sign)`` without padding.  ``link_image`` /
+    ``plaquette_image`` record the exact action of the involution on links
+    and plaquettes together with direction / orientation signs.
     """
 
     topology_tag: str
@@ -78,7 +82,8 @@ class InvolutiveLattice:
     plaquette_areas: np.ndarray
     involution: np.ndarray
     orientation_flip: bool
-    plaquettes: list = field(init=False, repr=False)
+    plaquette_links: np.ndarray = field(init=False, repr=False)
+    plaquette_signs: np.ndarray = field(init=False, repr=False)
     fixed_sites: np.ndarray = field(init=False)
     link_image: np.ndarray = field(init=False)
     link_image_sign: np.ndarray = field(init=False)
@@ -95,13 +100,7 @@ class InvolutiveLattice:
             (int(a), int(b)): i
             for i, (a, b) in enumerate(zip(self.link_tail, self.link_head))
         }
-        self.plaquettes = [
-            np.array(
-                [self.directed_link(v[a], v[(a + 1) % len(v)]) for a in range(len(v))],
-                dtype=int,
-            )
-            for v in self.plaquette_vertices
-        ]
+        self._build_plaquette_table()
         self._build_link_image()
         self._build_plaquette_image()
         self._check_tiling()
@@ -125,6 +124,14 @@ class InvolutiveLattice:
         return len(self.plaquette_vertices)
 
     @property
+    def plaquettes(self) -> list:
+        """Oriented boundary of every plaquette as (link_id, sign) rows."""
+        return [
+            np.column_stack([links[signs != 0], signs[signs != 0]])
+            for links, signs in zip(self.plaquette_links, self.plaquette_signs)
+        ]
+
+    @property
     def base_tag(self) -> str:
         return f"{self.topology_tag}-{self.involution_kind}"
 
@@ -144,13 +151,28 @@ class InvolutiveLattice:
 
     def link_midpoint(self, link_id: int) -> np.ndarray:
         """Chart coordinates of a link midpoint (unwrapped from the tail)."""
-        a = self.sites[self.link_tail[link_id]]
-        b = self.sites[self.link_head[link_id]]
+        return self.link_midpoints(link_id)
+
+    def link_midpoints(self, links=slice(None)) -> np.ndarray:
+        """Chart coordinates of link midpoints, (n_links, dim) by default."""
+        a = self.sites[self.link_tail[links]]
+        b = self.sites[self.link_head[links]]
         d = b - a
         d = (d + np.pi) % (2.0 * np.pi) - np.pi  # unwrap across the seam
         return a + 0.5 * d
 
     # -- involution bookkeeping ----------------------------------------
+
+    def _build_plaquette_table(self):
+        width = max((len(v) for v in self.plaquette_vertices), default=0)
+        rows = [
+            [self.directed_link(v[a], v[(a + 1) % len(v)]) for a in range(len(v))]
+            + [(0, 0)] * (width - len(v))
+            for v in self.plaquette_vertices
+        ]
+        table = np.array(rows, dtype=int).reshape(self.n_plaquettes, width, 2)
+        self.plaquette_links = table[:, :, 0].copy()
+        self.plaquette_signs = table[:, :, 1].astype(np.int8)
 
     def _build_link_image(self):
         tau = self.involution
@@ -199,12 +221,10 @@ class InvolutiveLattice:
     def _check_tiling(self):
         if self.n_plaquettes == 0:
             return
-        net = np.zeros(self.n_links, dtype=int)
-        count = np.zeros(self.n_links, dtype=int)
-        for rows in self.plaquettes:
-            for link_id, sign in rows:
-                net[link_id] += sign
-                count[link_id] += 1
+        used = self.plaquette_signs != 0
+        links = self.plaquette_links[used]
+        net = np.bincount(links, self.plaquette_signs[used], minlength=self.n_links)
+        count = np.bincount(links, minlength=self.n_links)
         if np.any(net != 0) or np.any(count != 2):
             raise InvalidDiscretizationError("plaquettes do not tile a closed surface")
 

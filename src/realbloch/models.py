@@ -6,6 +6,7 @@ the structure unitary J.  Every shipped model passes the Hamiltonian
 symmetry check at shipped resolutions.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -299,10 +300,6 @@ def model_flat_line(a: float) -> ProductConnectionSpec:
 
 # -- degree-k sphere family ----------------------------------------------
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 def _winding_factor(k: int, x1: float, x2: float) -> complex:
     # negative degrees use the conjugate map, which is bounded at the poles
@@ -321,11 +318,16 @@ def model_degree_k_sphere(k: int) -> tuple[HamiltonianFamily, SymmetryData]:
     """
     if k == 0:
         raise ValueError("degree must be nonzero")
+    sign, power = (1 if k > 0 else -1), abs(k)
 
     def evaluate(coords):
-        x0, x1, x2 = sphere_embedding(coords)
-        w = _winding_factor(k, x1, x2)
-        return w.real * _SX + w.imag * _SY + x0 * _SZ
+        # scalar form of sphere_embedding and _winding_factor: H is
+        # [[x0, conj(w)], [w, -x0]]
+        t, phi = float(coords[0]), float(coords[1])
+        sin_t = math.sin(t)
+        x0 = math.cos(t)
+        w = complex(sin_t * math.cos(phi), sign * sin_t * math.sin(phi)) ** power
+        return np.array([[x0, w.conjugate()], [w, -x0]], dtype=complex)
 
     return (
         HamiltonianFamily(2, evaluate, f"degree_{k}_sphere"),

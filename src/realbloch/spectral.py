@@ -1,12 +1,11 @@
 """Hamiltonian families on lattices: spectra, band projections, frames."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._matrix import frob, polar_unitary
+from ._matrix import adjoint, frob_each, polar_unitaries, polar_unitary
 from .errors import GapClosureError, ModelError, RankError
 from .lattice import InvolutiveLattice
 
@@ -23,6 +22,10 @@ __all__ = [
 
 HERMITICITY_RTOL = 1e-12
 DEGENERACY_TOL = 1e-8
+# Matrix entries per stacked block (256 kB of complex128): layers that would
+# otherwise form temporaries over every site or link, such as (n_sites, N, N)
+# Hamiltonian stacks, run over blocks this size.
+BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -50,18 +53,52 @@ class SpectralData:
         return self.eigenvalues.shape[1]
 
 
-@dataclass
 class ProjectionFamily:
-    """Per-site rank-m spectral projector."""
+    """Per-site rank-m spectral projector P(x) = V(x) V(x)^dag.
 
-    projectors: np.ndarray  # (n_sites, N, N)
-    rank: int
-    lattice: InvolutiveLattice
-    band_indices: tuple = ()
+    The selected eigenvector columns ``columns`` (n_sites, N, m) are the
+    primary data: frames, symmetry checks and sewing read them directly.
+    ``projectors`` (n_sites, N, N) is formed from them on first access and
+    then kept; the classify pipeline never reads it, so the N x N tensor
+    exists only for callers that ask, such as the ``gb_*`` oracles.
+
+    ``ProjectionFamily(projectors, rank, lat)`` builds a family from
+    projectors alone; its columns are then the eigenvalue-1 eigenvectors of
+    the projectors, found by one batched eigh on first access (RankError
+    naming the first site whose projector has the wrong rank).
+    """
+
+    def __init__(
+        self,
+        projectors: Optional[np.ndarray],
+        rank: int,
+        lattice: InvolutiveLattice,
+        band_indices: tuple = (),
+        columns: Optional[np.ndarray] = None,
+    ):
+        if projectors is None and columns is None:
+            raise ValueError("a projection family needs projectors or columns")
+        self._projectors = projectors
+        self._columns = columns
+        self.rank = rank
+        self.lattice = lattice
+        self.band_indices = tuple(band_indices)
+
+    @property
+    def columns(self) -> np.ndarray:
+        if self._columns is None:
+            self._columns = _projector_columns(self._projectors, self.rank)
+        return self._columns
+
+    @property
+    def projectors(self) -> np.ndarray:
+        if self._projectors is None:
+            self._projectors = self.columns @ adjoint(self.columns)
+        return self._projectors
 
     @property
     def dimension(self) -> int:
-        return self.projectors.shape[1]
+        return self.columns.shape[1]
 
 
 @dataclass
@@ -81,40 +118,63 @@ class Frame:
         return self.columns.shape[1]
 
 
+def index_blocks(n: int, entries: int):
+    """Consecutive slices covering range(n), each spanning at most
+    BLOCK_ENTRIES matrix entries at `entries` per index (at least one index)."""
+    size = max(1, BLOCK_ENTRIES // max(entries, 1))
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
+
+
 def eigensolve_family(
     h: HamiltonianFamily, lat: InvolutiveLattice, threads: int = 1
 ) -> SpectralData:
     """Diagonalize the family at every lattice site.
 
-    Per-site solves are independent; `threads` > 1 fans them out over a
-    thread pool (results are written by site index, so the output does not
-    depend on scheduling).
+    H is evaluated once per site, and each site block (see index_blocks) is
+    checked for Hermiticity and diagonalized by one batched eigh, so no
+    (n_sites, N, N) array exists besides the returned eigenvectors.  There
+    is no thread pool: `threads` is accepted for compatibility and has no
+    effect, so results never depend on it.  Raises ModelError naming the
+    first site whose matrix has the wrong shape or is not Hermitian.
     """
     n, dim = lat.n_sites, h.dimension
+    name = h.name or "model"
     values = np.empty((n, dim))
     vectors = np.empty((n, dim, dim), dtype=complex)
-
-    def solve(s: int):
-        mat = h(lat.sites[s])
-        if mat.shape != (dim, dim):
+    for block in index_blocks(n, dim * dim):
+        mats, bad = [], None
+        for s in range(block.start, block.stop):
+            mat = h(lat.sites[s])
+            if mat.shape != (dim, dim):
+                bad = (s, mat.shape)
+                break
+            mats.append(mat)
+        stack = np.array(mats).reshape(len(mats), dim, dim)
+        scale = np.maximum(frob_each(stack), 1.0)
+        skew = frob_each(stack - adjoint(stack)) > HERMITICITY_RTOL * scale
+        skew = np.flatnonzero(skew)
+        if skew.size:
             raise ModelError(
-                f"{h.name or 'model'}: evaluator returned shape {mat.shape}, "
-                f"expected {(dim, dim)}"
+                f"{name}: non-Hermitian output at site {block.start + skew[0]}"
             )
-        scale = max(frob(mat), 1.0)
-        if frob(mat - mat.conj().T) > HERMITICITY_RTOL * scale:
+        if bad is not None:
             raise ModelError(
-                f"{h.name or 'model'}: non-Hermitian output at site {s}"
+                f"{name}: evaluator returned shape {bad[1]}, expected {(dim, dim)}"
             )
-        values[s], vectors[s] = np.linalg.eigh(mat)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(solve, range(n)))
-    else:
-        for s in range(n):
-            solve(s)
+        values[block], vectors[block] = np.linalg.eigh(stack)
     return SpectralData(values, vectors, lat)
+
+
+def _site_gaps(s: SpectralData, sel: list) -> Optional[np.ndarray]:
+    """Per-site distance between the selected bands and the rest, or None
+    when either group is empty."""
+    rest = [j for j in range(s.dimension) if j not in sel]
+    if not sel or not rest:
+        return None
+    lam_sel = s.eigenvalues[:, sel]
+    lam_rest = s.eigenvalues[:, rest]
+    return np.abs(lam_sel[:, :, None] - lam_rest[:, None, :]).min(axis=(1, 2))
 
 
 def gap_margin(s: SpectralData, band_indices) -> float:
@@ -123,15 +183,8 @@ def gap_margin(s: SpectralData, band_indices) -> float:
     Strictly positive return is the numerical gap condition; 0 signals a
     touching selection.  Selecting every band returns +inf.
     """
-    sel = sorted(set(int(b) for b in band_indices))
-    dim = s.dimension
-    rest = [j for j in range(dim) if j not in sel]
-    if not sel or not rest:
-        return float("inf")
-    lam_sel = s.eigenvalues[:, sel]
-    lam_rest = s.eigenvalues[:, rest]
-    d = np.abs(lam_sel[:, :, None] - lam_rest[:, None, :])
-    return float(d.min())
+    gaps = _site_gaps(s, sorted(set(int(b) for b in band_indices)))
+    return float("inf") if gaps is None else float(gaps.min())
 
 
 def select_projection(s: SpectralData, band_indices) -> ProjectionFamily:
@@ -140,26 +193,21 @@ def select_projection(s: SpectralData, band_indices) -> ProjectionFamily:
     Band indices refer to ascending-sorted eigenvalues, 0-based.  Raises
     GapClosureError naming the first offending site if the selection is not
     isolated (boundary gap below 1e-8); degeneracy inside the selection is
-    allowed.
+    allowed.  The family keeps the selected eigenvector columns; see
+    ProjectionFamily for when the projectors themselves are formed.
     """
     sel = sorted(set(int(b) for b in band_indices))
     dim = s.dimension
     if any(b < 0 or b >= dim for b in sel):
         raise ValueError(f"band indices {sel} outside 0..{dim - 1}")
-    rest = [j for j in range(dim) if j not in sel]
-    if sel and rest:
-        d = np.abs(
-            s.eigenvalues[:, sel][:, :, None] - s.eigenvalues[:, rest][:, None, :]
-        ).min(axis=(1, 2))
-        worst = int(np.argmin(d))
-        if d[worst] < DEGENERACY_TOL:
-            raise GapClosureError(worst, float(d[worst]))
-    n = s.eigenvalues.shape[0]
-    proj = np.zeros((n, dim, dim), dtype=complex)
-    if sel:
-        v = s.eigenvectors[:, :, sel]
-        proj = v @ v.conj().swapaxes(1, 2)
-    return ProjectionFamily(proj, len(sel), s.lattice, tuple(sel))
+    gaps = _site_gaps(s, sel)
+    if gaps is not None:
+        worst = int(np.argmin(gaps))
+        if gaps[worst] < DEGENERACY_TOL:
+            raise GapClosureError(worst, float(gaps[worst]))
+    return ProjectionFamily(
+        None, len(sel), s.lattice, tuple(sel), columns=s.eigenvectors[:, :, sel]
+    )
 
 
 def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
@@ -191,13 +239,39 @@ def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
     return Frame(cols, lat, gauge_tag="tree-smoothed")
 
 
+def _projector_columns(projectors: np.ndarray, m: int) -> np.ndarray:
+    """Orthonormal range columns of rank-m projectors (batched eigh)."""
+    w, v = np.linalg.eigh(projectors)
+    ranks = np.count_nonzero(w > 0.5, axis=1)
+    wrong = np.flatnonzero(ranks != m)
+    if wrong.size:
+        s = int(wrong[0])
+        raise RankError(f"projector rank {ranks[s]} != {m} at site {s}")
+    return v[:, :, v.shape[2] - m :]
+
+
+def _fix_gauge(basis: np.ndarray) -> np.ndarray:
+    """Order columns by leading-component index; make that component real
+    and positive.  The leading component is the one of largest magnitude."""
+    lead = np.argmax(np.abs(basis), axis=1)  # (n, m)
+    order = np.argsort(lead, axis=1, kind="stable")
+    basis = np.take_along_axis(basis, order[:, None, :], axis=2)
+    lead = np.take_along_axis(lead, order, axis=1)
+    z = np.take_along_axis(basis, lead[:, None, :], axis=1)[:, 0, :]
+    mag = np.abs(z)
+    phase = np.ones_like(z)
+    np.divide(z.conj(), mag, out=phase, where=mag > 0)
+    return basis * phase[:, None, :]
+
+
 def frame_from_projection(
     p: ProjectionFamily, reference: Optional[np.ndarray] = None
 ) -> Frame:
     """Orthonormal spanning columns of the projector range at every site.
 
-    Default gauge: eigenvectors of P with eigenvalue 1, ordered by the index
-    of their largest-magnitude component, that component phase-fixed real
+    Default gauge: the family's eigenvector columns (for a projector-only
+    family, the eigenvalue-1 eigenvectors of P), ordered by the index of
+    their largest-magnitude component, that component phase-fixed real
     positive.  The gauge is arbitrary but deterministic; downstream
     gauge-invariant quantities never depend on it.
 
@@ -206,31 +280,11 @@ def frame_from_projection(
     the closest in-range match.  Needed when local connection components are
     compared pointwise against a closed form in a specific gauge.
     """
-    n, dim, m = p.projectors.shape[0], p.dimension, p.rank
-    cols = np.empty((n, dim, m), dtype=complex)
-    for s in range(n):
-        w, v = np.linalg.eigh(p.projectors[s])
-        keep = np.flatnonzero(w > 0.5)
-        if keep.size != m:
-            raise RankError(
-                f"projector rank {keep.size} != {m} at site {s}"
-            )
-        basis = v[:, keep]
-        order = np.argsort([int(np.argmax(np.abs(basis[:, c]))) for c in range(m)])
-        basis = basis[:, order]
-        for c in range(m):
-            lead = basis[np.argmax(np.abs(basis[:, c])), c]
-            if abs(lead) > 0:
-                basis[:, c] *= np.conj(lead) / abs(lead)
-        cols[s] = basis
-    frame = Frame(cols, p.lattice)
-    if reference is not None:
-        ref = np.asarray(reference, dtype=complex)
-        if ref.ndim == 2:
-            ref = ref[:, :, None]
-        aligned = np.empty_like(cols)
-        for s in range(n):
-            u, _ = polar_unitary(cols[s].conj().T @ ref[s])
-            aligned[s] = cols[s] @ u
-        frame = Frame(aligned, p.lattice, gauge_tag="reference-aligned")
-    return frame
+    cols = _fix_gauge(np.asarray(p.columns, dtype=complex))
+    if reference is None:
+        return Frame(cols, p.lattice)
+    ref = np.asarray(reference, dtype=complex)
+    if ref.ndim == 2:
+        ref = ref[:, :, None]
+    u, _ = polar_unitaries(adjoint(cols) @ ref)
+    return Frame(cols @ u, p.lattice, gauge_tag="reference-aligned")

@@ -10,10 +10,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._matrix import frob, unitarity_defect
+from ._matrix import adjoint, frob, max_frob
 from .errors import KramersObstructionError, SymmetryInconsistencyError
 from .lattice import InvolutiveLattice
-from .spectral import Frame, HamiltonianFamily, ProjectionFamily
+from .spectral import Frame, HamiltonianFamily, ProjectionFamily, index_blocks
 
 __all__ = [
     "SymmetryData",
@@ -45,10 +45,8 @@ class SymmetryData:
         return np.asarray(j, dtype=complex)
 
     def sample(self, lat: InvolutiveLattice) -> np.ndarray:
-        out = np.empty((lat.n_sites, self.dimension, self.dimension), dtype=complex)
-        for s in range(lat.n_sites):
-            out[s] = self(lat.sites[s])
-        return out
+        """J at every site, stacked (n_sites, N, N); one evaluation per site."""
+        return sample_stack(self, lat.sites)
 
     @staticmethod
     def constant(j: np.ndarray, parity: int = +1, name: str = "") -> "SymmetryData":
@@ -85,6 +83,39 @@ class SymmetryReport:
         )
 
 
+def sample_stack(family, coords) -> np.ndarray:
+    """One evaluation of a per-site N x N family per coordinate row, stacked."""
+    out = np.empty((len(coords), family.dimension, family.dimension), dtype=complex)
+    for i, c in enumerate(coords):
+        out[i] = family(c)
+    return out
+
+
+def orbit_blocks(lat: InvolutiveLattice, dim: int):
+    """Site blocks closed under the involution, with the involution inside.
+
+    Yields ``(sites, tau)``: ``sites`` holds the orbits of one
+    ``index_blocks`` block of orbit representatives carrying dim x dim
+    matrices (so at most twice that many sites), and ``sites[tau]`` equals
+    ``lat.involution[sites]``.  The blocks partition the sites, so values
+    sampled on a block give their tau-images by the gather ``values[tau]``.
+    """
+    tau = lat.involution
+    reps = np.flatnonzero(np.arange(lat.n_sites) <= tau)
+    where = np.empty(lat.n_sites, dtype=int)
+    for block in index_blocks(reps.size, dim * dim):
+        first = reps[block]
+        images = tau[first]
+        sites = np.concatenate([first, images[images != first]])
+        where[sites] = np.arange(sites.size)
+        yield sites, where[tau[sites]]
+
+
+def unitary_residual(js: np.ndarray, jt: np.ndarray, parity: int) -> float:
+    """Max over a block of || J(tau x) conj(J(x)) - parity * 1 ||."""
+    return max_frob(jt @ js.conj() - parity * np.eye(js.shape[-1]))
+
+
 def verify_hamiltonian_symmetry(
     h: HamiltonianFamily,
     j: SymmetryData,
@@ -95,19 +126,17 @@ def verify_hamiltonian_symmetry(
 
     Reports max over sites of || J(x)^dag H(tau x) J(x) - conj(H(x)) || and
     of || J(tau x) conj(J(x)) - parity * 1 ||; both below tolerance declare
-    the family symmetric.  Report-only: never raises.
+    the family symmetric.  H and J are evaluated once per site; the tau side
+    is a gather within involution-closed blocks.  Report-only: never raises.
     """
-    tau = lat.involution
     res_h = 0.0
     res_j = 0.0
-    eye = np.eye(j.dimension)
-    for s in range(lat.n_sites):
-        js = j(lat.sites[s])
-        jt = j(lat.sites[tau[s]])
-        hs = h(lat.sites[s])
-        ht = h(lat.sites[tau[s]])
-        res_h = max(res_h, frob(js.conj().T @ ht @ js - hs.conj()))
-        res_j = max(res_j, frob(jt @ js.conj() - j.parity * eye))
+    for sites, tau in orbit_blocks(lat, h.dimension):
+        coords = lat.sites[sites]
+        hs = sample_stack(h, coords)
+        js = sample_stack(j, coords)
+        res_h = max(res_h, max_frob(adjoint(js) @ hs[tau] @ js - hs.conj()))
+        res_j = max(res_j, unitary_residual(js, js[tau], j.parity))
     return SymmetryReport(res_h, res_j, tolerance)
 
 
@@ -117,12 +146,19 @@ def verify_projection_symmetry(
     lat: InvolutiveLattice,
     tolerance: float = 1e-8,
 ) -> float:
-    """Max site residual of P(tau x) J(x) = J(x) conj(P(x))."""
+    """Max site residual of P(tau x) J(x) = J(x) conj(P(x)).
+
+    Computed in site blocks from the family's columns V (P = V V^dag), so
+    the projector tensor is never formed.
+    """
     tau = lat.involution
+    cols = p.columns
     res = 0.0
-    for s in range(lat.n_sites):
-        js = j(lat.sites[s])
-        res = max(res, frob(p.projectors[tau[s]] @ js - js @ p.projectors[s].conj()))
+    for block in index_blocks(lat.n_sites, j.dimension**2):
+        js = sample_stack(j, lat.sites[block])
+        vt, vs = cols[tau[block]], cols[block]
+        diff = vt @ (adjoint(vt) @ js) - (js @ vs.conj()) @ vs.swapaxes(1, 2)
+        res = max(res, max_frob(diff))
     return res
 
 
@@ -141,12 +177,12 @@ def sewing_matrix(
             f"odd parity with rank {m} over {lat.fixed_sites.size} fixed sites"
         )
     tau = lat.involution
+    cols = f.columns
     w = np.empty((lat.n_sites, m, m), dtype=complex)
-    worst = 0.0
-    for s in range(lat.n_sites):
-        js = j(lat.sites[s])
-        w[s] = f.columns[tau[s]].conj().T @ js @ f.columns[s].conj()
-        worst = max(worst, unitarity_defect(w[s]))
+    for block in index_blocks(lat.n_sites, j.dimension**2):
+        js = sample_stack(j, lat.sites[block])
+        w[block] = adjoint(cols[tau[block]]) @ js @ cols[block].conj()
+    worst = max_frob(adjoint(w) @ w - np.eye(m))
     if worst > tolerance:
         raise SymmetryInconsistencyError(
             f"sewing matrix unitarity residual {worst:.3e} exceeds {tolerance:g}"

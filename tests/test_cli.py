@@ -162,3 +162,22 @@ def test_resolution_scale_flag(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["lattice"]["n_sites"] == 32
     assert report["classify"]["torsion"] == [-1]
+
+
+def test_rank_two_oscillator_run(tmp_path):
+    # two bands: the rank-1 level section cannot align the frames, so the
+    # run uses the tree-smoothed gauge
+    config = {
+        "lattice": {"topology": "torus2", "n1": 12, "n2": 12, "kind": "eta1"},
+        "model": {"name": "oscillator", "params": {"n_basis": 24}},
+        "bands": [0, 1],
+        "tasks": ["check-symmetry", "berry", "chern", "holonomy", "classify"],
+    }
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["classify"]["verdict"] == "free 0, torsion (+1, +1)"
+    # the oracle compares against the level band only
+    config["tasks"] = ["oscillator-oracle"]
+    path = write_config(tmp_path, config, "oracle.json")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o2")]) == cli.EXIT_CONFIG
