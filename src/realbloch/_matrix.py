@@ -51,50 +51,43 @@ def polar_unitaries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u @ vh, smin
 
 
-def principal_log_unitary(u: np.ndarray, *, guard: float = 1e-9, what: str = "matrix"):
-    """Principal logarithm of a unitary matrix, anti-Hermitized.
+def unitary_logs(u: np.ndarray, *, guard: float = 1e-9):
+    """Principal logarithms of a unitary stack, clear of the branch cut.
 
-    Raises BranchCutError when an eigenvalue sits within `guard` of -1,
-    where the principal branch is ambiguous.
+    Returns ``(logs, cut)``: ``cut`` marks the entries with an eigenvalue
+    within `guard` of -1, where the principal branch is ambiguous, and
+    ``logs`` holds the anti-Hermitized logarithms of the other entries in
+    order.  Rank one is one vectorised np.angle; larger ranks take one
+    batched eigendecomposition U = V diag(w) V^-1 and form
+    V diag(i angle w) V^-1.
     """
-    if u.shape == (1, 1):
-        z = u[0, 0]
-        if abs(z + 1.0) < guard:
-            raise BranchCutError(
-                f"{what}: eigenvalue at -1 within {guard:g}; refine the lattice"
-            )
-        return np.array([[1j * np.angle(z)]], dtype=complex)
-    w = np.linalg.eigvals(u)
-    if np.min(np.abs(w + 1.0)) < guard:
-        raise BranchCutError(
-            f"{what}: eigenvalue at -1 within {guard:g}; refine the lattice"
-        )
-    a = scipy.linalg.logm(u)
-    return 0.5 * (a - a.conj().T)
+    if u.shape[1:] == (1, 1):
+        z = u[:, 0, 0]
+        cut = np.abs(z + 1.0) < guard
+        return (1j * np.angle(z[~cut]))[:, None, None], cut
+    w, v = np.linalg.eig(u)
+    cut = (np.abs(w + 1.0) < guard).any(axis=1)
+    w, v = w[~cut], v[~cut]
+    a = (v * (1j * np.angle(w))[:, None, :]) @ np.linalg.inv(v)
+    return 0.5 * (a - adjoint(a)), cut
 
 
 def principal_log_unitaries(
     u: np.ndarray, *, guard: float = 1e-9, what: str = "matrix"
 ):
-    """Principal logarithm of every unitary in a stack.
+    """Principal logarithm of every unitary in a stack, anti-Hermitized.
 
-    Rank one is one vectorised np.angle; larger ranks take the exact
-    per-matrix logarithm.  The BranchCutError names the first offending
-    entry as "<what> <index>".
+    Raises BranchCutError naming the first entry with an eigenvalue within
+    `guard` of -1 as "<what> <index>".
     """
-    if u.shape[1:] == (1, 1):
-        z = u[:, 0, 0]
-        bad = np.flatnonzero(np.abs(z + 1.0) < guard)
-        if bad.size:
-            raise BranchCutError(
-                f"{what} {bad[0]}: eigenvalue at -1 within {guard:g}; "
-                "refine the lattice"
-            )
-        return (1j * np.angle(z))[:, None, None]
-    out = np.empty(u.shape, dtype=complex)
-    for i in range(u.shape[0]):
-        out[i] = principal_log_unitary(u[i], guard=guard, what=f"{what} {i}")
-    return out
+    logs, cut = unitary_logs(u, guard=guard)
+    bad = np.flatnonzero(cut)
+    if bad.size:
+        raise BranchCutError(
+            f"{what} {bad[0]}: eigenvalue at -1 within {guard:g}; "
+            "refine the lattice"
+        )
+    return logs
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from ._matrix import (
     max_frob,
     polar_unitaries,
     principal_log_unitaries,
-    principal_log_unitary,
 )
 from .errors import DiscretizationError, DomainError
 from .lattice import InvolutiveLattice
@@ -225,13 +224,6 @@ def equivariance_residual(
     return max_frob(lhs - rhs)
 
 
-def _log_step(j: SymmetryData, lat: InvolutiveLattice, link_id: int) -> np.ndarray:
-    a, b = int(lat.link_tail[link_id]), int(lat.link_head[link_id])
-    ja = j(lat.sites[a])
-    jb = j(lat.sites[b])
-    return principal_log_unitary(ja.conj().T @ jb, what=f"J step on link {link_id}")
-
-
 def j_conjugate_connection(
     a: LocalConnectionForm, j: SymmetryData, lat: InvolutiveLattice
 ) -> LocalConnectionForm:
@@ -240,23 +232,25 @@ def j_conjugate_connection(
     Per link x -> y:  conj( J(x)^dag A(tau link) J(x) + log(J(x)^dag J(y)) / h ).
     The J-step term uses the unitary logarithm rather than a plain forward
     difference so that applying the map twice returns the input exactly;
-    averaging then lands on a true fixed point.
+    averaging then lands on a true fixed point.  J is sampled once per site
+    and all J-step logarithms are one batched call; a BranchCutError names
+    the first link whose step has an eigenvalue at -1.
     """
     if a.rank != j.dimension:
         raise DomainError(
             "product-bundle averaging needs J acting on the connection fiber "
             f"(rank {a.rank} vs J dimension {j.dimension})"
         )
-    out = np.empty_like(a.a)
-    for lk in range(lat.n_links):
-        x = lat.sites[int(lat.link_tail[lk])]
-        jx = j(x)
-        img_id, img_sign = int(lat.link_image[lk]), int(lat.link_image_sign[lk])
-        a_img = a.a[img_id] * img_sign
-        # image value per unit coordinate of the image link; rescale to this link
-        a_img = a_img * float(lat.link_spacing[img_id]) / float(lat.link_spacing[lk])
-        dj = _log_step(j, lat, lk) / float(lat.link_spacing[lk])
-        out[lk] = (jx.conj().T @ a_img @ jx + dj).conj()
+    js = j.sample(lat)
+    jx = js[lat.link_tail]
+    h = lat.link_spacing
+    steps = principal_log_unitaries(
+        adjoint(jx) @ js[lat.link_head], what="J step on link"
+    )
+    img = lat.link_image
+    # image value per unit coordinate of the image link; rescale to this link
+    a_img = a.a[img] * (lat.link_image_sign * h[img] / h)[:, None, None]
+    out = (adjoint(jx) @ a_img @ jx + steps / h[:, None, None]).conj()
     return LocalConnectionForm(out, lat, a.chart)
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models as model_zoo
+from ._matrix import unitary_logs
 from .berry import (
     ProductConnectionSpec,
     equivariance_residual,
@@ -369,10 +370,10 @@ def _oscillator_oracle(params, u, lat) -> dict:
         dev_conn = max(dev_conn, abs(a.a[lk, 0, 0] - target))
     curv = plaquette_curvature(u, lat)
     dev_curv = 0.0
+    h1 = float(lat.link_spacing[lat.link_mu == 0][0])
+    h2 = float(lat.link_spacing[lat.link_mu == 1][0])
     for p in range(lat.n_plaquettes):
         corner = lat.sites[lat.plaquette_vertices[p][0]]
-        h1 = float(lat.link_spacing[lat.link_mu == 0][0])
-        h2 = float(lat.link_spacing[lat.link_mu == 1][0])
         target = oscillator_plaquette_flux(params, corner, h1, h2)
         dev_curv = max(
             dev_curv, abs(curv.f[p, 0, 0] - target) / lat.plaquette_areas[p]
@@ -396,11 +397,16 @@ def _write_curvature_csv(path: Path, curv, lat):
 
 
 def _write_connection_csv(path: Path, u, lat) -> int:
-    from ._matrix import principal_log_unitary
-    from .errors import BranchCutError as _Branch
+    """Write the per-link connection; links on the branch cut are skipped.
 
+    Returns the number of skipped links.
+    """
+    logs, cut = unitary_logs(u.u)
+    keep = np.flatnonzero(~cut)
     m = u.rank
-    skipped = 0
+    a = (logs / lat.link_spacing[keep, None, None]).reshape(keep.size, m * m)
+    mids = lat.link_midpoints()[keep]
+    ys = mids[:, 1] if lat.dim > 1 else np.zeros(keep.size)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["x", "y", "direction"]
@@ -408,22 +414,14 @@ def _write_connection_csv(path: Path, u, lat) -> int:
             for c in range(m):
                 header += [f"a{r}{c}_re", f"a{r}{c}_im"]
         writer.writerow(header)
-        for lk in range(lat.n_links):
-            try:
-                a = principal_log_unitary(u.u[lk], what=f"link {lk}") / float(
-                    lat.link_spacing[lk]
-                )
-            except _Branch:
-                skipped += 1
-                continue
-            mid = lat.link_midpoint(lk)
-            row = [f"{mid[0]:.12g}", f"{mid[1] if lat.dim > 1 else 0.0:.12g}",
-                   int(lat.link_mu[lk])]
-            for r in range(m):
-                for c in range(m):
-                    row += [f"{a[r, c].real:.12g}", f"{a[r, c].imag:.12g}"]
+        for x, y, mu, entries in zip(
+            mids[:, 0].tolist(), ys.tolist(), lat.link_mu[keep].tolist(), a.tolist()
+        ):
+            row = [f"{x:.12g}", f"{y:.12g}", mu]
+            for z in entries:
+                row += [f"{z.real:.12g}", f"{z.imag:.12g}"]
             writer.writerow(row)
-    return skipped
+    return int(cut.sum())
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ error class naming the same site, link or plaquette.  Each function takes
 and returns the package's own data types.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -245,6 +246,22 @@ def local_connection_from_links(u):
     return rb.LocalConnectionForm(a, lat)
 
 
+def j_conjugate_connection(a, j, lat):
+    out = np.empty_like(a.a)
+    for lk in range(lat.n_links):
+        x = lat.sites[int(lat.link_tail[lk])]
+        y = lat.sites[int(lat.link_head[lk])]
+        jx, jy = j(x), j(y)
+        img_id, img_sign = int(lat.link_image[lk]), int(lat.link_image_sign[lk])
+        a_img = a.a[img_id] * img_sign
+        a_img = a_img * float(lat.link_spacing[img_id]) / float(lat.link_spacing[lk])
+        dj = principal_log_unitary(
+            jx.conj().T @ jy, what=f"J step on link {lk}"
+        ) / float(lat.link_spacing[lk])
+        out[lk] = (jx.conj().T @ a_img @ jx + dj).conj()
+    return rb.LocalConnectionForm(out, lat, a.chart)
+
+
 def gauge_transform(u, g):
     g = np.asarray(g, dtype=complex)
     eye = np.eye(u.rank)
@@ -306,3 +323,37 @@ def chern_value(curv, lat):
     if lat.dim != 2 or lat.n_plaquettes == 0:
         raise UnsupportedBaseError("Chern numbers need a 2-dimensional lattice")
     return math.fsum(chern_weil_density(curv, 1))
+
+
+# -- cli -----------------------------------------------------------------------
+
+
+def write_connection_csv(path, u, lat, log=principal_log_unitary):
+    """The CLI's connection.csv, one link at a time; returns the skip count.
+
+    ``log(matrix, what=...)`` takes one link's principal logarithm and raises
+    BranchCutError on the cut.
+    """
+    m = u.rank
+    skipped = 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["x", "y", "direction"]
+        for r in range(m):
+            for c in range(m):
+                header += [f"a{r}{c}_re", f"a{r}{c}_im"]
+        writer.writerow(header)
+        for lk in range(lat.n_links):
+            try:
+                a = log(u.u[lk], what=f"link {lk}") / float(lat.link_spacing[lk])
+            except BranchCutError:
+                skipped += 1
+                continue
+            mid = lat.link_midpoint(lk)
+            row = [f"{mid[0]:.12g}", f"{mid[1] if lat.dim > 1 else 0.0:.12g}",
+                   int(lat.link_mu[lk])]
+            for r in range(m):
+                for c in range(m):
+                    row += [f"{a[r, c].real:.12g}", f"{a[r, c].imag:.12g}"]
+            writer.writerow(row)
+    return skipped

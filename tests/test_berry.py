@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loop_reference as ref
 import realbloch as rb
 from conftest import constant_diag
 from realbloch.errors import BranchCutError, DiscretizationError, DomainError
@@ -184,6 +185,44 @@ def test_average_connection_properties(rng):
     avg = rb.average_connection(a, jmob, lat)
     again = rb.average_connection(avg, jmob, lat)
     assert np.max(np.abs(again.a - avg.a)) <= 1e-10
+
+
+J_TWIST_CASES = {
+    "mobius-circle": lambda: (rb.model_mobius_circle(), rb.build_circle(20, "trivial")),
+    "mobius-eta-torus": lambda: (
+        rb.model_mobius_pullback_torus(), rb.build_torus2(12, 12, "eta")
+    ),
+    "mobius-sum-circle": lambda: (
+        rb.direct_sum_specs(rb.model_mobius_circle(), rb.model_mobius_circle()),
+        rb.build_circle(20, "trivial"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(J_TWIST_CASES))
+def test_j_conjugate_connection_matches_loop(rng, case):
+    spec, lat = J_TWIST_CASES[case]()
+    gen = rng.normal(size=(lat.n_links, spec.rank, spec.rank)) * (1 + 1j)
+    inputs = (
+        rb.local_connection_from_spec(spec, lat),
+        rb.LocalConnectionForm(gen - gen.conj().swapaxes(1, 2), lat),
+    )
+    for a in inputs:
+        got = rb.j_conjugate_connection(a, spec.j, lat)
+        want = ref.j_conjugate_connection(a, spec.j, lat)
+        assert np.max(np.abs(got.a - want.a)) <= 1e-12
+
+
+def test_j_step_branch_cut_names_same_link():
+    lat = rb.build_circle(4, "trivial")
+    # J jumps by -1 between sites 1 and 2
+    j = rb.SymmetryData(1, +1, lambda c: np.array([[1.0 if c[0] < 2.0 else -1.0]]))
+    a = rb.LocalConnectionForm(np.zeros((lat.n_links, 1, 1), dtype=complex), lat)
+    with pytest.raises(BranchCutError) as got:
+        rb.j_conjugate_connection(a, j, lat)
+    with pytest.raises(BranchCutError) as want:
+        ref.j_conjugate_connection(a, j, lat)
+    assert str(got.value) == str(want.value)
 
 
 def test_average_connection_rejects_rank_mismatch():

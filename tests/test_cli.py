@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+import loop_reference as ref
+import realbloch as rb
 import realbloch.cli as cli
+from realbloch._matrix import principal_log_unitaries
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -181,3 +185,28 @@ def test_rank_two_oscillator_run(tmp_path):
     config["tasks"] = ["oscillator-oracle"]
     path = write_config(tmp_path, config, "oracle.json")
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o2")]) == cli.EXIT_CONFIG
+
+
+def one_link_log(u, what):
+    return principal_log_unitaries(u[None], what=what)[0]
+
+
+@pytest.mark.parametrize("bands", [[0], [0, 1]])
+def test_connection_csv_matches_per_link_writer(tmp_path, bands):
+    lat = rb.build_torus2(16, 12, "eta1")  # unequal spacings per direction
+    h, _ = rb.model_oscillator(rb.OscillatorParams(level=0, n_basis=24), lat)
+    p = rb.select_projection(rb.eigensolve_family(h, lat), bands)
+    u = rb.link_field(rb.smooth_frame_gauge(rb.frame_from_projection(p), lat), lat)
+    u.u[37] = -np.eye(len(bands))  # on the branch cut: must be skipped
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert cli._write_connection_csv(got, u, lat) == 1
+    # logm and the eigendecomposition differ at roundoff, and entries of
+    # size 1e-17 print differently at 12 digits: rank 2 compares bytes with
+    # a per-link call of the same logarithm and values with logm
+    log = ref.principal_log_unitary if len(bands) == 1 else one_link_log
+    assert ref.write_connection_csv(want, u, lat, log=log) == 1
+    assert got.read_bytes() == want.read_bytes()
+    assert ref.write_connection_csv(want, u, lat) == 1
+    values = np.loadtxt(got, delimiter=",", skiprows=1)
+    assert len(values) == lat.n_links - 1
+    assert np.max(np.abs(values - np.loadtxt(want, delimiter=",", skiprows=1))) <= 1e-12
