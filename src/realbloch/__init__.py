@@ -21,7 +21,12 @@ from .berry import (
     local_connection_from_links,
     local_connection_from_spec,
 )
-from .classify import ClassificationResult, classify_real_bundle, mixed_case_report
+from .classify import (
+    ClassificationResult,
+    RealBundle,
+    classify_real_bundle,
+    mixed_case_report,
+)
 from .curvature import (
     CurvatureField,
     chern_number,

@@ -28,12 +28,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def polar_unitary(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unitary factor of the polar decomposition and the smallest singular value."""
-    u, s, vh = np.linalg.svd(a)
-    return u @ vh, float(s[-1]) if s.size else 0.0
-
-
 def polar_unitaries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar unitary factors of a stack and each smallest singular value.
 

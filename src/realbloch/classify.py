@@ -1,5 +1,9 @@
 """Assembly of free and torsion invariants into a classification verdict.
 
+`RealBundle` holds one bundle's pipeline, from spectra and symmetry
+residuals to the link and sewing fields, curvature and fixed-loop
+holonomies; `classify` and every CLI task read its layers.
+
 The classifying group per supported base is a hard-coded table; the free
 part is read from the integrated first Chern density and the torsion part
 from fixed-loop holonomy signs.  Along fixed loops the Real condition kills
@@ -9,22 +13,27 @@ classification datum; no explicit flat representative is constructed.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
 from .berry import (
+    LinkField,
     ProductConnectionSpec,
     equivariance_residual,
     link_field,
     link_field_from_connection,
 )
-from .curvature import chern_number, plaquette_curvature
+from .curvature import CurvatureField, chern_number, plaquette_curvature
 from .errors import SymmetryViolationError, UnsupportedBaseError, UnsupportedParityError
 from .holonomy import fixed_loop_holonomies
 from .lattice import InvolutiveLattice
 from .spectral import (
+    Frame,
     HamiltonianFamily,
+    ProjectionFamily,
+    SpectralData,
     eigensolve_family,
     frame_from_projection,
     gap_margin,
@@ -33,6 +42,7 @@ from .spectral import (
 from .symmetry import (
     SewingField,
     SymmetryData,
+    SymmetryReport,
     orbit_blocks,
     sample_stack,
     sewing_matrix,
@@ -41,7 +51,12 @@ from .symmetry import (
     verify_projection_symmetry,
 )
 
-__all__ = ["ClassificationResult", "classify_real_bundle", "mixed_case_report"]
+__all__ = [
+    "ClassificationResult",
+    "RealBundle",
+    "classify_real_bundle",
+    "mixed_case_report",
+]
 
 # classifying group of rank-m Real bundles per base; free/torsion readout plan
 _BASE_TABLE = {
@@ -92,6 +107,161 @@ def _jsonable(v):
     return v
 
 
+class RealBundle:
+    """One Real bundle over a lattice, each layer computed on first read.
+
+    The layers are cached properties over the layer functions of the other
+    modules, so a layer runs at most once and only when something reads
+    it; a layer raises what its function raises, and the residual checks
+    that raise are classify's.  `frame_rule(projection) -> Frame` fixes the
+    frame gauge, by default frame_from_projection's raw eigenvector gauge.
+    """
+
+    def __init__(self, model, j, lat, bands=None, tolerances=None, frame_rule=None):
+        self.model, self.lat, self.bands = model, lat, bands
+        self.is_product = isinstance(model, ProductConnectionSpec)
+        self.j = model.j if self.is_product and j is None else j
+        self.tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+        self.frame_rule = frame_rule or frame_from_projection
+
+    @cached_property
+    def spectra(self) -> SpectralData:
+        return eigensolve_family(self.model, self.lat)
+
+    @cached_property
+    def symmetry(self) -> SymmetryReport:
+        tol = self.tolerances["hamiltonian_symmetry"]
+        return verify_hamiltonian_symmetry(self.model, self.j, self.lat, tol)
+
+    @cached_property
+    def j_residual(self) -> float:
+        """J's own consistency residual, the symmetry check of a product spec."""
+        return _j_consistency(self.j, self.lat)
+
+    @cached_property
+    def band_gap(self) -> float:
+        return gap_margin(self.spectra, self.bands)
+
+    @cached_property
+    def projection(self) -> ProjectionFamily:
+        return select_projection(self.spectra, self.bands)
+
+    @cached_property
+    def projection_residual(self) -> float:
+        tol = self.tolerances["projection_symmetry"]
+        return verify_projection_symmetry(self.projection, self.j, self.lat, tol)
+
+    @cached_property
+    def frame(self) -> Frame:
+        return self.frame_rule(self.projection)
+
+    @cached_property
+    def links(self) -> LinkField:
+        if self.is_product:
+            return link_field_from_connection(self.model, self.lat)
+        return link_field(self.frame, self.lat)
+
+    @cached_property
+    def sewing(self) -> SewingField:
+        j, lat = self.j, self.lat
+        if self.is_product:
+            # standard-basis frames make the sewing matrix equal to J itself
+            return SewingField(j.sample(lat), lat, j.parity, 0.0)
+        return sewing_matrix(self.frame, j, lat, self.tolerances["sewing_unitarity"])
+
+    @cached_property
+    def equivariance(self) -> float:
+        return equivariance_residual(self.links, self.sewing, self.lat, +1)
+
+    @cached_property
+    def curvature(self) -> CurvatureField:
+        return plaquette_curvature(self.links, self.lat)
+
+    @cached_property
+    def chern(self) -> tuple:
+        """(real value, rounded integer) of the first Chern number."""
+        return chern_number(self.curvature, self.lat)
+
+    @cached_property
+    def fixed_loops(self) -> list:
+        return fixed_loop_holonomies(self.links, self.lat, self.sewing)
+
+    def classify(self) -> ClassificationResult:
+        """Free and torsion invariants with diagnostics.  The symmetry
+        residuals are checked before the gap, the gap before the projection
+        residual, and all of them before the connection is built."""
+        lat, tol, j = self.lat, self.tolerances, self.j
+        if lat.base_tag not in _BASE_TABLE:
+            raise UnsupportedBaseError(f"no classification table for {lat.base_tag}")
+        group, want_free, want_torsion = _BASE_TABLE[lat.base_tag]
+        if j is None:
+            raise ValueError("Hamiltonian classification needs symmetry data")
+        if j.parity != +1:
+            raise UnsupportedParityError("only even time reversal is classified here")
+
+        if self.is_product:
+            jres = self.j_residual
+            diagnostics = {"unitary_residual": jres}
+            if jres > tol["hamiltonian_symmetry"] * 1e2 and jres > 1e-8:
+                raise SymmetryViolationError(
+                    f"J equivariance residual {jres:.3e} on {lat.base_tag}"
+                )
+            if j.dimension != self.model.rank:
+                raise ValueError("product-bundle J must act on the full fiber")
+        else:
+            self.spectra  # a non-Hermitian family fails here, before the checks
+            report = self.symmetry
+            diagnostics = {
+                "hamiltonian_residual": report.hamiltonian_residual,
+                "unitary_residual": report.unitary_residual,
+            }
+            if not report.symmetric:
+                raise SymmetryViolationError(
+                    f"Hamiltonian symmetry residual {report.hamiltonian_residual:.3e} "
+                    f"/ unitary residual {report.unitary_residual:.3e} above "
+                    f"{tol['hamiltonian_symmetry']:g}"
+                )
+            diagnostics["gap_margin"] = self.band_gap
+            pres = self.projection_residual
+            diagnostics["projection_residual"] = pres
+            if pres > tol["projection_symmetry"]:
+                raise SymmetryViolationError(
+                    f"projection symmetry residual {pres:.3e} above "
+                    f"{tol['projection_symmetry']:g}"
+                )
+            self.links  # a singular overlap is reported before a sewing failure
+            diagnostics["sewing_unitarity"] = self.sewing.unitarity_residual
+        diagnostics["equivariance_residual"] = self.equivariance
+
+        free: list = []
+        torsion: list = []
+        if want_free:
+            value, rounded = self.chern
+            diagnostics["chern_value"] = value
+            diagnostics["quantization_residual"] = abs(value - rounded)
+            free.append(rounded)
+        if want_torsion:
+            torsion = [rec.sign for rec in self.fixed_loops]
+            diagnostics["reality_residuals"] = [
+                rec.reality_residual for rec in self.fixed_loops
+            ]
+        warnings = []
+        if lat.base_tag in ("torus2-eta", "torus2-eta1"):
+            warnings.append(
+                "mixed free+torsion base: the splitting into the integer and the "
+                "sign pair is not canonical; both are reported"
+            )
+        return ClassificationResult(
+            base_tag=lat.base_tag,
+            group=group,
+            free=free,
+            torsion=torsion,
+            verdict=_verdict(lat.base_tag, free, torsion),
+            diagnostics=diagnostics,
+            warnings=warnings,
+        )
+
+
 def classify_real_bundle(
     model: Union[HamiltonianFamily, ProductConnectionSpec],
     j: Optional[SymmetryData] = None,
@@ -103,105 +273,15 @@ def classify_real_bundle(
     """Classify the Real bundle of a symmetric family over a supported base.
 
     Hamiltonian families are classified through their isolated-band Berry
-    connection (the bands argument selects the group, ascending 0-based);
-    product-bundle models are classified through their closed-form
-    connection.  Raises distinct errors for unsupported bases, odd parity,
-    gap closure, and symmetry violations.
+    connection (the bands argument selects the group, ascending 0-based) in
+    the raw eigenvector gauge; product-bundle models are classified through
+    their closed-form connection.  Raises distinct errors for unsupported
+    bases, odd parity, gap closure, and symmetry violations.  `threads` has
+    no effect.
     """
     if lat is None:
         raise ValueError("a lattice is required")
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
-
-    if lat.base_tag not in _BASE_TABLE:
-        raise UnsupportedBaseError(f"no classification table for {lat.base_tag}")
-    group, want_free, want_torsion = _BASE_TABLE[lat.base_tag]
-
-    diagnostics: dict = {}
-    warnings: list = []
-
-    if isinstance(model, ProductConnectionSpec):
-        j = model.j if j is None else j
-        if j.parity != +1:
-            raise UnsupportedParityError(
-                "only even time reversal is classified here"
-            )
-        jres = _j_consistency(j, lat)
-        diagnostics["unitary_residual"] = jres
-        if jres > tol["hamiltonian_symmetry"] * 1e2 and jres > 1e-8:
-            raise SymmetryViolationError(
-                f"J equivariance residual {jres:.3e} on {lat.base_tag}"
-            )
-        if j.dimension != model.rank:
-            raise ValueError("product-bundle J must act on the full fiber")
-        u = link_field_from_connection(model, lat)
-        # standard-basis frames make the sewing matrix equal to J itself
-        w = SewingField(j.sample(lat), lat, j.parity, 0.0)
-        m = model.rank
-    else:
-        if j is None:
-            raise ValueError("Hamiltonian classification needs symmetry data")
-        if j.parity != +1:
-            raise UnsupportedParityError("only even time reversal is classified here")
-        spec_data = eigensolve_family(model, lat, threads=threads)
-        report = verify_hamiltonian_symmetry(
-            model, j, lat, tol["hamiltonian_symmetry"]
-        )
-        diagnostics["hamiltonian_residual"] = report.hamiltonian_residual
-        diagnostics["unitary_residual"] = report.unitary_residual
-        if not report.symmetric:
-            raise SymmetryViolationError(
-                f"Hamiltonian symmetry residual {report.hamiltonian_residual:.3e} "
-                f"/ unitary residual {report.unitary_residual:.3e} above "
-                f"{tol['hamiltonian_symmetry']:g}"
-            )
-        diagnostics["gap_margin"] = gap_margin(spec_data, bands)
-        proj = select_projection(spec_data, bands)
-        pres = verify_projection_symmetry(proj, j, lat, tol["projection_symmetry"])
-        diagnostics["projection_residual"] = pres
-        if pres > tol["projection_symmetry"]:
-            raise SymmetryViolationError(
-                f"projection symmetry residual {pres:.3e} above "
-                f"{tol['projection_symmetry']:g}"
-            )
-        frame = frame_from_projection(proj)
-        u = link_field(frame, lat)
-        w = sewing_matrix(frame, j, lat, tol["sewing_unitarity"])
-        diagnostics["sewing_unitarity"] = w.unitarity_residual
-        m = proj.rank
-
-    diagnostics["equivariance_residual"] = equivariance_residual(u, w, lat, +1)
-
-    free: list = []
-    torsion: list = []
-    if want_free:
-        value, rounded = chern_number(plaquette_curvature(u, lat), lat)
-        diagnostics["chern_value"] = value
-        diagnostics["quantization_residual"] = abs(value - rounded)
-        free.append(rounded)
-    torsion_records = []
-    if want_torsion:
-        torsion_records = fixed_loop_holonomies(u, lat, w)
-        torsion = [rec.sign for rec in torsion_records]
-        diagnostics["reality_residuals"] = [
-            rec.reality_residual for rec in torsion_records
-        ]
-    if lat.base_tag in ("torus2-eta", "torus2-eta1"):
-        warnings.append(
-            "mixed free+torsion base: the splitting into the integer and the "
-            "sign pair is not canonical; both are reported"
-        )
-
-    verdict = _verdict(lat.base_tag, free, torsion)
-    return ClassificationResult(
-        base_tag=lat.base_tag,
-        group=group,
-        free=free,
-        torsion=torsion,
-        verdict=verdict,
-        diagnostics=diagnostics,
-        warnings=warnings,
-    )
+    return RealBundle(model, j, lat, bands, tolerances).classify()
 
 
 def _j_consistency(j: SymmetryData, lat: InvolutiveLattice) -> float:

@@ -6,6 +6,11 @@ Usage:  realbloch run <config.json> [--out DIR] [--threads N] [--strict]
 The JSON config is the reproducibility artifact; reports are byte-stable
 across repeated runs with the same config and thread count.
 
+A run builds one `classify.RealBundle`, which every task reads, so each
+pipeline layer is computed at most once.  Its frames are aligned to the
+oscillator's analytic section when the bands are exactly its level, and
+tree-smoothed otherwise.
+
 Exit codes: 0 success, 2 config error, 3 gap closure, 4 symmetry violation,
 5 branch-cut / discretization / refinement error.
 """
@@ -21,15 +26,16 @@ import numpy as np
 
 from . import models as model_zoo
 from ._matrix import unitary_logs
-from .berry import (
-    ProductConnectionSpec,
+# Layer functions a run reaches only through its RealBundle stay imported:
+# perfbench/tracing.py wraps them by name in this module.
+from .berry import (  # noqa: F401
     equivariance_residual,
     link_field,
     link_field_from_connection,
     local_connection_from_links,
 )
-from .classify import classify_real_bundle
-from .curvature import chern_number, plaquette_curvature
+from .classify import RealBundle, classify_real_bundle  # noqa: F401
+from .curvature import chern_number, plaquette_curvature  # noqa: F401
 from .errors import (
     BranchCutError,
     ConfigError,
@@ -44,7 +50,7 @@ from .errors import (
     UnsupportedBaseError,
     UnsupportedParityError,
 )
-from .holonomy import fixed_loop_holonomies, flat_moduli_holonomy
+from .holonomy import fixed_loop_holonomies, flat_moduli_holonomy  # noqa: F401
 from .lattice import build_circle, build_sphere2, build_torus2
 from .models import (
     OscillatorParams,
@@ -52,15 +58,14 @@ from .models import (
     oscillator_plaquette_flux,
     oscillator_reference_section,
 )
-from .spectral import (
+from .spectral import (  # noqa: F401
     eigensolve_family,
     frame_from_projection,
     gap_margin,
     select_projection,
     smooth_frame_gauge,
 )
-from .symmetry import (
-    SewingField,
+from .symmetry import (  # noqa: F401
     sewing_matrix,
     verify_hamiltonian_symmetry,
     verify_projection_symmetry,
@@ -246,7 +251,6 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    is_product = isinstance(model, ProductConnectionSpec)
     oscillator = getattr(model, "oscillator_params", None)
     if "oscillator-oracle" in config.tasks:
         if oscillator is None:
@@ -256,64 +260,40 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
                 f"oscillator-oracle compares the level-{oscillator.level} band; "
                 f"bands must be [{oscillator.level}], got {config.bands}"
             )
-    u = w = frame = proj = None
 
-    def ensure_connection():
-        nonlocal u, w, frame, proj
-        if u is not None:
-            return
-        if is_product:
-            u = link_field_from_connection(model, lat)
-            w = SewingField(model.j.sample(lat), lat, model.j.parity, 0.0)
-        else:
-            spec_data = eigensolve_family(model, lat, threads=config.threads)
-            proj = select_projection(spec_data, config.bands)
-            if oscillator is not None and proj.band_indices == (oscillator.level,):
-                # the analytic section spans exactly the level band
-                reference = oscillator_reference_section(oscillator, lat)
-                frame = frame_from_projection(proj, reference)
-            else:
-                frame = smooth_frame_gauge(frame_from_projection(proj), lat)
-            u = link_field(frame, lat)
-            w = sewing_matrix(frame, j, lat)
+    def frame_rule(proj):
+        if oscillator is not None and proj.band_indices == (oscillator.level,):
+            # the analytic section spans exactly the level band
+            reference = oscillator_reference_section(oscillator, lat)
+            return frame_from_projection(proj, reference)
+        return smooth_frame_gauge(frame_from_projection(proj), lat)
 
+    bundle = RealBundle(model, j, lat, config.bands, config.tolerances, frame_rule)
     for task in ("check-symmetry", "berry", "chern", "holonomy", "classify",
                  "moduli", "oscillator-oracle"):
         if task not in config.tasks:
             continue
         if task == "check-symmetry":
-            if is_product:
-                from .classify import _j_consistency
-
-                report["check_symmetry"] = {
-                    "unitary_residual": _j_consistency(model.j, lat)
-                }
+            if bundle.is_product:
+                report["check_symmetry"] = {"unitary_residual": bundle.j_residual}
             else:
-                rep = verify_hamiltonian_symmetry(model, j, lat)
-                spec_data = eigensolve_family(model, lat, threads=config.threads)
-                proj_local = select_projection(spec_data, config.bands)
+                rep = bundle.symmetry
                 report["check_symmetry"] = {
                     "hamiltonian_residual": rep.hamiltonian_residual,
                     "unitary_residual": rep.unitary_residual,
-                    "projection_residual": verify_projection_symmetry(
-                        proj_local, j, lat
-                    ),
-                    "gap_margin": gap_margin(spec_data, config.bands),
+                    "projection_residual": bundle.projection_residual,
+                    "gap_margin": bundle.band_gap,
                 }
         elif task == "berry":
-            ensure_connection()
-            res = equivariance_residual(u, w, lat)
-            report["berry"] = {"equivariance_residual": res}
-            skipped = _write_connection_csv(out / "connection.csv", u, lat)
+            report["berry"] = {"equivariance_residual": bundle.equivariance}
+            skipped = _write_connection_csv(out / "connection.csv", bundle.links, lat)
             if skipped:
                 report["warnings"].append(
                     f"connection.csv: {skipped} gauge-singular links skipped "
                     "(no globally smooth gauge exists for a twisted bundle)"
                 )
         elif task == "chern":
-            ensure_connection()
-            curv = plaquette_curvature(u, lat)
-            value, rounded = chern_number(curv, lat)
+            value, rounded = bundle.chern
             if abs(value - rounded) > 1e-6:
                 report["warnings"].append(
                     f"chern quantization residual {abs(value - rounded):.2e}"
@@ -323,11 +303,10 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
                 "chern_number": rounded,
                 "quantization_residual": abs(value - rounded),
             }
-            _write_curvature_csv(out / "curvature.csv", curv, lat)
+            _write_curvature_csv(out / "curvature.csv", bundle.curvature, lat)
         elif task == "holonomy":
-            ensure_connection()
             loops = []
-            for i, rec in enumerate(fixed_loop_holonomies(u, lat, w)):
+            for i, rec in enumerate(bundle.fixed_loops):
                 tr = rec.holonomy.trace
                 loops.append(
                     {
@@ -342,10 +321,7 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
                 )
             report["holonomy"] = {"fixed_loops": loops}
         elif task == "classify":
-            result = classify_real_bundle(
-                model, j, lat, config.bands,
-                tolerances=config.tolerances, threads=config.threads,
-            )
+            result = bundle.classify()
             report["classify"] = result.to_json_dict()
             report["warnings"].extend(result.warnings)
         elif task == "moduli":
@@ -355,12 +331,13 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
                 for a in config.moduli_values
             ]
         elif task == "oscillator-oracle":
-            ensure_connection()
-            report["oscillator_oracle"] = _oscillator_oracle(oscillator, u, lat)
+            report["oscillator_oracle"] = _oscillator_oracle(
+                oscillator, bundle.links, bundle.curvature, lat
+            )
     return EXIT_OK
 
 
-def _oscillator_oracle(params, u, lat) -> dict:
+def _oscillator_oracle(params, u, curv, lat) -> dict:
     a = local_connection_from_links(u)
     dev_conn = 0.0
     for lk in range(lat.n_links):
@@ -368,7 +345,6 @@ def _oscillator_oracle(params, u, lat) -> dict:
         mu = int(lat.link_mu[lk])
         target = oscillator_analytic_connection(params, mid)[mu]
         dev_conn = max(dev_conn, abs(a.a[lk, 0, 0] - target))
-    curv = plaquette_curvature(u, lat)
     dev_curv = 0.0
     h1 = float(lat.link_spacing[lat.link_mu == 0][0])
     h2 = float(lat.link_spacing[lat.link_mu == 1][0])

@@ -5,7 +5,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._matrix import adjoint, frob_each, polar_unitaries, polar_unitary
+from ._matrix import adjoint, frob_each, polar_unitaries
 from .errors import GapClosureError, ModelError, RankError
 from .lattice import InvolutiveLattice
 
@@ -213,29 +213,36 @@ def select_projection(s: SpectralData, band_indices) -> ProjectionFamily:
 def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
     """Rotate frames so overlaps along a spanning tree are positive.
 
-    Breadth-first from site 0, each frame is right-multiplied by the adjoint
-    of the polar unitary of its overlap with the already-fixed parent.  Off-
-    tree links keep whatever holonomy the bundle forces on them (a twisted
-    bundle admits no globally smooth gauge), but tree links become
-    branch-safe for logarithm extraction.
+    The tree is breadth-first from site 0, each site visiting its
+    neighbours in link order.  Each frame is right-multiplied by the adjoint
+    of the polar unitary of its overlap with its already-fixed parent, one
+    batched SVD per depth level.  Off-tree links keep whatever holonomy the
+    bundle forces on them (a twisted bundle admits no globally smooth
+    gauge), but tree links become branch-safe for logarithm extraction.
     """
+    src = np.stack([lat.link_tail, lat.link_head], axis=1).ravel()
+    order = np.argsort(src, kind="stable")
+    nbr = np.stack([lat.link_head, lat.link_tail], axis=1).ravel()[order]
+    start = np.searchsorted(src[order], np.arange(lat.n_sites + 1))
     cols = f.columns.copy()
-    neighbors: dict[int, list[int]] = {}
-    for a, b in zip(lat.link_tail, lat.link_head):
-        neighbors.setdefault(int(a), []).append(int(b))
-        neighbors.setdefault(int(b), []).append(int(a))
-    seen = {0}
-    queue = [0]
-    while queue:
-        parent = queue.pop(0)
-        for child in neighbors.get(parent, ()):
-            if child in seen:
-                continue
-            seen.add(child)
-            overlap = cols[child].conj().T @ cols[parent]
-            v, _ = polar_unitary(overlap)
-            cols[child] = cols[child] @ v
-            queue.append(child)
+    seen = np.zeros(lat.n_sites, dtype=bool)
+    seen[0] = True
+    level = np.array([0])
+    while level.size:
+        # the level's neighbour lists, concatenated in level order
+        counts = start[level + 1] - start[level]
+        offsets = np.cumsum(counts) - counts
+        entry = np.arange(counts.sum()) + np.repeat(start[level] - offsets, counts)
+        cand, par = nbr[entry], np.repeat(level, counts)
+        fresh = ~seen[cand]
+        cand, par = cand[fresh], par[fresh]
+        first = np.sort(np.unique(cand, return_index=True)[1])  # queue order
+        level, parents = cand[first], par[first]
+        seen[level] = True
+        # the SVD at every rank (no rank-1 phase shortcut) keeps the frames
+        # bitwise equal to a site-by-site polar decomposition
+        u, _, vh = np.linalg.svd(adjoint(cols[level]) @ cols[parents])
+        cols[level] = cols[level] @ (u @ vh)
     return Frame(cols, lat, gauge_tag="tree-smoothed")
 
 

@@ -135,6 +135,26 @@ def frame_from_projection(projectors, rank, lat, reference=None):
     return rb.Frame(cols, lat)
 
 
+def smooth_frame_gauge(f, lat):
+    cols = f.columns.copy()
+    neighbors = {}
+    for a, b in zip(lat.link_tail, lat.link_head):
+        neighbors.setdefault(int(a), []).append(int(b))
+        neighbors.setdefault(int(b), []).append(int(a))
+    seen = {0}
+    queue = [0]
+    while queue:
+        parent = queue.pop(0)
+        for child in neighbors.get(parent, ()):
+            if child in seen:
+                continue
+            seen.add(child)
+            v, _ = polar_unitary(cols[child].conj().T @ cols[parent])
+            cols[child] = cols[child] @ v
+            queue.append(child)
+    return rb.Frame(cols, lat, gauge_tag="tree-smoothed")
+
+
 # -- symmetry ------------------------------------------------------------------
 
 

@@ -178,6 +178,20 @@ def test_product_pipeline_matches_loops(case):
     assert result.torsion == expected_torsion(lat, loop_invariants(u_ref, lat, w)[1])
 
 
+@pytest.mark.parametrize(
+    "case", ["sphere-k+2", "oscillator-rank2", "mobius-two-band-circle"]
+)
+def test_smooth_frame_gauge_matches_loop(case):
+    # same breadth-first tree, one batched polar decomposition per depth
+    h, _, lat, bands = HAMILTONIAN_CASES[case]()
+    p = rb.select_projection(rb.eigensolve_family(h, lat), bands)
+    frame = rb.frame_from_projection(p)
+    got = rb.smooth_frame_gauge(frame, lat)
+    want = ref.smooth_frame_gauge(frame, lat)
+    assert got.gauge_tag == want.gauge_tag == "tree-smoothed"
+    assert np.max(np.abs(got.columns - want.columns)) <= TOL
+
+
 def random_matrices(rng, n, m):
     return rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))
 

@@ -1,12 +1,15 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import loop_reference as ref
 import realbloch as rb
+import realbloch.classify as classify
 import realbloch.cli as cli
 from realbloch._matrix import principal_log_unitaries
+from realbloch.errors import DiscretizationError, ModelError, SymmetryViolationError
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -187,6 +190,78 @@ def test_rank_two_oscillator_run(tmp_path):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o2")]) == cli.EXIT_CONFIG
 
 
+# -- one pipeline per run -------------------------------------------------------
+
+FIVE_TASKS = ["check-symmetry", "berry", "chern", "holonomy", "classify"]
+COUNTED_LAYERS = (
+    "eigensolve_family",
+    "verify_hamiltonian_symmetry",
+    "verify_projection_symmetry",
+    "link_field",
+    "link_field_from_connection",
+    "plaquette_curvature",
+    "_j_consistency",
+)
+PIPELINE_RUNS = {
+    "sphere": (
+        {"topology": "sphere2", "n_theta": 12, "n_phi": 16},
+        {"name": "degree_k_sphere", "params": {"k": 2}},
+        [0],
+        FIVE_TASKS,
+    ),
+    "oscillator": (
+        {"topology": "torus2", "n1": 12, "n2": 12, "kind": "eta1"},
+        {"name": "oscillator", "params": {"level": 1, "n_basis": 24}},
+        [1],
+        FIVE_TASKS + ["oscillator-oracle"],
+    ),
+    "mobius": (
+        {"topology": "torus2", "n1": 16, "n2": 16, "kind": "eta"},
+        {"name": "mobius_pullback_torus"},
+        [0],
+        FIVE_TASKS,
+    ),
+}
+
+
+def count_layer_calls(monkeypatch):
+    """Count calls of the layer functions wherever the CLI or the classify
+    module can reach them."""
+    calls = Counter()
+    for module in (cli, classify):
+        for name in COUNTED_LAYERS:
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_RUNS))
+def test_full_run_computes_each_layer_once(tmp_path, monkeypatch, case):
+    lattice, model, bands, tasks = PIPELINE_RUNS[case]
+    calls = count_layer_calls(monkeypatch)
+    config = {"lattice": lattice, "model": model, "bands": bands, "tasks": tasks}
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    if case == "mobius":
+        want = {"link_field_from_connection": 1, "plaquette_curvature": 1,
+                "_j_consistency": 1}
+    else:
+        want = {"eigensolve_family": 1, "verify_hamiltonian_symmetry": 1,
+                "verify_projection_symmetry": 1, "link_field": 1,
+                "plaquette_curvature": 1}
+    assert dict(calls) == want
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    # chern and classify read one link field
+    assert report["chern"]["chern_value"] == report["classify"]["diagnostics"]["chern_value"]
+
+
 def one_link_log(u, what):
     return principal_log_unitaries(u[None], what=what)[0]
 
@@ -210,3 +285,159 @@ def test_connection_csv_matches_per_link_writer(tmp_path, bands):
     values = np.loadtxt(got, delimiter=",", skiprows=1)
     assert len(values) == lat.n_links - 1
     assert np.max(np.abs(values - np.loadtxt(want, delimiter=",", skiprows=1))) <= 1e-12
+
+
+# -- error precedence ----------------------------------------------------------
+# A Hamiltonian family that breaks the reflection symmetry on the circle:
+# H(x) = diag(-1 - sin(x)/2, 1) with J = 1, so conj(H(x)) = H(x) != H(-x).
+# The band-0 projector is constant, so the projection and sewing checks pass
+# and only the Hamiltonian check sees the violation.  The gap-closed variant
+# diag(sin x, 0) is degenerate at x = 0 and breaks the symmetry elsewhere.
+
+
+def family_from(name, evaluator):
+    return rb.HamiltonianFamily(2, evaluator, name), rb.SymmetryData.identity(2)
+
+
+def asymmetric_family(gap_closed=False):
+    def evaluator(c):
+        s = np.sin(c[0])
+        entries = [s, 0.0] if gap_closed else [-1.0 - 0.5 * s, 1.0]
+        return np.diag(entries).astype(complex)
+
+    return family_from("asymmetric_gap_closed" if gap_closed else "asymmetric", evaluator)
+
+
+def run_asymmetric(tmp_path, monkeypatch, tasks, gap_closed=False):
+    family = asymmetric_family(gap_closed)
+    config = {
+        "lattice": {"topology": "circle", "n_sites": 16, "kind": "reflection"},
+        "model": {"name": "asymmetric"},
+        "bands": [0],
+        "tasks": tasks,
+    }
+    out = tmp_path / ("closed" if gap_closed else "open") / "-".join(tasks)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_model", lambda spec, lat: family)
+        code = cli.main(["run", str(write_config(tmp_path, config)), "--out", str(out)])
+    return code, json.loads((out / "report.json").read_text())
+
+
+def run_mobius_on_eta1(tmp_path, tasks):
+    config = {
+        "lattice": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "eta1"},
+        "model": {"name": "mobius_pullback_torus"},
+        "tasks": tasks,
+    }
+    out = tmp_path / "mobius" / "-".join(tasks)
+    code = cli.main(["run", str(write_config(tmp_path, config)), "--out", str(out)])
+    return code, json.loads((out / "report.json").read_text())
+
+
+def test_check_symmetry_reports_violation_without_raising(tmp_path, monkeypatch):
+    code, report = run_asymmetric(tmp_path, monkeypatch, ["check-symmetry"])
+    assert code == cli.EXIT_OK
+    assert "error" not in report
+    assert report["check_symmetry"]["hamiltonian_residual"] == pytest.approx(1.0)
+    assert report["check_symmetry"]["unitary_residual"] == 0.0
+    code, report = run_mobius_on_eta1(tmp_path, ["check-symmetry"])
+    assert code == cli.EXIT_OK
+    assert report["check_symmetry"]["unitary_residual"] == pytest.approx(2.0)
+
+
+def test_classify_raises_on_violation(tmp_path, monkeypatch):
+    code, report = run_asymmetric(tmp_path, monkeypatch, ["classify"])
+    assert code == cli.EXIT_SYMMETRY
+    assert report["error"]["kind"] == "symmetry"
+    code, report = run_mobius_on_eta1(tmp_path, ["classify"])
+    assert code == cli.EXIT_SYMMETRY
+
+
+def test_berry_alone_never_checks_the_hamiltonian(tmp_path, monkeypatch):
+    code, report = run_asymmetric(tmp_path, monkeypatch, ["berry"])
+    assert code == cli.EXIT_OK
+    assert "error" not in report
+    code, report = run_mobius_on_eta1(tmp_path, ["berry"])
+    assert code == cli.EXIT_OK
+
+
+def test_symmetry_is_checked_before_the_gap(tmp_path, monkeypatch):
+    code, report = run_asymmetric(tmp_path, monkeypatch, ["classify"], gap_closed=True)
+    assert code == cli.EXIT_SYMMETRY
+    assert report["error"]["kind"] == "symmetry"
+    # the gap closure itself is what check-symmetry stops at
+    code, report = run_asymmetric(
+        tmp_path, monkeypatch, ["check-symmetry"], gap_closed=True
+    )
+    assert code == cli.EXIT_GAP
+
+
+@pytest.mark.parametrize(
+    "gap_closed, message",
+    [
+        (False, "Hamiltonian symmetry residual 1.000e+00 / unitary residual "
+                "0.000e+00 above 1e-10"),
+        (True, "Hamiltonian symmetry residual 2.000e+00 / unitary residual "
+               "0.000e+00 above 1e-10"),
+    ],
+)
+def test_library_violation_messages(gap_closed, message):
+    h, j = asymmetric_family(gap_closed)
+    with pytest.raises(SymmetryViolationError) as err:
+        rb.classify_real_bundle(h, j, rb.build_circle(16, "reflection"), [0])
+    assert str(err.value) == message
+
+
+def test_library_product_violation_message():
+    lat = rb.build_torus2(8, 8, "eta1")
+    with pytest.raises(SymmetryViolationError) as err:
+        rb.classify_real_bundle(rb.model_mobius_pullback_torus(), None, lat)
+    assert str(err.value) == "J equivariance residual 2.000e+00 on torus2-eta1"
+
+
+def test_library_eigensolve_precedes_symmetry_check():
+    # non-Hermitian and asymmetric: the eigensolve's ModelError comes first
+    h, j = family_from(
+        "lopsided", lambda c: np.array([[np.sin(c[0]), 1.0], [0.0, 0.0]], complex)
+    )
+    with pytest.raises(ModelError) as err:
+        rb.classify_real_bundle(h, j, rb.build_circle(16, "reflection"), [0])
+    assert str(err.value) == "lopsided: non-Hermitian output at site 0"
+
+
+def band_swap(c):
+    """The band-0 eigenvector jumps from e0 to e1 where |x| > pi/2."""
+    x = (c[0] + np.pi) % (2 * np.pi) - np.pi
+    return np.diag([-1.0, 1.0] if abs(x) < np.pi / 2 else [1.0, -1.0]).astype(complex)
+
+
+def test_library_link_errors_precede_sewing_errors():
+    # symmetric under x -> -x, so only the connection layers can fail: the
+    # singular overlap is reported although no sewing field passes tolerance -1
+    h, j = family_from("band_swap", band_swap)
+    with pytest.raises(DiscretizationError) as err:
+        rb.classify_real_bundle(
+            h, j, rb.build_circle(16, "reflection"), [0],
+            tolerances={"sewing_unitarity": -1.0},
+        )
+    assert str(err.value) == (
+        "singular frame overlap on link 3 (3->4), smallest singular value 0.000e+00"
+    )
+
+
+def test_berry_link_errors_precede_sewing_errors(tmp_path, monkeypatch):
+    # shifted by a quarter turn the family breaks the symmetry: the sewing
+    # matrix vanishes at some sites, but the singular overlap comes first
+    family = family_from("shifted", lambda c: band_swap(c + np.pi / 4))
+    config = {
+        "lattice": {"topology": "circle", "n_sites": 16, "kind": "reflection"},
+        "model": {"name": "shifted"},
+        "bands": [0],
+        "tasks": ["berry"],
+    }
+    monkeypatch.setattr(cli, "_build_model", lambda spec, lat: family)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) \
+        == cli.EXIT_REFINE
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["message"].startswith("singular frame overlap on link")
