@@ -128,12 +128,8 @@ def _connection_steps(
     Evaluated at link midpoints; diagonal links carry both coordinate
     components, each times its grid spacing.
     """
-    mids = lat.link_midpoints()
-    first = spec.connection_at(mids[0])
     # (n_links, dim, m, m)
-    comps = np.empty((lat.n_links,) + first.shape, dtype=complex)
-    for lk, c in enumerate(mids):
-        comps[lk] = spec.connection_at(c)
+    comps = np.array([spec.connection_at(c) for c in lat.link_midpoints()])
     mu = lat.link_mu
     steps = np.empty((lat.n_links,) + comps.shape[2:], dtype=complex)
     straight = np.flatnonzero(mu != 2)
@@ -142,7 +138,7 @@ def _connection_steps(
     )
     diagonal = np.flatnonzero(mu == 2)
     if diagonal.size:
-        h1, h2 = 2.0 * np.pi / _grid_len(lat, 0), 2.0 * np.pi / _grid_len(lat, 1)
+        h1, h2 = lat.grid_spacing
         steps[diagonal] = comps[diagonal, 0] * h1 + comps[diagonal, 1] * h2
     return steps
 
@@ -160,10 +156,6 @@ def link_field_from_connection(
     else:
         steps = _connection_steps(source, lat)
     return LinkField(expms(steps), lat)
-
-
-def _grid_len(lat: InvolutiveLattice, mu: int) -> int:
-    return int(np.round(2.0 * np.pi / float(lat.link_spacing[lat.link_mu == mu][0])))
 
 
 def local_connection_from_links(

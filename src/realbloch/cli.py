@@ -35,6 +35,7 @@ from .berry import (  # noqa: F401
     local_connection_from_links,
 )
 from .classify import RealBundle, classify_real_bundle  # noqa: F401
+from .curvature import QUANTIZATION_WARN
 from .curvature import chern_number, plaquette_curvature  # noqa: F401
 from .errors import (
     BranchCutError,
@@ -59,6 +60,8 @@ from .models import (
     oscillator_reference_section,
 )
 from .spectral import (  # noqa: F401
+    HamiltonianFamily,
+    band_selection,
     eigensolve_family,
     frame_from_projection,
     gap_margin,
@@ -136,6 +139,8 @@ class RunConfig:
         for key, value in overrides.items():
             if value is not None:
                 setattr(cfg, key, value)
+        if cfg.resolution_scale < 1:
+            raise ConfigError(f"resolution_scale {cfg.resolution_scale} is below 1")
         return cfg
 
 
@@ -184,7 +189,6 @@ def _build_model(spec: dict, lat):
     if name == "constant_diag":
         entries = np.asarray(params.get("entries", [-1.0, 1.0]), dtype=float)
         mat = np.diag(entries).astype(complex)
-        from .spectral import HamiltonianFamily
         from .symmetry import SymmetryData
 
         return (
@@ -251,11 +255,16 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    if isinstance(model, HamiltonianFamily):
+        try:
+            band_selection(config.bands, model.dimension)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     oscillator = getattr(model, "oscillator_params", None)
     if "oscillator-oracle" in config.tasks:
         if oscillator is None:
             raise ConfigError("oscillator-oracle task needs the oscillator model")
-        if sorted(set(int(b) for b in config.bands)) != [oscillator.level]:
+        if sorted(set(config.bands)) != [oscillator.level]:
             raise ConfigError(
                 f"oscillator-oracle compares the level-{oscillator.level} band; "
                 f"bands must be [{oscillator.level}], got {config.bands}"
@@ -294,7 +303,7 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
                 )
         elif task == "chern":
             value, rounded = bundle.chern
-            if abs(value - rounded) > 1e-6:
+            if abs(value - rounded) > QUANTIZATION_WARN:
                 report["warnings"].append(
                     f"chern quantization residual {abs(value - rounded):.2e}"
                 )
@@ -338,16 +347,13 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
 
 
 def _oscillator_oracle(params, u, curv, lat) -> dict:
-    a = local_connection_from_links(u)
-    dev_conn = 0.0
-    for lk in range(lat.n_links):
-        mid = lat.link_midpoint(lk)
-        mu = int(lat.link_mu[lk])
-        target = oscillator_analytic_connection(params, mid)[mu]
-        dev_conn = max(dev_conn, abs(a.a[lk, 0, 0] - target))
+    a = local_connection_from_links(u).a[:, 0, 0]
+    dev_conn = max(
+        abs(a[lk] - oscillator_analytic_connection(params, mid)[mu])
+        for lk, (mid, mu) in enumerate(zip(lat.link_midpoints(), lat.link_mu))
+    )
     dev_curv = 0.0
-    h1 = float(lat.link_spacing[lat.link_mu == 0][0])
-    h2 = float(lat.link_spacing[lat.link_mu == 1][0])
+    h1, h2 = lat.grid_spacing
     for p in range(lat.n_plaquettes):
         corner = lat.sites[lat.plaquette_vertices[p][0]]
         target = oscillator_plaquette_flux(params, corner, h1, h2)

@@ -1,10 +1,12 @@
 """Discretized involutive base manifolds.
 
-A lattice carries sites with angular coordinates, directed links grouped by
-direction, oriented plaquettes that tile the closed surface, and an
-involution stored as an exact site permutation.  Fixed-point detection and
-all involution bookkeeping are therefore integer-exact; no floating-point
-point maps are ever compared.
+A lattice carries sites with angular coordinates on a grid of ``shape``
+(n,), (n1, n2) or (n_theta, n_phi); directed links grouped by direction;
+oriented plaquettes that tile the closed surface; and an involution stored
+as an exact site permutation.  Builders lay them out by index arithmetic on
+the grid, and the tables below come from one sorted lookup of link keys, so
+all involution bookkeeping is integer-exact; no floating-point point maps
+are ever compared.
 
 Supported bases: the circle with trivial / reflection / antipodal
 involutions, the 2-torus with trivial / theta2-conjugation ("eta") /
@@ -12,7 +14,8 @@ theta1-conjugation ("eta1") / shear ("xi") involutions, and the 2-sphere
 with the azimuthal reflection.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,11 +49,6 @@ class LoopPath:
     def __len__(self) -> int:
         return len(self.sites)
 
-    def steps(self):
-        n = len(self.sites)
-        for k in range(n):
-            yield self.sites[k], self.sites[(k + 1) % n]
-
     def reversed(self) -> "LoopPath":
         return LoopPath((self.sites[0],) + tuple(reversed(self.sites[1:])))
 
@@ -59,9 +57,10 @@ class LoopPath:
 class InvolutiveLattice:
     """Immutable discretized involutive manifold.
 
-    Plaquettes are stored as vertex cycles.  Their oriented boundaries are
-    built once per lattice as the padded plaquette table ``plaquette_links``
-    / ``plaquette_signs`` of shape (n_plaquettes, width), width being the
+    ``shape`` is the site grid (see the module docstring).  Plaquettes are
+    stored as vertex cycles.  Their oriented boundaries are built once per
+    lattice as the padded plaquette table ``plaquette_links`` /
+    ``plaquette_signs`` of shape (n_plaquettes, width), width being the
     longest boundary (4 on the shipped lattices): entry ``k`` of row ``p``
     is the k-th boundary link and its traversal sign, and sign 0 pads a
     shorter boundary with the identity.  ``plaquettes[p]`` lists the same
@@ -72,6 +71,7 @@ class InvolutiveLattice:
 
     topology_tag: str
     involution_kind: str
+    shape: tuple
     sites: np.ndarray
     link_tail: np.ndarray
     link_head: np.ndarray
@@ -89,20 +89,23 @@ class InvolutiveLattice:
     link_image_sign: np.ndarray = field(init=False)
     plaquette_image: np.ndarray = field(init=False)
     plaquette_image_sign: np.ndarray = field(init=False)
-    _directed: dict = field(init=False, repr=False)
+    _link_keys: np.ndarray = field(init=False, repr=False)
+    _link_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         tau = self.involution
         if not np.array_equal(tau[tau], np.arange(self.n_sites)):
             raise InvalidDiscretizationError("involution is not an exact involution")
         self.fixed_sites = np.flatnonzero(tau == np.arange(self.n_sites))
-        self._directed = {
-            (int(a), int(b)): i
-            for i, (a, b) in enumerate(zip(self.link_tail, self.link_head))
-        }
-        self._build_plaquette_table()
+        # link keys in ascending order behind a -1 sentinel, with their ids
+        keys = self.link_tail * self.n_sites + self.link_head
+        order = np.argsort(keys, kind="stable")
+        self._link_keys = np.concatenate([[-1], keys[order]])
+        self._link_ids = np.concatenate([[-1], order])
+        corners, size = _corner_table(self.plaquette_vertices)
+        self._build_plaquette_table(corners, size)
         self._build_link_image()
-        self._build_plaquette_image()
+        self._build_plaquette_image(corners, size)
         self._check_tiling()
 
     # -- basic queries ------------------------------------------------
@@ -124,6 +127,12 @@ class InvolutiveLattice:
         return len(self.plaquette_vertices)
 
     @property
+    def grid_spacing(self) -> tuple:
+        """Coordinate step along each grid direction (sphere: pi / n_theta)."""
+        spans = (np.pi if self.topology_tag == "sphere2" else 2.0 * np.pi, 2.0 * np.pi)
+        return tuple(span / n for span, n in zip(spans, self.shape))
+
+    @property
     def plaquettes(self) -> list:
         """Oriented boundary of every plaquette as (link_id, sign) rows."""
         return [
@@ -137,17 +146,14 @@ class InvolutiveLattice:
 
     def directed_link(self, a: int, b: int) -> tuple[int, int]:
         """Canonical link id and traversal sign of the directed link a->b."""
-        hit = self._directed.get((a, b))
-        if hit is not None:
-            return hit, +1
-        hit = self._directed.get((b, a))
-        if hit is not None:
-            return hit, -1
-        raise DomainError(f"({a}, {b}) is not a lattice link")
+        ids, signs = self._steps(np.array([a]), np.array([b]))
+        return int(ids[0]), int(signs[0])
 
     def loop_link_ids(self, loop: LoopPath) -> list:
         """Signed canonical link ids traversed by a loop; validates the loop."""
-        return [self.directed_link(a, b) for a, b in loop.steps()]
+        a = np.array(loop.sites, dtype=int)
+        ids, signs = self._steps(a, np.roll(a, -1))
+        return list(zip(ids.tolist(), signs.tolist()))
 
     def link_midpoint(self, link_id: int) -> np.ndarray:
         """Chart coordinates of a link midpoint (unwrapped from the tail)."""
@@ -161,62 +167,93 @@ class InvolutiveLattice:
         d = (d + np.pi) % (2.0 * np.pi) - np.pi  # unwrap across the seam
         return a + 0.5 * d
 
+    # -- signed link lookup ------------------------------------------
+
+    def _signed_links(self, a: np.ndarray, b: np.ndarray) -> tuple:
+        """Link id and sign of every step a -> b: +1 where a -> b is a link,
+        else -1 where b -> a is, else 0 (id 0).  Duplicates: the last copy."""
+        n = self.n_sites
+        ids = np.zeros(a.shape, dtype=int)
+        signs = np.zeros(a.shape, dtype=int)
+        on_grid = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+        for sign, key in ((-1, b * n + a), (+1, a * n + b)):  # a -> b wins
+            pos = np.searchsorted(self._link_keys, key, side="right") - 1
+            hit = on_grid & (self._link_keys[pos] == key)
+            ids[hit], signs[hit] = self._link_ids[pos[hit]], sign
+        return ids, signs
+
+    def _steps(self, a: np.ndarray, b: np.ndarray) -> tuple:
+        """Signed link ids of the steps a -> b; DomainError names the first
+        step that is not a link."""
+        ids, signs = self._signed_links(a, b)
+        bad = np.flatnonzero(signs == 0)
+        if bad.size:
+            k = bad[0]
+            raise DomainError(f"({a[k]}, {b[k]}) is not a lattice link")
+        return ids, signs
+
     # -- involution bookkeeping ----------------------------------------
 
-    def _build_plaquette_table(self):
-        width = max((len(v) for v in self.plaquette_vertices), default=0)
-        rows = [
-            [self.directed_link(v[a], v[(a + 1) % len(v)]) for a in range(len(v))]
-            + [(0, 0)] * (width - len(v))
-            for v in self.plaquette_vertices
-        ]
-        table = np.array(rows, dtype=int).reshape(self.n_plaquettes, width, 2)
-        self.plaquette_links = table[:, :, 0].copy()
-        self.plaquette_signs = table[:, :, 1].astype(np.int8)
+    def _build_plaquette_table(self, corners: np.ndarray, size: np.ndarray):
+        used = np.arange(corners.shape[1]) < size[:, None]
+        after = (np.arange(corners.shape[1]) + 1) % np.maximum(size, 1)[:, None]
+        ids, signs = self._steps(
+            corners[used], np.take_along_axis(corners, after, axis=1)[used]
+        )
+        self.plaquette_links = np.zeros(corners.shape, dtype=int)
+        self.plaquette_links[used] = ids
+        self.plaquette_signs = np.zeros(corners.shape, dtype=np.int8)
+        self.plaquette_signs[used] = signs
 
     def _build_link_image(self):
         tau = self.involution
-        img = np.empty(self.n_links, dtype=int)
-        sgn = np.empty(self.n_links, dtype=int)
-        for i in range(self.n_links):
-            a, b = int(tau[self.link_tail[i]]), int(tau[self.link_head[i]])
-            try:
-                img[i], sgn[i] = self.directed_link(a, b)
-            except DomainError:
-                raise InvalidDiscretizationError(
-                    f"involution does not map link {i} to a link"
-                ) from None
+        img, sgn = self._signed_links(tau[self.link_tail], tau[self.link_head])
+        if not sgn.all():
+            raise InvalidDiscretizationError(
+                f"involution does not map link {np.argmin(sgn != 0)} to a link"
+            )
         self.link_image = img
         self.link_image_sign = sgn
 
-    def _build_plaquette_image(self):
-        tau = self.involution
-        by_vertexset = {
-            frozenset(v): p for p, v in enumerate(self.plaquette_vertices)
-        }
-        img = np.empty(self.n_plaquettes, dtype=int)
-        sgn = np.empty(self.n_plaquettes, dtype=int)
-        for p, verts in enumerate(self.plaquette_vertices):
-            mapped = tuple(int(tau[v]) for v in verts)
-            q = by_vertexset.get(frozenset(mapped))
-            if q is None:
+    def _build_plaquette_image(self, corners: np.ndarray, size: np.ndarray):
+        """Image plaquette by vertex-set match (the last plaquette with that
+        set); sign +1 if the mapped cycle reads the image's cycle forwards
+        from the image of the first vertex, -1 if backwards."""
+        n, width = corners.shape
+        if not n:  # a circle
+            self.plaquette_image = np.zeros(0, dtype=int)
+            self.plaquette_image_sign = np.zeros(0, dtype=int)
+            return
+        used = np.arange(width) < size[:, None]
+        mapped = np.where(used, self.involution[corners], -1)
+        _, group = np.unique(
+            _vertex_sets(np.concatenate([corners, mapped])), return_inverse=True
+        )
+        owner = np.full(2 * n, -1)
+        np.maximum.at(owner, group[:n], np.arange(n))
+        img = owner[group[n:]]
+        # a missing image (-1) gathers the last plaquette, whose vertex set
+        # differs, so that neither reading below can match it
+        target = corners[img]
+        start = np.argmax(target == mapped[:, :1], axis=1)[:, None]
+        period = np.maximum(size[img], 1)[:, None]
+        same = size[img] == size
+
+        def reads(offsets):
+            cycle = np.take_along_axis(target, offsets % period, axis=1)
+            return same & np.all((cycle == mapped) | ~used, axis=1)
+
+        fwd, rev = reads(start + np.arange(width)), reads(start - np.arange(width))
+        bad = np.flatnonzero(~(fwd | rev))
+        if bad.size:
+            p = bad[0]
+            if img[p] < 0:
                 raise InvalidDiscretizationError(
                     f"involution does not map plaquette {p} to a plaquette"
                 )
-            target = self.plaquette_vertices[q]
-            k = len(target)
-            shift = target.index(mapped[0])
-            fwd = tuple(target[(shift + j) % k] for j in range(k))
-            rev = tuple(target[(shift - j) % k] for j in range(k))
-            if mapped == fwd:
-                sgn[p] = +1
-            elif mapped == rev:
-                sgn[p] = -1
-            else:
-                raise InvalidDiscretizationError(f"involution scrambles plaquette {p}")
-            img[p] = q
+            raise InvalidDiscretizationError(f"involution scrambles plaquette {p}")
         self.plaquette_image = img
-        self.plaquette_image_sign = sgn
+        self.plaquette_image_sign = np.where(fwd, 1, -1)
 
     def _check_tiling(self):
         if self.n_plaquettes == 0:
@@ -230,21 +267,32 @@ class InvolutiveLattice:
 
     def with_reversed_orientation(self) -> "InvolutiveLattice":
         """Copy of the lattice with every plaquette boundary reversed."""
-        verts = [tuple(reversed(v)) for v in self.plaquette_vertices]
-        return InvolutiveLattice(
-            topology_tag=self.topology_tag,
-            involution_kind=self.involution_kind,
-            sites=self.sites,
-            link_tail=self.link_tail,
-            link_head=self.link_head,
-            link_mu=self.link_mu,
-            link_spacing=self.link_spacing,
-            plaquette_vertices=verts,
-            plaquette_centers=self.plaquette_centers,
-            plaquette_areas=self.plaquette_areas,
-            involution=self.involution,
-            orientation_flip=self.orientation_flip,
-        )
+        verts = list(map(tuple, map(reversed, self.plaquette_vertices)))
+        return replace(self, plaquette_vertices=verts)
+
+
+def _corner_table(cycles: list) -> tuple:
+    """Vertex cycles as an (n, width) array padded with -1, and their lengths."""
+    size = np.fromiter(map(len, cycles), dtype=int, count=len(cycles))
+    corners = np.full((size.size, size.max(initial=0)), -1)
+    corners[np.arange(corners.shape[1]) < size[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(cycles), dtype=int, count=size.sum()
+    )
+    return corners, size
+
+
+def _vertex_sets(rows: np.ndarray) -> np.ndarray:
+    """One key per row, equal for two rows iff they hold the same vertices:
+    the row sorted, with repeats turned into padding, read as raw bytes."""
+    rows = np.sort(rows, axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+    rows = np.sort(rows, axis=1)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _cycles(rows: np.ndarray) -> list:
+    """Rows of a vertex array as tuples of ints."""
+    return list(map(tuple, rows.tolist()))
 
 
 # -- constructors -------------------------------------------------------
@@ -271,6 +319,7 @@ def build_circle(n_sites: int, kind: str) -> InvolutiveLattice:
     return InvolutiveLattice(
         topology_tag="circle",
         involution_kind=kind,
+        shape=(n_sites,),
         sites=sites,
         link_tail=idx,
         link_head=(idx + 1) % n_sites,
@@ -291,7 +340,8 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
     theta2 = 0 and pi); ``eta1`` conjugates theta1 (fixed loops at theta1 = 0
     and pi); ``xi`` sends theta2 to theta1 - theta2.  The xi torus is
     triangulated with diagonal links so the involution maps links to links
-    exactly; it requires n1 == n2.
+    exactly; it requires n1 == n2.  Site (i, j) has id i * n2 + j and owns
+    its theta1, theta2 and (xi) diagonal link, in that order.
     """
     if kind not in ("trivial", "eta", "eta1", "xi"):
         raise InvalidDiscretizationError(f"unknown torus involution {kind!r}")
@@ -303,62 +353,46 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
     def sid(i, j):
         return (i % n1) * n2 + (j % n2)
 
+    def at(offsets):  # ids of the sites (i + di, j + dj), a column per offset
+        return np.column_stack([sid(ii + di, jj + dj) for di, dj in offsets])
+
     n_sites = n1 * n2
     ii, jj = np.divmod(np.arange(n_sites), n2)
     h1, h2 = 2.0 * np.pi / n1, 2.0 * np.pi / n2
     sites = np.column_stack([h1 * ii, h2 * jj])
+    steps = [(1, 0), (0, 1), (1, 1)][: 3 if kind == "xi" else 2]
 
-    tail, head, mu, spacing = [], [], [], []
-    for i in range(n1):
-        for j in range(n2):
-            tail += [sid(i, j), sid(i, j)]
-            head += [sid(i + 1, j), sid(i, j + 1)]
-            mu += [0, 1]
-            spacing += [h1, h2]
-            if kind == "xi":
-                tail.append(sid(i, j))
-                head.append(sid(i + 1, j + 1))
-                mu.append(2)
-                spacing.append(float(np.hypot(h1, h2)))
+    # the plaquettes of cell (i, j) as corner offsets: its square, or (xi)
+    # two triangles split along the diagonal; centres are corner centroids
+    cells = [[(0, 0), (1, 0), (1, 1), (0, 1)]]
+    if kind == "xi":
+        cells = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
+    verts = np.stack([at(c) for c in cells], axis=1)
+    centroids = np.mean(cells, axis=1)
+    centers = np.stack(
+        [np.column_stack([h1 * (ii + a), h2 * (jj + b)]) for a, b in centroids],
+        axis=1,
+    )
 
-    verts, centers, areas = [], [], []
-    for i in range(n1):
-        for j in range(n2):
-            if kind == "xi":
-                # two triangles per cell, split along the diagonal
-                verts.append((sid(i, j), sid(i + 1, j), sid(i + 1, j + 1)))
-                centers.append([h1 * (i + 2 / 3), h2 * (j + 1 / 3)])
-                areas.append(0.5 * h1 * h2)
-                verts.append((sid(i, j), sid(i + 1, j + 1), sid(i, j + 1)))
-                centers.append([h1 * (i + 1 / 3), h2 * (j + 2 / 3)])
-                areas.append(0.5 * h1 * h2)
-            else:
-                verts.append(
-                    (sid(i, j), sid(i + 1, j), sid(i + 1, j + 1), sid(i, j + 1))
-                )
-                centers.append([h1 * (i + 0.5), h2 * (j + 0.5)])
-                areas.append(h1 * h2)
-
-    if kind == "trivial":
-        tau = np.arange(n_sites)
-    elif kind == "eta":
-        tau = np.array([sid(i, -j) for i, j in zip(ii, jj)])
-    elif kind == "eta1":
-        tau = np.array([sid(-i, j) for i, j in zip(ii, jj)])
-    else:
-        tau = np.array([sid(i, i - j) for i, j in zip(ii, jj)])
+    tau = {
+        "trivial": sid(ii, jj),
+        "eta": sid(ii, -jj),
+        "eta1": sid(-ii, jj),
+        "xi": sid(ii, ii - jj),
+    }[kind]
 
     return InvolutiveLattice(
         topology_tag="torus2",
         involution_kind=kind,
+        shape=(n1, n2),
         sites=sites,
-        link_tail=np.array(tail),
-        link_head=np.array(head),
-        link_mu=np.array(mu),
-        link_spacing=np.array(spacing),
-        plaquette_vertices=verts,
-        plaquette_centers=np.array(centers),
-        plaquette_areas=np.array(areas),
+        link_tail=np.repeat(np.arange(n_sites), len(steps)),
+        link_head=at(steps).ravel(),
+        link_mu=np.tile(np.arange(len(steps)), n_sites),
+        link_spacing=np.tile([h1, h2, float(np.hypot(h1, h2))][: len(steps)], n_sites),
+        plaquette_vertices=_cycles(verts.reshape(-1, verts.shape[-1])),
+        plaquette_centers=centers.reshape(-1, 2),
+        plaquette_areas=np.full(n_sites * len(cells), h1 * h2 / len(cells)),
         involution=tau,
         orientation_flip=(kind != "trivial"),
     )
@@ -371,80 +405,52 @@ def build_sphere2(n_theta: int, n_phi: int) -> InvolutiveLattice:
     (i = 1..n_theta-1) plus single north/south pole sites; pole caps are
     triangular plaquettes so the tiling of the closed surface is exact.
     The fixed set is the great circle through both poles at phi in {0, pi}.
+    The grid rows i = 0..n_theta run from pole to pole: each row of cells
+    has its theta links and its plaquettes, and each ring its phi links.
     """
     if n_theta < 3:
         raise InvalidDiscretizationError("sphere needs n_theta >= 3")
     if n_phi < 4 or n_phi % 2:
         raise InvalidDiscretizationError("sphere needs even n_phi >= 4")
-    n_rings = n_theta - 1
     ht, hp = np.pi / n_theta, 2.0 * np.pi / n_phi
-    north, south = 0, 1
 
-    def rid(i, j):  # ring index 1..n_rings, azimuth index mod n_phi
-        return 2 + (i - 1) * n_phi + (j % n_phi)
+    def node(i, j):  # site id of grid point (i, j); rows 0 and n_theta are poles
+        ring = 2 + (i - 1) * n_phi + j % n_phi
+        return np.select([i == 0, i == n_theta], [0, 1], ring)
 
-    coords = [(0.0, 0.0), (np.pi, 0.0)]
-    for i in range(1, n_rings + 1):
-        for j in range(n_phi):
-            coords.append((ht * i, hp * j))
-    sites = np.array(coords)
+    ci, cj = np.divmod(np.arange(n_theta * n_phi), n_phi)  # cells
+    ri, rj = np.divmod(np.arange(n_phi, n_theta * n_phi), n_phi)  # ring sites
+    poles = [(0.0, 0.0), (np.pi, 0.0)]
+    sites = np.concatenate([poles, np.column_stack([ht * ri, hp * rj])])
+    counts = [ci.size, ri.size]  # theta links, then phi links
 
-    tail, head, mu, spacing = [], [], [], []
-    for j in range(n_phi):
-        tail.append(north)
-        head.append(rid(1, j))
-        mu.append(0)
-        spacing.append(ht)
-    for i in range(1, n_rings):
-        for j in range(n_phi):
-            tail.append(rid(i, j))
-            head.append(rid(i + 1, j))
-            mu.append(0)
-            spacing.append(ht)
-    for j in range(n_phi):
-        tail.append(rid(n_rings, j))
-        head.append(south)
-        mu.append(0)
-        spacing.append(ht)
-    for i in range(1, n_rings + 1):
-        for j in range(n_phi):
-            tail.append(rid(i, j))
-            head.append(rid(i, j + 1))
-            mu.append(1)
-            spacing.append(hp)
-
-    verts, centers, areas = [], [], []
-    for j in range(n_phi):  # north caps
-        verts.append((north, rid(1, j), rid(1, j + 1)))
-        centers.append([ht / 2, hp * (j + 0.5)])
-        areas.append(0.5 * ht * hp)
-    for i in range(1, n_rings):  # rectangular rows
-        for j in range(n_phi):
-            verts.append((rid(i, j), rid(i + 1, j), rid(i + 1, j + 1), rid(i, j + 1)))
-            centers.append([ht * (i + 0.5), hp * (j + 0.5)])
-            areas.append(ht * hp)
-    for j in range(n_phi):  # south caps
-        verts.append((rid(n_rings, j), south, rid(n_rings, j + 1)))
-        centers.append([np.pi - ht / 2, hp * (j + 0.5)])
-        areas.append(0.5 * ht * hp)
-
-    tau = np.arange(sites.shape[0])
-    for i in range(1, n_rings + 1):
-        for j in range(n_phi):
-            tau[rid(i, j)] = rid(i, -j)
+    quads = np.column_stack(
+        [node(ci, cj), node(ci + 1, cj), node(ci + 1, cj + 1), node(ci, cj + 1)]
+    )
+    # the cells at a pole lose their repeated pole corner
+    verts = (
+        _cycles(quads[:n_phi, :3])
+        + _cycles(quads[n_phi:-n_phi])
+        + _cycles(quads[-n_phi:][:, [0, 1, 3]])
+    )
+    theta = ht * (ci + 0.5)
+    theta[-n_phi:] = np.pi - ht / 2  # measured from the south pole, like the north caps
+    areas = np.full(ci.size, ht * hp)
+    areas[:n_phi] = areas[-n_phi:] = 0.5 * ht * hp
 
     return InvolutiveLattice(
         topology_tag="sphere2",
         involution_kind="reflect",
+        shape=(n_theta, n_phi),
         sites=sites,
-        link_tail=np.array(tail),
-        link_head=np.array(head),
-        link_mu=np.array(mu),
-        link_spacing=np.array(spacing),
+        link_tail=np.concatenate([node(ci, cj), node(ri, rj)]),
+        link_head=np.concatenate([node(ci + 1, cj), node(ri, rj + 1)]),
+        link_mu=np.repeat([0, 1], counts),
+        link_spacing=np.repeat([ht, hp], counts),
         plaquette_vertices=verts,
-        plaquette_centers=np.array(centers),
-        plaquette_areas=np.array(areas),
-        involution=tau,
+        plaquette_centers=np.column_stack([theta, hp * (cj + 0.5)]),
+        plaquette_areas=areas,
+        involution=np.concatenate([[0, 1], node(ri, -rj)]),
         orientation_flip=True,
     )
 
@@ -476,15 +482,14 @@ def fixed_loops(lat: InvolutiveLattice) -> list:
     trivial on a 2d lattice the fixed set is the whole surface and the two
     coordinate generator cycles through site 0 are returned instead.
     """
-    fixed = set(int(s) for s in lat.fixed_sites)
+    fixed = set(lat.fixed_sites.tolist())
     if not fixed:
         return []
     if lat.n_sites == len(fixed) and lat.dim == 2:
-        return _generator_loops(lat)
+        return [torus_row_loop(lat, 0), torus_row_loop(lat, 1)]
 
     neighbors: dict[int, list[int]] = {s: [] for s in fixed}
-    for a, b in zip(lat.link_tail, lat.link_head):
-        a, b = int(a), int(b)
+    for a, b in zip(lat.link_tail.tolist(), lat.link_head.tolist()):
         if a in fixed and b in fixed:
             neighbors[a].append(b)
             neighbors[b].append(a)
@@ -515,26 +520,6 @@ def fixed_loops(lat: InvolutiveLattice) -> list:
     return loops
 
 
-def _generator_loops(lat: InvolutiveLattice) -> list:
-    """Two coordinate cycles through site 0 of a fully fixed 2d lattice."""
-    loops = []
-    for mu in (0, 1):
-        cycle = [0]
-        cur = 0
-        while True:
-            step = None
-            for lk in np.flatnonzero(lat.link_tail == cur):
-                if lat.link_mu[lk] == mu:
-                    step = int(lat.link_head[lk])
-                    break
-            if step is None or step == 0:
-                break
-            cycle.append(step)
-            cur = step
-        loops.append(LoopPath(tuple(cycle)))
-    return loops
-
-
 def circle_loop(lat: InvolutiveLattice) -> LoopPath:
     """The full circle as a loop (circle lattices only)."""
     if lat.topology_tag != "circle":
@@ -543,20 +528,24 @@ def circle_loop(lat: InvolutiveLattice) -> LoopPath:
 
 
 def latitude_loop(lat: InvolutiveLattice, ring: int) -> LoopPath:
-    """Azimuthal ring loop of a sphere lattice."""
+    """Azimuthal loop around ring 1..n_theta-1 of a sphere lattice."""
     if lat.topology_tag != "sphere2":
         raise DomainError("latitude_loop only applies to sphere lattices")
-    n_phi = int(np.sum(lat.sites[:, 0] == lat.sites[2, 0]))
+    n_theta, n_phi = lat.shape
+    if not 1 <= ring < n_theta:
+        raise DomainError(f"ring {ring} outside 1..{n_theta - 1}")
     first = 2 + (ring - 1) * n_phi
     return LoopPath(tuple(range(first, first + n_phi)))
 
 
 def torus_row_loop(lat: InvolutiveLattice, mu: int, offset: int = 0) -> LoopPath:
-    """Coordinate cycle of a torus lattice along direction mu."""
+    """Coordinate cycle of a torus lattice along direction mu (0 or 1)."""
     if lat.topology_tag != "torus2":
         raise DomainError("torus_row_loop only applies to torus lattices")
-    n2 = int(np.round(2.0 * np.pi / (lat.sites[1, 1] - lat.sites[0, 1])))
-    n1 = lat.n_sites // n2
+    if mu not in (0, 1):
+        raise DomainError(f"torus direction mu must be 0 or 1, got {mu}")
+    n1, n2 = lat.shape
     if mu == 0:
-        return LoopPath(tuple(i * n2 + (offset % n2) for i in range(n1)))
-    return LoopPath(tuple((offset % n1) * n2 + j for j in range(n2)))
+        return LoopPath(tuple(range(offset % n2, n1 * n2, n2)))
+    first = (offset % n1) * n2
+    return LoopPath(tuple(range(first, first + n2)))

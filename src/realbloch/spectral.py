@@ -1,5 +1,6 @@
 """Hamiltonian families on lattices: spectra, band projections, frames."""
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -15,6 +16,7 @@ __all__ = [
     "ProjectionFamily",
     "Frame",
     "eigensolve_family",
+    "band_selection",
     "select_projection",
     "gap_margin",
     "frame_from_projection",
@@ -126,17 +128,14 @@ def index_blocks(n: int, entries: int):
         yield slice(start, min(start + size, n))
 
 
-def eigensolve_family(
-    h: HamiltonianFamily, lat: InvolutiveLattice, threads: int = 1
-) -> SpectralData:
+def eigensolve_family(h: HamiltonianFamily, lat: InvolutiveLattice) -> SpectralData:
     """Diagonalize the family at every lattice site.
 
     H is evaluated once per site, and each site block (see index_blocks) is
     checked for Hermiticity and diagonalized by one batched eigh, so no
-    (n_sites, N, N) array exists besides the returned eigenvectors.  There
-    is no thread pool: `threads` is accepted for compatibility and has no
-    effect, so results never depend on it.  Raises ModelError naming the
-    first site whose matrix has the wrong shape or is not Hermitian.
+    (n_sites, N, N) array exists besides the returned eigenvectors.  Raises
+    ModelError naming the first site whose matrix has the wrong shape or is
+    not Hermitian.
     """
     n, dim = lat.n_sites, h.dimension
     name = h.name or "model"
@@ -177,29 +176,39 @@ def _site_gaps(s: SpectralData, sel: list) -> Optional[np.ndarray]:
     return np.abs(lam_sel[:, :, None] - lam_rest[:, None, :]).min(axis=(1, 2))
 
 
+def band_selection(band_indices, dimension: int) -> list:
+    """Sorted distinct band indices; ValueError unless each is an integer in
+    0..dimension-1."""
+    if not all(isinstance(b, numbers.Integral) for b in band_indices):
+        raise ValueError(f"band indices {band_indices!r} are not integers")
+    sel = sorted(set(int(b) for b in band_indices))
+    if any(b < 0 or b >= dimension for b in sel):
+        raise ValueError(f"band indices {sel} outside 0..{dimension - 1}")
+    return sel
+
+
 def gap_margin(s: SpectralData, band_indices) -> float:
     """Minimal spectral distance between the selected bands and the rest.
 
     Strictly positive return is the numerical gap condition; 0 signals a
-    touching selection.  Selecting every band returns +inf.
+    touching selection.  Selecting every band returns +inf.  Bad band
+    indices raise ValueError (see band_selection).
     """
-    gaps = _site_gaps(s, sorted(set(int(b) for b in band_indices)))
+    gaps = _site_gaps(s, band_selection(band_indices, s.dimension))
     return float("inf") if gaps is None else float(gaps.min())
 
 
 def select_projection(s: SpectralData, band_indices) -> ProjectionFamily:
     """Spectral projector onto an isolated group of bands.
 
-    Band indices refer to ascending-sorted eigenvalues, 0-based.  Raises
-    GapClosureError naming the first offending site if the selection is not
-    isolated (boundary gap below 1e-8); degeneracy inside the selection is
-    allowed.  The family keeps the selected eigenvector columns; see
-    ProjectionFamily for when the projectors themselves are formed.
+    Band indices refer to ascending-sorted eigenvalues, 0-based; bad ones
+    raise ValueError (see band_selection).  Raises GapClosureError naming
+    the first offending site if the selection is not isolated (boundary gap
+    below 1e-8); degeneracy inside the selection is allowed.  The family
+    keeps the selected eigenvector columns; see ProjectionFamily for when
+    the projectors themselves are formed.
     """
-    sel = sorted(set(int(b) for b in band_indices))
-    dim = s.dimension
-    if any(b < 0 or b >= dim for b in sel):
-        raise ValueError(f"band indices {sel} outside 0..{dim - 1}")
+    sel = band_selection(band_indices, s.dimension)
     gaps = _site_gaps(s, sel)
     if gaps is not None:
         worst = int(np.argmin(gaps))

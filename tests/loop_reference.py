@@ -5,7 +5,10 @@ that the stacked-array kernels in ``realbloch`` replaced.  They are kept
 only as the reference that test_batched_equivalence.py compares against:
 gauge-invariant outputs must agree to 1e-12 and failures must raise the same
 error class naming the same site, link or plaquette.  Each function takes
-and returns the package's own data types.
+and returns the package's own data types, except the lattice builders:
+``*_fields`` return a builder's constructor fields and ``lattice_tables``
+the tables derived from them (a dict of directed links, walked link by link
+and plaquette by plaquette), which test_lattice.py compares bitwise.
 """
 
 import csv
@@ -20,6 +23,7 @@ from realbloch.errors import (
     DiscretizationError,
     DomainError,
     GapClosureError,
+    InvalidDiscretizationError,
     KramersObstructionError,
     ModelError,
     RankError,
@@ -70,6 +74,267 @@ def expm(a):
     if a.shape == (1, 1):
         return np.array([[np.exp(a[0, 0])]], dtype=complex)
     return scipy.linalg.expm(a)
+
+
+# -- lattice -------------------------------------------------------------------
+
+
+def circle_fields(n_sites, kind):
+    """Constructor fields of build_circle."""
+    idx = np.arange(n_sites)
+    if kind == "trivial":
+        tau = idx.copy()
+    elif kind == "reflection":
+        tau = (-idx) % n_sites
+    else:
+        tau = (idx + n_sites // 2) % n_sites
+    return dict(
+        topology_tag="circle",
+        involution_kind=kind,
+        sites=(2.0 * np.pi * idx / n_sites)[:, None],
+        link_tail=idx,
+        link_head=(idx + 1) % n_sites,
+        link_mu=np.zeros(n_sites, dtype=int),
+        link_spacing=np.full(n_sites, 2.0 * np.pi / n_sites),
+        plaquette_vertices=[],
+        plaquette_centers=np.zeros((0, 1)),
+        plaquette_areas=np.zeros(0),
+        involution=tau,
+        orientation_flip=(kind == "reflection"),
+    )
+
+
+def torus2_fields(n1, n2, kind):
+    """Constructor fields of build_torus2, site by site and cell by cell."""
+
+    def sid(i, j):
+        return (i % n1) * n2 + (j % n2)
+
+    n_sites = n1 * n2
+    ii, jj = np.divmod(np.arange(n_sites), n2)
+    h1, h2 = 2.0 * np.pi / n1, 2.0 * np.pi / n2
+    sites = np.column_stack([h1 * ii, h2 * jj])
+
+    tail, head, mu, spacing = [], [], [], []
+    for i in range(n1):
+        for j in range(n2):
+            tail += [sid(i, j), sid(i, j)]
+            head += [sid(i + 1, j), sid(i, j + 1)]
+            mu += [0, 1]
+            spacing += [h1, h2]
+            if kind == "xi":
+                tail.append(sid(i, j))
+                head.append(sid(i + 1, j + 1))
+                mu.append(2)
+                spacing.append(float(np.hypot(h1, h2)))
+
+    verts, centers, areas = [], [], []
+    for i in range(n1):
+        for j in range(n2):
+            if kind == "xi":
+                verts.append((sid(i, j), sid(i + 1, j), sid(i + 1, j + 1)))
+                centers.append([h1 * (i + 2 / 3), h2 * (j + 1 / 3)])
+                areas.append(0.5 * h1 * h2)
+                verts.append((sid(i, j), sid(i + 1, j + 1), sid(i, j + 1)))
+                centers.append([h1 * (i + 1 / 3), h2 * (j + 2 / 3)])
+                areas.append(0.5 * h1 * h2)
+            else:
+                verts.append(
+                    (sid(i, j), sid(i + 1, j), sid(i + 1, j + 1), sid(i, j + 1))
+                )
+                centers.append([h1 * (i + 0.5), h2 * (j + 0.5)])
+                areas.append(h1 * h2)
+
+    if kind == "trivial":
+        tau = np.arange(n_sites)
+    elif kind == "eta":
+        tau = np.array([sid(i, -j) for i, j in zip(ii, jj)])
+    elif kind == "eta1":
+        tau = np.array([sid(-i, j) for i, j in zip(ii, jj)])
+    else:
+        tau = np.array([sid(i, i - j) for i, j in zip(ii, jj)])
+
+    return dict(
+        topology_tag="torus2",
+        involution_kind=kind,
+        sites=sites,
+        link_tail=np.array(tail),
+        link_head=np.array(head),
+        link_mu=np.array(mu),
+        link_spacing=np.array(spacing),
+        plaquette_vertices=verts,
+        plaquette_centers=np.array(centers),
+        plaquette_areas=np.array(areas),
+        involution=tau,
+        orientation_flip=(kind != "trivial"),
+    )
+
+
+def sphere2_fields(n_theta, n_phi):
+    """Constructor fields of build_sphere2, site by site and cell by cell."""
+    n_rings = n_theta - 1
+    ht, hp = np.pi / n_theta, 2.0 * np.pi / n_phi
+    north, south = 0, 1
+
+    def rid(i, j):
+        return 2 + (i - 1) * n_phi + (j % n_phi)
+
+    coords = [(0.0, 0.0), (np.pi, 0.0)]
+    for i in range(1, n_rings + 1):
+        for j in range(n_phi):
+            coords.append((ht * i, hp * j))
+    sites = np.array(coords)
+
+    tail, head, mu, spacing = [], [], [], []
+    for j in range(n_phi):
+        tail.append(north)
+        head.append(rid(1, j))
+        mu.append(0)
+        spacing.append(ht)
+    for i in range(1, n_rings):
+        for j in range(n_phi):
+            tail.append(rid(i, j))
+            head.append(rid(i + 1, j))
+            mu.append(0)
+            spacing.append(ht)
+    for j in range(n_phi):
+        tail.append(rid(n_rings, j))
+        head.append(south)
+        mu.append(0)
+        spacing.append(ht)
+    for i in range(1, n_rings + 1):
+        for j in range(n_phi):
+            tail.append(rid(i, j))
+            head.append(rid(i, j + 1))
+            mu.append(1)
+            spacing.append(hp)
+
+    verts, centers, areas = [], [], []
+    for j in range(n_phi):
+        verts.append((north, rid(1, j), rid(1, j + 1)))
+        centers.append([ht / 2, hp * (j + 0.5)])
+        areas.append(0.5 * ht * hp)
+    for i in range(1, n_rings):
+        for j in range(n_phi):
+            verts.append((rid(i, j), rid(i + 1, j), rid(i + 1, j + 1), rid(i, j + 1)))
+            centers.append([ht * (i + 0.5), hp * (j + 0.5)])
+            areas.append(ht * hp)
+    for j in range(n_phi):
+        verts.append((rid(n_rings, j), south, rid(n_rings, j + 1)))
+        centers.append([np.pi - ht / 2, hp * (j + 0.5)])
+        areas.append(0.5 * ht * hp)
+
+    tau = np.arange(sites.shape[0])
+    for i in range(1, n_rings + 1):
+        for j in range(n_phi):
+            tau[rid(i, j)] = rid(i, -j)
+
+    return dict(
+        topology_tag="sphere2",
+        involution_kind="reflect",
+        sites=sites,
+        link_tail=np.array(tail),
+        link_head=np.array(head),
+        link_mu=np.array(mu),
+        link_spacing=np.array(spacing),
+        plaquette_vertices=verts,
+        plaquette_centers=np.array(centers),
+        plaquette_areas=np.array(areas),
+        involution=tau,
+        orientation_flip=True,
+    )
+
+
+def reversed_fields(fields):
+    """Constructor fields with every plaquette boundary reversed."""
+    verts = [tuple(reversed(v)) for v in fields["plaquette_vertices"]]
+    return dict(fields, plaquette_vertices=verts)
+
+
+def link_lookup(tail, head):
+    """directed_link(a, b) over a dict of the links (tail, head)."""
+    directed = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(tail, head))}
+
+    def directed_link(a, b):
+        hit = directed.get((a, b))
+        if hit is not None:
+            return hit, +1
+        hit = directed.get((b, a))
+        if hit is not None:
+            return hit, -1
+        raise DomainError(f"({a}, {b}) is not a lattice link")
+
+    return directed_link
+
+
+def lattice_tables(fields):
+    """The tables InvolutiveLattice derives from its constructor fields, link
+    by link and plaquette by plaquette, with the same guards in the same
+    order."""
+    tau, tail, head = fields["involution"], fields["link_tail"], fields["link_head"]
+    verts = fields["plaquette_vertices"]
+    n_sites, n_links, n_plaq = len(tau), len(tail), len(verts)
+    if not np.array_equal(tau[tau], np.arange(n_sites)):
+        raise InvalidDiscretizationError("involution is not an exact involution")
+    directed_link = link_lookup(tail, head)
+
+    width = max((len(v) for v in verts), default=0)
+    rows = [
+        [directed_link(v[a], v[(a + 1) % len(v)]) for a in range(len(v))]
+        + [(0, 0)] * (width - len(v))
+        for v in verts
+    ]
+    table = np.array(rows, dtype=int).reshape(n_plaq, width, 2)
+
+    link_img = np.empty(n_links, dtype=int)
+    link_sgn = np.empty(n_links, dtype=int)
+    for i in range(n_links):
+        a, b = int(tau[tail[i]]), int(tau[head[i]])
+        try:
+            link_img[i], link_sgn[i] = directed_link(a, b)
+        except DomainError:
+            raise InvalidDiscretizationError(
+                f"involution does not map link {i} to a link"
+            ) from None
+
+    by_vertexset = {frozenset(v): p for p, v in enumerate(verts)}
+    plaq_img = np.empty(n_plaq, dtype=int)
+    plaq_sgn = np.empty(n_plaq, dtype=int)
+    for p, vs in enumerate(verts):
+        mapped = tuple(int(tau[v]) for v in vs)
+        q = by_vertexset.get(frozenset(mapped))
+        if q is None:
+            raise InvalidDiscretizationError(
+                f"involution does not map plaquette {p} to a plaquette"
+            )
+        target = verts[q]
+        k = len(target)
+        shift = target.index(mapped[0])
+        if mapped == tuple(target[(shift + j) % k] for j in range(k)):
+            plaq_sgn[p] = +1
+        elif mapped == tuple(target[(shift - j) % k] for j in range(k)):
+            plaq_sgn[p] = -1
+        else:
+            raise InvalidDiscretizationError(f"involution scrambles plaquette {p}")
+        plaq_img[p] = q
+
+    if n_plaq:
+        used = table[:, :, 1] != 0
+        links = table[:, :, 0][used]
+        net = np.bincount(links, table[:, :, 1][used], minlength=n_links)
+        count = np.bincount(links, minlength=n_links)
+        if np.any(net != 0) or np.any(count != 2):
+            raise InvalidDiscretizationError("plaquettes do not tile a closed surface")
+
+    return dict(
+        fixed_sites=np.flatnonzero(tau == np.arange(n_sites)),
+        plaquette_links=table[:, :, 0].copy(),
+        plaquette_signs=table[:, :, 1].astype(np.int8),
+        link_image=link_img,
+        link_image_sign=link_sgn,
+        plaquette_image=plaq_img,
+        plaquette_image_sign=plaq_sgn,
+    )
 
 
 # -- spectral ------------------------------------------------------------------

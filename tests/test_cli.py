@@ -9,7 +9,12 @@ import realbloch as rb
 import realbloch.classify as classify
 import realbloch.cli as cli
 from realbloch._matrix import principal_log_unitaries
-from realbloch.errors import DiscretizationError, ModelError, SymmetryViolationError
+from realbloch.errors import (
+    ConfigError,
+    DiscretizationError,
+    ModelError,
+    SymmetryViolationError,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -169,6 +174,44 @@ def test_resolution_scale_flag(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["lattice"]["n_sites"] == 32
     assert report["classify"]["torsion"] == [-1]
+
+
+def test_resolution_scale_below_one_is_config_error(tmp_path):
+    config = {
+        "lattice": {"topology": "circle", "n_sites": 16, "kind": "trivial"},
+        "model": {"name": "mobius_circle"},
+        "tasks": ["classify"],
+    }
+    with pytest.raises(ConfigError, match="resolution_scale 0 is below 1"):
+        cli.RunConfig.from_dict(dict(config, resolution_scale=0))
+    path = write_config(tmp_path, config)
+    for scale in ("0", "-1"):
+        args = ["run", str(path), "--out", str(tmp_path / "o")]
+        code = cli.main(args + ["--resolution-scale", scale])
+        assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "bands, message",
+    [
+        ([5], "band indices [5] outside 0..1"),
+        ([-1], "band indices [-1] outside 0..1"),
+        ([0.5], "band indices [0.5] are not integers"),
+        (["a"], "band indices ['a'] are not integers"),
+    ],
+)
+def test_bad_bands_are_config_errors(tmp_path, bands, message):
+    config = {
+        "lattice": {"topology": "sphere2", "n_theta": 6, "n_phi": 8},
+        "model": {"name": "degree_k_sphere", "params": {"k": 2}},
+        "bands": bands,
+        "tasks": ["check-symmetry", "classify"],
+    }
+    path = write_config(tmp_path, config)
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"] == {"kind": "config", "message": message}
 
 
 def test_rank_two_oscillator_run(tmp_path):

@@ -1,6 +1,10 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
+import loop_reference as ref
 import realbloch as rb
 from realbloch.errors import DomainError, InvalidDiscretizationError
 
@@ -172,3 +176,204 @@ def test_reversed_orientation_roundtrip():
     assert rev.n_plaquettes == lat.n_plaquettes
     back = rev.with_reversed_orientation()
     assert back.plaquette_vertices == lat.plaquette_vertices
+
+
+def test_trivial_torus_generators_are_row_loops():
+    lat = rb.build_torus2(8, 6, "trivial")
+    loops = rb.fixed_loops(lat)
+    assert loops == [rb.torus_row_loop(lat, 0), rb.torus_row_loop(lat, 1)]
+    assert loops[0].sites == (0, 6, 12, 18, 24, 30, 36, 42)
+    assert loops[1].sites == tuple(range(6))
+
+
+def test_grid_shape_and_spacing():
+    assert rb.build_circle(10, "reflection").shape == (10,)
+    torus = rb.build_torus2(8, 6, "eta1")
+    assert torus.shape == (8, 6)
+    assert torus.grid_spacing == (2 * np.pi / 8, 2 * np.pi / 6)
+    assert torus.with_reversed_orientation().shape == (8, 6)
+    sphere = rb.build_sphere2(6, 8)
+    assert sphere.shape == (6, 8)
+    assert sphere.grid_spacing == (np.pi / 6, 2 * np.pi / 8)
+
+
+def test_latitude_loop_rejects_rings_off_the_sphere():
+    lat = rb.build_sphere2(6, 8)
+    assert rb.latitude_loop(lat, 1).sites == tuple(range(2, 10))
+    assert rb.latitude_loop(lat, 5).sites == tuple(range(34, 42))
+    for ring in (0, 6, -1):
+        with pytest.raises(DomainError, match=rf"ring {ring} outside 1..5"):
+            rb.latitude_loop(lat, ring)
+
+
+def test_torus_row_loop_rejects_other_directions():
+    lat = rb.build_torus2(6, 4, "eta")
+    assert rb.torus_row_loop(lat, 0, 1).sites == (1, 5, 9, 13, 17, 21)
+    assert rb.torus_row_loop(lat, 1, 7).sites == (4, 5, 6, 7)
+    for mu in (2, -1):
+        with pytest.raises(DomainError, match=f"must be 0 or 1, got {mu}"):
+            rb.torus_row_loop(lat, mu)
+
+
+# -- agreement with the per-element builders in loop_reference -----------------
+
+CIRCLE_KINDS = ("trivial", "reflection", "antipodal")
+LATTICE_CASES = (
+    [("circle", n, kind) for n in (4, 10) for kind in CIRCLE_KINDS]
+    + [
+        ("torus2", n1, n2, kind)
+        for n1, n2 in ((4, 4), (6, 8), (8, 6), (10, 4))
+        for kind in ("trivial", "eta", "eta1")
+    ]
+    + [("torus2", n, n, "xi") for n in (4, 6, 10)]
+    + [("sphere2", n_th, n_ph) for n_th, n_ph in ((3, 4), (4, 6), (5, 10), (7, 8))]
+    # the benchmark lattices
+    + [("torus2", 48, 48, "eta1"), ("torus2", 128, 128, "eta"), ("sphere2", 96, 128)]
+)
+
+BUILDERS = {
+    "circle": (rb.build_circle, ref.circle_fields),
+    "torus2": (rb.build_torus2, ref.torus2_fields),
+    "sphere2": (rb.build_sphere2, ref.sphere2_fields),
+}
+
+
+def assert_matches_reference(lat, fields):
+    expected = {**fields, **ref.lattice_tables(fields)}
+    for name, want in expected.items():
+        got = getattr(lat, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+    for verts in lat.plaquette_vertices:
+        assert type(verts) is tuple and all(type(v) is int for v in verts)
+
+
+@pytest.mark.parametrize("case", LATTICE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_lattice_matches_per_element_builders(case):
+    build, reference = BUILDERS[case[0]]
+    lat, fields = build(*case[1:]), reference(*case[1:])
+    assert_matches_reference(lat, fields)
+    reverse = lat.with_reversed_orientation()
+    assert_matches_reference(reverse, ref.reversed_fields(fields))
+
+
+def test_link_lookup_matches_dict(rng):
+    for lat in all_test_lattices():
+        directed_link = ref.link_lookup(lat.link_tail, lat.link_head)
+        n = lat.n_sites
+        links = np.column_stack([lat.link_tail, lat.link_head])
+        # off-grid ids too: the key tail * n_sites + head must not alias a link
+        aliases = links + [-1, n]  # off the grid, with the key of a link
+        randoms = rng.integers(-2, n + 3, (300, 2))
+        pairs = np.concatenate([links, links[:, ::-1], aliases, randoms])
+        for a, b in pairs.tolist():
+            try:
+                want = directed_link(a, b)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=rf"^{re.escape(str(exc))}$"):
+                    lat.directed_link(a, b)
+            else:
+                assert lat.directed_link(a, b) == want
+        loops = rb.fixed_loops(lat)
+        for loop in loops + [lp.reversed() for lp in loops]:
+            steps = zip(loop.sites, loop.sites[1:] + loop.sites[:1])
+            assert lat.loop_link_ids(loop) == [directed_link(a, b) for a, b in steps]
+    lat = rb.build_torus2(8, 8, "eta")
+    with pytest.raises(DomainError, match=r"^\(2, 4\) is not a lattice link$"):
+        lat.loop_link_ids(rb.LoopPath((0, 1, 2, 4, 3)))
+
+
+# -- construction guards --------------------------------------------------------
+
+
+def _with_sorted_plaquette(lat, p):
+    verts = list(lat.plaquette_vertices)
+    verts[p] = tuple(sorted(verts[p]))
+    return {"plaquette_vertices": verts}
+
+
+def _with_swapped_sites(lat, a, b):
+    tau = np.arange(lat.n_sites)
+    tau[[a, b]] = [b, a]
+    return {"involution": tau}
+
+
+def _with_copied_plaquette(lat, src, dst):
+    verts = list(lat.plaquette_vertices)
+    verts[dst] = verts[src]
+    return {"plaquette_vertices": verts}
+
+
+def _complete_graph_square():
+    """Four sites, all six links, one square plaquette, tau swapping 0 and 1:
+    the image of the square is its own vertex set in an order that is
+    neither a rotation nor a reflection of it."""
+    tail, head = np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3])
+    return {
+        "sites": np.zeros((4, 2)),
+        "link_tail": tail,
+        "link_head": head,
+        "link_mu": np.zeros(6, dtype=int),
+        "link_spacing": np.ones(6),
+        "plaquette_vertices": [(0, 1, 2, 3)],
+        "plaquette_centers": np.zeros((1, 2)),
+        "plaquette_areas": np.ones(1),
+        "involution": np.array([1, 0, 2, 3]),
+    }
+
+
+TORUS = rb.build_torus2(4, 4, "trivial")
+ETA = rb.build_torus2(4, 4, "eta")
+CIRCLE = rb.build_circle(8, "trivial")
+
+MALFORMED = {
+    "not-an-involution": (
+        CIRCLE,
+        {"involution": np.roll(np.arange(8), 1)},
+        InvalidDiscretizationError,
+        "involution is not an exact involution",
+    ),
+    "plaquette-edge-not-a-link": (
+        TORUS,
+        _with_sorted_plaquette(TORUS, 5),
+        DomainError,
+        "(6, 9) is not a lattice link",
+    ),
+    "link-image-not-a-link": (
+        TORUS,
+        _with_swapped_sites(TORUS, 0, 5),
+        InvalidDiscretizationError,
+        "involution does not map link 7 to a link",
+    ),
+    "plaquette-image-not-a-plaquette": (
+        ETA,
+        _with_copied_plaquette(ETA, 0, 3),
+        InvalidDiscretizationError,
+        "involution does not map plaquette 0 to a plaquette",
+    ),
+    "scrambled-plaquette": (
+        CIRCLE,
+        _complete_graph_square(),
+        InvalidDiscretizationError,
+        "involution scrambles plaquette 0",
+    ),
+    "open-tiling": (
+        TORUS,
+        {"plaquette_vertices": TORUS.plaquette_vertices[:-1]},
+        InvalidDiscretizationError,
+        "plaquettes do not tile a closed surface",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_construction_guards(case):
+    base, changes, error, message = MALFORMED[case]
+    fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(base) if f.init}
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+        ref.lattice_tables({**fields, **changes})
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+        dataclasses.replace(base, **changes)

@@ -31,15 +31,6 @@ def test_pauli_model_spectrum_and_projector():
         assert np.allclose(p.projectors[site], expect, atol=1e-12)
 
 
-def test_eigensolve_threads_deterministic():
-    lat = rb.build_sphere2(6, 8)
-    h, _ = rb.model_degree_k_sphere(2)
-    s1 = rb.eigensolve_family(h, lat, threads=1)
-    s4 = rb.eigensolve_family(h, lat, threads=4)
-    assert np.array_equal(s1.eigenvalues, s4.eigenvalues)
-    assert np.array_equal(s1.eigenvectors, s4.eigenvectors)
-
-
 def test_non_hermitian_rejected():
     lat = rb.build_circle(4, "trivial")
     h = rb.HamiltonianFamily(2, lambda c: np.array([[0, 1], [0, 0]], dtype=complex))
@@ -66,6 +57,24 @@ def test_gap_margin_positive_iff_selection_succeeds():
         else:
             with pytest.raises(GapClosureError):
                 rb.select_projection(s, {0})
+
+
+@pytest.mark.parametrize(
+    "bands, message",
+    [
+        ([3], r"band indices \[3\] outside 0..2"),
+        ({0, -1}, r"band indices \[-1, 0\] outside 0..2"),
+        ([1.0], r"band indices \[1.0\] are not integers"),
+        (["0"], r"band indices \['0'\] are not integers"),
+    ],
+)
+def test_band_indices_validated_by_gap_and_selection(bands, message):
+    lat = rb.build_circle(4, "trivial")
+    s = rb.eigensolve_family(constant_diag([-1.0, 0.0, 1.0]), lat)
+    for layer in (rb.gap_margin, rb.select_projection):
+        with pytest.raises(ValueError, match=message):
+            layer(s, bands)
+    assert rb.gap_margin(s, np.array([1, 0])) == pytest.approx(1.0)
 
 
 def test_projector_invariant_under_in_group_mixing():
