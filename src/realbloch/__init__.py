@@ -83,6 +83,7 @@ from .spectral import (
     eigensolve_family,
     frame_from_projection,
     gap_margin,
+    pointwise,
     select_projection,
     smooth_frame_gauge,
 )

@@ -84,12 +84,6 @@ def principal_log_unitaries(
     return logs
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    if a.shape == (1, 1):
-        return np.array([[np.exp(a[0, 0])]], dtype=complex)
-    return scipy.linalg.expm(a)
-
-
 def expms(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of every matrix in a stack."""
     return scipy.linalg.expm(a.astype(complex))

@@ -21,7 +21,7 @@ from ._matrix import (
 )
 from .errors import DiscretizationError, DomainError
 from .lattice import InvolutiveLattice
-from .spectral import Frame
+from .spectral import Frame, evaluate_block
 from .symmetry import SewingField, SymmetryData, quaternionic_q
 
 __all__ = [
@@ -82,21 +82,22 @@ class LocalConnectionForm:
 class ProductConnectionSpec:
     """Closed-form product-bundle model: connection and J evaluators.
 
-    `connection(coords)` returns the per-direction anti-Hermitian matrices
-    A_mu at a point; `j` is the symmetry unitary of the product structure.
+    `connection` maps an (n, d) coordinate block to the per-direction
+    anti-Hermitian matrices A_mu, an (n, d, m, m) stack, in one call; `j`
+    is the symmetry unitary of the product structure.
     """
 
     rank: int
-    connection: Callable[[np.ndarray], np.ndarray]  # (dim, m, m)
+    connection: Callable[[np.ndarray], np.ndarray]  # (n, d, m, m)
     j: SymmetryData
     base_tag: str
     name: str = ""
 
     def connection_at(self, coords) -> np.ndarray:
-        a = np.asarray(self.connection(np.asarray(coords, dtype=float)), dtype=complex)
-        if a.ndim == 1:  # scalar per direction, rank 1
-            a = a[:, None, None]
-        return a
+        """A_mu, one per coordinate direction, on a block or at one point."""
+        shape = (np.shape(coords)[-1], self.rank, self.rank)
+        a = evaluate_block(self.connection, coords, shape, self.name or "connection")
+        return np.asarray(a, dtype=complex)
 
 
 def link_field(f: Frame, lat: InvolutiveLattice) -> LinkField:
@@ -128,19 +129,13 @@ def _connection_steps(
     Evaluated at link midpoints; diagonal links carry both coordinate
     components, each times its grid spacing.
     """
-    # (n_links, dim, m, m)
-    comps = np.array([spec.connection_at(c) for c in lat.link_midpoints()])
-    mu = lat.link_mu
-    steps = np.empty((lat.n_links,) + comps.shape[2:], dtype=complex)
-    straight = np.flatnonzero(mu != 2)
-    steps[straight] = (
-        comps[straight, mu[straight]] * lat.link_spacing[straight, None, None]
-    )
-    diagonal = np.flatnonzero(mu == 2)
-    if diagonal.size:
-        h1, h2 = lat.grid_spacing
-        steps[diagonal] = comps[diagonal, 0] * h1 + comps[diagonal, 1] * h2
-    return steps
+    comps = spec.connection_at(lat.link_midpoints())  # (n_links, dim, m, m)
+    # coordinate step of each link per direction
+    dx = np.zeros(comps.shape[:2])
+    straight = np.flatnonzero(lat.link_mu != 2)
+    dx[straight, lat.link_mu[straight]] = lat.link_spacing[straight]
+    dx[lat.link_mu == 2] = lat.grid_spacing
+    return sum(comps[:, mu] * dx[:, mu, None, None] for mu in range(dx.shape[1]))
 
 
 def link_field_from_connection(
@@ -224,16 +219,16 @@ def j_conjugate_connection(
     Per link x -> y:  conj( J(x)^dag A(tau link) J(x) + log(J(x)^dag J(y)) / h ).
     The J-step term uses the unitary logarithm rather than a plain forward
     difference so that applying the map twice returns the input exactly;
-    averaging then lands on a true fixed point.  J is sampled once per site
-    and all J-step logarithms are one batched call; a BranchCutError names
-    the first link whose step has an eigenvalue at -1.
+    averaging then lands on a true fixed point.  J is sampled in one call
+    over all sites and all J-step logarithms are one batched call; a
+    BranchCutError names the first link whose step has an eigenvalue at -1.
     """
     if a.rank != j.dimension:
         raise DomainError(
             "product-bundle averaging needs J acting on the connection fiber "
             f"(rank {a.rank} vs J dimension {j.dimension})"
         )
-    js = j.sample(lat)
+    js = j(lat.sites)
     jx = js[lat.link_tail]
     h = lat.link_spacing
     steps = principal_log_unitaries(

@@ -44,7 +44,6 @@ from .symmetry import (
     SymmetryData,
     SymmetryReport,
     orbit_blocks,
-    sample_stack,
     sewing_matrix,
     unitary_residual,
     verify_hamiltonian_symmetry,
@@ -166,7 +165,7 @@ class RealBundle:
         j, lat = self.j, self.lat
         if self.is_product:
             # standard-basis frames make the sewing matrix equal to J itself
-            return SewingField(j.sample(lat), lat, j.parity, 0.0)
+            return SewingField(j(lat.sites), lat, j.parity, 0.0)
         return sewing_matrix(self.frame, j, lat, self.tolerances["sewing_unitarity"])
 
     @cached_property
@@ -286,10 +285,10 @@ def classify_real_bundle(
 
 def _j_consistency(j: SymmetryData, lat: InvolutiveLattice) -> float:
     """Max over sites of || J(tau x) conj(J(x)) - parity * 1 ||, with J
-    evaluated once per site and the tau side gathered."""
+    evaluated once per involution-closed block and the tau side gathered."""
     res = 0.0
     for sites, tau in orbit_blocks(lat, j.dimension):
-        js = sample_stack(j, lat.sites[sites])
+        js = j(lat.sites[sites])
         res = max(res, unitary_residual(js, js[tau], j.parity))
     return res
 

@@ -4,7 +4,8 @@ Usage:  realbloch run <config.json> [--out DIR] [--threads N] [--strict]
                                     [--resolution-scale S]
 
 The JSON config is the reproducibility artifact; reports are byte-stable
-across repeated runs with the same config and thread count.
+across repeated runs with the same config.  --threads is accepted and
+ignored.
 
 A run builds one `classify.RealBundle`, which every task reads, so each
 pipeline layer is computed at most once.  Its frames are aligned to the
@@ -16,7 +17,6 @@ Exit codes: 0 success, 2 config error, 3 gap closure, 4 symmetry violation,
 """
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field
@@ -35,12 +35,13 @@ from .berry import (  # noqa: F401
     local_connection_from_links,
 )
 from .classify import RealBundle, classify_real_bundle  # noqa: F401
-from .curvature import QUANTIZATION_WARN
+from .curvature import QUANTIZATION_WARN, chern_weil_density
 from .curvature import chern_number, plaquette_curvature  # noqa: F401
 from .errors import (
     BranchCutError,
     ConfigError,
     DiscretizationError,
+    DomainError,
     GapClosureError,
     IndeterminateHolonomyError,
     InvalidDiscretizationError,
@@ -62,6 +63,7 @@ from .models import (
 from .spectral import (  # noqa: F401
     HamiltonianFamily,
     band_selection,
+    constant,
     eigensolve_family,
     frame_from_projection,
     gap_margin,
@@ -69,6 +71,7 @@ from .spectral import (  # noqa: F401
     smooth_frame_gauge,
 )
 from .symmetry import (  # noqa: F401
+    SymmetryData,
     sewing_matrix,
     verify_hamiltonian_symmetry,
     verify_projection_symmetry,
@@ -121,20 +124,22 @@ class RunConfig:
         for key in ("lattice", "model", "tasks"):
             if key not in raw:
                 raise ConfigError(f"config is missing the {key!r} section")
-        tasks = list(raw["tasks"])
-        if not tasks:
-            raise ConfigError("tasks must be a nonempty list")
+        tasks = raw["tasks"]
+        if not isinstance(tasks, list) or not tasks:
+            raise ConfigError(f"tasks must be a nonempty list, got {tasks!r}")
         for t in tasks:
             if t not in KNOWN_TASKS:
                 raise ConfigError(f"unknown task {t!r}; known: {KNOWN_TASKS}")
         cfg = RunConfig(
-            lattice=dict(raw["lattice"]),
-            model=dict(raw["model"]),
-            bands=list(raw.get("bands", [0])),
+            lattice=_read(raw, "lattice", dict),
+            model=_read(raw, "model", dict),
+            bands=_read(raw, "bands", list, [0]),
             tasks=tasks,
-            tolerances=dict(raw.get("tolerances", {})),
-            resolution_scale=int(raw.get("resolution_scale", 1)),
-            moduli_values=list(raw.get("moduli_values", [0.0, 0.25, 0.5])),
+            tolerances=_read(raw, "tolerances", _float_values, {}),
+            resolution_scale=_read(raw, "resolution_scale", int, 1),
+            moduli_values=_read(
+                raw, "moduli_values", lambda v: [float(a) for a in v], [0.0, 0.25, 0.5]
+            ),
         )
         for key, value in overrides.items():
             if value is not None:
@@ -144,28 +149,44 @@ class RunConfig:
         return cfg
 
 
+def _float_values(section) -> dict:
+    return {key: float(value) for key, value in dict(section).items()}
+
+
+def _read(section: dict, key: str, convert, default=None):
+    """convert(section[key]), falling back to `default` when one is given;
+    a value that convert rejects is a ConfigError naming the key."""
+    value = section[key] if default is None else section.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
+
+
 def _build_lattice(spec: dict, scale: int):
     topology = spec.get("topology")
     kind = spec.get("kind", "trivial")
+
+    def size(key):
+        return _read(spec, key, int) * scale
+
     try:
         if topology == "circle":
-            return build_circle(int(spec["n_sites"]) * scale, kind)
+            return build_circle(size("n_sites"), kind)
         if topology == "torus2":
-            return build_torus2(
-                int(spec["n1"]) * scale, int(spec["n2"]) * scale, kind
-            )
+            return build_torus2(size("n1"), size("n2"), kind)
         if topology == "sphere2":
-            return build_sphere2(
-                int(spec["n_theta"]) * scale, int(spec["n_phi"]) * scale
-            )
+            return build_sphere2(size("n_theta"), size("n_phi"))
     except KeyError as exc:
         raise ConfigError(f"lattice spec missing {exc}") from exc
+    except DomainError as exc:  # an unknown involution kind
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown topology {topology!r}")
 
 
 def _build_model(spec: dict, lat):
     name = spec.get("name")
-    params = dict(spec.get("params", {}))
+    params = _read(spec, "params", dict, {})
     if name == "mobius_circle":
         return model_zoo.model_mobius_circle(), None
     if name == "mobius_pullback_torus":
@@ -173,26 +194,23 @@ def _build_model(spec: dict, lat):
     if name == "trivial_line":
         return model_zoo.model_trivial_line(spec.get("base", lat.base_tag), lat.dim), None
     if name == "flat_line":
-        return model_zoo.model_flat_line(float(params.get("a", 0.25))), None
+        return model_zoo.model_flat_line(_read(params, "a", float, 0.25)), None
     if name == "degree_k_sphere":
-        h, j = model_zoo.model_degree_k_sphere(int(params.get("k", 1)))
-        return h, j
+        return model_zoo.model_degree_k_sphere(_read(params, "k", int, 1))
     if name == "oscillator":
         osc = OscillatorParams(
-            level=int(params.get("level", 0)),
-            n_basis=int(params.get("n_basis", 40)),
-            delta=float(params.get("delta", 1.0)),
+            level=_read(params, "level", int, 0),
+            n_basis=_read(params, "n_basis", int, 40),
+            delta=_read(params, "delta", float, 1.0),
         )
         h, j = model_zoo.model_oscillator(osc, lat)
         h.oscillator_params = osc
         return h, j
     if name == "constant_diag":
-        entries = np.asarray(params.get("entries", [-1.0, 1.0]), dtype=float)
+        entries = _read(params, "entries", lambda v: np.asarray(v, float), [-1.0, 1.0])
         mat = np.diag(entries).astype(complex)
-        from .symmetry import SymmetryData
-
         return (
-            HamiltonianFamily(len(entries), lambda c: mat, "constant_diag"),
+            HamiltonianFamily(len(entries), constant(mat), "constant_diag"),
             SymmetryData.identity(len(entries)),
         )
     raise ConfigError(f"unknown model {name!r}")
@@ -278,8 +296,7 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
         return smooth_frame_gauge(frame_from_projection(proj), lat)
 
     bundle = RealBundle(model, j, lat, config.bands, config.tolerances, frame_rule)
-    for task in ("check-symmetry", "berry", "chern", "holonomy", "classify",
-                 "moduli", "oscillator-oracle"):
+    for task in KNOWN_TASKS:  # in dependency order
         if task not in config.tasks:
             continue
         if task == "check-symmetry":
@@ -347,35 +364,32 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
 
 
 def _oscillator_oracle(params, u, curv, lat) -> dict:
+    """Max deviation of the link connection and the plaquette curvature from
+    the closed forms, each evaluated once over all links and plaquettes."""
     a = local_connection_from_links(u).a[:, 0, 0]
-    dev_conn = max(
-        abs(a[lk] - oscillator_analytic_connection(params, mid)[mu])
-        for lk, (mid, mu) in enumerate(zip(lat.link_midpoints(), lat.link_mu))
-    )
-    dev_curv = 0.0
-    h1, h2 = lat.grid_spacing
-    for p in range(lat.n_plaquettes):
-        corner = lat.sites[lat.plaquette_vertices[p][0]]
-        target = oscillator_plaquette_flux(params, corner, h1, h2)
-        dev_curv = max(
-            dev_curv, abs(curv.f[p, 0, 0] - target) / lat.plaquette_areas[p]
-        )
+    target = oscillator_analytic_connection(params, lat.link_midpoints())
+    dev_conn = np.abs(a - target[np.arange(lat.n_links), lat.link_mu]).max()
+    corners = lat.sites[[verts[0] for verts in lat.plaquette_vertices]]
+    flux = oscillator_plaquette_flux(params, corners, *lat.grid_spacing)
+    dev_curv = (np.abs(curv.f[:, 0, 0] - flux) / lat.plaquette_areas).max()
     return {
-        "connection_max_deviation": dev_conn,
-        "curvature_max_deviation": dev_curv,
+        "connection_max_deviation": float(dev_conn),
+        "curvature_max_deviation": float(dev_curv),
     }
 
 
-def _write_curvature_csv(path: Path, curv, lat):
-    from .curvature import chern_weil_density
-
-    values = chern_weil_density(curv, 1)
+def _write_csv(path: Path, header: list, row_format: str, columns: list) -> None:
+    """One formatted row per entry of the columns, streamed, laid out as
+    csv.writer does (CRLF line ends)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "berry_curvature"])
-        for p in range(lat.n_plaquettes):
-            cx, cy = lat.plaquette_centers[p]
-            writer.writerow([f"{cx:.12g}", f"{cy:.12g}", f"{values[p]:.12g}"])
+        fh.write(",".join(header) + "\r\n")
+        rows = zip(*(col.tolist() for col in columns))
+        fh.writelines(row_format % row + "\r\n" for row in rows)
+
+
+def _write_curvature_csv(path: Path, curv, lat):
+    columns = [*lat.plaquette_centers.T, chern_weil_density(curv, 1)]
+    _write_csv(path, ["x", "y", "berry_curvature"], "%.12g,%.12g,%.12g", columns)
 
 
 def _write_connection_csv(path: Path, u, lat) -> int:
@@ -386,23 +400,15 @@ def _write_connection_csv(path: Path, u, lat) -> int:
     logs, cut = unitary_logs(u.u)
     keep = np.flatnonzero(~cut)
     m = u.rank
-    a = (logs / lat.link_spacing[keep, None, None]).reshape(keep.size, m * m)
+    a = logs / lat.link_spacing[keep, None, None]
+    parts = np.stack([a.real, a.imag], axis=-1).reshape(keep.size, 2 * m * m)
     mids = lat.link_midpoints()[keep]
     ys = mids[:, 1] if lat.dim > 1 else np.zeros(keep.size)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["x", "y", "direction"]
-        for r in range(m):
-            for c in range(m):
-                header += [f"a{r}{c}_re", f"a{r}{c}_im"]
-        writer.writerow(header)
-        for x, y, mu, entries in zip(
-            mids[:, 0].tolist(), ys.tolist(), lat.link_mu[keep].tolist(), a.tolist()
-        ):
-            row = [f"{x:.12g}", f"{y:.12g}", mu]
-            for z in entries:
-                row += [f"{z.real:.12g}", f"{z.imag:.12g}"]
-            writer.writerow(row)
+    header = ["x", "y", "direction"] + [
+        f"a{r}{c}_{part}" for r in range(m) for c in range(m) for part in ("re", "im")
+    ]
+    columns = [mids[:, 0], ys, lat.link_mu[keep], *parts.T]
+    _write_csv(path, header, "%.12g,%.12g,%d" + ",%.12g" * (2 * m * m), columns)
     return int(cut.sum())
 
 

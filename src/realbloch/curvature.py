@@ -6,6 +6,7 @@ quantized away from branch events.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +101,6 @@ def chern_number(curv: CurvatureField, lat: InvolutiveLattice):
     value = math.fsum(chern_weil_density(curv, 1))
     rounded = int(round(value))
     if abs(value - rounded) > QUANTIZATION_WARN:
-        import warnings
-
         warnings.warn(
             f"Chern number {value:.3e} is {abs(value - rounded):.2e} from an "
             "integer; refine the lattice or check the gap",

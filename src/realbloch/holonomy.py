@@ -13,10 +13,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._matrix import expm, frob, symmetric_unitary_sqrt
+from ._matrix import expms, frob, symmetric_unitary_sqrt
 from .berry import LinkField, ProductConnectionSpec
 from .errors import IndeterminateHolonomyError
-from .lattice import InvolutiveLattice, LoopPath, fixed_loops
+from .lattice import InvolutiveLattice, LoopPath, fixed_loops, map_loop
 from .symmetry import SewingField
 
 __all__ = [
@@ -77,19 +77,20 @@ def continuum_holonomy(
     """Path-ordered exponential of minus the connection along a closed curve.
 
     `curve(t)` returns (coords, velocity) for t in [0, 1]; midpoint
-    evaluation makes the product second-order accurate in 1/steps.
+    evaluation makes the product second-order accurate in 1/steps.  The
+    connection is evaluated in one call over all midpoints.
     """
     if steps < 16:
         raise ValueError("need at least 16 integration steps")
-    m = spec.rank
-    g = np.eye(m, dtype=complex)
     dt = 1.0 / steps
-    for k in range(steps):
-        t = (k + 0.5) * dt
-        coords, velocity = curve(t)
-        a = spec.connection_at(coords)
-        pulled = sum(a[mu] * v for mu, v in enumerate(np.atleast_1d(velocity)))
-        g = expm(-pulled * dt) @ g
+    points = [curve((k + 0.5) * dt) for k in range(steps)]
+    coords = np.array([np.atleast_1d(c) for c, _ in points], dtype=float)
+    velocity = np.array([np.atleast_1d(v) for _, v in points], dtype=float)
+    a = spec.connection_at(coords)  # (steps, dim, m, m)
+    pulled = sum(a[:, mu] * velocity[:, mu, None, None] for mu in range(a.shape[1]))
+    g = np.eye(spec.rank, dtype=complex)
+    for step in expms(-pulled * dt):
+        g = step @ g
     return HolonomyResult(g, None, -1, gauge_tag="continuum")
 
 
@@ -142,8 +143,6 @@ def holonomy_equivariance_check(
     discretization order certifies that holonomies of the image loop are the
     conjugates of the original ones.
     """
-    from .lattice import map_loop
-
     hol = wilson_loop(u, loop).hol
     hol_img = wilson_loop(u, map_loop(lat, loop)).hol
     wb = w.w[loop.base]

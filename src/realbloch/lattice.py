@@ -299,9 +299,10 @@ def _cycles(rows: np.ndarray) -> list:
 
 
 def build_circle(n_sites: int, kind: str) -> InvolutiveLattice:
-    """Circle lattice with trivial, reflection, or antipodal involution."""
+    """Circle lattice with trivial, reflection, or antipodal involution
+    (another kind raises DomainError)."""
     if kind not in ("trivial", "reflection", "antipodal"):
-        raise InvalidDiscretizationError(f"unknown circle involution {kind!r}")
+        raise DomainError(f"unknown circle involution {kind!r}")
     if n_sites < 4:
         raise InvalidDiscretizationError("circle needs at least 4 sites")
     if kind != "trivial" and n_sites % 2:
@@ -338,13 +339,14 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
 
     Involution kinds: ``trivial``; ``eta`` conjugates theta2 (fixed loops at
     theta2 = 0 and pi); ``eta1`` conjugates theta1 (fixed loops at theta1 = 0
-    and pi); ``xi`` sends theta2 to theta1 - theta2.  The xi torus is
-    triangulated with diagonal links so the involution maps links to links
-    exactly; it requires n1 == n2.  Site (i, j) has id i * n2 + j and owns
-    its theta1, theta2 and (xi) diagonal link, in that order.
+    and pi); ``xi`` sends theta2 to theta1 - theta2; another kind raises
+    DomainError.  The xi torus is triangulated with diagonal links so the
+    involution maps links to links exactly; it requires n1 == n2.  Site
+    (i, j) has id i * n2 + j and owns its theta1, theta2 and (xi) diagonal
+    link, in that order.
     """
     if kind not in ("trivial", "eta", "eta1", "xi"):
-        raise InvalidDiscretizationError(f"unknown torus involution {kind!r}")
+        raise DomainError(f"unknown torus involution {kind!r}")
     if n1 < 4 or n2 < 4 or n1 % 2 or n2 % 2:
         raise InvalidDiscretizationError("torus needs even n1, n2 >= 4")
     if kind == "xi" and n1 != n2:

@@ -6,7 +6,6 @@ the structure unitary J.  Every shipped model passes the Hamiltonian
 symmetry check at shipped resolutions.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -15,7 +14,7 @@ import numpy as np
 from .berry import ProductConnectionSpec
 from .errors import TruncationError
 from .lattice import InvolutiveLattice, sphere_embedding
-from .spectral import HamiltonianFamily
+from .spectral import HamiltonianFamily, constant
 from .symmetry import SymmetryData
 
 __all__ = [
@@ -48,6 +47,9 @@ class OscillatorParams:
     so the family is symmetric under theta1 -> -theta1 with entrywise
     conjugation.  df/dg are the derivatives of f and g used by the analytic
     connection and curvature; omitted ones fall back to central differences.
+    f, g and their derivatives act elementwise on arrays (constants are
+    broadcast), and nu, phi and their gradients read coords[..., mu], so
+    they take one (2,) point or a (..., 2) coordinate block.
     """
 
     level: int = 0
@@ -70,30 +72,37 @@ class OscillatorParams:
                 f"need at least {self.level + 20}"
             )
 
-    def nu(self, coords) -> float:
-        return self.delta + float(self.f(coords[1])) ** 2
+    def nu(self, coords) -> np.ndarray:
+        t2 = np.asarray(coords, dtype=float)[..., 1]
+        return self.delta + _on(self.f, t2) ** 2
 
-    def phi(self, coords) -> float:
-        return float(np.sin(coords[0])) * float(self.g(coords[1]))
+    def phi(self, coords) -> np.ndarray:
+        c = np.asarray(coords, dtype=float)
+        return np.sin(c[..., 0]) * _on(self.g, c[..., 1])
 
     def _d2(self, fn, dfn, t):
         if dfn is not None:
-            return float(dfn(t))
+            return _on(dfn, t)
         h = 1e-6
-        return (float(fn(t + h)) - float(fn(t - h))) / (2 * h)
+        return (_on(fn, t + h) - _on(fn, t - h)) / (2 * h)
 
     def grad_nu(self, coords) -> np.ndarray:
-        t2 = coords[1]
-        return np.array([0.0, 2.0 * float(self.f(t2)) * self._d2(self.f, self.df, t2)])
+        t2 = np.asarray(coords, dtype=float)[..., 1]
+        slope = 2.0 * _on(self.f, t2) * self._d2(self.f, self.df, t2)
+        return np.stack([np.zeros_like(slope), slope], axis=-1)
 
     def grad_phi(self, coords) -> np.ndarray:
-        t1, t2 = coords[0], coords[1]
-        return np.array(
-            [
-                np.cos(t1) * float(self.g(t2)),
-                np.sin(t1) * self._d2(self.g, self.dg, t2),
-            ]
+        c = np.asarray(coords, dtype=float)
+        t1, t2 = c[..., 0], c[..., 1]
+        return np.stack(
+            [np.cos(t1) * _on(self.g, t2), np.sin(t1) * self._d2(self.g, self.dg, t2)],
+            axis=-1,
         )
+
+
+def _on(fn, t) -> np.ndarray:
+    """fn(t) as a float array shaped like t (fn may return a constant)."""
+    return np.broadcast_to(np.asarray(fn(t), dtype=float), np.shape(t))
 
 
 def hermite_eigenfunction(n: int, r, nu: float, phi: float):
@@ -102,11 +111,12 @@ def hermite_eigenfunction(n: int, r, nu: float, phi: float):
     psi_n(r) = C_n nu^(1/4) H_n(r sqrt(nu)) exp(-r^2 (nu + i phi)/2) with
     C_n = (n! 2^n sqrt(pi))^(-1/2).  Evaluated through the normalized
     Hermite-function recurrence, which absorbs the Gaussian and never
-    overflows; conjugation flips the sign of the anomaly.
+    overflows; conjugation flips the sign of the anomaly.  r, nu and phi
+    broadcast against each other.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if nu <= 0:
+    if np.any(np.asarray(nu) <= 0):
         raise ValueError("frequency must be positive")
     r = np.asarray(r, dtype=float)
     y = r * np.sqrt(nu)
@@ -156,16 +166,15 @@ def model_oscillator(
     q2, p2, pq_qp = _ladder_blocks(p.n_basis)
 
     def evaluate(coords):
-        nu = p.nu(coords)
-        phi = p.phi(coords)
+        nu = p.nu(coords)[:, None, None]
+        phi = p.phi(coords)[:, None, None]
         return 0.5 * (p2 + phi * pq_qp + (nu * nu + phi * phi) * q2)
 
     ham = HamiltonianFamily(p.n_basis, evaluate, p.name)
     # truncation sanity at the extreme-frequency and extreme-anomaly sites
-    nus = np.array([p.nu(c) for c in lat.sites])
-    phis = np.array([p.phi(c) for c in lat.sites])
-    for s in {int(np.argmax(nus)), int(np.argmax(np.abs(phis)))}:
-        lam = np.linalg.eigvalsh(ham(lat.sites[s]))
+    nus, phis = p.nu(lat.sites), p.phi(lat.sites)
+    sites = list({int(np.argmax(nus)), int(np.argmax(np.abs(phis)))})
+    for s, lam in zip(sites, np.linalg.eigvalsh(ham(lat.sites[sites]))):
         target = nus[s] * (p.level + 0.5)
         if abs(lam[p.level] - target) > 1e-6:
             raise TruncationError(
@@ -189,51 +198,48 @@ def oscillator_reference_section(
     basis = np.stack(
         [hermite_eigenfunction(jn, nodes, 1.0, 0.0).real for jn in range(p.n_basis)]
     )
-    ref = np.empty((lat.n_sites, p.n_basis), dtype=complex)
-    for s in range(lat.n_sites):
-        psi = hermite_eigenfunction(p.level, nodes, p.nu(lat.sites[s]), p.phi(lat.sites[s]))
-        ref[s] = basis @ (bare * psi)
-    return ref
+    nu, phi = p.nu(lat.sites)[:, None], p.phi(lat.sites)[:, None]
+    return (bare * hermite_eigenfunction(p.level, nodes, nu, phi)) @ basis.T
+
+
+# The closed forms below take one (2,) point or a (..., 2) coordinate block.
 
 
 def oscillator_analytic_connection(p: OscillatorParams, coords) -> np.ndarray:
     """Closed-form connection components -i (2n+1)/(4 nu) d(phi), per direction."""
-    coords = np.asarray(coords, dtype=float)
     coef = -1.0j * (2 * p.level + 1) / (4.0 * p.nu(coords))
-    return coef * p.grad_phi(coords)
+    return np.expand_dims(coef, -1) * p.grad_phi(coords)
 
 
-def oscillator_analytic_curvature(p: OscillatorParams, coords) -> complex:
+def oscillator_analytic_curvature(p: OscillatorParams, coords):
     """Closed-form curvature coefficient i (2n+1)/(4 nu^2) of d(nu)^d(phi)."""
-    coords = np.asarray(coords, dtype=float)
     return 1.0j * (2 * p.level + 1) / (4.0 * p.nu(coords) ** 2)
 
 
-def oscillator_curvature_component(p: OscillatorParams, coords) -> complex:
+def oscillator_curvature_component(p: OscillatorParams, coords):
     """Curvature two-form component in the angular chart (dtheta1 ^ dtheta2)."""
     dnu = p.grad_nu(coords)
     dphi = p.grad_phi(coords)
     return oscillator_analytic_curvature(p, coords) * (
-        dnu[0] * dphi[1] - dnu[1] * dphi[0]
+        dnu[..., 0] * dphi[..., 1] - dnu[..., 1] * dphi[..., 0]
     )
 
 
-def oscillator_plaquette_flux(
-    p: OscillatorParams, corner, h1: float, h2: float
-) -> complex:
-    """Analytic curvature integrated over one rectangular plaquette.
+def oscillator_plaquette_flux(p: OscillatorParams, corner, h1: float, h2: float):
+    """Analytic curvature integrated over rectangular plaquettes.
 
-    3x3 Simpson rule, fourth-order accurate, so a comparison against the
-    discrete plaquette flux isolates the lattice discretization error
-    instead of the midpoint-versus-cell-average offset.
+    `corner` is one lower-left corner (2,) or a block of them.  3x3 Simpson
+    rule, fourth-order accurate, so a comparison against the discrete
+    plaquette flux isolates the lattice discretization error instead of the
+    midpoint-versus-cell-average offset.
     """
-    xs = corner[0] + np.array([0.0, 0.5, 1.0]) * h1
-    ys = corner[1] + np.array([0.0, 0.5, 1.0]) * h2
-    wts = np.array([1.0, 4.0, 1.0])
+    corner = np.asarray(corner, dtype=float)
+    nodes = ((0.0, 1.0), (0.5, 4.0), (1.0, 1.0))  # (offset, Simpson weight)
     acc = 0.0j
-    for i, x in enumerate(xs):
-        for k, y in enumerate(ys):
-            acc += wts[i] * wts[k] * oscillator_curvature_component(p, (x, y))
+    for x, wx in nodes:
+        for y, wy in nodes:
+            point = corner + np.array([x * h1, y * h2])
+            acc = acc + wx * wy * oscillator_curvature_component(p, point)
     return acc / 36.0 * h1 * h2
 
 
@@ -246,13 +252,10 @@ def model_mobius_circle() -> ProductConnectionSpec:
     J(theta) = exp(i theta) twists the product structure; the unique
     equivariant connection is -i/2 dtheta, flat with full-loop holonomy -1.
     """
-    j = SymmetryData(
-        1, +1, lambda c: np.array([[np.exp(1.0j * c[0])]]), "mobius-J"
-    )
     return ProductConnectionSpec(
         rank=1,
-        connection=lambda c: np.array([[[-0.5j]]]),
-        j=j,
+        connection=constant(np.full((1, 1, 1), -0.5j)),
+        j=SymmetryData(1, +1, _mobius_j, "mobius-J"),
         base_tag="circle-trivial",
         name="mobius_circle",
     )
@@ -264,23 +267,25 @@ def model_mobius_pullback_torus() -> ProductConnectionSpec:
     J(z1, z2) = z1 with connection -i/2 dtheta1: flat (Chern number 0) with
     holonomy -1 around each of the two fixed loops.
     """
-    j = SymmetryData(
-        1, +1, lambda c: np.array([[np.exp(1.0j * c[0])]]), "mobius-pullback-J"
-    )
     return ProductConnectionSpec(
         rank=1,
-        connection=lambda c: np.array([[[-0.5j]], [[0.0j]]]),
-        j=j,
+        connection=constant(np.array([[[-0.5j]], [[0.0j]]])),
+        j=SymmetryData(1, +1, _mobius_j, "mobius-pullback-J"),
         base_tag="torus2-eta",
         name="mobius_pullback_torus",
     )
+
+
+def _mobius_j(coords):
+    """J = exp(i theta1), the twist of the Mobius line and its pullback."""
+    return np.exp(1.0j * coords[:, 0])[:, None, None]
 
 
 def model_trivial_line(base_tag: str, dim: int = 1) -> ProductConnectionSpec:
     """Product line with J = 1 and zero connection on any supported base."""
     return ProductConnectionSpec(
         rank=1,
-        connection=lambda c: np.zeros((dim, 1, 1), dtype=complex),
+        connection=constant(np.zeros((dim, 1, 1), dtype=complex)),
         j=SymmetryData.identity(1),
         base_tag=base_tag,
         name="trivial_line",
@@ -291,7 +296,7 @@ def model_flat_line(a: float) -> ProductConnectionSpec:
     """Flat line i*a*dtheta on the reflection circle (holonomy exp(-2*pi*i*a))."""
     return ProductConnectionSpec(
         rank=1,
-        connection=lambda c: np.array([[[1.0j * a]]]),
+        connection=constant(np.full((1, 1, 1), 1.0j * a)),
         j=SymmetryData.identity(1),
         base_tag="circle-reflection",
         name="flat_line",
@@ -303,8 +308,9 @@ def model_flat_line(a: float) -> ProductConnectionSpec:
 
 def _winding_factor(k: int, x1: float, x2: float) -> complex:
     # negative degrees use the conjugate map, which is bounded at the poles
-    # where the literal inverse power diverges
-    return (x1 + 1j * np.sign(k) * x2) ** abs(k)
+    # where the literal inverse power diverges; the power ufunc multiplies
+    # out integer powers exactly as Python's complex ** int does
+    return np.power(x1 + 1j * np.sign(k) * x2, abs(k))
 
 
 def model_degree_k_sphere(k: int) -> tuple[HamiltonianFamily, SymmetryData]:
@@ -318,16 +324,14 @@ def model_degree_k_sphere(k: int) -> tuple[HamiltonianFamily, SymmetryData]:
     """
     if k == 0:
         raise ValueError("degree must be nonzero")
-    sign, power = (1 if k > 0 else -1), abs(k)
 
     def evaluate(coords):
-        # scalar form of sphere_embedding and _winding_factor: H is
-        # [[x0, conj(w)], [w, -x0]]
-        t, phi = float(coords[0]), float(coords[1])
-        sin_t = math.sin(t)
-        x0 = math.cos(t)
-        w = complex(sin_t * math.cos(phi), sign * sin_t * math.sin(phi)) ** power
-        return np.array([[x0, w.conjugate()], [w, -x0]], dtype=complex)
+        x0, x1, x2 = np.moveaxis(sphere_embedding(coords), -1, 0)
+        w = _winding_factor(k, x1, x2)
+        out = np.empty((len(coords), 2, 2), dtype=complex)
+        out[:, 0, 0], out[:, 0, 1] = x0, w.conj()
+        out[:, 1, 0], out[:, 1, 1] = w, -x0
+        return out
 
     return (
         HamiltonianFamily(2, evaluate, f"degree_{k}_sphere"),
@@ -373,35 +377,29 @@ def _solid_angle(a, b, c) -> float:
 # -- direct sums -----------------------------------------------------------
 
 
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block-diagonal sum of two stacks of square matrices, entry by entry."""
+    p, q = a.shape[-1], b.shape[-1]
+    out = np.zeros(a.shape[:-2] + (p + q, p + q), dtype=complex)
+    out[..., :p, :p] = a
+    out[..., p:, p:] = b
+    return out
+
+
 def direct_sum_specs(
     s1: ProductConnectionSpec, s2: ProductConnectionSpec
 ) -> ProductConnectionSpec:
     """Block sum of two product-bundle models over the same base."""
     if s1.base_tag != s2.base_tag:
         raise ValueError("direct sum needs a common base")
-    m1, m2 = s1.rank, s2.rank
-
-    def connection(coords):
-        a1 = s1.connection_at(coords)
-        a2 = s2.connection_at(coords)
-        dim = a1.shape[0]
-        out = np.zeros((dim, m1 + m2, m1 + m2), dtype=complex)
-        out[:, :m1, :m1] = a1
-        out[:, m1:, m1:] = a2
-        return out
-
-    def j(coords):
-        out = np.zeros((m1 + m2, m1 + m2), dtype=complex)
-        out[:m1, :m1] = s1.j(coords)
-        out[m1:, m1:] = s2.j(coords)
-        return out
-
     if s1.j.parity != s2.j.parity:
         raise ValueError("direct sum needs matching parity")
+    m = s1.rank + s2.rank
+    j1, j2 = s1.j, s2.j
     return ProductConnectionSpec(
-        rank=m1 + m2,
-        connection=connection,
-        j=SymmetryData(m1 + m2, s1.j.parity, j, "sum-J"),
+        rank=m,
+        connection=lambda c: _block_diag(s1.connection_at(c), s2.connection_at(c)),
+        j=SymmetryData(m, j1.parity, lambda c: _block_diag(j1(c), j2(c)), "sum-J"),
         base_tag=s1.base_tag,
         name=f"{s1.name}+{s2.name}",
     )
@@ -416,21 +414,10 @@ def direct_sum_hamiltonians(
     h2, j2 = pair2
     if j1.parity != j2.parity:
         raise ValueError("direct sum needs matching parity")
-    n1, n2 = h1.dimension, h2.dimension
-
-    def ham(coords):
-        out = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-        out[:n1, :n1] = h1(coords)
-        out[n1:, n1:] = h2(coords)
-        return out
-
-    def sym(coords):
-        out = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-        out[:n1, :n1] = j1(coords)
-        out[n1:, n1:] = j2(coords)
-        return out
-
+    n = h1.dimension + h2.dimension
     return (
-        HamiltonianFamily(n1 + n2, ham, f"{h1.name}+{h2.name}"),
-        SymmetryData(n1 + n2, j1.parity, sym, "sum-J"),
+        HamiltonianFamily(
+            n, lambda c: _block_diag(h1(c), h2(c)), f"{h1.name}+{h2.name}"
+        ),
+        SymmetryData(n, j1.parity, lambda c: _block_diag(j1(c), j2(c)), "sum-J"),
     )

@@ -20,6 +20,7 @@ __all__ = [
     "select_projection",
     "gap_margin",
     "frame_from_projection",
+    "pointwise",
 ]
 
 HERMITICITY_RTOL = 1e-12
@@ -30,16 +31,45 @@ DEGENERACY_TOL = 1e-8
 BLOCK_ENTRIES = 1 << 14
 
 
+def evaluate_block(evaluator, coords, shape: tuple, name: str) -> np.ndarray:
+    """One evaluator call on an (n, d) coordinate block; one (d,) point is a
+    block of one and gets its lone entry back.  An output other than
+    (n,) + `shape` raises ModelError naming `name` and the shape returned.
+    """
+    coords = np.asarray(coords, dtype=float)
+    block = np.atleast_2d(coords)
+    out = np.asarray(evaluator(block))
+    want = (len(block),) + shape
+    if out.shape != want:
+        raise ModelError(
+            f"{name}: evaluator returned shape {out.shape}, expected {want}"
+        )
+    return out if coords.ndim == 2 else out[0]
+
+
+def pointwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """Adapt a per-point evaluator fn((d,) coords) to the block contract."""
+    return lambda coords: np.stack([np.asarray(fn(c)) for c in coords])
+
+
+def constant(value: np.ndarray) -> Callable:
+    """Block evaluator of one array at every point, as a read-only broadcast."""
+    return lambda coords: np.broadcast_to(value, (len(coords),) + np.shape(value))
+
+
 @dataclass
 class HamiltonianFamily:
-    """Site-coordinate evaluator of an N x N Hermitian matrix."""
+    """N x N Hermitian matrix family: `evaluator` maps an (n, d) coordinate
+    block to an (n, N, N) stack in one call (see evaluate_block; wrap a
+    per-point function in `pointwise`)."""
 
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def __call__(self, coords) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(coords, dtype=float)))
+        n = self.dimension
+        return evaluate_block(self.evaluator, coords, (n, n), self.name or "model")
 
 
 @dataclass
@@ -131,35 +161,24 @@ def index_blocks(n: int, entries: int):
 def eigensolve_family(h: HamiltonianFamily, lat: InvolutiveLattice) -> SpectralData:
     """Diagonalize the family at every lattice site.
 
-    H is evaluated once per site, and each site block (see index_blocks) is
-    checked for Hermiticity and diagonalized by one batched eigh, so no
+    H is evaluated once per site block (see index_blocks), and each block
+    is checked for Hermiticity and diagonalized by one batched eigh, so no
     (n_sites, N, N) array exists besides the returned eigenvectors.  Raises
-    ModelError naming the first site whose matrix has the wrong shape or is
-    not Hermitian.
+    ModelError on an evaluator output of the wrong shape, or naming the
+    first site whose matrix is not Hermitian.
     """
     n, dim = lat.n_sites, h.dimension
-    name = h.name or "model"
     values = np.empty((n, dim))
     vectors = np.empty((n, dim, dim), dtype=complex)
     for block in index_blocks(n, dim * dim):
-        mats, bad = [], None
-        for s in range(block.start, block.stop):
-            mat = h(lat.sites[s])
-            if mat.shape != (dim, dim):
-                bad = (s, mat.shape)
-                break
-            mats.append(mat)
-        stack = np.array(mats).reshape(len(mats), dim, dim)
+        stack = h(lat.sites[block])
         scale = np.maximum(frob_each(stack), 1.0)
         skew = frob_each(stack - adjoint(stack)) > HERMITICITY_RTOL * scale
         skew = np.flatnonzero(skew)
         if skew.size:
             raise ModelError(
-                f"{name}: non-Hermitian output at site {block.start + skew[0]}"
-            )
-        if bad is not None:
-            raise ModelError(
-                f"{name}: evaluator returned shape {bad[1]}, expected {(dim, dim)}"
+                f"{h.name or 'model'}: non-Hermitian output at site "
+                f"{block.start + skew[0]}"
             )
         values[block], vectors[block] = np.linalg.eigh(stack)
     return SpectralData(values, vectors, lat)

@@ -10,10 +10,17 @@ from typing import Callable
 
 import numpy as np
 
-from ._matrix import adjoint, frob, max_frob
+from ._matrix import adjoint, frob_each, max_frob
 from .errors import KramersObstructionError, SymmetryInconsistencyError
 from .lattice import InvolutiveLattice
-from .spectral import Frame, HamiltonianFamily, ProjectionFamily, index_blocks
+from .spectral import (
+    Frame,
+    HamiltonianFamily,
+    ProjectionFamily,
+    constant,
+    evaluate_block,
+    index_blocks,
+)
 
 __all__ = [
     "SymmetryData",
@@ -33,6 +40,8 @@ class SymmetryData:
 
     Parity +1 is even time reversal ("Real" structures), -1 is odd
     ("Quaternionic"; supported here only at the level of symmetry checks).
+    `evaluator` follows the HamiltonianFamily block contract: an (n, d)
+    coordinate block in, an (n, N, N) stack out.
     """
 
     dimension: int
@@ -41,17 +50,15 @@ class SymmetryData:
     name: str = ""
 
     def __call__(self, coords) -> np.ndarray:
-        j = self.evaluator(np.asarray(coords, dtype=float))
+        n = self.dimension
+        j = evaluate_block(self.evaluator, coords, (n, n), self.name or "symmetry")
         return np.asarray(j, dtype=complex)
-
-    def sample(self, lat: InvolutiveLattice) -> np.ndarray:
-        """J at every site, stacked (n_sites, N, N); one evaluation per site."""
-        return sample_stack(self, lat.sites)
 
     @staticmethod
     def constant(j: np.ndarray, parity: int = +1, name: str = "") -> "SymmetryData":
+        """The same J at every site, as a read-only broadcast view."""
         j = np.asarray(j, dtype=complex)
-        return SymmetryData(j.shape[0], parity, lambda coords: j, name)
+        return SymmetryData(j.shape[0], parity, constant(j), name)
 
     @staticmethod
     def identity(dimension: int) -> "SymmetryData":
@@ -81,14 +88,6 @@ class SymmetryReport:
             self.hamiltonian_residual <= self.tolerance
             and self.unitary_residual <= self.tolerance
         )
-
-
-def sample_stack(family, coords) -> np.ndarray:
-    """One evaluation of a per-site N x N family per coordinate row, stacked."""
-    out = np.empty((len(coords), family.dimension, family.dimension), dtype=complex)
-    for i, c in enumerate(coords):
-        out[i] = family(c)
-    return out
 
 
 def orbit_blocks(lat: InvolutiveLattice, dim: int):
@@ -126,15 +125,16 @@ def verify_hamiltonian_symmetry(
 
     Reports max over sites of || J(x)^dag H(tau x) J(x) - conj(H(x)) || and
     of || J(tau x) conj(J(x)) - parity * 1 ||; both below tolerance declare
-    the family symmetric.  H and J are evaluated once per site; the tau side
-    is a gather within involution-closed blocks.  Report-only: never raises.
+    the family symmetric.  H and J are evaluated once per involution-closed
+    block; the tau side is a gather within the block.  Report-only: never
+    raises.
     """
     res_h = 0.0
     res_j = 0.0
     for sites, tau in orbit_blocks(lat, h.dimension):
         coords = lat.sites[sites]
-        hs = sample_stack(h, coords)
-        js = sample_stack(j, coords)
+        hs = h(coords)
+        js = j(coords)
         res_h = max(res_h, max_frob(adjoint(js) @ hs[tau] @ js - hs.conj()))
         res_j = max(res_j, unitary_residual(js, js[tau], j.parity))
     return SymmetryReport(res_h, res_j, tolerance)
@@ -155,7 +155,7 @@ def verify_projection_symmetry(
     cols = p.columns
     res = 0.0
     for block in index_blocks(lat.n_sites, j.dimension**2):
-        js = sample_stack(j, lat.sites[block])
+        js = j(lat.sites[block])
         vt, vs = cols[tau[block]], cols[block]
         diff = vt @ (adjoint(vt) @ js) - (js @ vs.conj()) @ vs.swapaxes(1, 2)
         res = max(res, max_frob(diff))
@@ -180,7 +180,7 @@ def sewing_matrix(
     cols = f.columns
     w = np.empty((lat.n_sites, m, m), dtype=complex)
     for block in index_blocks(lat.n_sites, j.dimension**2):
-        js = sample_stack(j, lat.sites[block])
+        js = j(lat.sites[block])
         w[block] = adjoint(cols[tau[block]]) @ js @ cols[block].conj()
     worst = max_frob(adjoint(w) @ w - np.eye(m))
     if worst > tolerance:
@@ -198,14 +198,16 @@ def gb_equivariance_obstruction(
     Max over links x -> x + mu of || P(x) conj(J(x+mu)^dag - J(x)^dag) || per
     unit spacing (forward differences of J along links).  Zero certifies the
     connection built from frame overlaps equivariant; constant J gives 0
-    exactly.
+    exactly.  J is sampled once over all sites; the links run in blocks.
     """
+    js = j(lat.sites)
+    tail, head = lat.link_tail, lat.link_head
     worst = 0.0
-    for lk in range(lat.n_links):
-        a, b = int(lat.link_tail[lk]), int(lat.link_head[lk])
-        dj = j(lat.sites[b]).conj().T - j(lat.sites[a]).conj().T
-        val = frob(p.projectors[a] @ dj.conj()) / float(lat.link_spacing[lk])
-        worst = max(worst, val)
+    for block in index_blocks(lat.n_links, j.dimension**2):
+        a = tail[block]
+        dj = adjoint(js[head[block]]) - adjoint(js[a])
+        val = frob_each(p.projectors[a] @ dj.conj()) / lat.link_spacing[block]
+        worst = max(worst, float(val.max(initial=0.0)))
     return worst
 
 
@@ -213,8 +215,4 @@ def quaternionic_q(n: int) -> np.ndarray:
     """Block-diagonal symplectic matrix used by odd-parity symmetry checks."""
     if n % 2:
         raise ValueError("quaternionic structure needs even dimension")
-    q = np.zeros((n, n))
-    for k in range(0, n, 2):
-        q[k, k + 1] = -1.0
-        q[k + 1, k] = 1.0
-    return q
+    return np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])

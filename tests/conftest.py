@@ -17,7 +17,7 @@ def mobius_two_band():
         return -(np.cos(th) * SX + np.sin(th) * SY)
 
     return (
-        rb.HamiltonianFamily(2, evaluate, "mobius-2band"),
+        rb.HamiltonianFamily(2, rb.pointwise(evaluate), "mobius-2band"),
         rb.SymmetryData.constant(SX, +1, "sigma-x"),
     )
 
@@ -28,7 +28,7 @@ def constant_diag(entries):
     def evaluate(coords):
         return mat
 
-    return rb.HamiltonianFamily(len(entries), evaluate, "constant-diag")
+    return rb.HamiltonianFamily(len(entries), rb.pointwise(evaluate), "constant-diag")
 
 
 @pytest.fixture

@@ -8,7 +8,9 @@ error class naming the same site, link or plaquette.  Each function takes
 and returns the package's own data types, except the lattice builders:
 ``*_fields`` return a builder's constructor fields and ``lattice_tables``
 the tables derived from them (a dict of directed links, walked link by link
-and plaquette by plaquette), which test_lattice.py compares bitwise.
+and plaquette by plaquette), which test_lattice.py compares bitwise.  The
+per-point model evaluators, and the loops that called them once per site,
+link, plaquette or curve step, are the reference of test_block_contract.py.
 """
 
 import csv
@@ -335,6 +337,188 @@ def lattice_tables(fields):
         plaquette_image=plaq_img,
         plaquette_image_sign=plaq_sgn,
     )
+
+
+# -- per-point models ----------------------------------------------------------
+# The shipped closed forms one point at a time, as the models evaluated them
+# before the block contract; test_block_contract.py compares the block forms.
+
+
+def degree_k_sphere(k):
+    sign, power = (1 if k > 0 else -1), abs(k)
+
+    def evaluate(coords):
+        t, phi = float(coords[0]), float(coords[1])
+        sin_t = math.sin(t)
+        x0 = math.cos(t)
+        w = complex(sin_t * math.cos(phi), sign * sin_t * math.sin(phi)) ** power
+        return np.array([[x0, w.conjugate()], [w, -x0]], dtype=complex)
+
+    return evaluate
+
+
+def _d2(fn, dfn, t):
+    if dfn is not None:
+        return float(dfn(t))
+    h = 1e-6
+    return (float(fn(t + h)) - float(fn(t - h))) / (2 * h)
+
+
+def oscillator_nu(p, coords):
+    return p.delta + float(p.f(coords[1])) ** 2
+
+
+def oscillator_phi(p, coords):
+    return float(np.sin(coords[0])) * float(p.g(coords[1]))
+
+
+def oscillator_grad_nu(p, coords):
+    t2 = coords[1]
+    return np.array([0.0, 2.0 * float(p.f(t2)) * _d2(p.f, p.df, t2)])
+
+
+def oscillator_grad_phi(p, coords):
+    t1, t2 = coords[0], coords[1]
+    return np.array([np.cos(t1) * float(p.g(t2)), np.sin(t1) * _d2(p.g, p.dg, t2)])
+
+
+def oscillator(p):
+    q2, p2, pq_qp = rb.models._ladder_blocks(p.n_basis)
+
+    def evaluate(coords):
+        nu = oscillator_nu(p, coords)
+        phi = oscillator_phi(p, coords)
+        return 0.5 * (p2 + phi * pq_qp + (nu * nu + phi * phi) * q2)
+
+    return evaluate
+
+
+def oscillator_connection(p, coords):
+    coef = -1.0j * (2 * p.level + 1) / (4.0 * oscillator_nu(p, coords))
+    return coef * oscillator_grad_phi(p, coords)
+
+
+def oscillator_curvature_component(p, coords):
+    dnu = oscillator_grad_nu(p, coords)
+    dphi = oscillator_grad_phi(p, coords)
+    coef = 1.0j * (2 * p.level + 1) / (4.0 * oscillator_nu(p, coords) ** 2)
+    return coef * (dnu[0] * dphi[1] - dnu[1] * dphi[0])
+
+
+def oscillator_plaquette_flux(p, corner, h1, h2):
+    xs = corner[0] + np.array([0.0, 0.5, 1.0]) * h1
+    ys = corner[1] + np.array([0.0, 0.5, 1.0]) * h2
+    wts = np.array([1.0, 4.0, 1.0])
+    acc = 0.0j
+    for i, x in enumerate(xs):
+        for k, y in enumerate(ys):
+            acc += wts[i] * wts[k] * oscillator_curvature_component(p, (x, y))
+    return acc / 36.0 * h1 * h2
+
+
+def oscillator_reference_section(p, lat, n_nodes=96):
+    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    bare = weights * np.exp(nodes**2)
+    basis = np.stack(
+        [rb.hermite_eigenfunction(jn, nodes, 1.0, 0.0).real for jn in range(p.n_basis)]
+    )
+    ref = np.empty((lat.n_sites, p.n_basis), dtype=complex)
+    for s in range(lat.n_sites):
+        c = lat.sites[s]
+        psi = rb.hermite_eigenfunction(
+            p.level, nodes, oscillator_nu(p, c), oscillator_phi(p, c)
+        )
+        ref[s] = basis @ (bare * psi)
+    return ref
+
+
+def oscillator_oracle(p, u, curv, lat):
+    """The CLI's oscillator-oracle deviations, link by link and plaquette by
+    plaquette."""
+    a = local_connection_from_links(u).a[:, 0, 0]
+    dev_conn = max(
+        abs(a[lk] - oscillator_connection(p, lat.link_midpoint(lk))[lat.link_mu[lk]])
+        for lk in range(lat.n_links)
+    )
+    h1, h2 = lat.grid_spacing
+    dev_curv = 0.0
+    for q in range(lat.n_plaquettes):
+        corner = lat.sites[lat.plaquette_vertices[q][0]]
+        target = oscillator_plaquette_flux(p, corner, h1, h2)
+        dev_curv = max(dev_curv, abs(curv.f[q, 0, 0] - target) / lat.plaquette_areas[q])
+    return {"connection_max_deviation": dev_conn, "curvature_max_deviation": dev_curv}
+
+
+def mobius_j(coords):
+    return np.array([[np.exp(1.0j * coords[0])]])
+
+
+def mobius_circle_connection(coords):
+    return np.array([[[-0.5j]]])
+
+
+def mobius_pullback_connection(coords):
+    return np.array([[[-0.5j]], [[0.0j]]])
+
+
+def trivial_line_connection(dim):
+    return lambda coords: np.zeros((dim, 1, 1), dtype=complex)
+
+
+def flat_line_connection(a):
+    return lambda coords: np.array([[[1.0j * a]]])
+
+
+def constant(matrix):
+    return lambda coords: matrix
+
+
+def direct_sum_connection(s1, s2):
+    m1, m2 = s1.rank, s2.rank
+
+    def connection(coords):
+        a1 = s1.connection_at(coords)
+        a2 = s2.connection_at(coords)
+        out = np.zeros((a1.shape[0], m1 + m2, m1 + m2), dtype=complex)
+        out[:, :m1, :m1] = a1
+        out[:, m1:, m1:] = a2
+        return out
+
+    return connection
+
+
+def direct_sum(f1, f2):
+    """Per-point block-diagonal sum of two N x N families (H or J)."""
+    n1, n2 = f1.dimension, f2.dimension
+
+    def evaluate(coords):
+        out = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+        out[:n1, :n1] = f1(coords)
+        out[n1:, n1:] = f2(coords)
+        return out
+
+    return evaluate
+
+
+def continuum_holonomy(spec, curve, steps):
+    g = np.eye(spec.rank, dtype=complex)
+    dt = 1.0 / steps
+    for k in range(steps):
+        coords, velocity = curve((k + 0.5) * dt)
+        a = spec.connection_at(np.atleast_1d(coords))
+        pulled = sum(a[mu] * v for mu, v in enumerate(np.atleast_1d(velocity)))
+        g = expm(-pulled * dt) @ g
+    return g
+
+
+def gb_equivariance_obstruction(projectors, j, lat):
+    worst = 0.0
+    for lk in range(lat.n_links):
+        a, b = int(lat.link_tail[lk]), int(lat.link_head[lk])
+        dj = j(lat.sites[b]).conj().T - j(lat.sites[a]).conj().T
+        val = frob(projectors[a] @ dj.conj()) / float(lat.link_spacing[lk])
+        worst = max(worst, val)
+    return worst
 
 
 # -- spectral ------------------------------------------------------------------

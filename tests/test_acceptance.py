@@ -164,7 +164,7 @@ def test_06_torus_mobius_pullback():
 
 def product_pipeline(spec, lat):
     u = rb.link_field_from_connection(spec, lat)
-    w = rb.SewingField(spec.j.sample(lat), lat, +1, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
     proj = rb.ProjectionFamily(
         np.tile(np.eye(spec.rank, dtype=complex), (lat.n_sites, 1, 1)),
         spec.rank,

@@ -158,7 +158,7 @@ def test_product_pipeline_matches_loops(case):
     assert np.max(np.abs(u.u - u_ref.u)) <= TOL
     assert abs(_j_consistency(spec.j, lat) - ref.j_consistency(spec.j, lat)) <= TOL
 
-    w = rb.SewingField(spec.j.sample(lat), lat, spec.j.parity, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), lat, spec.j.parity, 0.0)
     eq = rb.equivariance_residual(u, w, lat)
     assert abs(eq - ref.equivariance_residual(u_ref, w, lat)) <= TOL
 
@@ -237,7 +237,7 @@ def test_gap_closure_names_same_site():
     lat = rb.build_circle(16, "trivial")
     # the two bands touch at theta = pi only, site 8
     h = rb.HamiltonianFamily(
-        2, lambda c: np.diag([0.0, 1.0 + np.cos(c[0])]), "touching"
+        2, rb.pointwise(lambda c: np.diag([0.0, 1.0 + np.cos(c[0])])), "touching"
     )
     s = rb.eigensolve_family(h, lat)
     err = same_failure(
@@ -265,7 +265,7 @@ def test_non_hermitian_names_same_site(dim):
             mat[1, 0] += 1.0
         return mat
 
-    h = rb.HamiltonianFamily(dim, evaluate, "skew")
+    h = rb.HamiltonianFamily(dim, rb.pointwise(evaluate), "skew")
     same_failure(
         ModelError,
         lambda: rb.eigensolve_family(h, lat),

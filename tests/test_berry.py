@@ -216,7 +216,9 @@ def test_j_conjugate_connection_matches_loop(rng, case):
 def test_j_step_branch_cut_names_same_link():
     lat = rb.build_circle(4, "trivial")
     # J jumps by -1 between sites 1 and 2
-    j = rb.SymmetryData(1, +1, lambda c: np.array([[1.0 if c[0] < 2.0 else -1.0]]))
+    j = rb.SymmetryData(
+        1, +1, rb.pointwise(lambda c: np.array([[1.0 if c[0] < 2.0 else -1.0]]))
+    )
     a = rb.LocalConnectionForm(np.zeros((lat.n_links, 1, 1), dtype=complex), lat)
     with pytest.raises(BranchCutError) as got:
         rb.j_conjugate_connection(a, j, lat)
@@ -236,5 +238,5 @@ def test_mobius_connection_equivariant_on_lattice():
     lat = rb.build_circle(32, "trivial")
     spec = rb.model_mobius_circle()
     u = rb.link_field_from_connection(spec, lat)
-    w = rb.SewingField(spec.j.sample(lat), lat, +1, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
     assert rb.equivariance_residual(u, w, lat) <= 1e-12

@@ -109,7 +109,7 @@ def test_unsupported_parity():
     q = rb.quaternionic_q(2)
     spec = rb.ProductConnectionSpec(
         rank=2,
-        connection=lambda c: np.zeros((2, 2, 2), dtype=complex),
+        connection=rb.pointwise(lambda c: np.zeros((2, 2, 2), dtype=complex)),
         j=rb.SymmetryData.constant(q, -1, "odd"),
         base_tag="torus2-eta",
     )
@@ -135,7 +135,7 @@ def test_symmetry_violation_detected(rng):
     lat = rb.build_sphere2(6, 8)
     h, _ = rb.model_degree_k_sphere(1)
     bad_j = rb.SymmetryData(
-        2, +1, lambda c: np.diag([np.exp(1j * c[1]), 1.0]), "broken"
+        2, +1, rb.pointwise(lambda c: np.diag([np.exp(1j * c[1]), 1.0])), "broken"
     )
     with pytest.raises(SymmetryViolationError):
         rb.classify_real_bundle(h, bad_j, lat, {0})

@@ -214,6 +214,69 @@ def test_bad_bands_are_config_errors(tmp_path, bands, message):
     assert report["error"] == {"kind": "config", "message": message}
 
 
+SPHERE_CONFIG = {
+    "lattice": {"topology": "sphere2", "n_theta": 6, "n_phi": 8},
+    "model": {"name": "degree_k_sphere", "params": {"k": 2}},
+    "tasks": ["classify"],
+}
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"resolution_scale": "x"}, "bad resolution_scale 'x': invalid literal"),
+        ({"bands": None}, "bad bands None: 'NoneType' object is not iterable"),
+        ({"tolerances": [1]}, "bad tolerances [1]: cannot convert"),
+        ({"moduli_values": 3}, "bad moduli_values 3: 'int' object is not iterable"),
+        (
+            {"model": {"name": "degree_k_sphere", "params": {"k": "a"}}},
+            "bad k 'a': invalid literal",
+        ),
+        ({"tasks": "classify"}, "tasks must be a nonempty list, got 'classify'"),
+    ],
+)
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, override, message):
+    path = write_config(tmp_path, dict(SPHERE_CONFIG, **override))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    # values read before the run go to stderr, the others into the report
+    if (out / "report.json").exists():
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["kind"] == "config"
+        shown = error["message"]
+    else:
+        shown = capsys.readouterr().err
+    assert message in shown
+
+
+def test_unknown_involution_kind_is_config_error(tmp_path):
+    config = {
+        "lattice": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "bogus"},
+        "model": {"name": "mobius_pullback_torus"},
+        "tasks": ["classify"],
+    }
+    out = tmp_path / "out"
+    code = cli.main(["run", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] == {
+        "kind": "config", "message": "unknown torus involution 'bogus'"
+    }
+
+
+def test_too_coarse_lattice_is_refinement_error(tmp_path):
+    config = {
+        "lattice": {"topology": "circle", "n_sites": 3, "kind": "trivial"},
+        "model": {"name": "mobius_circle"},
+        "tasks": ["classify"],
+    }
+    out = tmp_path / "out"
+    code = cli.main(["run", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == cli.EXIT_REFINE
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["kind"] == "refinement"
+
+
 def test_rank_two_oscillator_run(tmp_path):
     # two bands: the rank-1 level section cannot align the frames, so the
     # run uses the tree-smoothed gauge
@@ -339,7 +402,8 @@ def test_connection_csv_matches_per_link_writer(tmp_path, bands):
 
 
 def family_from(name, evaluator):
-    return rb.HamiltonianFamily(2, evaluator, name), rb.SymmetryData.identity(2)
+    family = rb.HamiltonianFamily(2, rb.pointwise(evaluator), name)
+    return family, rb.SymmetryData.identity(2)
 
 
 def asymmetric_family(gap_closed=False):

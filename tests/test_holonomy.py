@@ -52,7 +52,7 @@ def test_continuum_holonomy_abelian_line_integral():
     a, b = 0.3, 0.45
     spec = rb.ProductConnectionSpec(
         rank=1,
-        connection=lambda c: np.array([[[1j * (a + b * np.cos(c[0]))]]]),
+        connection=rb.pointwise(lambda c: np.array([[[1j * (a + b * np.cos(c[0]))]]])),
         j=rb.SymmetryData.identity(1),
         base_tag="circle-trivial",
     )
@@ -67,8 +67,8 @@ def test_continuum_holonomy_second_order_nonabelian():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     spec = rb.ProductConnectionSpec(
         rank=2,
-        connection=lambda c: np.array(
-            [1j * (0.4 * sz + 0.6 * np.cos(c[0]) * sx)]
+        connection=rb.pointwise(
+            lambda c: np.array([1j * (0.4 * sz + 0.6 * np.cos(c[0]) * sx)])
         ),
         j=rb.SymmetryData.identity(2),
         base_tag="circle-trivial",
@@ -147,7 +147,7 @@ def test_fixed_loop_holonomies_trivial_and_pullback():
 
     spec = rb.model_mobius_pullback_torus()
     u = rb.link_field_from_connection(spec, lat)
-    w = rb.SewingField(spec.j.sample(lat), lat, +1, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
     recs = rb.fixed_loop_holonomies(u, lat, w)
     assert [r.sign for r in recs] == [-1, -1]
     assert all(r.reality_residual <= 1e-10 for r in recs)
@@ -158,7 +158,7 @@ def test_fixed_loop_sign_stable_under_refinement():
         lat = rb.build_torus2(n, n, "eta")
         spec = rb.model_mobius_pullback_torus()
         u = rb.link_field_from_connection(spec, lat)
-        w = rb.SewingField(spec.j.sample(lat), lat, +1, 0.0)
+        w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
         assert [r.sign for r in rb.fixed_loop_holonomies(u, lat, w)] == [-1, -1]
 
 
@@ -209,7 +209,7 @@ def test_holonomy_equivariance_with_winding_j():
     lat = rb.build_torus2(12, 12, "eta")
     spec = rb.model_mobius_pullback_torus()
     u = rb.link_field_from_connection(spec, lat)
-    w = rb.SewingField(spec.j.sample(lat), lat, +1, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
     for loop in (
         rb.torus_row_loop(lat, 0, 3),   # theta1 row at theta2 = 3h -> -3h
         rb.torus_row_loop(lat, 1, 2),   # theta2 column, reversed by eta

@@ -180,7 +180,7 @@ def test_mobius_pullback_spec():
     u = rb.link_field_from_connection(spec, lat)
     value, rounded = rb.chern_number(rb.plaquette_curvature(u, lat), lat)
     assert rounded == 0
-    w = rb.SewingField(spec.j.sample(lat), lat, +1, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
     assert [r.sign for r in rb.fixed_loop_holonomies(u, lat, w)] == [-1, -1]
 
 

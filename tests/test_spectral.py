@@ -33,7 +33,9 @@ def test_pauli_model_spectrum_and_projector():
 
 def test_non_hermitian_rejected():
     lat = rb.build_circle(4, "trivial")
-    h = rb.HamiltonianFamily(2, lambda c: np.array([[0, 1], [0, 0]], dtype=complex))
+    h = rb.HamiltonianFamily(
+        2, rb.pointwise(lambda c: np.array([[0, 1], [0, 0]], dtype=complex))
+    )
     with pytest.raises(ModelError):
         rb.eigensolve_family(h, lat)
 

@@ -33,7 +33,7 @@ def test_broken_hamiltonian_symmetry_is_order_one(rng):
             coords[0]
         )
 
-    h = rb.HamiltonianFamily(3, evaluate, "broken")
+    h = rb.HamiltonianFamily(3, rb.pointwise(evaluate), "broken")
     rep = rb.verify_hamiltonian_symmetry(h, rb.SymmetryData.identity(3), lat)
     assert rep.hamiltonian_residual > 0.1
 
@@ -46,7 +46,7 @@ def test_projection_symmetry_cases(rng):
     assert rb.verify_projection_symmetry(p, rb.SymmetryData.identity(2), lat) == 0.0
     # deliberately broken J
     bad = rb.SymmetryData(
-        2, +1, lambda c: np.array([[np.exp(1j * c[0]), 0], [0, 1]]), "bad"
+        2, +1, rb.pointwise(lambda c: np.array([[np.exp(1j * c[0]), 0], [0, 1]])), "bad"
     )
     lat2 = rb.build_sphere2(4, 6)
     h, _ = rb.model_degree_k_sphere(1)
@@ -148,7 +148,7 @@ def test_obstruction_constant_j_exactly_zero():
 def test_obstruction_winding_j_order_one():
     lat = rb.build_torus2(8, 8, "eta")
     j = rb.SymmetryData(
-        2, +1, lambda c: np.exp(1j * c[0]) * np.eye(2), "winding"
+        2, +1, rb.pointwise(lambda c: np.exp(1j * c[0]) * np.eye(2)), "winding"
     )
     proj = rb.ProjectionFamily(
         np.tile(np.diag([1.0, 0.0]).astype(complex), (lat.n_sites, 1, 1)), 1, lat
@@ -160,7 +160,7 @@ def test_obstruction_empty_projection_zero():
     lat = rb.build_circle(8, "trivial")
     proj = rb.ProjectionFamily(np.zeros((8, 2, 2), dtype=complex), 0, lat)
     j = rb.SymmetryData(
-        2, +1, lambda c: np.exp(1j * c[0]) * np.eye(2), "winding"
+        2, +1, rb.pointwise(lambda c: np.exp(1j * c[0]) * np.eye(2)), "winding"
     )
     assert rb.gb_equivariance_obstruction(proj, j, lat) == 0.0
 
