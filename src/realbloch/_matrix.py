@@ -1,13 +1,16 @@
 """Dense-matrix helpers used throughout the package.
 
 Functions named in the plural act on stacks: arrays of shape (n, m, m)
-holding one small matrix per site, link or plaquette.
+holding one small matrix per site, link or plaquette.  Every matrix
+function is one `spectral_maps` call: numpy is the only runtime dependency.
 """
 
 import numpy as np
-import scipy.linalg
 
-from .errors import BranchCutError
+from .errors import BranchCutError, ModelError
+
+HERMITICITY_RTOL = 1e-12
+BRANCH_CUT_GUARD = 1e-9  # |eigenvalue + 1| below which log and sqrt are ambiguous
 
 
 def frob(a) -> float:
@@ -28,6 +31,13 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def non_hermitian(a: np.ndarray, sign: int = 1) -> np.ndarray:
+    """Indices of the stack entries off `sign` times their adjoint (relative
+    bound HERMITICITY_RTOL; sign -1 tests anti-Hermiticity)."""
+    scale = np.maximum(frob_each(a), 1.0)
+    return np.flatnonzero(frob_each(a - sign * adjoint(a)) > HERMITICITY_RTOL * scale)
+
+
 def polar_unitaries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar unitary factors of a stack and each smallest singular value.
 
@@ -45,31 +55,39 @@ def polar_unitaries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u @ vh, smin
 
 
-def unitary_logs(u: np.ndarray, *, guard: float = 1e-9):
+def spectral_maps(a: np.ndarray, f, *, hermitian: bool = False):
+    """``(f(A), w)``: f applied to the spectrum w, (n, m), of a stack.  Rank
+    one maps the scalars; larger ranks take one batched eig (eigh when
+    `hermitian`, with V^-1 = V^dag) and form V diag(f(w)) V^-1.
+    """
+    if a.shape[1:] == (1, 1):
+        w = a[:, :, 0]
+        return f(w)[:, :, None], w
+    if hermitian:
+        w, v = np.linalg.eigh(a)
+        return (v * f(w)[:, None, :]) @ adjoint(v), w
+    w, v = np.linalg.eig(a)
+    return (v * f(w)[:, None, :]) @ np.linalg.inv(v), w
+
+
+def unitary_logs(u: np.ndarray, *, guard: float = BRANCH_CUT_GUARD):
     """Principal logarithms of a unitary stack, clear of the branch cut.
 
     Returns ``(logs, cut)``: ``cut`` marks the entries with an eigenvalue
     within `guard` of -1, where the principal branch is ambiguous, and
-    ``logs`` holds the anti-Hermitized logarithms of the other entries in
-    order.  Rank one is one vectorised np.angle; larger ranks take one
-    batched eigendecomposition U = V diag(w) V^-1 and form
-    V diag(i angle w) V^-1.
+    ``logs`` holds the logarithms i angle(w) of the other entries in order,
+    anti-Hermitized for ranks above one.
     """
-    if u.shape[1:] == (1, 1):
-        z = u[:, 0, 0]
-        cut = np.abs(z + 1.0) < guard
-        return (1j * np.angle(z[~cut]))[:, None, None], cut
-    w, v = np.linalg.eig(u)
+    logs, w = spectral_maps(u, lambda w: 1j * np.angle(w))
     cut = (np.abs(w + 1.0) < guard).any(axis=1)
-    w, v = w[~cut], v[~cut]
-    a = (v * (1j * np.angle(w))[:, None, :]) @ np.linalg.inv(v)
-    return 0.5 * (a - adjoint(a)), cut
+    logs = logs[~cut]
+    return (logs if u.shape[1] == 1 else 0.5 * (logs - adjoint(logs))), cut
 
 
 def principal_log_unitaries(
-    u: np.ndarray, *, guard: float = 1e-9, what: str = "matrix"
+    u: np.ndarray, *, guard: float = BRANCH_CUT_GUARD, what: str = "matrix"
 ):
-    """Principal logarithm of every unitary in a stack, anti-Hermitized.
+    """Principal logarithm of every unitary in a stack (see unitary_logs).
 
     Raises BranchCutError naming the first entry with an eigenvalue within
     `guard` of -1 as "<what> <index>".
@@ -85,22 +103,14 @@ def principal_log_unitaries(
 
 
 def expms(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of every matrix in a stack."""
-    return scipy.linalg.expm(a.astype(complex))
-
-
-def symmetric_unitary_sqrt(w: np.ndarray, *, guard: float = 1e-9) -> np.ndarray:
-    """Principal square root of a symmetric unitary matrix.
-
-    The principal root of a symmetric matrix is symmetric, so g = sqrt(W)
-    satisfies g g^T = W (a Takagi factor).
+    """Matrix exponential of every anti-Hermitian matrix in a stack: np.exp
+    at rank one, else one batched eigh of i A.  eigh reads one triangle, so
+    above rank one ModelError names the first entry not anti-Hermitian.
     """
-    if w.shape == (1, 1):
-        z = w[0, 0]
-        if abs(z + 1.0) < guard:
-            raise BranchCutError("sewing matrix eigenvalue at -1; refine the lattice")
-        return np.array([[np.exp(0.5j * np.angle(z))]], dtype=complex)
-    ev = np.linalg.eigvals(w)
-    if np.min(np.abs(ev + 1.0)) < guard:
-        raise BranchCutError("sewing matrix eigenvalue at -1; refine the lattice")
-    return scipy.linalg.sqrtm(w)
+    a = np.asarray(a, dtype=complex)
+    if a.shape[1:] == (1, 1):
+        return np.exp(a)
+    bad = non_hermitian(a, -1)
+    if bad.size:
+        raise ModelError(f"exponent {bad[0]} is not anti-Hermitian")
+    return spectral_maps(1j * a, lambda w: np.exp(-1j * w), hermitian=True)[0]

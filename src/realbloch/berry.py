@@ -66,7 +66,8 @@ class LocalConnectionForm:
 
     A canonical link is a (site, direction) pair, so this realizes local
     1-form components A_mu(x); values are reported in the lattice's angular
-    chart (polar charts degenerate at sphere poles).
+    chart (polar charts degenerate at sphere poles).  Above rank one, a value
+    that is not anti-Hermitian raises ModelError when exponentiated.
     """
 
     a: np.ndarray  # (n_links, m, m)
@@ -83,8 +84,9 @@ class ProductConnectionSpec:
     """Closed-form product-bundle model: connection and J evaluators.
 
     `connection` maps an (n, d) coordinate block to the per-direction
-    anti-Hermitian matrices A_mu, an (n, d, m, m) stack, in one call; `j`
-    is the symmetry unitary of the product structure.
+    anti-Hermitian matrices A_mu, an (n, d, m, m) stack, in one call (for
+    m > 1 a step that is not anti-Hermitian raises ModelError when
+    exponentiated); `j` is the symmetry unitary of the product structure.
     """
 
     rank: int

@@ -120,6 +120,10 @@ class RealBundle:
         self.model, self.lat, self.bands = model, lat, bands
         self.is_product = isinstance(model, ProductConnectionSpec)
         self.j = model.j if self.is_product and j is None else j
+        unknown = sorted(set(tolerances or {}) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            known = sorted(DEFAULT_TOLERANCES)
+            raise ValueError(f"unknown tolerance keys {unknown}; known: {known}")
         self.tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
         self.frame_rule = frame_rule or frame_from_projection
 

@@ -82,6 +82,17 @@ EXIT_CONFIG = 2
 EXIT_GAP = 3
 EXIT_SYMMETRY = 4
 EXIT_REFINE = 5
+# how run() reports each failure: (errors, report kind, exit code, hint)
+FAILURES = (
+    ((ConfigError,), "config", EXIT_CONFIG, None),
+    ((GapClosureError,), "gap-closure", EXIT_GAP,
+     "choose a different band group or model"),
+    ((SymmetryViolationError, SymmetryInconsistencyError, UnsupportedParityError),
+     "symmetry", EXIT_SYMMETRY, "check the model's J and involution"),
+    ((BranchCutError, DiscretizationError, IndeterminateHolonomyError,
+      TruncationError, InvalidDiscretizationError, UnsupportedBaseError),
+     "refinement", EXIT_REFINE, "increase the lattice resolution"),
+)
 
 KNOWN_TASKS = (
     "check-symmetry",
@@ -136,7 +147,7 @@ class RunConfig:
             bands=_read(raw, "bands", list, [0]),
             tasks=tasks,
             tolerances=_read(raw, "tolerances", _float_values, {}),
-            resolution_scale=_read(raw, "resolution_scale", int, 1),
+            resolution_scale=_read(raw, "resolution_scale", _integer, 1),
             moduli_values=_read(
                 raw, "moduli_values", lambda v: [float(a) for a in v], [0.0, 0.25, 0.5]
             ),
@@ -153,13 +164,19 @@ def _float_values(section) -> dict:
     return {key: float(value) for key, value in dict(section).items()}
 
 
+def _integer(value) -> int:
+    if int(value) != value:
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _read(section: dict, key: str, convert, default=None):
     """convert(section[key]), falling back to `default` when one is given;
     a value that convert rejects is a ConfigError naming the key."""
     value = section[key] if default is None else section.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
 
 
@@ -168,7 +185,7 @@ def _build_lattice(spec: dict, scale: int):
     kind = spec.get("kind", "trivial")
 
     def size(key):
-        return _read(spec, key, int) * scale
+        return _read(spec, key, _integer) * scale
 
     try:
         if topology == "circle":
@@ -196,11 +213,11 @@ def _build_model(spec: dict, lat):
     if name == "flat_line":
         return model_zoo.model_flat_line(_read(params, "a", float, 0.25)), None
     if name == "degree_k_sphere":
-        return model_zoo.model_degree_k_sphere(_read(params, "k", int, 1))
+        return model_zoo.model_degree_k_sphere(_read(params, "k", _integer, 1))
     if name == "oscillator":
         osc = OscillatorParams(
-            level=_read(params, "level", int, 0),
-            n_basis=_read(params, "n_basis", int, 40),
+            level=_read(params, "level", _integer, 0),
+            n_basis=_read(params, "n_basis", _integer, 40),
             delta=_read(params, "delta", float, 1.0),
         )
         h, j = model_zoo.model_oscillator(osc, lat)
@@ -221,34 +238,10 @@ def run(config: RunConfig) -> int:
     report = {"schema": "report_v1", "warnings": []}
     try:
         exit_code = _run_tasks(config, report)
-    except ConfigError as exc:
-        report["error"] = {"kind": "config", "message": str(exc)}
-        exit_code = EXIT_CONFIG
-    except GapClosureError as exc:
-        report["error"] = {
-            "kind": "gap-closure",
-            "message": f"{exc}; hint: choose a different band group or model",
-        }
-        exit_code = EXIT_GAP
-    except (SymmetryViolationError, SymmetryInconsistencyError, UnsupportedParityError) as exc:
-        report["error"] = {
-            "kind": "symmetry",
-            "message": f"{exc}; hint: check the model's J and involution",
-        }
-        exit_code = EXIT_SYMMETRY
-    except (
-        BranchCutError,
-        DiscretizationError,
-        IndeterminateHolonomyError,
-        TruncationError,
-        InvalidDiscretizationError,
-        UnsupportedBaseError,
-    ) as exc:
-        report["error"] = {
-            "kind": "refinement",
-            "message": f"{exc}; hint: increase the lattice resolution",
-        }
-        exit_code = EXIT_REFINE
+    except tuple(cls for errors, *_ in FAILURES for cls in errors) as exc:
+        kind, exit_code, hint = next(f[1:] for f in FAILURES if isinstance(exc, f[0]))
+        message = str(exc) if hint is None else f"{exc}; hint: {hint}"
+        report["error"] = {"kind": kind, "message": message}
     if config.strict and report["warnings"]:
         exit_code = exit_code or EXIT_CONFIG
     out = Path(config.out_dir)
@@ -261,7 +254,10 @@ def run(config: RunConfig) -> int:
 
 def _run_tasks(config: RunConfig, report: dict) -> int:
     lat = _build_lattice(config.lattice, config.resolution_scale)
-    model, j = _build_model(config.model, lat)
+    try:
+        model, j = _build_model(config.model, lat)
+    except ValueError as exc:  # a parameter the model constructor rejects
+        raise ConfigError(str(exc)) from exc
     report["lattice"] = {
         "base": lat.base_tag,
         "n_sites": lat.n_sites,
@@ -273,20 +269,7 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if isinstance(model, HamiltonianFamily):
-        try:
-            band_selection(config.bands, model.dimension)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     oscillator = getattr(model, "oscillator_params", None)
-    if "oscillator-oracle" in config.tasks:
-        if oscillator is None:
-            raise ConfigError("oscillator-oracle task needs the oscillator model")
-        if sorted(set(config.bands)) != [oscillator.level]:
-            raise ConfigError(
-                f"oscillator-oracle compares the level-{oscillator.level} band; "
-                f"bands must be [{oscillator.level}], got {config.bands}"
-            )
 
     def frame_rule(proj):
         if oscillator is not None and proj.band_indices == (oscillator.level,):
@@ -295,7 +278,20 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
             return frame_from_projection(proj, reference)
         return smooth_frame_gauge(frame_from_projection(proj), lat)
 
-    bundle = RealBundle(model, j, lat, config.bands, config.tolerances, frame_rule)
+    try:  # bad bands or an unknown tolerance key
+        if isinstance(model, HamiltonianFamily):
+            band_selection(config.bands, model.dimension)
+        bundle = RealBundle(model, j, lat, config.bands, config.tolerances, frame_rule)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if "oscillator-oracle" in config.tasks:
+        if oscillator is None:
+            raise ConfigError("oscillator-oracle task needs the oscillator model")
+        if sorted(set(config.bands)) != [oscillator.level]:
+            raise ConfigError(
+                f"oscillator-oracle compares the level-{oscillator.level} band; "
+                f"bands must be [{oscillator.level}], got {config.bands}"
+            )
     for task in KNOWN_TASKS:  # in dependency order
         if task not in config.tasks:
             continue

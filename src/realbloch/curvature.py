@@ -134,16 +134,11 @@ def gb_curvature_direct(
     """
     if lat.dim != 2:
         raise UnsupportedBaseError("direct curvature needs a 2-dimensional lattice")
-    m = p.rank
-    f = np.empty((lat.n_plaquettes, m, m), dtype=complex)
-    for idx, verts in enumerate(lat.plaquette_vertices):
-        v0, v1, vlast = verts[0], verts[1], verts[-1]
-        p0 = p.projectors[v0]
-        d1 = p.projectors[v1] - p0
-        d2 = p.projectors[vlast] - p0
-        core = p0 @ (d1 @ d2 - d2 @ d1)
-        if len(verts) == 3:
-            core = 0.5 * core  # triangle spans half the edge parallelogram
-        psi = frame.columns[v0]
-        f[idx] = psi.conj().T @ core @ psi
-    return CurvatureField(f, lat)
+    verts = lat.plaquette_vertices
+    v0, v1, vlast = (np.array([v[k] for v in verts]) for k in (0, 1, -1))
+    p0 = p.projectors[v0]
+    d1, d2 = p.projectors[v1] - p0, p.projectors[vlast] - p0
+    core = p0 @ (d1 @ d2 - d2 @ d1)
+    core[[len(v) == 3 for v in verts]] *= 0.5  # a triangle: half the parallelogram
+    psi = frame.columns[v0]
+    return CurvatureField(adjoint(psi) @ core @ psi, lat)

@@ -13,9 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._matrix import expms, frob, symmetric_unitary_sqrt
+from ._matrix import BRANCH_CUT_GUARD, expms, frob, spectral_maps
 from .berry import LinkField, ProductConnectionSpec
-from .errors import IndeterminateHolonomyError
+from .errors import BranchCutError, IndeterminateHolonomyError
 from .lattice import InvolutiveLattice, LoopPath, fixed_loops, map_loop
 from .symmetry import SewingField
 
@@ -110,27 +110,25 @@ def fixed_loop_holonomies(
 ) -> list:
     """Wilson loops around every fixed-point loop, in a real frame gauge.
 
-    At a fixed base site the sewing matrix is symmetric unitary; its
-    principal square root rotates the frame into a gauge fixed by the
-    time-reversal lift, where the holonomy of an equivariant connection is
-    real orthogonal.  Returns one record per loop with the norm of the
-    imaginary part as reality residual and the rounded determinant sign
-    (exactly the +/-1 rounded scalar for rank one).
+    At a fixed base site the sewing matrix W is symmetric unitary; its
+    principal square root g (g g^T = W; one spectral_maps call for all bases)
+    rotates the frame into a gauge fixed by the time-reversal lift, where the
+    holonomy of an equivariant connection is real orthogonal.  Returns one
+    record per loop with the norm of the imaginary part as reality residual
+    and the rounded determinant sign (the +/-1 rounded scalar at rank one).
     """
+    loops = fixed_loops(lat)
+    at_bases = w.w[[loop.base for loop in loops]]
+    roots, ev = spectral_maps(at_bases, lambda z: np.exp(0.5j * np.angle(z)))
+    cut = (np.abs(ev + 1.0) < BRANCH_CUT_GUARD).any(axis=1)
     out = []
-    for loop in fixed_loops(lat):
-        res = wilson_loop(u, loop)
-        g = symmetric_unitary_sqrt(w.w[loop.base])
-        rotated = g.conj().T @ res.hol @ g
-        residual = frob(rotated.imag)
+    for loop, g, at_cut in zip(loops, roots, cut):
+        if at_cut:
+            raise BranchCutError("sewing matrix eigenvalue at -1; refine the lattice")
+        rotated = g.conj().T @ wilson_loop(u, loop).hol @ g
         sign = _round_sign(float(np.linalg.det(rotated).real))
-        out.append(
-            FixedLoopHolonomy(
-                HolonomyResult(rotated, loop, loop.base, gauge_tag="real-frame"),
-                residual,
-                sign,
-            )
-        )
+        hol = HolonomyResult(rotated, loop, loop.base, gauge_tag="real-frame")
+        out.append(FixedLoopHolonomy(hol, frob(rotated.imag), sign))
     return out
 
 

@@ -6,7 +6,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._matrix import adjoint, frob_each, polar_unitaries
+from ._matrix import adjoint, non_hermitian, polar_unitaries
 from .errors import GapClosureError, ModelError, RankError
 from .lattice import InvolutiveLattice
 
@@ -23,7 +23,6 @@ __all__ = [
     "pointwise",
 ]
 
-HERMITICITY_RTOL = 1e-12
 DEGENERACY_TOL = 1e-8
 # Matrix entries per stacked block (256 kB of complex128): layers that would
 # otherwise form temporaries over every site or link, such as (n_sites, N, N)
@@ -172,9 +171,7 @@ def eigensolve_family(h: HamiltonianFamily, lat: InvolutiveLattice) -> SpectralD
     vectors = np.empty((n, dim, dim), dtype=complex)
     for block in index_blocks(n, dim * dim):
         stack = h(lat.sites[block])
-        scale = np.maximum(frob_each(stack), 1.0)
-        skew = frob_each(stack - adjoint(stack)) > HERMITICITY_RTOL * scale
-        skew = np.flatnonzero(skew)
+        skew = non_hermitian(stack)
         if skew.size:
             raise ModelError(
                 f"{h.name or 'model'}: non-Hermitian output at site "
@@ -293,10 +290,8 @@ def _fix_gauge(basis: np.ndarray) -> np.ndarray:
     basis = np.take_along_axis(basis, order[:, None, :], axis=2)
     lead = np.take_along_axis(lead, order, axis=1)
     z = np.take_along_axis(basis, lead[:, None, :], axis=1)[:, 0, :]
-    mag = np.abs(z)
-    phase = np.ones_like(z)
-    np.divide(z.conj(), mag, out=phase, where=mag > 0)
-    return basis * phase[:, None, :]
+    phase, _ = polar_unitaries(z.conj().reshape(-1, 1, 1))
+    return basis * phase.reshape(z.shape)[:, None, :]
 
 
 def frame_from_projection(

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,86 @@ def test_unknown_involution_kind_is_config_error(tmp_path):
     assert report["error"] == {
         "kind": "config", "message": "unknown torus involution 'bogus'"
     }
+
+
+ETA1_TORUS = {"topology": "torus2", "n1": 8, "n2": 8, "kind": "eta1"}
+
+
+@pytest.mark.parametrize(
+    "lattice, model, message",
+    [
+        (SPHERE_CONFIG["lattice"], {"name": "degree_k_sphere", "params": {"k": 0}},
+         "degree must be nonzero"),
+        (ETA1_TORUS, {"name": "oscillator", "params": {"delta": 0}},
+         "delta must be positive"),
+        (ETA1_TORUS, {"name": "oscillator", "params": {"level": -1}},
+         "level must be nonnegative"),
+        (dict(ETA1_TORUS, kind="eta"), {"name": "oscillator"},
+         "oscillator model lives on a torus with the theta1 reflection"),
+    ],
+)
+def test_invalid_model_parameters_are_config_errors(tmp_path, lattice, model, message):
+    config = dict(SPHERE_CONFIG, lattice=lattice, model=model)
+    out = tmp_path / "out"
+    code = cli.main(["run", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith(message)
+
+
+def test_unknown_tolerance_key_is_rejected(tmp_path):
+    h, j = rb.model_degree_k_sphere(1)
+    lat = rb.build_sphere2(6, 8)
+    with pytest.raises(ValueError) as err:
+        rb.RealBundle(h, j, lat, [0], {"hamiltonian_symetry": 1e-3})
+    assert str(err.value) == (
+        "unknown tolerance keys ['hamiltonian_symetry']; known: "
+        "['hamiltonian_symmetry', 'projection_symmetry', 'sewing_unitarity']"
+    )
+    config = dict(SPHERE_CONFIG, tolerances={"hamiltonian_symetry": 1e-3})
+    out = tmp_path / "out"
+    code = cli.main(["run", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error == {"kind": "config", "message": str(err.value)}
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"lattice": dict(SPHERE_CONFIG["lattice"], n_theta=6.9)}, "bad n_theta 6.9"),
+        ({"model": {"name": "degree_k_sphere", "params": {"k": 2.7}}}, "bad k 2.7"),
+        ({"resolution_scale": 1.9}, "bad resolution_scale 1.9"),
+        ({"lattice": dict(ETA1_TORUS, n2=8.5), "model": {"name": "oscillator"}},
+         "bad n2 8.5"),
+        ({"lattice": ETA1_TORUS,
+          "model": {"name": "oscillator", "params": {"level": 0.5}}},
+         "bad level 0.5"),
+        ({"lattice": ETA1_TORUS,
+          "model": {"name": "oscillator", "params": {"n_basis": 30.5}}},
+         "bad n_basis 30.5"),
+    ],
+)
+def test_non_integer_sizes_are_config_errors(tmp_path, capsys, override, message):
+    path = write_config(tmp_path, dict(SPHERE_CONFIG, **override))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    if (out / "report.json").exists():
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["kind"] == "config"
+        shown = error["message"]
+    else:  # resolution_scale is read before the run
+        shown = capsys.readouterr().err
+    assert f"{message}: not an integer" in shown
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    src = str(Path(rb.__file__).resolve().parents[1])
+    code = "import sys, realbloch.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_too_coarse_lattice_is_refinement_error(tmp_path):

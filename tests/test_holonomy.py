@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import realbloch as rb
-from realbloch.errors import IndeterminateHolonomyError
+from realbloch.errors import BranchCutError, IndeterminateHolonomyError
 
 
 def circle_curve(t):
@@ -168,6 +168,39 @@ def test_indeterminate_holonomy_error():
     w = rb.SewingField(np.ones((16, 1, 1), dtype=complex), lat, +1, 0.0)
     with pytest.raises(IndeterminateHolonomyError):
         rb.fixed_loop_holonomies(quarter, lat, w)
+
+
+def test_sewing_root_errors_keep_loop_order():
+    # a quarter-flux row makes both eta fixed loops indeterminate; a sewing
+    # eigenvalue at -1 raises only when its loop comes first
+    lat = rb.build_torus2(8, 8, "eta")
+    a = np.where(lat.link_mu == 0, 0.25j, 0.0)[:, None, None]
+    u = rb.link_field_from_connection(rb.LocalConnectionForm(a, lat), lat)
+    loops = rb.fixed_loops(lat)
+    for cut_loop, error in ((1, IndeterminateHolonomyError), (0, BranchCutError)):
+        w = np.ones((lat.n_sites, 1, 1), dtype=complex)
+        w[loops[cut_loop].base] = -1.0
+        with pytest.raises(error):
+            rb.fixed_loop_holonomies(u, lat, rb.SewingField(w, lat, +1, 0.0))
+
+
+def test_rank_one_sewing_root_keeps_its_bits():
+    # the real-frame rotation uses exp(i angle(W) / 2), bit for bit
+    lat = rb.build_circle(8, "trivial")
+    u = rb.LinkField(np.ones((lat.n_links, 1, 1), dtype=complex), lat)
+    for z in np.exp(1j * np.random.default_rng(5).uniform(-3.0, 3.0, size=32)):
+        w = rb.SewingField(np.full((lat.n_sites, 1, 1), z), lat, +1, 0.0)
+        (rec,) = rb.fixed_loop_holonomies(u, lat, w)
+        g = np.array([[np.exp(0.5j * np.angle(z))]])
+        assert rec.holonomy.hol.tobytes() == (g.conj().T @ u.u[0] @ g).tobytes()
+
+
+def test_no_fixed_loops_is_an_empty_stack():
+    lat = rb.build_circle(8, "antipodal")
+    eye = np.eye(2, dtype=complex)
+    u = rb.LinkField(np.tile(eye, (lat.n_links, 1, 1)), lat)
+    w = rb.SewingField(np.tile(eye, (lat.n_sites, 1, 1)), lat, +1, 0.0)
+    assert rb.fixed_loop_holonomies(u, lat, w) == []
 
 
 def sphere_cell_loop(n_phi, ring, azimuth):

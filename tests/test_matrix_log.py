@@ -1,10 +1,12 @@
-"""The batched unitary logarithm against scipy's per-matrix logm.
+"""The spectral kernel's matrix functions against scipy's per-matrix ones.
 
 `principal_log_unitaries` takes one eigendecomposition of the whole stack;
 tests/loop_reference.py keeps the per-matrix eigvals + scipy.linalg.logm
 version.  They must agree to 1e-12 with exp(log U) = U to 1e-13, including
 on exact and near degeneracies and close to (but outside) the branch cut,
-and the branch-cut error must name the same entry.
+and the branch-cut error must name the same entry.  The exponential and the
+principal square root come from the same kernel and must match
+scipy.linalg.expm / sqrtm to 1e-12; rank one keeps its exact bits.
 """
 
 import numpy as np
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import loop_reference as ref
-from realbloch._matrix import adjoint, principal_log_unitaries
-from realbloch.errors import BranchCutError
+from realbloch._matrix import adjoint, expms, principal_log_unitaries, spectral_maps
+from realbloch.errors import BranchCutError, ModelError
 
 TOL = 1e-12
 EXP_TOL = 1e-13
@@ -37,7 +39,7 @@ def cases(rng, m):
     randoms = np.stack([haar_unitary(rng, m) for _ in range(8)])
     angles = rng.uniform(-3.0, 3.0, size=m)
     cluster = angles.copy()
-    cluster[1] = cluster[0] + 1e-13
+    cluster[min(1, m - 1)] = cluster[0] + 1e-13
     near_cut = angles.copy()
     near_cut[-1] = np.pi - 1e-6  # |lambda + 1| ~ 1e-6, outside the 1e-9 guard
     q = haar_unitary(rng, m)
@@ -79,6 +81,88 @@ def test_branch_cut_names_third_entry(m):
             ref.principal_log_unitary(x, what=f"plaquette {i}")
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("plaquette 2: eigenvalue at -1 within 1e-09")
+
+
+# -- exponential and square root ------------------------------------------------
+
+
+def principal_sqrt(z):
+    """The scalar map fixed_loop_holonomies hands the kernel."""
+    return np.exp(0.5j * np.angle(z))
+
+
+def exponent_cases(rng, m):
+    """Named anti-Hermitian stacks of rank m."""
+    z = rng.normal(size=(8, m, m)) + 1j * rng.normal(size=(8, m, m))
+    angles = rng.uniform(-3.0, 3.0, size=m)
+    angles[min(1, m - 1)] = angles[0] + 1e-13
+    q = haar_unitary(rng, m)
+    return {
+        "random": 0.5 * (z - adjoint(z)),
+        "zero": np.zeros((1, m, m), dtype=complex),  # exp is the identity
+        "cluster-1e-13": ((q * 1j * angles) @ q.conj().T)[None],
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_exp_matches_expm(m):
+    rng = np.random.default_rng(200 + m)
+    for name, a in exponent_cases(rng, m).items():
+        want = np.stack([scipy.linalg.expm(x) for x in a])
+        assert np.max(np.abs(expms(a) - want)) <= TOL, name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_kernel_sqrt_matches_sqrtm(m):
+    rng = np.random.default_rng(300 + m)
+    for name, u in cases(rng, m).items():
+        roots, _ = spectral_maps(u, principal_sqrt)
+        want = np.stack([scipy.linalg.sqrtm(x) for x in u])
+        assert np.max(np.abs(roots - want)) <= TOL, name
+    # a symmetric unitary W = O diag(e^(i angles)) O^T has the symmetric
+    # principal root g with g g^T = W (a Takagi factor)
+    o, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    w = with_spectrum(o.astype(complex), rng.uniform(-3.0, 3.0, size=m))
+    (g,), _ = spectral_maps(w[None], principal_sqrt)
+    assert np.max(np.abs(g - g.T)) <= TOL
+    assert np.max(np.abs(g @ g.T - w)) <= TOL
+
+
+def test_rank_one_keeps_its_bits():
+    rng = np.random.default_rng(11)
+    a = (rng.normal(size=64) + 1j * rng.normal(size=64))[:, None, None]
+    assert expms(a).tobytes() == scipy.linalg.expm(a).tobytes()
+    real = rng.normal(size=(64, 1, 1))
+    assert expms(real).tobytes() == scipy.linalg.expm(real.astype(complex)).tobytes()
+    z = np.exp(1j * rng.uniform(-3.0, 3.0, size=64))
+    u = z[:, None, None]
+    per_scalar = np.array([[[1j * np.angle(x)]] for x in z])
+    assert principal_log_unitaries(u).tobytes() == per_scalar.tobytes()
+    roots, w = spectral_maps(u, principal_sqrt)
+    per_scalar = np.array([[[np.exp(0.5j * np.angle(x))]] for x in z])
+    assert roots.tobytes() == per_scalar.tobytes()
+    assert w.tobytes() == u[:, :, 0].tobytes()
+    # scipy's 1 x 1 sqrtm is np.sqrt, which can differ in the last bit
+    assert np.max(np.abs(roots - scipy.linalg.sqrtm(u))) <= 1e-15
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_empty_stacks(m):
+    empty = np.zeros((0, m, m), dtype=complex)
+    assert expms(empty).shape == (0, m, m)
+    assert principal_log_unitaries(empty).shape == (0, m, m)
+    roots, w = spectral_maps(empty, principal_sqrt)
+    assert roots.shape == (0, m, m) and w.shape == (0, m)
+
+
+def test_exp_of_non_antihermitian_step_raises():
+    rng = np.random.default_rng(3)
+    a = exponent_cases(rng, 2)["random"][:4]
+    expms(a + 1e-14 * np.eye(2))  # inside the relative 1e-12 bound
+    a[2, 0, 1] += 1e-9  # eigh would read one triangle and miss this
+    with pytest.raises(ModelError) as err:
+        expms(a)
+    assert str(err.value) == "exponent 2 is not anti-Hermitian"
 
 
 # -- property test ---------------------------------------------------------------
