@@ -104,13 +104,14 @@ def principal_log_unitaries(
 
 def expms(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of every anti-Hermitian matrix in a stack: np.exp
-    at rank one, else one batched eigh of i A.  eigh reads one triangle, so
-    above rank one ModelError names the first entry not anti-Hermitian.
+    at rank one, else one batched eigh of i A.  ModelError names the first
+    entry not anti-Hermitian (at rank one, not imaginary), whose exponential
+    would not be unitary.
     """
     a = np.asarray(a, dtype=complex)
-    if a.shape[1:] == (1, 1):
-        return np.exp(a)
     bad = non_hermitian(a, -1)
     if bad.size:
         raise ModelError(f"exponent {bad[0]} is not anti-Hermitian")
+    if a.shape[1:] == (1, 1):
+        return np.exp(a)
     return spectral_maps(1j * a, lambda w: np.exp(-1j * w), hermitian=True)[0]

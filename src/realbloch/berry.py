@@ -66,8 +66,9 @@ class LocalConnectionForm:
 
     A canonical link is a (site, direction) pair, so this realizes local
     1-form components A_mu(x); values are reported in the lattice's angular
-    chart (polar charts degenerate at sphere poles).  Above rank one, a value
-    that is not anti-Hermitian raises ModelError when exponentiated.
+    chart (polar charts degenerate at sphere poles).  A value that is not
+    anti-Hermitian (at rank one, not imaginary) raises ModelError when
+    exponentiated.
     """
 
     a: np.ndarray  # (n_links, m, m)

@@ -161,14 +161,25 @@ def eigensolve_family(h: HamiltonianFamily, lat: InvolutiveLattice) -> SpectralD
     """Diagonalize the family at every lattice site.
 
     H is evaluated once per site block (see index_blocks), and each block
-    is checked for Hermiticity and diagonalized by one batched eigh, so no
+    is checked for Hermiticity and diagonalized by batched eigh calls, so no
     (n_sites, N, N) array exists besides the returned eigenvectors.  Raises
     ModelError on an evaluator output of the wrong shape, or naming the
     first site whose matrix is not Hermitian.
+
+    Sectors: the indices split into the connected components of the block's
+    nonzero pattern (the entries nonzero at any site of the block, made
+    symmetric).  A block of one component is solved by one dense eigh of
+    the whole stack.  Otherwise each component is solved on its own: a
+    component tridiagonal in its index order is rotated by a diagonal phase
+    to a real symmetric matrix, any other one takes a dense eigh.  The
+    eigenvalues of all components merge in ascending order (a stable sort,
+    ties in component order), and each eigenvector is zero outside its
+    component.
     """
     n, dim = lat.n_sites, h.dimension
     values = np.empty((n, dim))
     vectors = np.empty((n, dim, dim), dtype=complex)
+    split = {}  # nonzero pattern -> its sectors
     for block in index_blocks(n, dim * dim):
         stack = h(lat.sites[block])
         skew = non_hermitian(stack)
@@ -177,8 +188,76 @@ def eigensolve_family(h: HamiltonianFamily, lat: InvolutiveLattice) -> SpectralD
                 f"{h.name or 'model'}: non-Hermitian output at site "
                 f"{block.start + skew[0]}"
             )
-        values[block], vectors[block] = np.linalg.eigh(stack)
+        pattern = (stack != 0).any(axis=0)
+        pattern |= pattern.T
+        key = pattern.tobytes()
+        if key not in split:
+            split[key] = _sectors(pattern)
+        if len(split[key]) == 1:
+            values[block], vectors[block] = np.linalg.eigh(stack)
+        else:
+            values[block], vectors[block] = _sector_eigh(stack, split[key])
     return SpectralData(values, vectors, lat)
+
+
+def _sectors(pattern: np.ndarray) -> list:
+    """Connected components of a symmetric boolean adjacency, in order of
+    their smallest index, as (indices, tridiagonal) pairs."""
+    todo = np.ones(len(pattern), dtype=bool)
+    out = []
+    while todo.any():
+        reach = np.zeros_like(todo)
+        reach[np.argmax(todo)] = True
+        while True:
+            grown = reach | pattern[reach].any(axis=0)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        todo &= ~reach
+        idx = np.flatnonzero(reach)
+        out.append((idx, not np.triu(pattern[np.ix_(idx, idx)], 2).any()))
+    return out
+
+
+def _sector_eigh(stack: np.ndarray, sectors: list) -> tuple:
+    """Ascending eigenvalues and eigenvectors of a stack that is block
+    diagonal over `sectors` (see _sectors), one sector at a time."""
+    n, dim = stack.shape[:2]
+    w = np.empty((n, dim))
+    v = np.zeros((n, dim, dim), dtype=complex)
+    start = 0
+    for idx, tridiagonal in sectors:
+        cols = slice(start, start + len(idx))
+        if tridiagonal:
+            sub = stack[:, idx[1:], idx[:-1]]
+            solved = _tridiagonal_eigh(stack[:, idx, idx].real, sub)
+        else:
+            solved = np.linalg.eigh(stack[:, idx[:, None], idx])
+        w[:, cols], v[:, idx, cols] = solved
+        start = cols.stop
+    order = np.argsort(w, axis=1, kind="stable")
+    return np.take_along_axis(w, order, 1), np.take_along_axis(v, order[:, None], 2)
+
+
+def _tridiagonal_eigh(diag: np.ndarray, sub: np.ndarray) -> tuple:
+    """eigh of the Hermitian tridiagonal stack with real diagonal `diag`
+    (n, k) and sub-diagonal `sub` (n, k - 1), the triangle eigh reads.
+
+    The diagonal unitary D with D^dag T D real takes its phases from `sub`,
+    1 where an entry is 0: the real symmetric stack has diagonal `diag` and
+    off-diagonal |sub|, and T's eigenvectors are D times its eigenvectors.
+    """
+    n, k = diag.shape
+    phase, mag = polar_unitaries(sub.reshape(-1, 1, 1))
+    d = np.ones((n, k), dtype=complex)
+    np.cumprod(phase.reshape(sub.shape), axis=1, out=d[:, 1:])
+    # in each flattened k x k matrix, stride k + 1 from offset 0 walks the
+    # diagonal, from offsets k and 1 the sub- and super-diagonal
+    real = np.zeros((n, k * k))
+    real[:, :: k + 1] = diag
+    real[:, k :: k + 1] = real[:, 1 :: k + 1] = mag.reshape(sub.shape)
+    w, u = np.linalg.eigh(real.reshape(n, k, k))
+    return w, d[:, :, None] * u
 
 
 def _site_gaps(s: SpectralData, sel: list) -> Optional[np.ndarray]:

@@ -1,7 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import realbloch as rb
+
+# HYPOTHESIS_PROFILE=ci draws every example from a fixed seed and keeps no
+# example database, so a failure on CI reproduces anywhere; local runs keep
+# random draws.
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -15,6 +15,7 @@ import pytest
 import loop_reference as ref
 import realbloch as rb
 from conftest import mobius_two_band
+from realbloch import spectral
 from realbloch.classify import _BASE_TABLE, _j_consistency
 from realbloch.errors import (
     BranchCutError,
@@ -221,6 +222,145 @@ def test_gauge_transform_and_densities_match_loops(rng, m):
     assert abs(parity - parity_ref) <= TOL
 
 
+# -- the sector-split eigensolve against per-site dense eigh -------------------
+
+
+def path_pattern(dim):
+    """Diagonal plus entries (i, i + 2): the even and the odd indices each
+    form a path, tridiagonal in index order, like the oscillator's parity
+    sectors."""
+    mask = np.eye(dim, dtype=bool)
+    i = np.arange(dim - 2)
+    mask[i, i + 2] = mask[i + 2, i] = True
+    return mask
+
+
+def trig_family(rng, pattern, shift, gates=(), name="trig"):
+    """H0 + cos t H1 + sin t H2 + diag(shift) over the circle angle t, with
+    random complex Hermitian terms supported on `pattern`.  Each gate
+    (i, j, g) multiplies entries (i, j) and (j, i) by g(t), which may vanish
+    exactly on part of the circle."""
+    terms = random_matrices(rng, 3, len(pattern)) * pattern
+    terms = terms + terms.conj().swapaxes(1, 2)
+
+    def evaluate(c):
+        t = c[:, 0]
+        cos, sin = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
+        h = terms[0] + cos * terms[1] + sin * terms[2] + np.diag(shift)
+        for i, j, gate in gates:
+            h[:, i, j] *= gate(t)
+            h[:, j, i] *= gate(t)
+        return h
+
+    return rb.HamiltonianFamily(len(pattern), evaluate, name)
+
+
+def dense_beside_pair():
+    # a dense 4 x 4 sector (not tridiagonal) and a 2 x 2 one below it, so
+    # the merge must reorder the sectors' eigenvalues
+    rng = np.random.default_rng(41)
+    dense = trig_family(rng, np.ones((4, 4), dtype=bool), np.zeros(4))
+    pair = trig_family(rng, np.ones((2, 2), dtype=bool), np.full(2, -20.0))
+    h, _ = rb.direct_sum_hamiltonians(
+        (dense, rb.SymmetryData.identity(4)), (pair, rb.SymmetryData.identity(2))
+    )
+    return h, rb.build_circle(24, "trivial"), [[0], [0, 1], [2], [2, 3, 4, 5]]
+
+
+def coupled_in_some_blocks():
+    # N = 32: blocks of 16 sites on a 64-site circle.  The coupling of the
+    # two path sectors, entry (0, 1), vanishes for t >= pi and at t = 0, the
+    # first site of the first block, so the first two blocks are one sector
+    # and the last two split in two
+    rng = np.random.default_rng(42)
+    shift = np.where(np.arange(32) % 2, 0.0, -50.0)  # even sector below
+    pattern = path_pattern(32)
+    pattern[0, 1] = pattern[1, 0] = True
+    gate = (0, 1, lambda t: np.where(t < np.pi, np.sin(t), 0.0))
+    h = trig_family(rng, pattern, shift, [gate])
+    return h, rb.build_circle(64, "trivial"), [[0], list(range(16))]
+
+
+def sub_diagonal_zero_at_some_sites():
+    # entry (2, 4) of the even path vanishes for cos t <= 0: there the even
+    # sector's tridiagonal matrix has a zero sub-diagonal entry
+    rng = np.random.default_rng(43)
+    shift = np.where(np.arange(8) % 2, 0.0, -50.0)
+    gate = (2, 4, lambda t: np.maximum(np.cos(t), 0.0))
+    h = trig_family(rng, path_pattern(8), shift, [gate])
+    return h, rb.build_circle(16, "trivial"), [[0], [0, 1, 2, 3], [4]]
+
+
+def oscillator_sectors():
+    lat = rb.build_torus2(6, 6, "eta1")  # 36 sites in 4 blocks of 10
+    h, _ = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
+    return h, lat, [[1], [0, 1]]
+
+
+SECTOR_CASES = {
+    "oscillator-N40": oscillator_sectors,
+    "dense-4-beside-2": dense_beside_pair,
+    "coupled-in-some-blocks": coupled_in_some_blocks,
+    "sub-diagonal-zero-at-some-sites": sub_diagonal_zero_at_some_sites,
+    "N1": lambda: (
+        rb.HamiltonianFamily(1, lambda c: np.cos(c[:, :1, None]) + 0j, "scalar"),
+        rb.build_circle(8, "trivial"),
+        [[0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+def test_sector_eigensolve_matches_dense(case):
+    h, lat, groups = SECTOR_CASES[case]()
+    s, s_ref = rb.eigensolve_family(h, lat), ref.eigensolve_family(h, lat)
+    stack = h(lat.sites)
+    scale = TOL * np.linalg.norm(stack, axis=(1, 2))
+    assert np.all(np.abs(s.eigenvalues - s_ref.eigenvalues) <= scale[:, None])
+    residual = stack @ s.eigenvectors - s.eigenvectors * s.eigenvalues[:, None, :]
+    assert np.all(np.linalg.norm(residual, axis=(1, 2)) <= scale)
+    for bands in groups:
+        p = rb.select_projection(s, bands).projectors
+        assert np.max(np.abs(p - ref.select_projection(s_ref, bands))) <= TOL, bands
+
+
+def test_sectors_follow_the_nonzero_pattern():
+    def split(pattern):
+        return [(list(idx), path) for idx, path in spectral._sectors(pattern)]
+
+    evens, odds = list(range(0, 8, 2)), list(range(1, 8, 2))
+    assert split(path_pattern(8)) == [(evens, True), (odds, True)]
+    dense = np.zeros((6, 6), dtype=bool)
+    dense[:4, :4] = dense[4:, 4:] = True
+    assert split(dense) == [([0, 1, 2, 3], False), ([4, 5], True)]
+    assert split(np.eye(3, dtype=bool)) == [([0], True), ([1], True), ([2], True)]
+    assert split(np.ones((3, 3), dtype=bool)) == [([0, 1, 2], False)]
+
+
+def test_degeneracy_across_sectors_names_same_site():
+    # real sectors {0, 2} and {1, 3} (symmetric under the trivial
+    # involution) with spectra {-1, 1} and {b - 1, b + 1}, b = 2 + 2 cos t:
+    # bands 0 and 1 coincide at t = pi only, site 8
+    lat = rb.build_circle(16, "trivial")
+
+    def evaluate(c):
+        b = 2.0 + 2.0 * np.cos(c[:, 0])
+        h = np.zeros((len(b), 4, 4), dtype=complex)
+        h[:, 0, 2] = h[:, 2, 0] = h[:, 1, 3] = h[:, 3, 1] = 1.0
+        h[:, 1, 1] = h[:, 3, 3] = b
+        return h
+
+    h = rb.HamiltonianFamily(4, evaluate, "crossing")
+    with pytest.raises(GapClosureError) as got:
+        rb.select_projection(rb.eigensolve_family(h, lat), [0])
+    with pytest.raises(GapClosureError) as want:
+        ref.select_projection(ref.eigensolve_family(h, lat), [0])
+    assert got.value.site == want.value.site == 8
+    with pytest.raises(GapClosureError) as got:
+        rb.classify_real_bundle(h, rb.SymmetryData.identity(4), lat, [0])
+    assert got.value.site == 8
+
+
 # -- failures name the same site, link or plaquette --------------------------
 
 
@@ -254,7 +394,8 @@ def test_gap_closure_names_same_site():
 @pytest.mark.parametrize("dim", [2, 64])
 def test_non_hermitian_names_same_site(dim):
     # non-Hermitian past theta = 1.1 pi, first at site 23; with N = 64 that
-    # site lies in the second block of the batched eigensolve
+    # site lies in the second block of the batched eigensolve, and the
+    # matrix splits into the sector {0, 1} and 62 diagonal ones
     lat = rb.build_circle(40, "trivial")
     base = np.diag(np.arange(dim, dtype=complex))
 

@@ -4,7 +4,12 @@ import pytest
 import loop_reference as ref
 import realbloch as rb
 from conftest import constant_diag
-from realbloch.errors import BranchCutError, DiscretizationError, DomainError
+from realbloch.errors import (
+    BranchCutError,
+    DiscretizationError,
+    DomainError,
+    ModelError,
+)
 
 
 def winding_frame(lat, n_ambient=2):
@@ -109,6 +114,17 @@ def test_local_connection_antihermitian():
     f = rb.frame_from_projection(p, rb.oscillator_reference_section(params, lat))
     a = rb.local_connection_from_links(rb.link_field(f, lat))
     assert np.max(np.abs(a.a + a.a.conj().transpose(0, 2, 1))) <= 1e-10
+
+
+def test_rank_one_form_must_be_imaginary():
+    # a real part would give links of modulus exp(0.3 h), not unitaries
+    lat = rb.build_circle(16, "trivial")
+    bad = rb.LocalConnectionForm(np.full((lat.n_links, 1, 1), 0.3 + 0.5j), lat)
+    with pytest.raises(ModelError, match="^exponent 0 is not anti-Hermitian$"):
+        rb.link_field_from_connection(bad, lat)
+    a = np.full((lat.n_links, 1, 1), 0.5j)
+    u = rb.link_field_from_connection(rb.LocalConnectionForm(a, lat), lat)
+    assert u.u.tobytes() == np.exp(a * lat.link_spacing[:, None, None]).tobytes()
 
 
 def test_oscillator_connection_matches_closed_form():

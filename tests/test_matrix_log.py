@@ -12,7 +12,7 @@ scipy.linalg.expm / sqrtm to 1e-12; rank one keeps its exact bits.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -130,10 +130,9 @@ def test_kernel_sqrt_matches_sqrtm(m):
 
 def test_rank_one_keeps_its_bits():
     rng = np.random.default_rng(11)
-    a = (rng.normal(size=64) + 1j * rng.normal(size=64))[:, None, None]
+    a = 1j * rng.normal(size=(64, 1, 1))
     assert expms(a).tobytes() == scipy.linalg.expm(a).tobytes()
-    real = rng.normal(size=(64, 1, 1))
-    assert expms(real).tobytes() == scipy.linalg.expm(real.astype(complex)).tobytes()
+    assert expms(a).tobytes() == np.exp(a).tobytes()
     z = np.exp(1j * rng.uniform(-3.0, 3.0, size=64))
     u = z[:, None, None]
     per_scalar = np.array([[[1j * np.angle(x)]] for x in z])
@@ -163,6 +162,13 @@ def test_exp_of_non_antihermitian_step_raises():
     with pytest.raises(ModelError) as err:
         expms(a)
     assert str(err.value) == "exponent 2 is not anti-Hermitian"
+    # rank one: the same guard, so an exponent must be imaginary
+    a = 1j * np.linspace(-3.0, 3.0, 5)[:, None, None]
+    expms(a + 1e-14)
+    a[3] = 0.3 + 0.5j  # its exponential has modulus 1.35
+    with pytest.raises(ModelError) as err:
+        expms(a)
+    assert str(err.value) == "exponent 3 is not anti-Hermitian"
 
 
 # -- property test ---------------------------------------------------------------
@@ -186,8 +192,30 @@ def unitary_pairs(draw):
     return with_spectrum(q, angles), v
 
 
+def log_condition(u):
+    """Condition number of the principal log at a normal U: the largest
+    divided difference |log l_i - log l_j| / |l_i - l_j| over its
+    eigenvalue pairs (1 / |l| on the diagonal, so 1 for a unitary).  Two
+    eigenvalues on either side of the cut at -1 make it about
+    2 pi / |l_i - l_j|."""
+    lam = np.linalg.eigvals(u)
+    logs = 1j * np.angle(lam)
+    dl, dlog = lam[:, None] - lam[None, :], logs[:, None] - logs[None, :]
+    ratio = np.abs(dlog) / np.where(dl == 0, 1.0, np.abs(dl))
+    return max(1.0, float(ratio.max()))
+
+
+def cut_straddling_pair(angles, seed):
+    """A drawn-style pair whose U has eigenvalues on both sides of the cut."""
+    rng = np.random.default_rng(seed)
+    m = len(angles)
+    return with_spectrum(haar_unitary(rng, m), angles), haar_unitary(rng, m)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(unitary_pairs())
+@example(cut_straddling_pair([3.14159, -3.14062, 0.5, 1.0], 1))
+@example(cut_straddling_pair([np.pi - MARGIN, -np.pi + MARGIN, 0.2], 2))
 def test_log_properties(pair):
     u, v = pair
     (a,) = principal_log_unitaries(u[None])
@@ -195,5 +223,8 @@ def test_log_properties(pair):
     spectrum = np.linalg.eigvals(a)
     assert np.all(np.abs(spectrum.imag) < np.pi)
     assert np.linalg.norm(scipy.linalg.expm(a) - u) <= EXP_TOL
+    # conjugation commutes with the log only as well as the log is
+    # conditioned: a rounding-level change of V U V^dag moves its log by up
+    # to log_condition times as much
     (b,) = principal_log_unitaries((v @ u @ v.conj().T)[None])
-    assert np.max(np.abs(b - v @ a @ v.conj().T)) <= TOL
+    assert np.max(np.abs(b - v @ a @ v.conj().T)) <= TOL * log_condition(u)
