@@ -59,6 +59,21 @@ class LinkField:
     def on(self, link_id: int, sign: int) -> np.ndarray:
         return self.u[link_id] if sign > 0 else self.u[link_id].conj().T
 
+    def gather(self, links: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Signed links: the adjoint at sign -1, the identity at sign 0."""
+        step = self.u[links]
+        step[signs < 0] = adjoint(step[signs < 0])
+        step[signs == 0] = np.eye(self.rank)
+        return step
+
+    def products(self, links: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Ordered link product along each row of a padded signed table."""
+        m = self.rank
+        hol = np.broadcast_to(np.eye(m, dtype=complex), (len(links), m, m))
+        for k in range(links.shape[1]):
+            hol = hol @ self.gather(links[:, k], signs[:, k])
+        return hol
+
 
 @dataclass
 class LocalConnectionForm:
@@ -203,9 +218,7 @@ def equivariance_residual(
     reversal of the image link is handled through the adjoint.  A residual
     at discretization order certifies the connection equivariant.
     """
-    img = u.u[lat.link_image]
-    reverse = lat.link_image_sign < 0
-    img[reverse] = adjoint(img[reverse])
+    img = u.gather(lat.link_image, lat.link_image_sign)
     lhs = adjoint(w.w[lat.link_tail]) @ img @ w.w[lat.link_head]
     rhs = u.u.conj()
     if parity == -1:

@@ -120,11 +120,14 @@ class RealBundle:
         self.model, self.lat, self.bands = model, lat, bands
         self.is_product = isinstance(model, ProductConnectionSpec)
         self.j = model.j if self.is_product and j is None else j
-        unknown = sorted(set(tolerances or {}) - set(DEFAULT_TOLERANCES))
+        self.tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             known = sorted(DEFAULT_TOLERANCES)
             raise ValueError(f"unknown tolerance keys {unknown}; known: {known}")
-        self.tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+        for key, value in sorted(self.tolerances.items()):
+            if not 0.0 < value < np.inf:  # a NaN would disable its guard
+                raise ValueError(f"tolerance {key} = {value} must lie in (0, inf)")
         self.frame_rule = frame_rule or frame_from_projection
 
     @cached_property

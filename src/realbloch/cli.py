@@ -148,9 +148,7 @@ class RunConfig:
             tasks=tasks,
             tolerances=_read(raw, "tolerances", _float_values, {}),
             resolution_scale=_read(raw, "resolution_scale", _integer, 1),
-            moduli_values=_read(
-                raw, "moduli_values", lambda v: [float(a) for a in v], [0.0, 0.25, 0.5]
-            ),
+            moduli_values=_read(raw, "moduli_values", _numbers, [0.0, 0.25, 0.5]),
         )
         for key, value in overrides.items():
             if value is not None:
@@ -162,6 +160,14 @@ class RunConfig:
 
 def _float_values(section) -> dict:
     return {key: float(value) for key, value in dict(section).items()}
+
+
+def _numbers(value) -> list:
+    """A JSON list of finite numbers, as floats (a string is not one)."""
+    finite = (type(a) in (int, float) and np.isfinite(a) for a in value)
+    if not (isinstance(value, list) and all(finite)):
+        raise TypeError("expected a list of finite numbers")
+    return [float(a) for a in value]
 
 
 def _integer(value) -> int:
@@ -365,7 +371,7 @@ def _oscillator_oracle(params, u, curv, lat) -> dict:
     a = local_connection_from_links(u).a[:, 0, 0]
     target = oscillator_analytic_connection(params, lat.link_midpoints())
     dev_conn = np.abs(a - target[np.arange(lat.n_links), lat.link_mu]).max()
-    corners = lat.sites[[verts[0] for verts in lat.plaquette_vertices]]
+    corners = lat.sites[lat.plaquette_corners[:, 0]]
     flux = oscillator_plaquette_flux(params, corners, *lat.grid_spacing)
     dev_curv = (np.abs(curv.f[:, 0, 0] - flux) / lat.plaquette_areas).max()
     return {

@@ -41,30 +41,13 @@ class CurvatureField:
         return self.f.shape[2]
 
 
-def _plaquette_holonomies(u: LinkField, lat: InvolutiveLattice) -> np.ndarray:
-    """Ordered link product around every plaquette, (n_plaquettes, m, m).
-
-    Gathers the links of the lattice's padded plaquette table; sign -1
-    takes the adjoint and sign 0 (padding) the identity.
-    """
-    links, signs = lat.plaquette_links, lat.plaquette_signs
-    eye = np.eye(u.rank, dtype=complex)
-    hol = np.broadcast_to(eye, (lat.n_plaquettes, u.rank, u.rank))
-    for k in range(links.shape[1]):
-        step, sign = u.u[links[:, k]], signs[:, k]
-        step[sign < 0] = adjoint(step[sign < 0])
-        step[sign == 0] = eye
-        hol = hol @ step
-    return hol
-
-
 def plaquette_curvature(u: LinkField, lat: InvolutiveLattice) -> CurvatureField:
     """Principal log of the ordered link product around each plaquette.
 
     Raises BranchCutError naming the first plaquette whose holonomy has an
     eigenvalue at -1 (advice: refine the lattice).
     """
-    hol = _plaquette_holonomies(u, lat)
+    hol = u.products(lat.plaquette_links, lat.plaquette_signs)
     return CurvatureField(principal_log_unitaries(hol, what="plaquette"), lat)
 
 
@@ -134,11 +117,12 @@ def gb_curvature_direct(
     """
     if lat.dim != 2:
         raise UnsupportedBaseError("direct curvature needs a 2-dimensional lattice")
-    verts = lat.plaquette_vertices
-    v0, v1, vlast = (np.array([v[k] for v in verts]) for k in (0, 1, -1))
+    verts = lat.plaquette_corners
+    size = np.count_nonzero(verts >= 0, axis=1)
+    v0, v1, vlast = verts[:, 0], verts[:, 1], verts[np.arange(len(verts)), size - 1]
     p0 = p.projectors[v0]
     d1, d2 = p.projectors[v1] - p0, p.projectors[vlast] - p0
     core = p0 @ (d1 @ d2 - d2 @ d1)
-    core[[len(v) == 3 for v in verts]] *= 0.5  # a triangle: half the parallelogram
+    core[size == 3] *= 0.5  # a triangle: half the parallelogram
     psi = frame.columns[v0]
     return CurvatureField(adjoint(psi) @ core @ psi, lat)

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._matrix import BRANCH_CUT_GUARD, expms, frob, spectral_maps
+from ._matrix import BRANCH_CUT_GUARD, adjoint, expms, frob, spectral_maps
 from .berry import LinkField, ProductConnectionSpec
 from .errors import BranchCutError, IndeterminateHolonomyError
 from .lattice import InvolutiveLattice, LoopPath, fixed_loops, map_loop
@@ -59,14 +59,15 @@ class FixedLoopHolonomy:
     sign: int
 
 
+def _holonomies(u: LinkField, loops: list) -> np.ndarray:
+    """(n_loops, m, m) adjoints of the ordered link products around loops."""
+    return adjoint(u.products(*u.lattice.cycle_table([lp.sites for lp in loops])))
+
+
 def wilson_loop(u: LinkField, loop: LoopPath) -> HolonomyResult:
-    """Holonomy of a lattice loop from the ordered link product."""
-    lat = u.lattice
-    m = u.rank
-    prod = np.eye(m, dtype=complex)
-    for link_id, sign in lat.loop_link_ids(loop):
-        prod = prod @ u.on(link_id, sign)
-    return HolonomyResult(prod.conj().T, loop, loop.base)
+    """Holonomy of a lattice loop: the adjoint of the ordered link product
+    along the one row of its link table (`InvolutiveLattice.cycle_table`)."""
+    return HolonomyResult(_holonomies(u, [loop])[0], loop, loop.base)
 
 
 def continuum_holonomy(
@@ -110,22 +111,26 @@ def fixed_loop_holonomies(
 ) -> list:
     """Wilson loops around every fixed-point loop, in a real frame gauge.
 
-    At a fixed base site the sewing matrix W is symmetric unitary; its
-    principal square root g (g g^T = W; one spectral_maps call for all bases)
-    rotates the frame into a gauge fixed by the time-reversal lift, where the
-    holonomy of an equivariant connection is real orthogonal.  Returns one
-    record per loop with the norm of the imaginary part as reality residual
-    and the rounded determinant sign (the +/-1 rounded scalar at rank one).
+    One ordered product over the padded link table of all fixed loops gives
+    every Wilson loop at once.  At a fixed base site the sewing matrix W is
+    symmetric unitary; its principal square root g (g g^T = W; one
+    spectral_maps call for all bases) rotates the frame into a gauge fixed
+    by the time-reversal lift, where the holonomy of an equivariant
+    connection is real orthogonal.  Returns one record per loop with the
+    norm of the imaginary part as reality residual and the rounded
+    determinant sign (the +/-1 rounded scalar at rank one), in loop order:
+    the first loop with its sewing root at the branch cut or an
+    indeterminate sign raises.
     """
     loops = fixed_loops(lat)
     at_bases = w.w[[loop.base for loop in loops]]
     roots, ev = spectral_maps(at_bases, lambda z: np.exp(0.5j * np.angle(z)))
     cut = (np.abs(ev + 1.0) < BRANCH_CUT_GUARD).any(axis=1)
     out = []
-    for loop, g, at_cut in zip(loops, roots, cut):
+    for loop, g, at_cut, hol in zip(loops, roots, cut, _holonomies(u, loops)):
         if at_cut:
             raise BranchCutError("sewing matrix eigenvalue at -1; refine the lattice")
-        rotated = g.conj().T @ wilson_loop(u, loop).hol @ g
+        rotated = g.conj().T @ hol @ g
         sign = _round_sign(float(np.linalg.det(rotated).real))
         hol = HolonomyResult(rotated, loop, loop.base, gauge_tag="real-frame")
         out.append(FixedLoopHolonomy(hol, frob(rotated.imag), sign))
@@ -141,8 +146,7 @@ def holonomy_equivariance_check(
     discretization order certifies that holonomies of the image loop are the
     conjugates of the original ones.
     """
-    hol = wilson_loop(u, loop).hol
-    hol_img = wilson_loop(u, map_loop(lat, loop)).hol
+    hol, hol_img = _holonomies(u, [loop, map_loop(lat, loop)])
     wb = w.w[loop.base]
     return frob(wb.conj().T @ hol_img @ wb - hol.conj())
 

@@ -58,15 +58,14 @@ class InvolutiveLattice:
     """Immutable discretized involutive manifold.
 
     ``shape`` is the site grid (see the module docstring).  Plaquettes are
-    stored as vertex cycles.  Their oriented boundaries are built once per
-    lattice as the padded plaquette table ``plaquette_links`` /
-    ``plaquette_signs`` of shape (n_plaquettes, width), width being the
-    longest boundary (4 on the shipped lattices): entry ``k`` of row ``p``
-    is the k-th boundary link and its traversal sign, and sign 0 pads a
-    shorter boundary with the identity.  ``plaquettes[p]`` lists the same
-    boundary as rows ``(link_id, sign)`` without padding.  ``link_image`` /
-    ``plaquette_image`` record the exact action of the involution on links
-    and plaquettes together with direction / orientation signs.
+    stored as vertex cycles and as ``plaquette_corners``, of shape
+    (n_plaquettes, width) padded with -1, width being the longest boundary
+    (4 on the shipped lattices).  ``cycle_table`` builds their oriented
+    boundaries once as the padded plaquette table ``plaquette_links`` /
+    ``plaquette_signs``: entry ``k`` of row ``p`` is the k-th boundary link
+    and its traversal sign, and sign 0 pads with the identity.
+    ``link_image`` / ``plaquette_image`` record the exact action of the
+    involution on links and plaquettes with direction / orientation signs.
     """
 
     topology_tag: str
@@ -82,6 +81,7 @@ class InvolutiveLattice:
     plaquette_areas: np.ndarray
     involution: np.ndarray
     orientation_flip: bool
+    plaquette_corners: np.ndarray = field(init=False, repr=False)
     plaquette_links: np.ndarray = field(init=False, repr=False)
     plaquette_signs: np.ndarray = field(init=False, repr=False)
     fixed_sites: np.ndarray = field(init=False)
@@ -103,7 +103,8 @@ class InvolutiveLattice:
         self._link_keys = np.concatenate([[-1], keys[order]])
         self._link_ids = np.concatenate([[-1], order])
         corners, size = _corner_table(self.plaquette_vertices)
-        self._build_plaquette_table(corners, size)
+        self.plaquette_corners = corners
+        self.plaquette_links, self.plaquette_signs = self._link_table(corners, size)
         self._build_link_image()
         self._build_plaquette_image(corners, size)
         self._check_tiling()
@@ -146,14 +147,18 @@ class InvolutiveLattice:
 
     def directed_link(self, a: int, b: int) -> tuple[int, int]:
         """Canonical link id and traversal sign of the directed link a->b."""
-        ids, signs = self._steps(np.array([a]), np.array([b]))
-        return int(ids[0]), int(signs[0])
+        return self.loop_link_ids(LoopPath((a, b)))[0]
 
     def loop_link_ids(self, loop: LoopPath) -> list:
         """Signed canonical link ids traversed by a loop; validates the loop."""
-        a = np.array(loop.sites, dtype=int)
-        ids, signs = self._steps(a, np.roll(a, -1))
-        return list(zip(ids.tolist(), signs.tolist()))
+        links, signs = self.cycle_table([loop.sites])
+        return list(zip(links[0].tolist(), signs[0].tolist()))
+
+    def cycle_table(self, cycles) -> tuple:
+        """Signed link table of vertex cycles, padded like the plaquette
+        table: row r steps from each vertex of cycle r to the next, wrapping
+        at the end.  DomainError names the first step that is not a link."""
+        return self._link_table(*_corner_table(cycles))
 
     def link_midpoint(self, link_id: int) -> np.ndarray:
         """Chart coordinates of a link midpoint (unwrapped from the tail)."""
@@ -182,28 +187,21 @@ class InvolutiveLattice:
             ids[hit], signs[hit] = self._link_ids[pos[hit]], sign
         return ids, signs
 
-    def _steps(self, a: np.ndarray, b: np.ndarray) -> tuple:
-        """Signed link ids of the steps a -> b; DomainError names the first
-        step that is not a link."""
+    def _link_table(self, corners: np.ndarray, size: np.ndarray) -> tuple:
+        used = np.arange(corners.shape[1]) < size[:, None]
+        after = (np.arange(corners.shape[1]) + 1) % np.maximum(size, 1)[:, None]
+        a, b = corners[used], np.take_along_axis(corners, after, axis=1)[used]
         ids, signs = self._signed_links(a, b)
         bad = np.flatnonzero(signs == 0)
         if bad.size:
-            k = bad[0]
-            raise DomainError(f"({a[k]}, {b[k]}) is not a lattice link")
-        return ids, signs
+            raise DomainError(f"({a[bad[0]]}, {b[bad[0]]}) is not a lattice link")
+        links = np.zeros(corners.shape, dtype=int)
+        links[used] = ids
+        link_signs = np.zeros(corners.shape, dtype=np.int8)
+        link_signs[used] = signs
+        return links, link_signs
 
     # -- involution bookkeeping ----------------------------------------
-
-    def _build_plaquette_table(self, corners: np.ndarray, size: np.ndarray):
-        used = np.arange(corners.shape[1]) < size[:, None]
-        after = (np.arange(corners.shape[1]) + 1) % np.maximum(size, 1)[:, None]
-        ids, signs = self._steps(
-            corners[used], np.take_along_axis(corners, after, axis=1)[used]
-        )
-        self.plaquette_links = np.zeros(corners.shape, dtype=int)
-        self.plaquette_links[used] = ids
-        self.plaquette_signs = np.zeros(corners.shape, dtype=np.int8)
-        self.plaquette_signs[used] = signs
 
     def _build_link_image(self):
         tau = self.involution
@@ -472,8 +470,7 @@ def sphere_embedding(coords: np.ndarray) -> np.ndarray:
 def map_loop(lat: InvolutiveLattice, loop: LoopPath) -> LoopPath:
     """Image of a loop under the involution, link by link."""
     lat.loop_link_ids(loop)  # validates the input loop lies on the lattice
-    tau = lat.involution
-    return LoopPath(tuple(int(tau[s]) for s in loop.sites))
+    return LoopPath(tuple(lat.involution[list(loop.sites)].tolist()))
 
 
 def fixed_loops(lat: InvolutiveLattice) -> list:
@@ -484,38 +481,30 @@ def fixed_loops(lat: InvolutiveLattice) -> list:
     trivial on a 2d lattice the fixed set is the whole surface and the two
     coordinate generator cycles through site 0 are returned instead.
     """
-    fixed = set(lat.fixed_sites.tolist())
+    fixed = lat.fixed_sites.tolist()
     if not fixed:
         return []
     if lat.n_sites == len(fixed) and lat.dim == 2:
         return [torus_row_loop(lat, 0), torus_row_loop(lat, 1)]
 
+    is_fixed = lat.involution == np.arange(lat.n_sites)
+    inside = is_fixed[lat.link_tail] & is_fixed[lat.link_head]  # in link order
     neighbors: dict[int, list[int]] = {s: [] for s in fixed}
-    for a, b in zip(lat.link_tail.tolist(), lat.link_head.tolist()):
-        if a in fixed and b in fixed:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
+    for a, b in zip(lat.link_tail[inside].tolist(), lat.link_head[inside].tolist()):
+        neighbors[a].append(b)
+        neighbors[b].append(a)
 
     loops = []
     seen: set[int] = set()
-    for start in sorted(fixed):
+    for start in fixed:
         if start in seen or len(neighbors[start]) != 2:
             continue
-        cycle = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [n for n in neighbors[cur] if n != prev]
-            if not nxt:
-                cycle = None
-                break
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                break
-            if len(neighbors[cur]) != 2 or cur in seen:
-                cycle = None
-                break
+        # walk on through sites with two fixed neighbours; None is a dead end
+        cycle, prev, cur = [start], start, neighbors[start][0]
+        while cur != start and len(neighbors.get(cur, ())) == 2 and cur not in seen:
             cycle.append(cur)
-        if cycle and len(cycle) >= 3:
+            prev, cur = cur, next((n for n in neighbors[cur] if n != prev), None)
+        if cur == start and len(cycle) >= 3:
             seen.update(cycle)
             loops.append(LoopPath(tuple(cycle)))
     loops.sort(key=lambda lp: tuple(lat.sites[lp.base]))

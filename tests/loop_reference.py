@@ -8,9 +8,12 @@ error class naming the same site, link or plaquette.  Each function takes
 and returns the package's own data types, except the lattice builders:
 ``*_fields`` return a builder's constructor fields and ``lattice_tables``
 the tables derived from them (a dict of directed links, walked link by link
-and plaquette by plaquette), which test_lattice.py compares bitwise.  The
-per-point model evaluators, and the loops that called them once per site,
-link, plaquette or curve step, are the reference of test_block_contract.py.
+and plaquette by plaquette), which test_lattice.py compares bitwise.
+``fixed_loops`` walks every link into a dict of fixed neighbours, and
+``wilson_loop`` multiplies a loop's links one at a time; the kernels must
+reproduce both bit for bit.  The per-point model evaluators, and the loops
+that called them once per site, link, plaquette or curve step, are the
+reference of test_block_contract.py.
 """
 
 import csv
@@ -20,11 +23,13 @@ import numpy as np
 import scipy.linalg
 
 import realbloch as rb
+from realbloch._matrix import BRANCH_CUT_GUARD, spectral_maps
 from realbloch.errors import (
     BranchCutError,
     DiscretizationError,
     DomainError,
     GapClosureError,
+    IndeterminateHolonomyError,
     InvalidDiscretizationError,
     KramersObstructionError,
     ModelError,
@@ -337,6 +342,47 @@ def lattice_tables(fields):
         plaquette_image=plaq_img,
         plaquette_image_sign=plaq_sgn,
     )
+
+
+def fixed_loops(lat):
+    """Maximal link cycles inside the fixed set, from a neighbour dict filled
+    by a walk over every link."""
+    fixed = set(lat.fixed_sites.tolist())
+    if not fixed:
+        return []
+    if lat.n_sites == len(fixed) and lat.dim == 2:
+        return [rb.torus_row_loop(lat, 0), rb.torus_row_loop(lat, 1)]
+
+    neighbors = {s: [] for s in fixed}
+    for a, b in zip(lat.link_tail.tolist(), lat.link_head.tolist()):
+        if a in fixed and b in fixed:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+
+    loops = []
+    seen = set()
+    for start in sorted(fixed):
+        if start in seen or len(neighbors[start]) != 2:
+            continue
+        cycle = [start]
+        prev, cur = None, start
+        while True:
+            nxt = [n for n in neighbors[cur] if n != prev]
+            if not nxt:
+                cycle = None
+                break
+            prev, cur = cur, nxt[0]
+            if cur == start:
+                break
+            if len(neighbors[cur]) != 2 or cur in seen:
+                cycle = None
+                break
+            cycle.append(cur)
+        if cycle and len(cycle) >= 3:
+            seen.update(cycle)
+            loops.append(rb.LoopPath(tuple(cycle)))
+    loops.sort(key=lambda lp: tuple(lat.sites[lp.base]))
+    return loops
 
 
 # -- per-point models ----------------------------------------------------------
@@ -792,6 +838,46 @@ def chern_value(curv, lat):
     if lat.dim != 2 or lat.n_plaquettes == 0:
         raise UnsupportedBaseError("Chern numbers need a 2-dimensional lattice")
     return math.fsum(chern_weil_density(curv, 1))
+
+
+# -- holonomy ------------------------------------------------------------------
+
+
+def wilson_loop(u, loop):
+    prod = np.eye(u.rank, dtype=complex)
+    for link_id, sign in u.lattice.loop_link_ids(loop):
+        prod = prod @ u.on(link_id, sign)
+    return rb.HolonomyResult(prod.conj().T, loop, loop.base)
+
+
+def _round_sign(value, margin=0.3):
+    for sign in (+1, -1):
+        if abs(value - sign) < margin:
+            return sign
+    raise IndeterminateHolonomyError(
+        f"holonomy determinant {value:+.4f} too far from +/-1 to round; "
+        "refine the lattice"
+    )
+
+
+def _half_angle(z):
+    return np.exp(0.5j * np.angle(z))
+
+
+def fixed_loop_holonomies(u, lat, w):
+    """One fixed loop at a time: the sewing root at its base alone, then its
+    per-link Wilson loop."""
+    out = []
+    for loop in fixed_loops(lat):
+        roots, ev = spectral_maps(w.w[[loop.base]], _half_angle)
+        if np.any(np.abs(ev + 1.0) < BRANCH_CUT_GUARD):
+            raise BranchCutError("sewing matrix eigenvalue at -1; refine the lattice")
+        g = roots[0]
+        rotated = g.conj().T @ wilson_loop(u, loop).hol @ g
+        sign = _round_sign(float(np.linalg.det(rotated).real))
+        hol = rb.HolonomyResult(rotated, loop, loop.base, gauge_tag="real-frame")
+        out.append(rb.FixedLoopHolonomy(hol, frob(rotated.imag), sign))
+    return out
 
 
 # -- cli -----------------------------------------------------------------------

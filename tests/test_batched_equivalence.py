@@ -9,6 +9,8 @@ their invariants.  Failures must raise the same error class naming the same
 site, link or plaquette.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -88,8 +90,8 @@ def flux_traces(u, lat, curvature):
     return np.trace(curvature(u, lat).f, axis1=1, axis2=2)
 
 
-def loop_invariants(u, lat, w):
-    recs = rb.fixed_loop_holonomies(u, lat, w)
+def loop_invariants(u, lat, w, holonomies=rb.fixed_loop_holonomies):
+    recs = holonomies(u, lat, w)
     return [r.holonomy.trace for r in recs], [r.sign for r in recs]
 
 
@@ -141,12 +143,13 @@ def test_hamiltonian_pipeline_matches_loops(case):
         value, _ = rb.chern_number(rb.plaquette_curvature(u, lat), lat)
         value_ref = ref.chern_value(ref.plaquette_curvature(u_ref, lat), lat)
         assert abs(value - value_ref) <= TOL
-    assert_same_loops(loop_invariants(u, lat, w), loop_invariants(u_ref, lat, w_ref))
+    loops_ref = loop_invariants(u_ref, lat, w_ref, ref.fixed_loop_holonomies)
+    assert_same_loops(loop_invariants(u, lat, w), loops_ref)
 
     result = rb.classify_real_bundle(h, j, lat, bands)
     if lat.dim == 2:
         assert abs(result.diagnostics["chern_value"] - value_ref) <= TOL
-    signs_ref = loop_invariants(u_ref, lat, w_ref)[1]
+    signs_ref = loops_ref[1]
     assert result.torsion == expected_torsion(lat, signs_ref)
     assert abs(result.diagnostics["projection_residual"] - pres) <= TOL
 
@@ -175,8 +178,9 @@ def test_product_pipeline_matches_loops(case):
         assert np.max(np.abs(traces - traces_ref)) <= TOL
         value_ref = ref.chern_value(ref.plaquette_curvature(u_ref, lat), lat)
         assert abs(result.diagnostics["chern_value"] - value_ref) <= TOL
-    assert_same_loops(loop_invariants(u, lat, w), loop_invariants(u_ref, lat, w))
-    assert result.torsion == expected_torsion(lat, loop_invariants(u_ref, lat, w)[1])
+    loops_ref = loop_invariants(u_ref, lat, w, ref.fixed_loop_holonomies)
+    assert_same_loops(loop_invariants(u, lat, w), loops_ref)
+    assert result.torsion == expected_torsion(lat, loops_ref[1])
 
 
 @pytest.mark.parametrize(
@@ -195,6 +199,107 @@ def test_smooth_frame_gauge_matches_loop(case):
 
 def random_matrices(rng, n, m):
     return rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))
+
+
+# -- loops: one signed link table and one ordered product ----------------------
+
+SHIPPED_LATTICES = {
+    **{
+        f"circle-{kind}": (rb.build_circle, 12, kind)
+        for kind in ("trivial", "reflection", "antipodal")
+    },
+    **{
+        f"torus-{kind}": (rb.build_torus2, 8, 12, kind)
+        for kind in ("trivial", "eta", "eta1")
+    },
+    "torus-xi": (rb.build_torus2, 10, 10, "xi"),
+    "sphere": (rb.build_sphere2, 7, 10),
+    # the benchmark lattices
+    "eta-128": (rb.build_torus2, 128, 128, "eta"),
+    "eta1-48": (rb.build_torus2, 48, 48, "eta1"),
+    "sphere-96x128": (rb.build_sphere2, 96, 128),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHIPPED_LATTICES))
+def test_fixed_loops_match_dict_walk(case):
+    build, *args = SHIPPED_LATTICES[case]
+    lat = build(*args)
+    for lattice in (lat, lat.with_reversed_orientation()):
+        assert rb.fixed_loops(lattice) == ref.fixed_loops(lattice)
+
+
+def test_fixed_loops_match_dict_walk_on_random_graphs(rng):
+    # fixed sets with branches, dead ends, self and parallel links: the walk
+    # reads only these fields of a lattice
+    for _ in range(300):
+        n = int(rng.integers(4, 14))
+        tau = np.arange(n)
+        moved = rng.permutation(n)[: 2 * int(rng.integers(0, n // 3 + 1))]
+        tau[moved] = moved.reshape(-1, 2)[:, ::-1].ravel()
+        fixed = np.flatnonzero(tau == np.arange(n))
+        ring = rng.permutation(fixed)[: int(rng.integers(0, fixed.size + 1))]
+        extra = rng.integers(0, n, (int(rng.integers(0, 4)), 2))
+        links = np.concatenate([np.column_stack([ring, np.roll(ring, -1)]), extra])
+        lat = SimpleNamespace(
+            n_sites=n,
+            dim=1,
+            sites=rng.integers(0, 3, (n, 1)).astype(float),
+            involution=tau,
+            fixed_sites=fixed,
+            link_tail=links[:, 0],
+            link_head=links[:, 1],
+        )
+        assert rb.fixed_loops(lat) == ref.fixed_loops(lat)
+
+
+def real_link_field(lat, m, rng):
+    """Random orthogonal links in a random site gauge g, with the sewing
+    field g^dag conj(g) of that gauge: every fixed-loop holonomy has
+    determinant +/-1, so its sign rounds."""
+    o = np.linalg.qr(rng.normal(size=(lat.n_links, m, m)))[0]
+    g = np.linalg.qr(random_matrices(rng, lat.n_sites, m))[0]
+    u = rb.gauge_transform(rb.LinkField(o.astype(complex), lat), g)
+    w = rb.SewingField(g.conj().swapaxes(1, 2) @ g.conj(), lat, +1, 0.0)
+    return u, w
+
+
+LOOP_LATTICES = {
+    "sphere-12x16": lambda: rb.build_sphere2(12, 16),
+    # generator loops of lengths 8 and 12: the shorter row is padded
+    "trivial-torus-8x12": lambda: rb.build_torus2(8, 12, "trivial"),
+    "eta-torus-16x16": lambda: rb.build_torus2(16, 16, "eta"),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(LOOP_LATTICES))
+def test_loop_products_match_per_link_bitwise(case, m):
+    lat = LOOP_LATTICES[case]()
+    u, w = real_link_field(lat, m, np.random.default_rng(m))
+    loops = rb.fixed_loops(lat)
+    cells = [rb.LoopPath(verts) for verts in lat.plaquette_vertices[:4]]
+    probes = loops + [lp.reversed() for lp in loops] + cells
+    for loop in probes + [rb.map_loop(lat, lp) for lp in probes]:
+        got, want = rb.wilson_loop(u, loop), ref.wilson_loop(u, loop)
+        assert got.hol.tobytes() == want.hol.tobytes()
+        assert (got.loop, got.base, got.gauge_tag) == (want.loop, want.base, "frame")
+    for loop in probes:
+        # the loop and its image, one per-link Wilson loop each
+        hol = ref.wilson_loop(u, loop).hol
+        image = ref.wilson_loop(u, rb.map_loop(lat, loop)).hol
+        wb = w.w[loop.base]
+        defect = ref.frob(wb.conj().T @ image @ wb - hol.conj())
+        assert rb.holonomy_equivariance_check(u, w, loop, lat) == defect
+
+    recs = rb.fixed_loop_holonomies(u, lat, w)
+    recs_ref = ref.fixed_loop_holonomies(u, lat, w)
+    assert len(recs) == len(recs_ref) == len(loops) > 0
+    for rec, rec_ref in zip(recs, recs_ref):
+        assert rec.holonomy.hol.tobytes() == rec_ref.holonomy.hol.tobytes()
+        assert rec.holonomy.loop == rec_ref.holonomy.loop
+        assert rec.reality_residual == rec_ref.reality_residual < 1e-12
+        assert rec.sign == rec_ref.sign
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -17,6 +17,7 @@ from realbloch.errors import (
     ConfigError,
     DiscretizationError,
     ModelError,
+    SymmetryInconsistencyError,
     SymmetryViolationError,
 )
 
@@ -237,6 +238,11 @@ SPHERE_CONFIG = {
             "bad k 'a': invalid literal",
         ),
         ({"tasks": "classify"}, "tasks must be a nonempty list, got 'classify'"),
+        # a string is not read character by character
+        ({"moduli_values": "05"}, "bad moduli_values '05': expected a list of"),
+        ({"moduli_values": [0.5, "1"]}, "bad moduli_values [0.5, '1']: expected"),
+        ({"moduli_values": [float("nan")]}, "bad moduli_values [nan]: expected"),
+        ({"moduli_values": [True]}, "bad moduli_values [True]: expected"),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, override, message):
@@ -292,6 +298,32 @@ def test_invalid_model_parameters_are_config_errors(tmp_path, lattice, model, me
     error = json.loads((out / "report.json").read_text())["error"]
     assert error["kind"] == "config"
     assert error["message"].startswith(message)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_tolerance_must_be_positive_and_finite(tmp_path, value):
+    # JSON reads NaN and Infinity, and a NaN tolerance would pass every check
+    h, j = rb.model_degree_k_sphere(2)
+    lat = rb.build_sphere2(12, 16)
+    tolerances = {"projection_symmetry": value, "sewing_unitarity": value}
+    with pytest.raises(ValueError) as err:
+        rb.RealBundle(h, j, lat, [0], tolerances)
+    assert str(err.value) == (
+        f"tolerance projection_symmetry = {value} must lie in (0, inf)"
+    )
+    with pytest.raises(ValueError, match="^tolerance hamiltonian_symmetry = "):
+        rb.classify_real_bundle(h, j, lat, [0], {"hamiltonian_symmetry": value})
+    config = dict(
+        SPHERE_CONFIG,
+        lattice={"topology": "sphere2", "n_theta": 12, "n_phi": 16},
+        tolerances=tolerances,
+    )
+    out = tmp_path / "out"
+    code = cli.main(["run", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error == {"kind": "config", "message": str(err.value)}
+    assert "classify" not in json.loads((out / "report.json").read_text())
 
 
 def test_unknown_tolerance_key_is_rejected(tmp_path):
@@ -602,15 +634,16 @@ def band_swap(c):
     return np.diag([-1.0, 1.0] if abs(x) < np.pi / 2 else [1.0, -1.0]).astype(complex)
 
 
-def test_library_link_errors_precede_sewing_errors():
+def test_library_link_errors_precede_sewing_errors(monkeypatch):
     # symmetric under x -> -x, so only the connection layers can fail: the
-    # singular overlap is reported although no sewing field passes tolerance -1
+    # singular overlap is reported although every sewing field is rejected
+    def reject(*args):
+        raise SymmetryInconsistencyError("sewing matrix rejected")
+
+    monkeypatch.setattr(classify, "sewing_matrix", reject)
     h, j = family_from("band_swap", band_swap)
     with pytest.raises(DiscretizationError) as err:
-        rb.classify_real_bundle(
-            h, j, rb.build_circle(16, "reflection"), [0],
-            tolerances={"sewing_unitarity": -1.0},
-        )
+        rb.classify_real_bundle(h, j, rb.build_circle(16, "reflection"), [0])
     assert str(err.value) == (
         "singular frame overlap on link 3 (3->4), smallest singular value 0.000e+00"
     )
