@@ -132,8 +132,8 @@ def fixed_loop_holonomies(
             raise BranchCutError("sewing matrix eigenvalue at -1; refine the lattice")
         rotated = g.conj().T @ hol @ g
         sign = _round_sign(float(np.linalg.det(rotated).real))
-        hol = HolonomyResult(rotated, loop, loop.base, gauge_tag="real-frame")
-        out.append(FixedLoopHolonomy(hol, frob(rotated.imag), sign))
+        result = HolonomyResult(rotated, loop, loop.base, gauge_tag="real-frame")
+        out.append(FixedLoopHolonomy(result, frob(rotated.imag), sign))
     return out
 
 
