@@ -27,6 +27,12 @@ def max_frob(a: np.ndarray) -> float:
     return float(frob_each(a).max(initial=0.0))
 
 
+def worst(a: float, b: float) -> float:
+    """The larger of two residuals, NaN if either is NaN (Python's max
+    keeps its first argument against a NaN)."""
+    return float(np.maximum(a, b))
+
+
 def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 

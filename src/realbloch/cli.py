@@ -176,6 +176,18 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _finite(convert):
+    """convert, then ValueError unless every number it gives is finite."""
+
+    def checked(value):
+        out = convert(value)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("not finite")
+        return out
+
+    return checked
+
+
 def _read(section: dict, key: str, convert, default=None):
     """convert(section[key]), falling back to `default` when one is given;
     a value that convert rejects is a ConfigError naming the key."""
@@ -217,20 +229,21 @@ def _build_model(spec: dict, lat):
     if name == "trivial_line":
         return model_zoo.model_trivial_line(spec.get("base", lat.base_tag), lat.dim), None
     if name == "flat_line":
-        return model_zoo.model_flat_line(_read(params, "a", float, 0.25)), None
+        return model_zoo.model_flat_line(_read(params, "a", _finite(float), 0.25)), None
     if name == "degree_k_sphere":
         return model_zoo.model_degree_k_sphere(_read(params, "k", _integer, 1))
     if name == "oscillator":
         osc = OscillatorParams(
             level=_read(params, "level", _integer, 0),
             n_basis=_read(params, "n_basis", _integer, 40),
-            delta=_read(params, "delta", float, 1.0),
+            delta=_read(params, "delta", _finite(float), 1.0),
         )
         h, j = model_zoo.model_oscillator(osc, lat)
         h.oscillator_params = osc
         return h, j
     if name == "constant_diag":
-        entries = _read(params, "entries", lambda v: np.asarray(v, float), [-1.0, 1.0])
+        floats = _finite(lambda v: np.asarray(v, float))
+        entries = _read(params, "entries", floats, [-1.0, 1.0])
         mat = np.diag(entries).astype(complex)
         return (
             HamiltonianFamily(len(entries), constant(mat), "constant_diag"),

@@ -386,6 +386,15 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_j(j1: SymmetryData, j2: SymmetryData) -> SymmetryData:
+    """J1 + J2 block-diagonally; constant when both summands are."""
+    if j1.matrix is not None and j2.matrix is not None:
+        matrix = _block_diag(j1.matrix, j2.matrix)
+        return SymmetryData.constant(matrix, j1.parity, "sum-J")
+    n = j1.dimension + j2.dimension
+    return SymmetryData(n, j1.parity, lambda c: _block_diag(j1(c), j2(c)), "sum-J")
+
+
 def direct_sum_specs(
     s1: ProductConnectionSpec, s2: ProductConnectionSpec
 ) -> ProductConnectionSpec:
@@ -394,12 +403,10 @@ def direct_sum_specs(
         raise ValueError("direct sum needs a common base")
     if s1.j.parity != s2.j.parity:
         raise ValueError("direct sum needs matching parity")
-    m = s1.rank + s2.rank
-    j1, j2 = s1.j, s2.j
     return ProductConnectionSpec(
-        rank=m,
+        rank=s1.rank + s2.rank,
         connection=lambda c: _block_diag(s1.connection_at(c), s2.connection_at(c)),
-        j=SymmetryData(m, j1.parity, lambda c: _block_diag(j1(c), j2(c)), "sum-J"),
+        j=_sum_j(s1.j, s2.j),
         base_tag=s1.base_tag,
         name=f"{s1.name}+{s2.name}",
     )
@@ -419,5 +426,5 @@ def direct_sum_hamiltonians(
         HamiltonianFamily(
             n, lambda c: _block_diag(h1(c), h2(c)), f"{h1.name}+{h2.name}"
         ),
-        SymmetryData(n, j1.parity, lambda c: _block_diag(j1(c), j2(c)), "sum-J"),
+        _sum_j(j1, j2),
     )

@@ -73,11 +73,17 @@ class HamiltonianFamily:
 
 @dataclass
 class SpectralData:
-    """Per-site ascending eigenvalues and matching eigenvector columns."""
+    """Per-site ascending eigenvalues of every band, and the eigenvector
+    columns of the bands in `bands` (sorted; every band when omitted)."""
 
     eigenvalues: np.ndarray  # (n_sites, N)
-    eigenvectors: np.ndarray  # (n_sites, N, N)
+    eigenvectors: np.ndarray  # (n_sites, N, m), column i is band bands[i]
     lattice: InvolutiveLattice
+    bands: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.bands is None:
+            self.bands = tuple(range(self.eigenvectors.shape[2]))
 
     @property
     def dimension(self) -> int:
@@ -157,12 +163,17 @@ def index_blocks(n: int, entries: int):
         yield slice(start, min(start + size, n))
 
 
-def eigensolve_family(h: HamiltonianFamily, lat: InvolutiveLattice) -> SpectralData:
+def eigensolve_family(
+    h: HamiltonianFamily, lat: InvolutiveLattice, bands=None
+) -> SpectralData:
     """Diagonalize the family at every lattice site.
 
-    H is evaluated once per site block (see index_blocks), and each block
-    is checked for Hermiticity and diagonalized by batched eigh calls, so no
-    (n_sites, N, N) array exists besides the returned eigenvectors.  Raises
+    Returns the eigenvalues of every band and the eigenvector columns of
+    `bands` only (default: every band), shape (n_sites, N, m); bad band
+    indices raise ValueError (see band_selection).  H is evaluated once per
+    site block (see index_blocks), and each block is checked for
+    Hermiticity and diagonalized by batched eigh calls, so no
+    (n_sites, N, N) array exists unless every band is kept.  Raises
     ModelError on an evaluator output of the wrong shape, or naming the
     first site whose matrix is not Hermitian.
 
@@ -173,12 +184,14 @@ def eigensolve_family(h: HamiltonianFamily, lat: InvolutiveLattice) -> SpectralD
     component tridiagonal in its index order is rotated by a diagonal phase
     to a real symmetric matrix, any other one takes a dense eigh.  The
     eigenvalues of all components merge in ascending order (a stable sort,
-    ties in component order), and each eigenvector is zero outside its
-    component.
+    ties in component order), and each kept eigenvector is zero outside its
+    component.  The kept columns equal those of the full eigensolve bit for
+    bit.
     """
     n, dim = lat.n_sites, h.dimension
+    sel = list(range(dim)) if bands is None else band_selection(bands, dim)
     values = np.empty((n, dim))
-    vectors = np.empty((n, dim, dim), dtype=complex)
+    vectors = np.empty((n, dim, len(sel)), dtype=complex)
     split = {}  # nonzero pattern -> its sectors
     for block in index_blocks(n, dim * dim):
         stack = h(lat.sites[block])
@@ -194,10 +207,11 @@ def eigensolve_family(h: HamiltonianFamily, lat: InvolutiveLattice) -> SpectralD
         if key not in split:
             split[key] = _sectors(pattern)
         if len(split[key]) == 1:
-            values[block], vectors[block] = np.linalg.eigh(stack)
+            values[block], v = np.linalg.eigh(stack)
+            vectors[block] = v[:, :, sel]
         else:
-            values[block], vectors[block] = _sector_eigh(stack, split[key])
-    return SpectralData(values, vectors, lat)
+            values[block], vectors[block] = _sector_eigh(stack, split[key], sel)
+    return SpectralData(values, vectors, lat, tuple(sel))
 
 
 def _sectors(pattern: np.ndarray) -> list:
@@ -219,33 +233,42 @@ def _sectors(pattern: np.ndarray) -> list:
     return out
 
 
-def _sector_eigh(stack: np.ndarray, sectors: list) -> tuple:
-    """Ascending eigenvalues and eigenvectors of a stack that is block
-    diagonal over `sectors` (see _sectors), one sector at a time."""
+def _sector_eigh(stack: np.ndarray, sectors: list, bands: list) -> tuple:
+    """Ascending eigenvalues and the eigenvectors of `bands` of a stack that
+    is block diagonal over `sectors` (see _sectors), one sector at a time.
+    Only the kept columns are rotated and scattered into place."""
     n, dim = stack.shape[:2]
     w = np.empty((n, dim))
-    v = np.zeros((n, dim, dim), dtype=complex)
+    solved = []  # per sector: (indices, first merged column, phases, vectors)
     start = 0
     for idx, tridiagonal in sectors:
         cols = slice(start, start + len(idx))
         if tridiagonal:
             sub = stack[:, idx[1:], idx[:-1]]
-            solved = _tridiagonal_eigh(stack[:, idx, idx].real, sub)
+            w[:, cols], d, u = _tridiagonal_eigh(stack[:, idx, idx].real, sub)
         else:
-            solved = np.linalg.eigh(stack[:, idx[:, None], idx])
-        w[:, cols], v[:, idx, cols] = solved
+            d = None
+            w[:, cols], u = np.linalg.eigh(stack[:, idx[:, None], idx])
+        solved.append((idx, start, d, u))
         start = cols.stop
     order = np.argsort(w, axis=1, kind="stable")
-    return np.take_along_axis(w, order, 1), np.take_along_axis(v, order[:, None], 2)
+    pick = order[:, bands]  # merged column of each kept band, (n, m)
+    v = np.zeros((n, dim, len(bands)), dtype=complex)
+    for idx, first, d, u in solved:
+        site, col = np.nonzero((pick >= first) & (pick < first + len(idx)))
+        vec = u[site, :, pick[site, col] - first]  # (kept, len(idx))
+        v[site[:, None], idx, col[:, None]] = vec if d is None else d[site] * vec
+    return np.take_along_axis(w, order, 1), v
 
 
 def _tridiagonal_eigh(diag: np.ndarray, sub: np.ndarray) -> tuple:
     """eigh of the Hermitian tridiagonal stack with real diagonal `diag`
-    (n, k) and sub-diagonal `sub` (n, k - 1), the triangle eigh reads.
+    (n, k) and sub-diagonal `sub` (n, k - 1), the triangle eigh reads, as
+    ``(w, d, u)``: T's eigenvectors are d[:, :, None] * u.
 
-    The diagonal unitary D with D^dag T D real takes its phases from `sub`,
-    1 where an entry is 0: the real symmetric stack has diagonal `diag` and
-    off-diagonal |sub|, and T's eigenvectors are D times its eigenvectors.
+    The diagonal unitary D = diag(d) with D^dag T D real takes its phases
+    from `sub`, 1 where an entry is 0: the real symmetric stack has diagonal
+    `diag` and off-diagonal |sub|, and u holds its eigenvectors.
     """
     n, k = diag.shape
     phase, mag = polar_unitaries(sub.reshape(-1, 1, 1))
@@ -257,7 +280,7 @@ def _tridiagonal_eigh(diag: np.ndarray, sub: np.ndarray) -> tuple:
     real[:, :: k + 1] = diag
     real[:, k :: k + 1] = real[:, 1 :: k + 1] = mag.reshape(sub.shape)
     w, u = np.linalg.eigh(real.reshape(n, k, k))
-    return w, d[:, :, None] * u
+    return w, d, u
 
 
 def _site_gaps(s: SpectralData, sel: list) -> Optional[np.ndarray]:
@@ -296,22 +319,25 @@ def gap_margin(s: SpectralData, band_indices) -> float:
 def select_projection(s: SpectralData, band_indices) -> ProjectionFamily:
     """Spectral projector onto an isolated group of bands.
 
-    Band indices refer to ascending-sorted eigenvalues, 0-based; bad ones
-    raise ValueError (see band_selection).  Raises GapClosureError naming
-    the first offending site if the selection is not isolated (boundary gap
-    below 1e-8); degeneracy inside the selection is allowed.  The family
-    keeps the selected eigenvector columns; see ProjectionFamily for when
-    the projectors themselves are formed.
+    Band indices refer to ascending-sorted eigenvalues, 0-based; bad ones,
+    and bands whose eigenvectors `s` does not hold, raise ValueError (see
+    band_selection).  Raises GapClosureError naming the first offending
+    site if the selection is not isolated (boundary gap below 1e-8);
+    degeneracy inside the selection is allowed.  The family keeps the
+    selected eigenvector columns; see ProjectionFamily for when the
+    projectors themselves are formed.
     """
     sel = band_selection(band_indices, s.dimension)
+    missing = sorted(set(sel) - set(s.bands))
+    if missing:
+        raise ValueError(f"bands {missing} not kept by the eigensolve {s.bands}")
     gaps = _site_gaps(s, sel)
     if gaps is not None:
         worst = int(np.argmin(gaps))
         if gaps[worst] < DEGENERACY_TOL:
             raise GapClosureError(worst, float(gaps[worst]))
-    return ProjectionFamily(
-        None, len(sel), s.lattice, tuple(sel), columns=s.eigenvectors[:, :, sel]
-    )
+    cols = s.eigenvectors[:, :, [s.bands.index(b) for b in sel]]
+    return ProjectionFamily(None, len(sel), s.lattice, tuple(sel), columns=cols)
 
 
 def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:

@@ -6,11 +6,11 @@ intended conjugation.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from ._matrix import adjoint, frob_each, max_frob
+from ._matrix import adjoint, frob_each, max_frob, worst
 from .errors import KramersObstructionError, SymmetryInconsistencyError
 from .lattice import InvolutiveLattice
 from .spectral import (
@@ -34,6 +34,32 @@ __all__ = [
 ]
 
 
+class _Unit:
+    """J = 1 as a product factor.  Multiplying by it returns the other
+    factor, C-contiguous as a product would be, so the checks form no
+    product with the identity: I @ A = A holds exactly for finite A (each
+    entry is itself plus exact zeros), and every residual keeps its bits.
+    numpy defers its operators to it (``__array_ufunc__ = None``), and
+    ``adjoint(UNIT)`` is UNIT.
+    """
+
+    __array_ufunc__ = None
+
+    def __matmul__(self, other):
+        return np.ascontiguousarray(other)
+
+    __rmatmul__ = __matmul__
+
+    def conj(self):
+        return self
+
+    def swapaxes(self, *axes):
+        return self
+
+
+UNIT = _Unit()  # see SymmetryData.factor
+
+
 @dataclass
 class SymmetryData:
     """Unitary family J(x) together with the time-reversal parity.
@@ -41,24 +67,37 @@ class SymmetryData:
     Parity +1 is even time reversal ("Real" structures), -1 is odd
     ("Quaternionic"; supported here only at the level of symmetry checks).
     `evaluator` follows the HamiltonianFamily block contract: an (n, d)
-    coordinate block in, an (n, N, N) stack out.
+    coordinate block in, an (n, N, N) stack out.  `matrix` is the (N, N)
+    J of a constant family (see `constant`) and None for a site-dependent
+    one: the checks compute a constant J's unitary residual once, and skip
+    the factor when the matrix is the identity (see `factor`).
     """
 
     dimension: int
     parity: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+    matrix: Optional[np.ndarray] = None
 
     def __call__(self, coords) -> np.ndarray:
         n = self.dimension
         j = evaluate_block(self.evaluator, coords, (n, n), self.name or "symmetry")
         return np.asarray(j, dtype=complex)
 
+    def factor(self, coords):
+        """J on a coordinate block as a factor of the checks' products: the
+        stack, or UNIT when `matrix` is the identity, so that Theta is plain
+        complex conjugation and nothing is evaluated or multiplied."""
+        identity = self.matrix is not None and np.array_equal(
+            self.matrix, np.eye(self.dimension)
+        )
+        return UNIT if identity else self(coords)
+
     @staticmethod
     def constant(j: np.ndarray, parity: int = +1, name: str = "") -> "SymmetryData":
         """The same J at every site, as a read-only broadcast view."""
         j = np.asarray(j, dtype=complex)
-        return SymmetryData(j.shape[0], parity, constant(j), name)
+        return SymmetryData(j.shape[0], parity, constant(j), name, j)
 
     @staticmethod
     def identity(dimension: int) -> "SymmetryData":
@@ -110,9 +149,25 @@ def orbit_blocks(lat: InvolutiveLattice, dim: int):
         yield sites, where[tau[sites]]
 
 
-def unitary_residual(js: np.ndarray, jt: np.ndarray, parity: int) -> float:
+def _block_unitary_residual(js: np.ndarray, jt: np.ndarray, parity: int) -> float:
     """Max over a block of || J(tau x) conj(J(x)) - parity * 1 ||."""
     return max_frob(jt @ js.conj() - parity * np.eye(js.shape[-1]))
+
+
+def unitary_residual(j: SymmetryData, lat: InvolutiveLattice) -> float:
+    """Max over sites of || J(tau x) conj(J(x)) - parity * 1 ||.
+
+    A constant J is checked once on its matrix; otherwise J is evaluated
+    once per involution-closed block and the tau side is gathered.  A NaN
+    anywhere gives NaN.
+    """
+    if j.matrix is not None:
+        return _block_unitary_residual(j.matrix[None], j.matrix[None], j.parity)
+    res = 0.0
+    for sites, tau in orbit_blocks(lat, j.dimension):
+        js = j(lat.sites[sites])
+        res = worst(res, _block_unitary_residual(js, js[tau], j.parity))
+    return res
 
 
 def verify_hamiltonian_symmetry(
@@ -124,20 +179,20 @@ def verify_hamiltonian_symmetry(
     """Residuals of the time-reversal constraints on a Hamiltonian family.
 
     Reports max over sites of || J(x)^dag H(tau x) J(x) - conj(H(x)) || and
-    of || J(tau x) conj(J(x)) - parity * 1 ||; both below tolerance declare
-    the family symmetric.  H and J are evaluated once per involution-closed
-    block; the tau side is a gather within the block.  Report-only: never
-    raises.
+    the unitary residual of J (see unitary_residual); both below tolerance
+    declare the family symmetric, and a NaN in either does not.  H is
+    evaluated once per involution-closed block, and the tau side is a
+    gather within the block.  For J = 1 (see SymmetryData.factor) the
+    Hamiltonian residual is || H(tau x) - conj(H(x)) ||, with the same bits.
+    Report-only: never raises.
     """
     res_h = 0.0
-    res_j = 0.0
     for sites, tau in orbit_blocks(lat, h.dimension):
         coords = lat.sites[sites]
         hs = h(coords)
-        js = j(coords)
-        res_h = max(res_h, max_frob(adjoint(js) @ hs[tau] @ js - hs.conj()))
-        res_j = max(res_j, unitary_residual(js, js[tau], j.parity))
-    return SymmetryReport(res_h, res_j, tolerance)
+        js = j.factor(coords)
+        res_h = worst(res_h, max_frob(adjoint(js) @ hs[tau] @ js - hs.conj()))
+    return SymmetryReport(res_h, unitary_residual(j, lat), tolerance)
 
 
 def verify_projection_symmetry(
@@ -149,16 +204,17 @@ def verify_projection_symmetry(
     """Max site residual of P(tau x) J(x) = J(x) conj(P(x)).
 
     Computed in site blocks from the family's columns V (P = V V^dag), so
-    the projector tensor is never formed.
+    the projector tensor is never formed; J = 1 is not multiplied (see
+    SymmetryData.factor).  A NaN anywhere gives NaN.
     """
     tau = lat.involution
     cols = p.columns
     res = 0.0
     for block in index_blocks(lat.n_sites, j.dimension**2):
-        js = j(lat.sites[block])
+        js = j.factor(lat.sites[block])
         vt, vs = cols[tau[block]], cols[block]
         diff = vt @ (adjoint(vt) @ js) - (js @ vs.conj()) @ vs.swapaxes(1, 2)
-        res = max(res, max_frob(diff))
+        res = worst(res, max_frob(diff))
     return res
 
 
@@ -168,8 +224,9 @@ def sewing_matrix(
     """W(x) = Psi(tau x)^dag J(x) conj(Psi(x)) per site.
 
     Requires the projection symmetry to hold; a unitarity residual above
-    tolerance raises.  Odd parity with odd rank over a nonempty fixed set is
-    rejected outright: no consistent sewing matrix exists there.
+    tolerance, or NaN, raises.  J = 1 is not multiplied (see
+    SymmetryData.factor).  Odd parity with odd rank over a nonempty fixed
+    set is rejected outright: no consistent sewing matrix exists there.
     """
     m = f.rank
     if j.parity == -1 and m % 2 == 1 and lat.fixed_sites.size > 0:
@@ -180,14 +237,14 @@ def sewing_matrix(
     cols = f.columns
     w = np.empty((lat.n_sites, m, m), dtype=complex)
     for block in index_blocks(lat.n_sites, j.dimension**2):
-        js = j(lat.sites[block])
+        js = j.factor(lat.sites[block])
         w[block] = adjoint(cols[tau[block]]) @ js @ cols[block].conj()
-    worst = max_frob(adjoint(w) @ w - np.eye(m))
-    if worst > tolerance:
+    res = max_frob(adjoint(w) @ w - np.eye(m))
+    if not res <= tolerance:
         raise SymmetryInconsistencyError(
-            f"sewing matrix unitarity residual {worst:.3e} exceeds {tolerance:g}"
+            f"sewing matrix unitarity residual {res:.3e} exceeds {tolerance:g}"
         )
-    return SewingField(w, lat, j.parity, worst)
+    return SewingField(w, lat, j.parity, res)
 
 
 def gb_equivariance_obstruction(
@@ -202,13 +259,13 @@ def gb_equivariance_obstruction(
     """
     js = j(lat.sites)
     tail, head = lat.link_tail, lat.link_head
-    worst = 0.0
+    res = 0.0
     for block in index_blocks(lat.n_links, j.dimension**2):
         a = tail[block]
         dj = adjoint(js[head[block]]) - adjoint(js[a])
         val = frob_each(p.projectors[a] @ dj.conj()) / lat.link_spacing[block]
-        worst = max(worst, float(val.max(initial=0.0)))
-    return worst
+        res = worst(res, val.max(initial=0.0))
+    return res
 
 
 def quaternionic_q(n: int) -> np.ndarray:

@@ -19,6 +19,7 @@ import realbloch as rb
 from conftest import mobius_two_band
 from realbloch import spectral
 from realbloch.classify import _BASE_TABLE, _j_consistency
+from realbloch.models import _block_diag
 from realbloch.errors import (
     BranchCutError,
     DiscretizationError,
@@ -427,6 +428,139 @@ def test_sector_eigensolve_matches_dense(case):
     for bands in groups:
         p = rb.select_projection(s, bands).projectors
         assert np.max(np.abs(p - ref.select_projection(s_ref, bands))) <= TOL, bands
+
+
+@pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+def test_eigensolve_keeps_the_selected_columns_bitwise(case):
+    h, lat, groups = SECTOR_CASES[case]()
+    full = rb.eigensolve_family(h, lat)
+    assert full.bands == tuple(range(h.dimension))
+    for bands in groups:
+        s = rb.eigensolve_family(h, lat, bands)
+        assert s.bands == tuple(bands)
+        assert s.eigenvectors.shape == (lat.n_sites, h.dimension, len(bands))
+        assert s.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+        assert s.eigenvectors.tobytes() == full.eigenvectors[:, :, bands].tobytes()
+        columns = rb.select_projection(s, bands).columns
+        assert columns.tobytes() == rb.select_projection(full, bands).columns.tobytes()
+
+
+def test_bundle_keeps_only_its_bands():
+    lat = rb.build_torus2(6, 6, "eta1")
+    h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
+    bundle = rb.RealBundle(h, j, lat, [0, 1])
+    assert bundle.spectra.eigenvectors.shape == (lat.n_sites, 40, 2)
+    assert bundle.projection.columns.shape == (lat.n_sites, 40, 2)
+
+
+def test_band_selection_errors_of_the_kept_eigensolve():
+    lat = rb.build_circle(4, "trivial")
+    h = rb.HamiltonianFamily(3, spectral.constant(np.diag([-1.0, 0.0, 1.0])))
+    for bands in ([3], [0.5]):
+        with pytest.raises(ValueError) as want:
+            spectral.band_selection(bands, 3)
+        with pytest.raises(ValueError) as got:
+            rb.eigensolve_family(h, lat, bands)
+        assert str(got.value) == str(want.value)
+    s = rb.eigensolve_family(h, lat, [1])
+    assert rb.gap_margin(s, [2]) == 1.0  # every eigenvalue is kept
+    with pytest.raises(ValueError, match=r"bands \[2\] not kept by the eigensolve"):
+        rb.select_projection(s, [1, 2])
+
+
+# -- J = 1 and constant J against the same J sampled per point -----------------
+
+
+def per_point(j):
+    """The constant J of `j` as a site-dependent family (no matrix)."""
+    return rb.SymmetryData(j.dimension, j.parity, rb.pointwise(lambda c: j.matrix))
+
+
+def rotated_sphere():
+    # H' = U H U^dag has the time reversal U K U^dag = (U U^T) K: a constant
+    # J' = U U^T that is not the identity
+    h, _ = rb.model_degree_k_sphere(2)
+    u, _ = np.linalg.qr(random_matrices(np.random.default_rng(44), 1, 2)[0])
+    rotated = rb.HamiltonianFamily(2, lambda c: u @ h(c) @ u.conj().T, "rotated")
+    return rotated, rb.SymmetryData.constant(u @ u.T), rb.build_sphere2(10, 16), [0]
+
+
+def oscillator_6x6(bands):
+    def build():
+        lat = rb.build_torus2(6, 6, "eta1")
+        h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
+        return h, j, lat, bands
+
+    return build
+
+
+CONSTANT_J_CASES = {
+    "sphere-k+2": sphere_case(2),
+    "oscillator-6x6-rank1": oscillator_6x6([1]),
+    "oscillator-6x6-rank2": oscillator_6x6([0, 1]),
+    "sphere-sum-rank2": HAMILTONIAN_CASES["sphere-sum-rank2"],
+    "sigma-x-circle": HAMILTONIAN_CASES["mobius-two-band-circle"],
+    "rotated-sphere": rotated_sphere,
+}
+
+
+def assert_same_symmetry_layers(h, j, j_ref, lat, bands):
+    """Every symmetry residual with the same bits; the sewing matrices equal
+    entry by entry (an exact zero may differ in its sign: I @ A and A do)."""
+    p = rb.select_projection(rb.eigensolve_family(h, lat, bands), bands)
+    f = rb.frame_from_projection(p)
+    outputs = []
+    for jj in (j, j_ref):
+        rep = rb.verify_hamiltonian_symmetry(h, jj, lat)
+        w = rb.sewing_matrix(f, jj, lat)
+        residuals = [
+            rep.hamiltonian_residual,
+            rep.unitary_residual,
+            _j_consistency(jj, lat),
+            rb.verify_projection_symmetry(p, jj, lat),
+            w.unitarity_residual,
+        ]
+        outputs.append(([np.float64(x).tobytes() for x in residuals], w.w))
+    (res, w), (res_ref, w_ref) = outputs
+    assert res == res_ref
+    assert np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANT_J_CASES))
+def test_constant_j_layers_match_per_point_j_bitwise(case):
+    h, j, lat, bands = CONSTANT_J_CASES[case]()
+    assert j.matrix is not None
+    assert_same_symmetry_layers(h, j, per_point(j), lat, bands)
+    result = rb.classify_real_bundle(h, j, lat, bands).to_json_dict()
+    assert result == rb.classify_real_bundle(h, per_point(j), lat, bands).to_json_dict()
+
+
+def test_whitney_sums_keep_a_constant_j():
+    pairs = [rb.model_degree_k_sphere(1), rb.model_degree_k_sphere(-2)]
+    h, j = rb.direct_sum_hamiltonians(*pairs)
+    assert np.array_equal(j.matrix, np.eye(4))
+    (_, j1), (_, j2) = pairs
+    sum_j = rb.SymmetryData(4, +1, lambda c: _block_diag(j1(c), j2(c)), "sum-J")
+    lat = rb.build_sphere2(10, 16)
+    assert_same_symmetry_layers(h, j, sum_j, lat, [0, 1])
+    spec = rb.direct_sum_specs(
+        rb.model_trivial_line("circle-antipodal", 1),
+        rb.model_trivial_line("circle-antipodal", 1),
+    )
+    assert np.array_equal(spec.j.matrix, np.eye(2))
+    mobius = rb.direct_sum_specs(rb.model_mobius_circle(), rb.model_mobius_circle())
+    assert mobius.j.matrix is None  # the Mobius J depends on the site
+    lat = rb.build_circle(12, "antipodal")
+    assert _j_consistency(spec.j, lat) == _j_consistency(per_point(spec.j), lat)
+
+
+def test_trivial_line_identity_j_matches_per_point():
+    spec, lat = PRODUCT_CASES["trivial-line-xi-torus"]()
+    assert np.array_equal(spec.j.matrix, np.eye(1))
+    assert _j_consistency(spec.j, lat) == _j_consistency(per_point(spec.j), lat)
+    result = rb.classify_real_bundle(spec, lat=lat).to_json_dict()
+    spec.j = per_point(spec.j)
+    assert result == rb.classify_real_bundle(spec, lat=lat).to_json_dict()
 
 
 def test_sectors_follow_the_nonzero_pattern():

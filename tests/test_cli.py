@@ -243,6 +243,23 @@ SPHERE_CONFIG = {
         ({"moduli_values": [0.5, "1"]}, "bad moduli_values [0.5, '1']: expected"),
         ({"moduli_values": [float("nan")]}, "bad moduli_values [nan]: expected"),
         ({"moduli_values": [True]}, "bad moduli_values [True]: expected"),
+        # a NaN or infinite model parameter is named, not met far downstream
+        (
+            {"model": {"name": "flat_line", "params": {"a": float("nan")}}},
+            "bad a nan: not finite",
+        ),
+        (
+            {"model": {"name": "oscillator", "params": {"delta": float("nan")}}},
+            "bad delta nan: not finite",
+        ),
+        (
+            {"model": {"name": "oscillator", "params": {"delta": float("-inf")}}},
+            "bad delta -inf: not finite",
+        ),
+        (
+            {"model": {"name": "constant_diag", "params": {"entries": [1, "inf"]}}},
+            "bad entries [1, 'inf']: not finite",
+        ),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, override, message):

@@ -3,7 +3,11 @@ import pytest
 
 import realbloch as rb
 from conftest import constant_diag, mobius_two_band
-from realbloch.errors import KramersObstructionError, SymmetryInconsistencyError
+from realbloch.errors import (
+    KramersObstructionError,
+    SymmetryInconsistencyError,
+    SymmetryViolationError,
+)
 
 
 def test_oscillator_hamiltonian_symmetry():
@@ -170,3 +174,36 @@ def test_quaternionic_q():
     assert np.allclose(q @ q, -np.eye(4))
     with pytest.raises(ValueError):
         rb.quaternionic_q(3)
+
+
+def nan_at_site(j, lat, site):
+    """`j` with every entry NaN at one site."""
+
+    def evaluate(coords):
+        out = np.array(j(coords))
+        out[(coords == lat.sites[site]).all(axis=1)] = np.nan
+        return out
+
+    return rb.SymmetryData(j.dimension, j.parity, evaluate, "nan-at-site")
+
+
+def test_nan_residuals_propagate_and_fail_the_checks():
+    # Python's max(0.0, nan) is 0.0: the accumulated residuals used to drop
+    # the NaN, and classify returned "Chern 2"
+    h, j = rb.model_degree_k_sphere(2)
+    lat = rb.build_sphere2(12, 16)
+    bad = nan_at_site(j, lat, 5)
+    rep = rb.verify_hamiltonian_symmetry(h, bad, lat)
+    assert np.isnan(rep.hamiltonian_residual) and np.isnan(rep.unitary_residual)
+    assert not rep.symmetric
+    p = rb.select_projection(rb.eigensolve_family(h, lat, [0]), [0])
+    assert np.isnan(rb.verify_projection_symmetry(p, bad, lat))
+    with pytest.raises(SymmetryInconsistencyError, match="residual nan exceeds"):
+        rb.sewing_matrix(rb.frame_from_projection(p), bad, lat)
+    with pytest.raises(SymmetryViolationError, match="residual nan / unitary"):
+        rb.classify_real_bundle(h, bad, lat, [0])
+    spec = rb.model_trivial_line("torus2-xi", 2)
+    lat = rb.build_torus2(8, 8, "xi")
+    spec.j = nan_at_site(spec.j, lat, 5)
+    with pytest.raises(SymmetryViolationError, match="J equivariance residual nan"):
+        rb.classify_real_bundle(spec, lat=lat)
