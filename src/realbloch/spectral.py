@@ -28,6 +28,16 @@ DEGENERACY_TOL = 1e-8
 # otherwise form temporaries over every site or link, such as (n_sites, N, N)
 # Hamiltonian stacks, run over blocks this size.
 BLOCK_ENTRIES = 1 << 14
+# Kept eigenvectors of tridiagonal sectors (see _tridiagonal_eigh): a kept
+# eigenvalue within CLUSTER_TOL ||T|| of a neighbour in its sector is a
+# cluster (LAPACK stein's test), and an inverse-iteration column must meet
+# ||(T - lam) x|| <= RESIDUAL_TOL eps ||T|| ||x||; either failing takes a
+# dense eigh of T.
+CLUSTER_TOL = 1e-3
+RESIDUAL_TOL = 64.0
+EPS = np.finfo(float).eps
+# smallest ||T|| used in the tolerances: eps times it is still a normal number
+SAFE_NORM = np.finfo(float).tiny / EPS
 
 
 def evaluate_block(evaluator, coords, shape: tuple, name: str) -> np.ndarray:
@@ -171,28 +181,38 @@ def eigensolve_family(
     Returns the eigenvalues of every band and the eigenvector columns of
     `bands` only (default: every band), shape (n_sites, N, m); bad band
     indices raise ValueError (see band_selection).  H is evaluated once per
-    site block (see index_blocks), and each block is checked for
-    Hermiticity and diagonalized by batched eigh calls, so no
-    (n_sites, N, N) array exists unless every band is kept.  Raises
-    ModelError on an evaluator output of the wrong shape, or naming the
-    first site whose matrix is not Hermitian.
+    site block (see index_blocks) and each block is checked for
+    Hermiticity, so no (n_sites, N, N) array exists unless every band is
+    kept.  Raises ModelError on an evaluator output of the wrong shape, or
+    naming the first site whose matrix is not Hermitian.
 
     Sectors: the indices split into the connected components of the block's
     nonzero pattern (the entries nonzero at any site of the block, made
     symmetric).  A block of one component is solved by one dense eigh of
-    the whole stack.  Otherwise each component is solved on its own: a
-    component tridiagonal in its index order is rotated by a diagonal phase
-    to a real symmetric matrix, any other one takes a dense eigh.  The
-    eigenvalues of all components merge in ascending order (a stable sort,
-    ties in component order), and each kept eigenvector is zero outside its
-    component.  The kept columns equal those of the full eigensolve bit for
-    bit.
+    the whole stack.  Otherwise each component is solved on its own.  A
+    component tridiagonal in its index order (the oscillator's two parity
+    sectors) is rotated by a diagonal phase to a real symmetric tridiagonal
+    T and takes every eigenvalue from one eigvalsh per block; its kept
+    eigenvectors are found after the block loop, over the kept rows of the
+    whole lattice, by inverse iteration (see _tridiagonal_eigh).  A kept
+    eigenvalue within CLUSTER_TOL ||T|| of a neighbour in its component,
+    or a column whose residual misses its bound, takes a dense eigh of T
+    instead.  Any other component takes a dense eigh; components of one
+    kind and size are solved as one stack.  The eigenvalues of all components
+    merge in ascending order (a stable sort, ties in component order), and
+    each kept eigenvector is zero outside its component.
+
+    Every kept column depends only on its own site, component and
+    eigenvalue, so the columns of a subset of the bands equal the full
+    eigensolve's bit for bit.
     """
     n, dim = lat.n_sites, h.dimension
     sel = list(range(dim)) if bands is None else band_selection(bands, dim)
     values = np.empty((n, dim))
-    vectors = np.empty((n, dim, len(sel)), dtype=complex)
-    split = {}  # nonzero pattern -> its sectors
+    vectors = np.zeros((n, dim, len(sel)), dtype=complex)
+    out = vectors.reshape(-1)
+    kept = {}  # sector size -> _TridiagonalRows
+    split = {}  # nonzero pattern -> its sector layout, None for one sector
     for block in index_blocks(n, dim * dim):
         stack = h(lat.sites[block])
         skew = non_hermitian(stack)
@@ -205,12 +225,15 @@ def eigensolve_family(
         pattern |= pattern.T
         key = pattern.tobytes()
         if key not in split:
-            split[key] = _sectors(pattern)
-        if len(split[key]) == 1:
+            sectors = _sectors(pattern)
+            split[key] = _sector_groups(sectors) if len(sectors) > 1 else None
+        if split[key] is None:
             values[block], v = np.linalg.eigh(stack)
             vectors[block] = v[:, :, sel]
         else:
-            values[block], vectors[block] = _sector_eigh(stack, split[key], sel)
+            values[block] = _sector_eigh(stack, split[key], sel, out, kept, block)
+    for rows in kept.values():
+        rows.solve(out)
     return SpectralData(values, vectors, lat, tuple(sel))
 
 
@@ -233,54 +256,223 @@ def _sectors(pattern: np.ndarray) -> list:
     return out
 
 
-def _sector_eigh(stack: np.ndarray, sectors: list, bands: list) -> tuple:
-    """Ascending eigenvalues and the eigenvectors of `bands` of a stack that
-    is block diagonal over `sectors` (see _sectors), one sector at a time.
-    Only the kept columns are rotated and scattered into place."""
+def _sector_groups(sectors: list) -> tuple:
+    """Sectors (see _sectors) grouped by kind and size, each group solved as
+    one stack, as ``(groups, locate)``.  Sector i holds merged columns
+    start_i, start_i + 1, ... in sector order; groups lists per group
+    (tridiagonal, indices (S, k), merged columns (S, k)), and locate (3, N)
+    gives each merged column's group, sector in the group and position in
+    the sector."""
+    start = np.cumsum([0] + [len(idx) for idx, _ in sectors])
+    members = {}
+    for i, (idx, tridiagonal) in enumerate(sectors):
+        members.setdefault((tridiagonal, len(idx)), []).append(i)
+    groups, locate = [], np.empty((3, start[-1]), dtype=np.intp)
+    for g, ((tridiagonal, k), group) in enumerate(members.items()):
+        cols = start[group][:, None] + np.arange(k)
+        locate[0, cols] = g
+        locate[1, cols] = np.arange(len(group))[:, None]
+        locate[2, cols] = np.arange(k)
+        groups.append((tridiagonal, np.stack([sectors[i][0] for i in group]), cols))
+    return groups, locate
+
+
+def _sector_eigh(
+    stack: np.ndarray, layout: tuple, bands: list, out, kept: dict, block: slice
+) -> np.ndarray:
+    """Ascending eigenvalues of the sites `block`, whose stack is block
+    diagonal over the sectors of `layout` (see _sector_groups).
+
+    `out` is the flattened (n_sites, N, m) vector array.  A dense sector
+    writes its kept columns there.  A tridiagonal sector of size k writes
+    its phases d there and records its kept rows in kept[k] (see
+    _TridiagonalRows), which multiplies them by the real eigenvectors after
+    the block loop."""
+    groups, locate = layout
     n, dim = stack.shape[:2]
     w = np.empty((n, dim))
-    solved = []  # per sector: (indices, first merged column, phases, vectors)
-    start = 0
-    for idx, tridiagonal in sectors:
-        cols = slice(start, start + len(idx))
+    solved = []  # per group: eigenvalues (n, S, k), then phases and T, or vectors
+    for tridiagonal, idx, cols in groups:
         if tridiagonal:
-            sub = stack[:, idx[1:], idx[:-1]]
-            w[:, cols], d, u = _tridiagonal_eigh(stack[:, idx, idx].real, sub)
+            # D = diag(d), its phases from the sub-diagonal (1 where it is 0),
+            # makes D^dag T D real, with T's diagonal and off-diagonal |sub|
+            diag = stack[:, idx, idx].real
+            sub = stack[:, idx[:, 1:], idx[:, :-1]]
+            phase, off = polar_unitaries(sub.reshape(-1, 1, 1))
+            off = off.reshape(sub.shape)
+            d = np.ones(diag.shape, dtype=complex)
+            np.cumprod(phase.reshape(sub.shape), axis=-1, out=d[..., 1:])
+            ws = np.linalg.eigvalsh(_real_tridiagonal(diag, off))
+            solved.append((ws, d, diag, off))
         else:
-            d = None
-            w[:, cols], u = np.linalg.eigh(stack[:, idx[:, None], idx])
-        solved.append((idx, start, d, u))
-        start = cols.stop
+            ws, u = np.linalg.eigh(stack[:, idx[:, :, None], idx[:, None, :]])
+            solved.append((ws, u))
+        w[:, cols] = ws
     order = np.argsort(w, axis=1, kind="stable")
-    pick = order[:, bands]  # merged column of each kept band, (n, m)
-    v = np.zeros((n, dim, len(bands)), dtype=complex)
-    for idx, first, d, u in solved:
-        site, col = np.nonzero((pick >= first) & (pick < first + len(idx)))
-        vec = u[site, :, pick[site, col] - first]  # (kept, len(idx))
-        v[site[:, None], idx, col[:, None]] = vec if d is None else d[site] * vec
-    return np.take_along_axis(w, order, 1), v
+    group, member, pos = locate[:, order[:, bands]]  # each (n, m)
+    m = len(bands)
+    for g, ((tridiagonal, idx, _), (ws, *data)) in enumerate(zip(groups, solved)):
+        site, col = np.nonzero(group == g)
+        s, j = member[site, col], pos[site, col]
+        at = ((block.start + site[:, None]) * dim + idx[s]) * m + col[:, None]
+        if not tridiagonal:
+            out[at] = data[0][site, s, :, j]
+            continue
+        d, diag, off = data
+        out[at] = d[site, s]
+        k = idx.shape[1]
+        if k == 1:  # the phase is the whole column
+            continue
+        # each kept eigenvalue's distance to its sector neighbours (inf past
+        # the ends), and ||T||, the largest eigenvalue magnitude
+        gaps = np.full(ws.shape[:2] + (k + 1,), np.inf)
+        np.subtract(ws[:, :, 1:], ws[:, :, :-1], out=gaps[:, :, 1:-1])
+        near = np.minimum(gaps[site, s, j], gaps[site, s, j + 1])
+        norm = np.maximum(np.maximum(-ws[site, s, 0], ws[site, s, -1]), SAFE_NORM)
+        if k not in kept:
+            kept[k] = _TridiagonalRows(k, out.size // dim)
+        cluster = near <= CLUSTER_TOL * norm
+        kept[k].add(diag[site, s], off[site, s], at, ws[site, s, j], norm, j, cluster)
+    return np.take_along_axis(w, order, 1)
 
 
-def _tridiagonal_eigh(diag: np.ndarray, sub: np.ndarray) -> tuple:
-    """eigh of the Hermitian tridiagonal stack with real diagonal `diag`
-    (n, k) and sub-diagonal `sub` (n, k - 1), the triangle eigh reads, as
-    ``(w, d, u)``: T's eigenvectors are d[:, :, None] * u.
-
-    The diagonal unitary D = diag(d) with D^dag T D real takes its phases
-    from `sub`, 1 where an entry is 0: the real symmetric stack has diagonal
-    `diag` and off-diagonal |sub|, and u holds its eigenvectors.
-    """
-    n, k = diag.shape
-    phase, mag = polar_unitaries(sub.reshape(-1, 1, 1))
-    d = np.ones((n, k), dtype=complex)
-    np.cumprod(phase.reshape(sub.shape), axis=1, out=d[:, 1:])
+def _real_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The (..., k, k) real symmetric stack with diagonal `diag` (..., k)
+    and off-diagonal `off` (..., k - 1)."""
+    k = diag.shape[-1]
     # in each flattened k x k matrix, stride k + 1 from offset 0 walks the
     # diagonal, from offsets k and 1 the sub- and super-diagonal
-    real = np.zeros((n, k * k))
-    real[:, :: k + 1] = diag
-    real[:, k :: k + 1] = real[:, 1 :: k + 1] = mag.reshape(sub.shape)
-    w, u = np.linalg.eigh(real.reshape(n, k, k))
-    return w, d, u
+    real = np.zeros(diag.shape[:-1] + (k * k,))
+    real[..., :: k + 1] = diag
+    real[..., k :: k + 1] = real[..., 1 :: k + 1] = off
+    return real.reshape(diag.shape + (k,))
+
+
+class _TridiagonalRows:
+    """Kept (site, band) rows of the tridiagonal sectors of one size k > 1.
+
+    Preallocated for `capacity` rows, one column per row: the real
+    tridiagonal T's diagonal (k, capacity) and off-diagonal (k - 1,
+    capacity), and the positions `at` (k, capacity) of the row's sector
+    entries in the flattened vector array, which hold its phases d; per
+    row the eigenvalue, ||T|| (its largest eigenvalue magnitude) and the
+    band's position in its sector.  Rows whose eigenvalue clusters with a
+    neighbour fill the arrays from the back, the others from the front.
+    """
+
+    def __init__(self, k: int, capacity: int):
+        self.k, self.front, self.back = k, 0, capacity
+        self.diag = np.empty((k, capacity))
+        self.off = np.empty((k - 1, capacity))
+        self.at = np.empty((k, capacity), dtype=np.intp)
+        self.lam = np.empty(capacity)
+        self.norm = np.empty(capacity)
+        self.pos = np.empty(capacity, dtype=np.intp)
+
+    def add(self, diag, off, at, lam, norm, pos, cluster):
+        """Record rows given as diag (r, k), off (r, k - 1), at (r, k) and
+        lam, norm, pos, cluster (r,); clustered rows go to the back."""
+        front, back = np.flatnonzero(~cluster), np.flatnonzero(cluster)
+        row = np.empty(len(cluster), dtype=np.intp)
+        row[front] = np.arange(self.front, self.front + len(front))
+        self.front += len(front)
+        self.back -= len(back)
+        row[back] = np.arange(self.back, self.back + len(back))
+        self.diag[:, row], self.off[:, row], self.at[:, row] = diag.T, off.T, at.T
+        self.lam[row], self.norm[row], self.pos[row] = lam, norm, pos
+
+    def solve(self, out: np.ndarray):
+        """Multiply every row's phases in the flattened vector array `out`
+        by its real eigenvector: the front rows by inverse iteration, in
+        chunks of at most BLOCK_ENTRIES entries per (k, chunk) array; a row
+        that does not converge and the back rows by a dense eigh of T."""
+        for rows in index_blocks(self.front, self.k):
+            x, converged = _tridiagonal_eigh(
+                self.diag[:, rows], self.off[:, rows], self.lam[rows], self.norm[rows]
+            )
+            failed = np.flatnonzero(~converged)
+            x[:, failed] = self.dense(rows.start + failed)
+            out[self.at[:, rows]] *= x
+        rows = np.arange(self.back, self.at.shape[1])
+        out[self.at[:, rows]] *= self.dense(rows)
+
+    def dense(self, rows: np.ndarray) -> np.ndarray:
+        """Eigenvectors (k, len(rows)) of the given rows by dense eigh."""
+        t = _real_tridiagonal(self.diag[:, rows].T, self.off[:, rows].T)
+        u = np.linalg.eigh(t)[1]
+        return u[np.arange(len(rows)), :, self.pos[rows]].T
+
+
+def _tridiagonal_eigh(diag, off, lam, norm) -> tuple:
+    """Unit eigenvectors of real symmetric tridiagonal matrices T at given
+    eigenvalues, by inverse iteration, as ``(x, converged)``, x (k, c).
+
+    Column r of `diag` (k, c) and `off` (k - 1, c) holds T's diagonal and
+    off-diagonal, lam[r] an eigenvalue of T and norm[r] = ||T||.  As in
+    LAPACK stein, T - lam is factored once with partial pivoting (dlagtf),
+    each pivot kept at least eps ||T|| in size (an exact eigenvalue makes
+    one 0), and solved twice: first from a fixed start vector scaled by
+    eps ||T||, then from the result, normalized and scaled the same way.  converged[r] is
+    False unless the residual ||(T - lam) x||_inf is at most RESIDUAL_TOL
+    eps ||T|| ||x||_inf.  Every operation acts on each column alone, so a
+    column's bits do not depend on which other columns are solved with it.
+    """
+    k, c = diag.shape
+    tol = EPS * norm
+    # step i swaps rows i and i + 1 where swap[i], then subtracts mult[i]
+    # times row i from row i + 1; row i of U is piv[i], up[0, i], up[1, i]
+    # in columns i, i + 1, i + 2 (the last rows of `up` stay 0)
+    piv = diag - lam
+    up = np.zeros((2, k, c))
+    mult = np.empty((k - 1, c))
+    swap = np.empty((k - 1, c), dtype=bool)
+    cur, right = piv[0], off[0]  # the pending row i in columns i, i + 1
+    for i in range(k - 1):
+        cur = np.copysign(np.maximum(np.abs(cur), tol), cur)
+        below = off[i + 1] if i + 2 < k else 0.0  # row i + 1 in column i + 2
+        sw = swap[i] = off[i] > np.abs(cur)
+        next_diag = piv[i + 1]
+        piv[i] = np.where(sw, off[i], cur)
+        up[0, i] = np.where(sw, next_diag, right)
+        up[1, i] = np.where(sw, below, 0.0)
+        mult[i] = np.where(sw, cur, off[i]) / piv[i]
+        cur = np.where(sw, right, next_diag) - mult[i] * up[0, i]
+        right = np.where(sw, 0.0, below) - mult[i] * up[1, i]
+    piv[k - 1] = np.copysign(np.maximum(np.abs(cur), tol), cur)
+
+    x = np.zeros((k + 2, c))  # two rows of 0 below x for the back substitution
+
+    def solve():
+        for i in range(k - 1):
+            top = np.where(swap[i], x[i + 1], x[i])
+            x[i + 1] = np.where(swap[i], x[i], x[i + 1]) - mult[i] * top
+            x[i] = top
+        for i in range(k - 1, -1, -1):
+            x[i] = (x[i] - up[0, i] * x[i + 1] - up[1, i] * x[i + 2]) / piv[i]
+
+    x[:k] = _start_vector(k)[:, None] * tol
+    solve()
+    x[:k] *= tol / np.abs(x[:k]).max(axis=0)
+    solve()
+    x = x[:k]
+    res = (diag - lam) * x
+    res[1:] += off * x[:-1]
+    res[:-1] += off * x[1:]
+    scale = RESIDUAL_TOL * tol * np.abs(x).max(axis=0)
+    converged = np.abs(res).max(axis=0) <= scale
+    # sum of squares row by row: the same order whatever c is
+    sq = x[0] * x[0]
+    for i in range(1, k):
+        sq += x[i] * x[i]
+    return x / np.sqrt(sq), converged
+
+
+def _start_vector(k: int) -> np.ndarray:
+    """Inverse iteration's start: k fixed values spread over [-1/2, 1/2) by
+    the golden-ratio sequence, with no sign pattern or mirror symmetry that
+    would make it orthogonal to an eigenvector of a symmetric T."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    return np.arange(1, k + 1) * golden % 1.0 - 0.5
 
 
 def _site_gaps(s: SpectralData, sel: list) -> Optional[np.ndarray]:

@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_reference as ref
 import realbloch as rb
@@ -403,11 +405,53 @@ def oscillator_sectors():
     return h, lat, [[1], [0, 1]]
 
 
+def exact_eigenvalues():
+    # 1 x 1 sectors 0 (so ||T|| = 0) and -3, and the 2 x 2 tridiagonal sector
+    # g [[1, e^{it}], [e^{-it}, 1]], whose eigenvalue 0 is exact: the last
+    # pivot of T - 0 is exactly 0
+    def evaluate(c):
+        t = c[:, 0]
+        g = 1.0 + 0.5 * np.cos(t)
+        h = np.zeros((len(t), 4, 4), dtype=complex)
+        h[:, 1, 1] = -3.0
+        h[:, 2, 2] = h[:, 3, 3] = g
+        h[:, 2, 3] = g * np.exp(1j * t)
+        h[:, 3, 2] = g * np.exp(-1j * t)
+        return h
+
+    h = rb.HamiltonianFamily(4, evaluate, "exact")
+    return h, rb.build_circle(16, "trivial"), [[0], [1, 2], [3], [0, 1, 2]]
+
+
+def degenerate_pieces():
+    # the even path 0-2-4-6 has entry (2, 4) = 0.4 sin t, zero for t >= pi:
+    # there it splits into two equal 2 x 2 pieces, whose eigenvalue pairs
+    # are exactly degenerate, or split by 1e-13 on every other site.  Where
+    # 0.4 sin t is small the pairs split by less than 1e-3 ||T||, elsewhere
+    # by more
+    def evaluate(c):
+        t = c[:, 0]
+        h = np.zeros((len(t), 8, 8), dtype=complex)
+        even, odd = np.arange(0, 8, 2), np.arange(1, 8, 2)
+        h[:, even, even] = np.stack([-2 + 0.5 * np.cos(t), 1 + 0.3 * np.sin(t)] * 2, 1)
+        h[:, 4, 4] += np.where(np.arange(len(t)) % 2, 1e-13, 0.0)
+        h[:, 0, 2] = h[:, 4, 6] = 0.7 * np.exp(1j * t)
+        h[:, 2, 4] = 0.4 * np.maximum(np.sin(t), 0.0)
+        h[:, odd, odd] = 50.0 + np.arange(4)
+        h[:, odd[:-1], odd[1:]] = 1.0
+        return h + np.triu(h, 1).conj().swapaxes(1, 2)
+
+    h = rb.HamiltonianFamily(8, evaluate, "pieces")
+    return h, rb.build_circle(48, "trivial"), [[0, 1], [2, 3], [0, 1, 2, 3], [4]]
+
+
 SECTOR_CASES = {
     "oscillator-N40": oscillator_sectors,
     "dense-4-beside-2": dense_beside_pair,
     "coupled-in-some-blocks": coupled_in_some_blocks,
     "sub-diagonal-zero-at-some-sites": sub_diagonal_zero_at_some_sites,
+    "exact-eigenvalues": exact_eigenvalues,
+    "degenerate-pieces": degenerate_pieces,
     "N1": lambda: (
         rb.HamiltonianFamily(1, lambda c: np.cos(c[:, :1, None]) + 0j, "scalar"),
         rb.build_circle(8, "trivial"),
@@ -443,6 +487,57 @@ def test_eigensolve_keeps_the_selected_columns_bitwise(case):
         assert s.eigenvectors.tobytes() == full.eigenvectors[:, :, bands].tobytes()
         columns = rb.select_projection(s, bands).columns
         assert columns.tobytes() == rb.select_projection(full, bands).columns.tobytes()
+
+
+def random_path(rng, k, scale, split):
+    """scale times a random complex Hermitian tridiagonal k x k matrix.  For
+    k >= 4 and a `split`, its second half repeats its first and couples to
+    it by split * scale, so its eigenvalues come in pairs that far apart."""
+    diag = rng.normal(size=k)
+    sub = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
+    if k >= 4 and split is not None:
+        p = k // 2
+        diag[p : 2 * p] = diag[:p]
+        sub[p : 2 * p - 1] = sub[: p - 1]
+        sub[p - 1] = split
+    return scale * (np.diag(diag) + np.diag(sub, -1) + np.diag(sub.conj(), 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(2, 48),
+    seed=st.integers(0, 2**32 - 1),
+    powers=st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
+    split=st.sampled_from([None, 0.0, 1e-13, 1e-9]),
+)
+def test_interleaved_path_sectors_match_dense(dim, seed, powers, split):
+    # the even and the odd indices each form a path sector (as in
+    # path_pattern) of 1 to 24 indices, scaled 1e-6 to 1e6, at 4 sites
+    rng = np.random.default_rng(seed)
+    n = 4
+    stacks = np.zeros((n, dim, dim), dtype=complex)
+    for site in range(n):
+        for first, power in zip((0, 1), powers):
+            k = len(range(first, dim, 2))
+            block = random_path(rng, k, 10.0**power, split)
+            stacks[site, first::2, first::2] = block
+    lat = rb.build_circle(n, "trivial")
+    h = rb.HamiltonianFamily(
+        dim, lambda c: stacks[np.rint(c[:, 0] * n / (2 * np.pi)).astype(int) % n]
+    )
+    s = rb.eigensolve_family(h, lat)
+    w, v = np.linalg.eigh(stacks)
+    norm = np.abs(w).max(axis=1)[:, None]  # ||H||
+    assert np.all(np.abs(s.eigenvalues - w) <= TOL * norm)
+    residual = stacks @ s.eigenvectors - s.eigenvectors * s.eigenvalues[:, None, :]
+    assert np.all(np.linalg.norm(residual, axis=1) <= TOL * norm)
+    # projectors onto the groups of bands 1e-2 ||H|| apart from the rest
+    for site in range(n):
+        cuts = np.flatnonzero(np.diff(w[site]) > 1e-2 * norm[site]) + 1
+        for group in np.split(np.arange(dim), cuts):
+            mine, theirs = s.eigenvectors[site][:, group], v[site][:, group]
+            p, q = mine @ mine.conj().T, theirs @ theirs.conj().T
+            assert np.abs(p - q).max() <= TOL, (site, group)
 
 
 def test_bundle_keeps_only_its_bands():

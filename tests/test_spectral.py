@@ -3,6 +3,7 @@ import pytest
 
 import realbloch as rb
 from conftest import constant_diag
+from realbloch import spectral
 from realbloch.errors import GapClosureError, ModelError, RankError
 
 
@@ -142,3 +143,44 @@ def test_oscillator_spectrum_matches_frequency_law():
     assert rb.gap_margin(s, {0}) == pytest.approx(
         min(params.nu(c) for c in lat.sites), abs=1e-8
     )
+
+
+def test_inverse_iteration_converges_on_isolated_eigenvalues():
+    # random real tridiagonals, one per column, and three of their
+    # eigenvalues: every column converges, with no dense fallback, to
+    # eigh's eigenvector up to sign where the eigenvalue is isolated
+    rng = np.random.default_rng(11)
+    k, c = 20, 300
+    diag, off = rng.normal(size=(k, c)), np.abs(rng.normal(size=(k - 1, c)))
+    off[3, ::3] = 0.0  # a zero off-diagonal entry splits T in two
+    w, u = np.linalg.eigh(spectral._real_tridiagonal(diag.T, off.T))
+    norm = np.abs(w).max(axis=1)
+    for j in (0, 9, 19):
+        x, converged = spectral._tridiagonal_eigh(diag, off, w[:, j], norm)
+        assert converged.all()
+        gaps = np.abs(np.delete(w, j, axis=1) - w[:, j : j + 1]).min(axis=1)
+        overlap = np.abs(np.einsum("ck,kc->c", u[:, :, j], x))
+        isolated = gaps > 1e-2 * norm
+        assert np.all(np.abs(overlap[isolated] - 1) <= 1e-12)
+
+
+def test_rows_that_miss_the_residual_take_dense_columns():
+    # every other row's eigenvalue is moved 60% of the way to a neighbour,
+    # so inverse iteration heads for the wrong vector and misses the
+    # residual bound, and every 7th row is recorded as clustered: over two
+    # chunks of rows, each takes its column from a dense eigh of T
+    rng = np.random.default_rng(5)
+    k, r = 4, 5000
+    diag, off = rng.normal(size=(r, k)), np.abs(rng.normal(size=(r, k - 1)))
+    w, u = np.linalg.eigh(spectral._real_tridiagonal(diag, off))
+    pos = rng.integers(0, k, r)
+    other = np.where(pos < k - 1, pos + 1, pos - 1)
+    lam = w[np.arange(r), pos]
+    lam[1::2] += 0.6 * (w[np.arange(r), other] - lam)[1::2]
+    rows = spectral._TridiagonalRows(k, r)
+    at = np.arange(r * k).reshape(r, k)
+    rows.add(diag, off, at, lam, np.abs(w).max(axis=1), pos, np.arange(r) % 7 == 0)
+    out = np.ones(r * k, dtype=complex)
+    rows.solve(out)
+    overlap = np.abs(np.einsum("rk,rk->r", out.reshape(r, k), u[np.arange(r), :, pos]))
+    assert np.all(np.abs(overlap - 1) <= 1e-10)
