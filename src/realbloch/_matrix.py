@@ -18,8 +18,19 @@ def frob(a) -> float:
 
 
 def frob_each(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix in a stack."""
-    return np.linalg.norm(a, axis=(-2, -1))
+    """Frobenius norm of every matrix in a stack (..., m, k): |z| at 1 x 1,
+    else one dot product per matrix of a real view of its entries (a
+    complex entry as its real and imaginary parts), so no complex temporary
+    is formed; a non-contiguous stack is copied once.  NaN and infinity
+    propagate."""
+    a = np.asarray(a)
+    if a.shape[-2:] == (1, 1):  # faster than a dot product per entry
+        return np.abs(a[..., 0, 0])
+    batch, size = a.shape[:-2], a.shape[-2] * a.shape[-1]
+    if np.iscomplexobj(a):
+        a, size = a[..., None].view(a.real.dtype), 2 * size
+    flat = a.reshape(batch + (size,))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def max_frob(a: np.ndarray) -> float:
@@ -39,9 +50,17 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def non_hermitian(a: np.ndarray, sign: int = 1) -> np.ndarray:
     """Indices of the stack entries off `sign` times their adjoint (relative
-    bound HERMITICITY_RTOL; sign -1 tests anti-Hermiticity)."""
-    scale = np.maximum(frob_each(a), 1.0)
-    return np.flatnonzero(frob_each(a - sign * adjoint(a)) > HERMITICITY_RTOL * scale)
+    bound HERMITICITY_RTOL; sign -1 tests anti-Hermiticity) or not finite.
+    A - sign A^dag = Re A - sign Re A^T + i (Im A + sign Im A^T): the real
+    and imaginary parts are compared apart, and no conjugate is formed."""
+    sq = 0.0
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    for part, plus in zip(parts, (sign == -1, sign == 1)):
+        t = part.swapaxes(-1, -2)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and flagged
+            sq = sq + frob_each(part + t if plus else part - t) ** 2
+    scale = np.maximum(frob_each(a), 1.0)  # infinite for an infinite entry
+    return np.flatnonzero(~(np.sqrt(sq) <= HERMITICITY_RTOL * scale) | np.isinf(scale))
 
 
 def polar_unitaries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +130,8 @@ def principal_log_unitaries(
 def expms(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of every anti-Hermitian matrix in a stack: np.exp
     at rank one, else one batched eigh of i A.  ModelError names the first
-    entry not anti-Hermitian (at rank one, not imaginary), whose exponential
-    would not be unitary.
+    entry not anti-Hermitian (at rank one, not imaginary) or not finite,
+    whose exponential would not be unitary.
     """
     a = np.asarray(a, dtype=complex)
     bad = non_hermitian(a, -1)

@@ -45,7 +45,7 @@ from .symmetry import (
     SymmetryReport,
     sewing_matrix,
     unitary_residual,
-    verify_hamiltonian_symmetry,
+    verify_hamiltonian_symmetry,  # noqa: F401  (RealBundle.symmetry computes it)
     verify_projection_symmetry,
 )
 
@@ -130,13 +130,15 @@ class RealBundle:
         self.frame_rule = frame_rule or frame_from_projection
 
     @cached_property
-    def spectra(self) -> SpectralData:
-        return eigensolve_family(self.model, self.lat, self.bands)
+    def spectra(self) -> SpectralData:  # with the Hamiltonian residual
+        return eigensolve_family(self.model, self.lat, self.bands, self.j)
 
     @cached_property
     def symmetry(self) -> SymmetryReport:
+        """verify_hamiltonian_symmetry's report, from the eigensolve's pass."""
+        res_h = self.spectra.hamiltonian_residual  # the eigensolve fails first
         tol = self.tolerances["hamiltonian_symmetry"]
-        return verify_hamiltonian_symmetry(self.model, self.j, self.lat, tol)
+        return SymmetryReport(res_h, unitary_residual(self.j, self.lat), tol)
 
     @cached_property
     def j_residual(self) -> float:
@@ -214,7 +216,7 @@ class RealBundle:
             if j.dimension != self.model.rank:
                 raise ValueError("product-bundle J must act on the full fiber")
         else:
-            self.spectra  # a non-Hermitian family fails here, before the checks
+            # the eigensolve: a non-Hermitian family fails there, before the checks
             report = self.symmetry
             diagnostics = {
                 "hamiltonian_residual": report.hamiltonian_residual,

@@ -6,7 +6,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._matrix import adjoint, non_hermitian, polar_unitaries
+from ._matrix import adjoint, non_hermitian, polar_unitaries, worst
 from .errors import GapClosureError, ModelError, RankError
 from .lattice import InvolutiveLattice
 
@@ -90,6 +90,7 @@ class SpectralData:
     eigenvectors: np.ndarray  # (n_sites, N, m), column i is band bands[i]
     lattice: InvolutiveLattice
     bands: Optional[tuple] = None
+    hamiltonian_residual: Optional[float] = None  # see eigensolve_family
 
     def __post_init__(self):
         if self.bands is None:
@@ -173,18 +174,41 @@ def index_blocks(n: int, entries: int):
         yield slice(start, min(start + size, n))
 
 
+def orbit_blocks(lat: InvolutiveLattice, dim: int):
+    """Site blocks closed under the involution, with the involution inside.
+
+    Yields ``(sites, tau)``: ``sites`` holds the orbits of one
+    ``index_blocks`` block of orbit representatives carrying dim x dim
+    matrices (so at most twice that many sites), and ``sites[tau]`` equals
+    ``lat.involution[sites]``.  The blocks partition the sites, so values
+    sampled on a block give their tau-images by the gather ``values[tau]``.
+    """
+    tau = lat.involution
+    reps = np.flatnonzero(np.arange(lat.n_sites) <= tau)
+    where = np.empty(lat.n_sites, dtype=int)
+    for block in index_blocks(reps.size, dim * dim):
+        first = reps[block]
+        images = tau[first]
+        sites = np.concatenate([first, images[images != first]])
+        where[sites] = np.arange(sites.size)
+        yield sites, where[tau[sites]]
+
+
 def eigensolve_family(
-    h: HamiltonianFamily, lat: InvolutiveLattice, bands=None
+    h: HamiltonianFamily, lat: InvolutiveLattice, bands=None, j=None
 ) -> SpectralData:
     """Diagonalize the family at every lattice site.
 
     Returns the eigenvalues of every band and the eigenvector columns of
     `bands` only (default: every band), shape (n_sites, N, m); bad band
     indices raise ValueError (see band_selection).  H is evaluated once per
-    site block (see index_blocks) and each block is checked for
+    site, in involution-closed blocks (see orbit_blocks), each checked for
     Hermiticity, so no (n_sites, N, N) array exists unless every band is
     kept.  Raises ModelError on an evaluator output of the wrong shape, or
-    naming the first site whose matrix is not Hermitian.
+    naming the lowest site whose matrix is not Hermitian or not finite.
+    Given J (`j`, a SymmetryData), the blocks also yield the result's
+    `hamiltonian_residual`, verify_hamiltonian_symmetry's residual (see
+    SymmetryData.hamiltonian_residual), with no second evaluation of H.
 
     Sectors: the indices split into the connected components of the block's
     nonzero pattern (the entries nonzero at any site of the block, made
@@ -193,14 +217,14 @@ def eigensolve_family(
     component tridiagonal in its index order (the oscillator's two parity
     sectors) is rotated by a diagonal phase to a real symmetric tridiagonal
     T and takes every eigenvalue from one eigvalsh per block; its kept
-    eigenvectors are found after the block loop, over the kept rows of the
-    whole lattice, by inverse iteration (see _tridiagonal_eigh).  A kept
-    eigenvalue within CLUSTER_TOL ||T|| of a neighbour in its component,
-    or a column whose residual misses its bound, takes a dense eigh of T
-    instead.  Any other component takes a dense eigh; components of one
-    kind and size are solved as one stack.  The eigenvalues of all components
-    merge in ascending order (a stable sort, ties in component order), and
-    each kept eigenvector is zero outside its component.
+    eigenvectors come from inverse iteration over chunks of kept rows
+    gathered across blocks (see _TridiagonalRows).  A kept eigenvalue
+    within CLUSTER_TOL ||T|| of a neighbour in its component, or a column
+    whose residual misses its bound, takes a dense eigh of T instead.  Any
+    other component takes a dense eigh; components of one kind and size are
+    solved as one stack.  The eigenvalues of all components merge in
+    ascending order (a stable sort, ties in component order), and each kept
+    eigenvector is zero outside its component.
 
     Every kept column depends only on its own site, component and
     eigenvalue, so the columns of a subset of the bands equal the full
@@ -213,14 +237,16 @@ def eigensolve_family(
     out = vectors.reshape(-1)
     kept = {}  # sector size -> _TridiagonalRows
     split = {}  # nonzero pattern -> its sector layout, None for one sector
-    for block in index_blocks(n, dim * dim):
-        stack = h(lat.sites[block])
-        skew = non_hermitian(stack)
-        if skew.size:
-            raise ModelError(
-                f"{h.name or 'model'}: non-Hermitian output at site "
-                f"{block.start + skew[0]}"
-            )
+    residual = None if j is None else 0.0
+    skew = n  # the lowest non-Hermitian site seen; later blocks may hold lower
+    for sites, tau in orbit_blocks(lat, dim):
+        coords = lat.sites[sites]
+        stack = h(coords)
+        skew = min(skew, sites[non_hermitian(stack)].min(initial=n))
+        if skew < n:
+            continue
+        if j is not None:
+            residual = worst(residual, j.hamiltonian_residual(coords, stack, tau))
         pattern = (stack != 0).any(axis=0)
         pattern |= pattern.T
         key = pattern.tobytes()
@@ -228,13 +254,15 @@ def eigensolve_family(
             sectors = _sectors(pattern)
             split[key] = _sector_groups(sectors) if len(sectors) > 1 else None
         if split[key] is None:
-            values[block], v = np.linalg.eigh(stack)
-            vectors[block] = v[:, :, sel]
+            values[sites], v = np.linalg.eigh(stack)
+            vectors[sites] = v[:, :, sel]
         else:
-            values[block] = _sector_eigh(stack, split[key], sel, out, kept, block)
+            values[sites] = _sector_eigh(stack, split[key], sel, out, kept, sites)
+    if skew < n:
+        raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {skew}")
     for rows in kept.values():
-        rows.solve(out)
-    return SpectralData(values, vectors, lat, tuple(sel))
+        rows.solve()
+    return SpectralData(values, vectors, lat, tuple(sel), residual)
 
 
 def _sectors(pattern: np.ndarray) -> list:
@@ -278,10 +306,10 @@ def _sector_groups(sectors: list) -> tuple:
 
 
 def _sector_eigh(
-    stack: np.ndarray, layout: tuple, bands: list, out, kept: dict, block: slice
+    stack: np.ndarray, layout: tuple, bands: list, out, kept: dict, sites
 ) -> np.ndarray:
-    """Ascending eigenvalues of the sites `block`, whose stack is block
-    diagonal over the sectors of `layout` (see _sector_groups).
+    """Ascending eigenvalues of the `sites`, whose stack is block diagonal
+    over the sectors of `layout` (see _sector_groups).
 
     `out` is the flattened (n_sites, N, m) vector array.  A dense sector
     writes its kept columns there.  A tridiagonal sector of size k writes
@@ -314,7 +342,7 @@ def _sector_eigh(
     for g, ((tridiagonal, idx, _), (ws, *data)) in enumerate(zip(groups, solved)):
         site, col = np.nonzero(group == g)
         s, j = member[site, col], pos[site, col]
-        at = ((block.start + site[:, None]) * dim + idx[s]) * m + col[:, None]
+        at = (sites[site, None] * dim + idx[s]) * m + col[:, None]
         if not tridiagonal:
             out[at] = data[0][site, s, :, j]
             continue
@@ -329,8 +357,8 @@ def _sector_eigh(
         np.subtract(ws[:, :, 1:], ws[:, :, :-1], out=gaps[:, :, 1:-1])
         near = np.minimum(gaps[site, s, j], gaps[site, s, j + 1])
         norm = np.maximum(np.maximum(-ws[site, s, 0], ws[site, s, -1]), SAFE_NORM)
-        if k not in kept:
-            kept[k] = _TridiagonalRows(k, out.size // dim)
+        if k not in kept:  # a later orbit block has at most twice these n sites
+            kept[k] = _TridiagonalRows(k, out, 2 * n * m)
         cluster = near <= CLUSTER_TOL * norm
         kept[k].add(diag[site, s], off[site, s], at, ws[site, s, j], norm, j, cluster)
     return np.take_along_axis(w, order, 1)
@@ -349,58 +377,60 @@ def _real_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 class _TridiagonalRows:
-    """Kept (site, band) rows of the tridiagonal sectors of one size k > 1.
+    """Kept (site, band) rows of the tridiagonal sectors of one size k > 1,
+    whose phases d in the flattened vector array `out` are multiplied by
+    their real eigenvectors.
 
-    Preallocated for `capacity` rows, one column per row: the real
-    tridiagonal T's diagonal (k, capacity) and off-diagonal (k - 1,
-    capacity), and the positions `at` (k, capacity) of the row's sector
-    entries in the flattened vector array, which hold its phases d; per
-    row the eigenvalue, ||T|| (its largest eigenvalue magnitude) and the
-    band's position in its sector.  Rows whose eigenvalue clusters with a
-    neighbour fill the arrays from the back, the others from the front.
+    One column per row: the real tridiagonal T's diagonal (k, .) and
+    off-diagonal (k - 1, .), the positions (k, .) of the row's sector
+    entries in `out`; per row the eigenvalue, ||T|| (its largest eigenvalue
+    magnitude), the band's position in its sector and whether the
+    eigenvalue clusters with a neighbour.  `add` solves the whole chunks
+    (see solve) once one is pending, so the store holds at most a chunk
+    plus the `most` rows of one add.
     """
 
-    def __init__(self, k: int, capacity: int):
-        self.k, self.front, self.back = k, 0, capacity
-        self.diag = np.empty((k, capacity))
-        self.off = np.empty((k - 1, capacity))
-        self.at = np.empty((k, capacity), dtype=np.intp)
-        self.lam = np.empty(capacity)
-        self.norm = np.empty(capacity)
-        self.pos = np.empty(capacity, dtype=np.intp)
+    def __init__(self, k: int, out: np.ndarray, most: int):
+        self.k, self.out, self.chunk = k, out, max(1, BLOCK_ENTRIES // k)
+        size, self.rows = self.chunk + most, 0
+        self.diag, self.off = np.empty((k, size)), np.empty((k - 1, size))
+        self.at = np.empty((k, size), dtype=np.intp)
+        self.lam, self.norm = np.empty(size), np.empty(size)
+        self.pos, self.cluster = np.empty(size, np.intp), np.empty(size, bool)
 
     def add(self, diag, off, at, lam, norm, pos, cluster):
         """Record rows given as diag (r, k), off (r, k - 1), at (r, k) and
-        lam, norm, pos, cluster (r,); clustered rows go to the back."""
-        front, back = np.flatnonzero(~cluster), np.flatnonzero(cluster)
-        row = np.empty(len(cluster), dtype=np.intp)
-        row[front] = np.arange(self.front, self.front + len(front))
-        self.front += len(front)
-        self.back -= len(back)
-        row[back] = np.arange(self.back, self.back + len(back))
-        self.diag[:, row], self.off[:, row], self.at[:, row] = diag.T, off.T, at.T
-        self.lam[row], self.norm[row], self.pos[row] = lam, norm, pos
+        lam, norm, pos, cluster (r,)."""
+        new = slice(self.rows, self.rows + len(lam))
+        self.diag[:, new], self.off[:, new], self.at[:, new] = diag.T, off.T, at.T
+        self.lam[new], self.norm[new], self.pos[new] = lam, norm, pos
+        self.cluster[new], self.rows = cluster, new.stop
+        if self.rows >= self.chunk:
+            self.solve(whole=True)
 
-    def solve(self, out: np.ndarray):
-        """Multiply every row's phases in the flattened vector array `out`
-        by its real eigenvector: the front rows by inverse iteration, in
-        chunks of at most BLOCK_ENTRIES entries per (k, chunk) array; a row
-        that does not converge and the back rows by a dense eigh of T."""
-        for rows in index_blocks(self.front, self.k):
+    def solve(self, whole: bool = False):
+        """Multiply the rows' phases in `out` by their real eigenvectors, in
+        chunks of at most BLOCK_ENTRIES entries per (k, chunk) array: by
+        inverse iteration, or by a dense eigh of T for a clustered row and
+        a row that does not converge.  With `whole`, the rows past the last
+        whole chunk stay, moved to the front."""
+        done = self.rows - self.rows % self.chunk if whole else self.rows
+        for rows in index_blocks(done, self.k):
             x, converged = _tridiagonal_eigh(
                 self.diag[:, rows], self.off[:, rows], self.lam[rows], self.norm[rows]
             )
-            failed = np.flatnonzero(~converged)
+            failed = np.flatnonzero(~converged | self.cluster[rows])
             x[:, failed] = self.dense(rows.start + failed)
-            out[self.at[:, rows]] *= x
-        rows = np.arange(self.back, self.at.shape[1])
-        out[self.at[:, rows]] *= self.dense(rows)
+            self.out[self.at[:, rows]] *= x
+        rest, self.rows = slice(done, self.rows), self.rows - done
+        for a in (self.diag, self.off, self.at, self.lam, self.norm, self.pos):
+            a[..., : self.rows] = a[..., rest]
+        self.cluster[: self.rows] = self.cluster[rest]
 
     def dense(self, rows: np.ndarray) -> np.ndarray:
         """Eigenvectors (k, len(rows)) of the given rows by dense eigh."""
         t = _real_tridiagonal(self.diag[:, rows].T, self.off[:, rows].T)
-        u = np.linalg.eigh(t)[1]
-        return u[np.arange(len(rows)), :, self.pos[rows]].T
+        return np.linalg.eigh(t)[1][np.arange(len(rows)), :, self.pos[rows]].T
 
 
 def _tridiagonal_eigh(diag, off, lam, norm) -> tuple:

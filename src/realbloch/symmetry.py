@@ -20,6 +20,7 @@ from .spectral import (
     constant,
     evaluate_block,
     index_blocks,
+    orbit_blocks,
 )
 
 __all__ = [
@@ -93,6 +94,14 @@ class SymmetryData:
         )
         return UNIT if identity else self(coords)
 
+    def hamiltonian_residual(self, coords, h: np.ndarray, tau) -> float:
+        """Max of || J(x)^dag H(tau x) J(x) - conj(H(x)) || over an
+        involution-closed block (see orbit_blocks): its coordinates, its H
+        stack and the gather `tau` to the tau-images.  J = 1 is not
+        multiplied (see factor).  A NaN anywhere gives NaN."""
+        js = self.factor(coords)
+        return max_frob(adjoint(js) @ h[tau] @ js - h.conj())
+
     @staticmethod
     def constant(j: np.ndarray, parity: int = +1, name: str = "") -> "SymmetryData":
         """The same J at every site, as a read-only broadcast view."""
@@ -129,26 +138,6 @@ class SymmetryReport:
         )
 
 
-def orbit_blocks(lat: InvolutiveLattice, dim: int):
-    """Site blocks closed under the involution, with the involution inside.
-
-    Yields ``(sites, tau)``: ``sites`` holds the orbits of one
-    ``index_blocks`` block of orbit representatives carrying dim x dim
-    matrices (so at most twice that many sites), and ``sites[tau]`` equals
-    ``lat.involution[sites]``.  The blocks partition the sites, so values
-    sampled on a block give their tau-images by the gather ``values[tau]``.
-    """
-    tau = lat.involution
-    reps = np.flatnonzero(np.arange(lat.n_sites) <= tau)
-    where = np.empty(lat.n_sites, dtype=int)
-    for block in index_blocks(reps.size, dim * dim):
-        first = reps[block]
-        images = tau[first]
-        sites = np.concatenate([first, images[images != first]])
-        where[sites] = np.arange(sites.size)
-        yield sites, where[tau[sites]]
-
-
 def _block_unitary_residual(js: np.ndarray, jt: np.ndarray, parity: int) -> float:
     """Max over a block of || J(tau x) conj(J(x)) - parity * 1 ||."""
     return max_frob(jt @ js.conj() - parity * np.eye(js.shape[-1]))
@@ -182,16 +171,14 @@ def verify_hamiltonian_symmetry(
     the unitary residual of J (see unitary_residual); both below tolerance
     declare the family symmetric, and a NaN in either does not.  H is
     evaluated once per involution-closed block, and the tau side is a
-    gather within the block.  For J = 1 (see SymmetryData.factor) the
-    Hamiltonian residual is || H(tau x) - conj(H(x)) ||, with the same bits.
-    Report-only: never raises.
+    gather within the block: the kernel SymmetryData.hamiltonian_residual,
+    which eigensolve_family runs on its own blocks when given J, as the
+    classify pipeline does.  Report-only: never raises.
     """
     res_h = 0.0
     for sites, tau in orbit_blocks(lat, h.dimension):
         coords = lat.sites[sites]
-        hs = h(coords)
-        js = j.factor(coords)
-        res_h = worst(res_h, max_frob(adjoint(js) @ hs[tau] @ js - hs.conj()))
+        res_h = worst(res_h, j.hamiltonian_residual(coords, h(coords), tau))
     return SymmetryReport(res_h, unitary_residual(j, lat), tolerance)
 
 
@@ -201,20 +188,22 @@ def verify_projection_symmetry(
     lat: InvolutiveLattice,
     tolerance: float = 1e-8,
 ) -> float:
-    """Max site residual of P(tau x) J(x) = J(x) conj(P(x)).
+    """Max site residual of P(tau x) J(x) = J(x) conj(P(x)), for unitary J.
 
-    Computed in site blocks from the family's columns V (P = V V^dag), so
-    the projector tensor is never formed; J = 1 is not multiplied (see
-    SymmetryData.factor).  A NaN anywhere gives NaN.
+    Computed in site blocks from the family's orthonormal columns V
+    (P = V V^dag) as sqrt(2) || A - V(tau x) V(tau x)^dag A ||, A = J(x)
+    conj(V(x)): nothing N x N is formed.  The two norms agree for unitary J
+    (both projectors have rank m); classify checks J's unitary residual
+    first.  J = 1 is not multiplied (see SymmetryData.factor).  A NaN
+    anywhere gives NaN.
     """
     tau = lat.involution
     cols = p.columns
     res = 0.0
     for block in index_blocks(lat.n_sites, j.dimension**2):
-        js = j.factor(lat.sites[block])
-        vt, vs = cols[tau[block]], cols[block]
-        diff = vt @ (adjoint(vt) @ js) - (js @ vs.conj()) @ vs.swapaxes(1, 2)
-        res = worst(res, max_frob(diff))
+        a = j.factor(lat.sites[block]) @ cols[block].conj()
+        vt = cols[tau[block]]
+        res = worst(res, np.sqrt(2.0) * max_frob(a - vt @ (adjoint(vt) @ a)))
     return res
 
 

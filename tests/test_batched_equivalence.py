@@ -20,6 +20,7 @@ import loop_reference as ref
 import realbloch as rb
 from conftest import mobius_two_band
 from realbloch import spectral
+from realbloch._matrix import adjoint, expms
 from realbloch.classify import _BASE_TABLE, _j_consistency
 from realbloch.models import _block_diag
 from realbloch.errors import (
@@ -155,6 +156,70 @@ def test_hamiltonian_pipeline_matches_loops(case):
     signs_ref = loops_ref[1]
     assert result.torsion == expected_torsion(lat, signs_ref)
     assert abs(result.diagnostics["projection_residual"] - pres) <= TOL
+
+
+@pytest.mark.parametrize("case", sorted(HAMILTONIAN_CASES))
+def test_classify_reads_the_eigensolve_residual(case):
+    # the eigensolve's pass computes the Hamiltonian residual on the blocks
+    # and with the kernel of verify_hamiltonian_symmetry: the same bits
+    h, j, lat, bands = HAMILTONIAN_CASES[case]()
+    rep = rb.verify_hamiltonian_symmetry(h, j, lat)
+    s = rb.eigensolve_family(h, lat, bands, j)
+    assert np.float64(s.hamiltonian_residual).tobytes() == np.float64(
+        rep.hamiltonian_residual).tobytes()
+    assert rb.eigensolve_family(h, lat, bands).hamiltonian_residual is None
+    diagnostics = rb.classify_real_bundle(h, j, lat, bands).diagnostics
+    assert diagnostics["hamiltonian_residual"] == rep.hamiltonian_residual
+    assert diagnostics["unitary_residual"] == rep.unitary_residual
+
+
+def twisted(h, j, lat, broken):
+    """H'(x) = U(x) H(x) U(x)^dag and J'(x) = U(tau x) J(x) U(x)^T for a
+    site-dependent unitary U: a symmetric family with a site-dependent J'.
+    `broken` multiplies J' by a site-dependent unitary that breaks the
+    symmetry."""
+    n, d = h.dimension, lat.sites.shape[1]
+    rng = np.random.default_rng(17)
+    gens = rng.normal(size=(2 * d, n, n)) + 1j * rng.normal(size=(2 * d, n, n))
+    gens = gens + adjoint(gens)
+    site = {c.tobytes(): i for i, c in enumerate(lat.sites)}
+
+    def u(c, g=gens[:d]):
+        return expms(1j * np.tensordot(np.cos(c) + np.sin(2 * c), g, 1)[None])[0]
+
+    def h_twisted(c):
+        return u(c) @ h(c) @ u(c).conj().T
+
+    def j_twisted(c):
+        jc = u(lat.sites[lat.involution[site[c.tobytes()]]]) @ j(c) @ u(c).T
+        return jc @ u(c, gens[d:]) if broken else jc
+
+    return (
+        rb.HamiltonianFamily(n, rb.pointwise(h_twisted), "twisted"),
+        rb.SymmetryData(n, j.parity, rb.pointwise(j_twisted), "twisted-J"),
+    )
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize(
+    "case", ["mobius-two-band-circle", "sphere-sum-rank2", "oscillator-rank2"]
+)
+def test_projection_residual_from_columns_matches_projectors(case, broken):
+    # sqrt(2) || (1 - P(tau x)) J conj(V) || equals || P(tau x) J - J conj(P) ||
+    # for unitary J: ranks 1 and 2, J site-dependent, symmetric and broken
+    h, j, lat, bands = HAMILTONIAN_CASES[case]()
+    if case == "oscillator-rank2":
+        lat = rb.build_torus2(6, 6, "eta1")
+        h, j = rb.model_oscillator(rb.OscillatorParams(level=0, n_basis=24), lat)
+    h, j = twisted(h, j, lat, broken)
+    js = j(lat.sites)
+    assert np.abs(adjoint(js) @ js - np.eye(j.dimension)).max() <= TOL  # unitary
+    assert (_j_consistency(j, lat) > 0.1) if broken else _j_consistency(j, lat) <= TOL
+    p = rb.select_projection(rb.eigensolve_family(h, lat, bands), bands)
+    p_ref = ref.select_projection(ref.eigensolve_family(h, lat), bands)
+    pres = rb.verify_projection_symmetry(p, j, lat)
+    assert abs(pres - ref.verify_projection_symmetry(p_ref, j, lat)) <= TOL
+    assert pres > 0.1 if broken else pres <= TOL
 
 
 @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
@@ -741,11 +806,38 @@ def test_non_hermitian_names_same_site(dim):
         return mat
 
     h = rb.HamiltonianFamily(dim, rb.pointwise(evaluate), "skew")
-    same_failure(
-        ModelError,
+    for new in (
         lambda: rb.eigensolve_family(h, lat),
-        lambda: ref.eigensolve_family(h, lat),
-    )
+        lambda: rb.classify_real_bundle(h, rb.SymmetryData.identity(dim), lat, [0]),
+    ):
+        same_failure(ModelError, new, lambda: ref.eigensolve_family(h, lat))
+
+
+@pytest.mark.parametrize("dim", [2, 64])
+@pytest.mark.parametrize("offenders", [[9, 37], [20], [3, 30, 31]])
+def test_non_hermitian_names_lowest_site_over_orbit_blocks(dim, offenders):
+    # the eigensolve walks involution-closed blocks: on the reflection
+    # circle with N = 64 the first holds sites 0-3 and their images 37-39,
+    # so site 37 is met before site 9 (third block); the error, through the
+    # library eigensolve and through classify, names the lowest offender
+    lat = rb.build_circle(40, "reflection")
+    base = np.diag(np.arange(dim, dtype=complex))
+    bad = lat.sites[offenders, 0]
+
+    def evaluate(c):
+        mat = base.copy()
+        mat[0, 1] = mat[1, 0] = 0.5
+        if np.abs(bad - c[0]).min() < 1e-12:
+            mat[1, 0] += 1.0
+        return mat
+
+    h = rb.HamiltonianFamily(dim, rb.pointwise(evaluate), "skew")
+    for new in (
+        lambda: rb.eigensolve_family(h, lat),
+        lambda: rb.classify_real_bundle(h, rb.SymmetryData.identity(dim), lat, [0]),
+    ):
+        err = same_failure(ModelError, new, lambda: ref.eigensolve_family(h, lat))
+        assert str(err).endswith(f"site {min(offenders)}")
 
 
 def test_singular_overlap_names_same_link():

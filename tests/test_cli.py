@@ -485,18 +485,37 @@ def count_layer_calls(monkeypatch):
 def test_full_run_computes_each_layer_once(tmp_path, monkeypatch, case):
     lattice, model, bands, tasks = PIPELINE_RUNS[case]
     calls = count_layer_calls(monkeypatch)
+    sampled = []  # rows of every Hamiltonian block evaluated
+    evaluate = rb.HamiltonianFamily.__call__
+
+    def counted(h, coords):
+        sampled.append(len(np.atleast_2d(coords)))
+        return evaluate(h, coords)
+
+    monkeypatch.setattr(rb.HamiltonianFamily, "__call__", counted)
+    build = cli._build_model
+
+    def built(*args):  # the oscillator's truncation check samples two sites
+        out = build(*args)
+        sampled.clear()
+        return out
+
+    monkeypatch.setattr(cli, "_build_model", built)
     config = {"lattice": lattice, "model": model, "bands": bands, "tasks": tasks}
     path = write_config(tmp_path, config)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     if case == "mobius":
         want = {"link_field_from_connection": 1, "plaquette_curvature": 1,
                 "_j_consistency": 1}
+        assert sampled == []
     else:
-        want = {"eigensolve_family": 1, "verify_hamiltonian_symmetry": 1,
-                "verify_projection_symmetry": 1, "link_field": 1,
-                "plaquette_curvature": 1}
+        # the eigensolve's pass also yields the Hamiltonian residual: H is
+        # sampled once per site, and verify_hamiltonian_symmetry never runs
+        want = {"eigensolve_family": 1, "verify_projection_symmetry": 1,
+                "link_field": 1, "plaquette_curvature": 1}
+        assert sum(sampled) == report["lattice"]["n_sites"]
     assert dict(calls) == want
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
     # chern and classify read one link field
     assert report["chern"]["chern_value"] == report["classify"]["diagnostics"]["chern_value"]
 

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import loop_reference as ref
-from realbloch._matrix import adjoint, expms, principal_log_unitaries, spectral_maps
+from realbloch._matrix import (
+    adjoint,
+    expms,
+    frob_each,
+    max_frob,
+    principal_log_unitaries,
+    spectral_maps,
+)
 from realbloch.errors import BranchCutError, ModelError
 
 TOL = 1e-12
@@ -169,6 +176,58 @@ def test_exp_of_non_antihermitian_step_raises():
     with pytest.raises(ModelError) as err:
         expms(a)
     assert str(err.value) == "exponent 3 is not anti-Hermitian"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, complex(0, np.nan), complex(0, np.inf)]
+)
+def test_exp_of_non_finite_exponent_raises(m, value):
+    a = np.zeros((4, m, m), dtype=complex)
+    a[2, 0, m - 1] = value
+    a[2, m - 1, 0] = -np.conj(value)  # anti-Hermitian but for the non-finite part
+    with pytest.raises(ModelError) as err:
+        expms(a)
+    assert str(err.value) == "exponent 2 is not anti-Hermitian"
+
+
+EPS = np.finfo(float).eps
+
+
+def test_frob_each_edge_cases():
+    rng = np.random.default_rng(8)
+    # empty stacks
+    assert frob_each(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+    assert np.array_equal(frob_each(np.zeros((4, 0, 0))), np.zeros(4))
+    assert max_frob(np.zeros((0, 2, 2), dtype=complex)) == 0.0
+    # relative agreement with numpy's norm: complex and real, any batch shape
+    for shape in [(5, 1, 1), (7, 2, 2), (3, 8, 8), (2, 40, 40), (2, 3, 4, 5)]:
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for stack in (a, a.real, 1e-100 * a, 1e100 * a):
+            want = np.linalg.norm(stack, axis=(-2, -1))
+            assert frob_each(stack).shape == want.shape
+            assert np.all(np.abs(frob_each(stack) - want) <= 4 * EPS * want)
+    # non-contiguous views: transposes, gathers, strides, real and imaginary parts
+    a = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+    views = (a.swapaxes(1, 2), a[[4, 0, 4, 2]], a[:, ::2, 1:], a[::-1], a.real, a.imag)
+    for view in views:
+        want = np.linalg.norm(view, axis=(-2, -1))
+        assert np.all(np.abs(frob_each(view) - want) <= 4 * EPS * want)
+    ints = np.arange(8).reshape(2, 2, 2)
+    assert np.array_equal(frob_each(ints), [np.sqrt(14), np.sqrt(126)])
+    # NaN and infinity propagate, at rank one (|z|) too
+    for value, check in (
+        (np.nan, np.isnan),
+        (np.inf, np.isposinf),
+        (-np.inf, np.isposinf),
+        (complex(0, np.nan), np.isnan),
+        (complex(np.inf, np.nan), lambda x: not np.isfinite(x)),
+    ):
+        for b in (a.copy(), a[:, 1:2, 2:3].copy()):
+            b[3, -1, -1] = value
+            got = frob_each(b)
+            assert check(got[3]) and np.all(np.isfinite(np.delete(got, 3)))
+            assert check(max_frob(b))
 
 
 # -- property test ---------------------------------------------------------------

@@ -167,20 +167,44 @@ def test_inverse_iteration_converges_on_isolated_eigenvalues():
 def test_rows_that_miss_the_residual_take_dense_columns():
     # every other row's eigenvalue is moved 60% of the way to a neighbour,
     # so inverse iteration heads for the wrong vector and misses the
-    # residual bound, and every 7th row is recorded as clustered: over two
-    # chunks of rows, each takes its column from a dense eigh of T
+    # residual bound, and every 7th row is recorded as clustered: over
+    # three chunks of rows, two of them solved as `add` fills them, each
+    # takes its column from a dense eigh of T
     rng = np.random.default_rng(5)
-    k, r = 4, 5000
+    k, r = 4, 9000
     diag, off = rng.normal(size=(r, k)), np.abs(rng.normal(size=(r, k - 1)))
     w, u = np.linalg.eigh(spectral._real_tridiagonal(diag, off))
     pos = rng.integers(0, k, r)
     other = np.where(pos < k - 1, pos + 1, pos - 1)
     lam = w[np.arange(r), pos]
     lam[1::2] += 0.6 * (w[np.arange(r), other] - lam)[1::2]
-    rows = spectral._TridiagonalRows(k, r)
+    out = np.ones(r * k, dtype=complex)
+    rows = spectral._TridiagonalRows(k, out, r)
     at = np.arange(r * k).reshape(r, k)
     rows.add(diag, off, at, lam, np.abs(w).max(axis=1), pos, np.arange(r) % 7 == 0)
-    out = np.ones(r * k, dtype=complex)
-    rows.solve(out)
+    rows.solve()
     overlap = np.abs(np.einsum("rk,rk->r", out.reshape(r, k), u[np.arange(r), :, pos]))
     assert np.all(np.abs(overlap - 1) <= 1e-10)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_hamiltonian_fails_the_hermiticity_guard(value):
+    # a comparison with NaN is false, so a guard written "residual > bound"
+    # passed a NaN entry: eigh gave finite eigenvalues, and classify failed
+    # only later, at the symmetry residual
+    lat = rb.build_circle(16, "reflection")
+
+    def evaluate(c):
+        mat = np.array([[0.3, 0.3], [0.3, -0.3]], dtype=complex)
+        if abs(c[0] - lat.sites[3, 0]) < 1e-12:
+            mat[0, 0] = value
+        return mat
+
+    h = rb.HamiltonianFamily(2, rb.pointwise(evaluate), "non-finite")
+    for run in (
+        lambda: rb.eigensolve_family(h, lat),
+        lambda: rb.classify_real_bundle(h, rb.SymmetryData.identity(2), lat, [0]),
+    ):
+        with pytest.raises(ModelError) as err:
+            run()
+        assert str(err.value) == "non-finite: non-Hermitian output at site 3"
