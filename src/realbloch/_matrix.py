@@ -29,8 +29,8 @@ def frob_each(a: np.ndarray) -> np.ndarray:
     batch, size = a.shape[:-2], a.shape[-2] * a.shape[-1]
     if np.iscomplexobj(a):
         a, size = a[..., None].view(a.real.dtype), 2 * size
-    flat = a.reshape(batch + (size,))
-    return np.sqrt(np.vecdot(flat, flat))
+    flat = a.reshape(batch + (1, size))
+    return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
 
 
 def max_frob(a: np.ndarray) -> float:
@@ -50,17 +50,11 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def non_hermitian(a: np.ndarray, sign: int = 1) -> np.ndarray:
     """Indices of the stack entries off `sign` times their adjoint (relative
-    bound HERMITICITY_RTOL; sign -1 tests anti-Hermiticity) or not finite.
-    A - sign A^dag = Re A - sign Re A^T + i (Im A + sign Im A^T): the real
-    and imaginary parts are compared apart, and no conjugate is formed."""
-    sq = 0.0
-    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-    for part, plus in zip(parts, (sign == -1, sign == 1)):
-        t = part.swapaxes(-1, -2)
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and flagged
-            sq = sq + frob_each(part + t if plus else part - t) ** 2
+    bound HERMITICITY_RTOL; sign -1 tests anti-Hermiticity) or not finite."""
     scale = np.maximum(frob_each(a), 1.0)  # infinite for an infinite entry
-    return np.flatnonzero(~(np.sqrt(sq) <= HERMITICITY_RTOL * scale) | np.isinf(scale))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and flagged
+        off = frob_each(a - sign * adjoint(a))
+    return np.flatnonzero(~(off <= HERMITICITY_RTOL * scale) | np.isinf(scale))
 
 
 def polar_unitaries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -139,12 +139,18 @@ class SymmetryReport:
 
 
 def _block_unitary_residual(js: np.ndarray, jt: np.ndarray, parity: int) -> float:
-    """Max over a block of || J(tau x) conj(J(x)) - parity * 1 ||."""
-    return max_frob(jt @ js.conj() - parity * np.eye(js.shape[-1]))
+    """Max over a block of || J(x)^dag J(x) - 1 || and
+    || J(tau x) conj(J(x)) - parity * 1 ||."""
+    one = np.eye(js.shape[-1])
+    return worst(
+        max_frob(adjoint(js) @ js - one), max_frob(jt @ js.conj() - parity * one)
+    )
 
 
 def unitary_residual(j: SymmetryData, lat: InvolutiveLattice) -> float:
-    """Max over sites of || J(tau x) conj(J(x)) - parity * 1 ||.
+    """J's unitary residual: the max over sites of || J(x)^dag J(x) - 1 ||
+    (J unitary) and || J(tau x) conj(J(x)) - parity * 1 || (Theta^2 =
+    parity); neither implies the other.
 
     A constant J is checked once on its matrix; otherwise J is evaluated
     once per involution-closed block and the tau side is gathered.  A NaN
@@ -194,8 +200,8 @@ def verify_projection_symmetry(
     (P = V V^dag) as sqrt(2) || A - V(tau x) V(tau x)^dag A ||, A = J(x)
     conj(V(x)): nothing N x N is formed.  The two norms agree for unitary J
     (both projectors have rank m); classify checks J's unitary residual
-    first.  J = 1 is not multiplied (see SymmetryData.factor).  A NaN
-    anywhere gives NaN.
+    (see unitary_residual) first, so a non-unitary J fails there.  J = 1
+    is not multiplied (see SymmetryData.factor).  A NaN anywhere gives NaN.
     """
     tau = lat.involution
     cols = p.columns

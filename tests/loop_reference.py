@@ -663,7 +663,11 @@ def verify_hamiltonian_symmetry(h, j, lat):
         hs = h(lat.sites[s])
         ht = h(lat.sites[tau[s]])
         res_h = max(res_h, frob(js.conj().T @ ht @ js - hs.conj()))
-        res_j = max(res_j, frob(jt @ js.conj() - j.parity * eye))
+        res_j = max(
+            res_j,
+            frob(js.conj().T @ js - eye),
+            frob(jt @ js.conj() - j.parity * eye),
+        )
     return res_h, res_j
 
 
@@ -681,9 +685,11 @@ def j_consistency(j, lat):
     eye = np.eye(j.dimension)
     res = 0.0
     for s in range(lat.n_sites):
+        js = j(lat.sites[s])
         res = max(
             res,
-            frob(j(lat.sites[tau[s]]) @ j(lat.sites[s]).conj() - j.parity * eye),
+            frob(js.conj().T @ js - eye),
+            frob(j(lat.sites[tau[s]]) @ js.conj() - j.parity * eye),
         )
     return res
 

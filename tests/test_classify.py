@@ -141,6 +141,29 @@ def test_symmetry_violation_detected(rng):
         rb.classify_real_bundle(h, bad_j, lat, {0})
 
 
+@pytest.mark.parametrize("site_dependent", [False, True])
+def test_non_unitary_j_fails_the_unitary_check(site_dependent):
+    # J conj(J) = 1 and J^dag H J = conj(H) hold, but J is not unitary.  The
+    # projection residual from the columns reads 0 here (band 0 is e1), so
+    # only ||J^dag J - 1|| = sqrt(2 c^2 + c^4) = 0.75 can reject it.
+    c = 0.5
+    mat = np.array([[1.0, c], [0.0, -1.0]], dtype=complex)
+    if site_dependent:
+        j = rb.SymmetryData(2, +1, rb.pointwise(lambda x: mat), "non-unitary")
+    else:
+        j = rb.SymmetryData.constant(mat, +1, "non-unitary")
+    lat = rb.build_circle(16, "trivial")
+    h = constant_diag([0.0, 1.0])
+    rep = rb.verify_hamiltonian_symmetry(h, j, lat)
+    assert rep.hamiltonian_residual == 0.0
+    assert rep.unitary_residual == pytest.approx(0.75, rel=1e-14)
+    assert not rep.symmetric
+    p = rb.select_projection(rb.eigensolve_family(h, lat), {0})
+    assert rb.verify_projection_symmetry(p, j, lat) == 0.0
+    with pytest.raises(SymmetryViolationError, match="unitary residual 7.500e-01"):
+        rb.classify_real_bundle(h, j, lat, {0})
+
+
 def test_isomorphism_invariance_under_orthogonal_rotation(rng):
     # conjugating by a constant real orthogonal matrix preserves the Real
     # structure and must not change any invariant
