@@ -89,33 +89,31 @@ def spectral_maps(a: np.ndarray, f, *, hermitian: bool = False):
     return (v * f(w)[:, None, :]) @ np.linalg.inv(v), w
 
 
-def unitary_logs(u: np.ndarray, *, guard: float = BRANCH_CUT_GUARD):
+def unitary_logs(u: np.ndarray):
     """Principal logarithms of a unitary stack, clear of the branch cut.
 
     Returns ``(logs, cut)``: ``cut`` marks the entries with an eigenvalue
-    within `guard` of -1, where the principal branch is ambiguous, and
-    ``logs`` holds the logarithms i angle(w) of the other entries in order,
-    anti-Hermitized for ranks above one.
+    within BRANCH_CUT_GUARD of -1, where the principal branch is ambiguous,
+    and ``logs`` holds the logarithms i angle(w) of the other entries in
+    order, anti-Hermitized for ranks above one.
     """
     logs, w = spectral_maps(u, lambda w: 1j * np.angle(w))
-    cut = (np.abs(w + 1.0) < guard).any(axis=1)
+    cut = (np.abs(w + 1.0) < BRANCH_CUT_GUARD).any(axis=1)
     logs = logs[~cut]
     return (logs if u.shape[1] == 1 else 0.5 * (logs - adjoint(logs))), cut
 
 
-def principal_log_unitaries(
-    u: np.ndarray, *, guard: float = BRANCH_CUT_GUARD, what: str = "matrix"
-):
+def principal_log_unitaries(u: np.ndarray, *, what: str = "matrix"):
     """Principal logarithm of every unitary in a stack (see unitary_logs).
 
     Raises BranchCutError naming the first entry with an eigenvalue within
-    `guard` of -1 as "<what> <index>".
+    BRANCH_CUT_GUARD of -1 as "<what> <index>".
     """
-    logs, cut = unitary_logs(u, guard=guard)
+    logs, cut = unitary_logs(u)
     bad = np.flatnonzero(cut)
     if bad.size:
         raise BranchCutError(
-            f"{what} {bad[0]}: eigenvalue at -1 within {guard:g}; "
+            f"{what} {bad[0]}: eigenvalue at -1 within {BRANCH_CUT_GUARD:g}; "
             "refine the lattice"
         )
     return logs

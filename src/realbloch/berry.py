@@ -7,7 +7,7 @@ coordinate.  Gauge covariance of the link field is exact by construction.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -171,9 +171,7 @@ def link_field_from_connection(
     return LinkField(expms(steps), lat)
 
 
-def local_connection_from_links(
-    u: LinkField, spacing: Optional[np.ndarray] = None
-) -> LocalConnectionForm:
+def local_connection_from_links(u: LinkField) -> LocalConnectionForm:
     """Principal-log connection components, per unit coordinate.
 
     Raises BranchCutError (advising a finer lattice) naming the first link
@@ -181,8 +179,7 @@ def local_connection_from_links(
     ambiguous.
     """
     lat = u.lattice
-    h = lat.link_spacing if spacing is None else np.asarray(spacing, dtype=float)
-    a = principal_log_unitaries(u.u, what="link") / h[:, None, None]
+    a = principal_log_unitaries(u.u, what="link") / lat.link_spacing[:, None, None]
     return LocalConnectionForm(a, lat)
 
 

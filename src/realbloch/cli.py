@@ -19,7 +19,7 @@ Exit codes: 0 success, 2 config error, 3 gap closure, 4 symmetry violation,
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,9 +150,9 @@ class RunConfig:
             resolution_scale=_read(raw, "resolution_scale", _integer, 1),
             moduli_values=_read(raw, "moduli_values", _numbers, [0.0, 0.25, 0.5]),
         )
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
+        # an override of None keeps the file's value; an unknown name raises
+        # TypeError
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         if cfg.resolution_scale < 1:
             raise ConfigError(f"resolution_scale {cfg.resolution_scale} is below 1")
         return cfg

@@ -54,22 +54,23 @@ def plaquette_curvature(u: LinkField, lat: InvolutiveLattice) -> CurvatureField:
 def chern_weil_density(curv: CurvatureField, k: int) -> np.ndarray:
     """Degree-k invariant polynomial of the flux, per plaquette.
 
-    C_k is the coefficient of t^(m-k) in det(t*1 - F/(2*pi*i)); for k = 1
-    this is (i/2/pi) tr F, real by anti-Hermiticity.  Densities with k >= 2
+    C_k is the coefficient of t^(m-k) in det(t*1 - X), X = F/(2*pi*i), taken
+    from the power traces p_i = tr X^i by Newton's identities,
+    C_k = -(p_1 C_(k-1) + ... + p_k C_0) / k with C_0 = 1.  For k = 1 this
+    is (i/2/pi) tr F, real by anti-Hermiticity.  Densities with k >= 2
     integrate to zero on 2d bases and are provided as polynomial values.
     """
     m = curv.rank
     if not 1 <= k <= m:
         raise ValueError(f"polynomial degree {k} outside 1..{m}")
     x = curv.f / (2.0j * np.pi)
-    eig = np.linalg.eigvals(x)
-    # elementary symmetric polynomials of the eigenvalues, all plaquettes at once
-    e = np.zeros((k + 1, eig.shape[0]), dtype=complex)
-    e[0] = 1.0
-    for i in range(m):
-        for d in range(k, 0, -1):
-            e[d] += eig[:, i] * e[d - 1]
-    return ((-1.0) ** k * e[k]).real
+    power, traces, c = x, [], [1.0]
+    for d in range(1, k + 1):
+        if d > 1:
+            power = power @ x
+        traces.append(np.trace(power, axis1=1, axis2=2))
+        c.append(-sum(p * c[d - 1 - i] for i, p in enumerate(traces)) / d)
+    return c[k].real
 
 
 def chern_number(curv: CurvatureField, lat: InvolutiveLattice):

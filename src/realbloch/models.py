@@ -185,7 +185,7 @@ def model_oscillator(
 
 
 def oscillator_reference_section(
-    p: OscillatorParams, lat: InvolutiveLattice, n_nodes: int = 96
+    p: OscillatorParams, lat: InvolutiveLattice
 ) -> np.ndarray:
     """Components of the analytic level-n section in the reference basis.
 
@@ -193,7 +193,7 @@ def oscillator_reference_section(
     the reference-basis functions; used to align numeric frames with the
     analytic gauge before comparing connection components pointwise.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(96)
     bare = weights * np.exp(nodes**2)
     basis = np.stack(
         [hermite_eigenfunction(jn, nodes, 1.0, 0.0).real for jn in range(p.n_basis)]

@@ -35,32 +35,6 @@ __all__ = [
 ]
 
 
-class _Unit:
-    """J = 1 as a product factor.  Multiplying by it returns the other
-    factor, C-contiguous as a product would be, so the checks form no
-    product with the identity: I @ A = A holds exactly for finite A (each
-    entry is itself plus exact zeros), and every residual keeps its bits.
-    numpy defers its operators to it (``__array_ufunc__ = None``), and
-    ``adjoint(UNIT)`` is UNIT.
-    """
-
-    __array_ufunc__ = None
-
-    def __matmul__(self, other):
-        return np.ascontiguousarray(other)
-
-    __rmatmul__ = __matmul__
-
-    def conj(self):
-        return self
-
-    def swapaxes(self, *axes):
-        return self
-
-
-UNIT = _Unit()  # see SymmetryData.factor
-
-
 @dataclass
 class SymmetryData:
     """Unitary family J(x) together with the time-reversal parity.
@@ -71,7 +45,7 @@ class SymmetryData:
     coordinate block in, an (n, N, N) stack out.  `matrix` is the (N, N)
     J of a constant family (see `constant`) and None for a site-dependent
     one: the checks compute a constant J's unitary residual once, and skip
-    the factor when the matrix is the identity (see `factor`).
+    J altogether when the matrix is the identity (see `factor`).
     """
 
     dimension: int
@@ -80,27 +54,31 @@ class SymmetryData:
     name: str = ""
     matrix: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        self._unit = self.matrix is not None and np.array_equal(
+            self.matrix, np.eye(self.dimension)
+        )
+
     def __call__(self, coords) -> np.ndarray:
         n = self.dimension
         j = evaluate_block(self.evaluator, coords, (n, n), self.name or "symmetry")
         return np.asarray(j, dtype=complex)
 
-    def factor(self, coords):
-        """J on a coordinate block as a factor of the checks' products: the
-        stack, or UNIT when `matrix` is the identity, so that Theta is plain
-        complex conjugation and nothing is evaluated or multiplied."""
-        identity = self.matrix is not None and np.array_equal(
-            self.matrix, np.eye(self.dimension)
-        )
-        return UNIT if identity else self(coords)
+    def factor(self, coords) -> Optional[np.ndarray]:
+        """J on a coordinate block as a factor of the checks' products, or
+        None when `matrix` is the identity (decided once, at construction):
+        Theta is then plain complex conjugation, and the checks evaluate
+        and multiply nothing."""
+        return None if self._unit else self(coords)
 
     def hamiltonian_residual(self, coords, h: np.ndarray, tau) -> float:
         """Max of || J(x)^dag H(tau x) J(x) - conj(H(x)) || over an
         involution-closed block (see orbit_blocks): its coordinates, its H
-        stack and the gather `tau` to the tau-images.  J = 1 is not
-        multiplied (see factor).  A NaN anywhere gives NaN."""
+        stack and the gather `tau` to the tau-images.  A NaN anywhere gives
+        NaN."""
         js = self.factor(coords)
-        return max_frob(adjoint(js) @ h[tau] @ js - h.conj())
+        ht = h[tau] if js is None else adjoint(js) @ h[tau] @ js
+        return max_frob(ht - h.conj())
 
     @staticmethod
     def constant(j: np.ndarray, parity: int = +1, name: str = "") -> "SymmetryData":
@@ -188,6 +166,25 @@ def verify_hamiltonian_symmetry(
     return SymmetryReport(res_h, unitary_residual(j, lat), tolerance)
 
 
+def _theta_blocks(cols: np.ndarray, j: SymmetryData, lat: InvolutiveLattice):
+    """Orthonormal columns V (n_sites, N, m) under Theta, in site blocks.
+
+    Yields ``(block, A, V(tau x), V(tau x)^dag A)`` with A = J(x) conj(V(x)),
+    and A = conj(V(x)) when J = 1 (see SymmetryData.factor).  A block spans
+    at most BLOCK_ENTRIES entries of the largest stack it holds: the
+    (n, N, N) J when J is evaluated, else the (n, N, m) columns.
+    """
+    tau = lat.involution
+    dim, m = cols.shape[1:]
+    for block in index_blocks(lat.n_sites, dim * (m if j._unit else dim)):
+        a = cols[block].conj()
+        js = j.factor(lat.sites[block])
+        if js is not None:
+            a = js @ a
+        vt = cols[tau[block]]
+        yield block, a, vt, adjoint(vt) @ a
+
+
 def verify_projection_symmetry(
     p: ProjectionFamily,
     j: SymmetryData,
@@ -196,44 +193,38 @@ def verify_projection_symmetry(
 ) -> float:
     """Max site residual of P(tau x) J(x) = J(x) conj(P(x)), for unitary J.
 
-    Computed in site blocks from the family's orthonormal columns V
-    (P = V V^dag) as sqrt(2) || A - V(tau x) V(tau x)^dag A ||, A = J(x)
-    conj(V(x)): nothing N x N is formed.  The two norms agree for unitary J
-    (both projectors have rank m); classify checks J's unitary residual
-    (see unitary_residual) first, so a non-unitary J fails there.  J = 1
-    is not multiplied (see SymmetryData.factor).  A NaN anywhere gives NaN.
+    Computed from the family's orthonormal columns V (P = V V^dag) as
+    sqrt(2) || A - V(tau x) V(tau x)^dag A ||, A = J(x) conj(V(x)), on the
+    site blocks that sewing_matrix reads too: nothing N x N is formed
+    unless J is evaluated.  The two norms agree for unitary J (both
+    projectors have rank m); classify checks J's unitary residual (see
+    unitary_residual) first, so a non-unitary J fails there.  A NaN
+    anywhere gives NaN.
     """
-    tau = lat.involution
-    cols = p.columns
     res = 0.0
-    for block in index_blocks(lat.n_sites, j.dimension**2):
-        a = j.factor(lat.sites[block]) @ cols[block].conj()
-        vt = cols[tau[block]]
-        res = worst(res, np.sqrt(2.0) * max_frob(a - vt @ (adjoint(vt) @ a)))
+    for _, a, vt, vta in _theta_blocks(p.columns, j, lat):
+        res = worst(res, np.sqrt(2.0) * max_frob(a - vt @ vta))
     return res
 
 
 def sewing_matrix(
     f: Frame, j: SymmetryData, lat: InvolutiveLattice, tolerance: float = 1e-6
 ) -> SewingField:
-    """W(x) = Psi(tau x)^dag J(x) conj(Psi(x)) per site.
+    """W(x) = Psi(tau x)^dag J(x) conj(Psi(x)) per site, the product taken
+    as Psi(tau x)^dag A on the blocks of verify_projection_symmetry.
 
     Requires the projection symmetry to hold; a unitarity residual above
-    tolerance, or NaN, raises.  J = 1 is not multiplied (see
-    SymmetryData.factor).  Odd parity with odd rank over a nonempty fixed
-    set is rejected outright: no consistent sewing matrix exists there.
+    tolerance, or NaN, raises.  Odd parity with odd rank over a nonempty
+    fixed set is rejected outright: no consistent sewing matrix exists there.
     """
     m = f.rank
     if j.parity == -1 and m % 2 == 1 and lat.fixed_sites.size > 0:
         raise KramersObstructionError(
             f"odd parity with rank {m} over {lat.fixed_sites.size} fixed sites"
         )
-    tau = lat.involution
-    cols = f.columns
     w = np.empty((lat.n_sites, m, m), dtype=complex)
-    for block in index_blocks(lat.n_sites, j.dimension**2):
-        js = j.factor(lat.sites[block])
-        w[block] = adjoint(cols[tau[block]]) @ js @ cols[block].conj()
+    for block, _, _, vta in _theta_blocks(f.columns, j, lat):
+        w[block] = vta
     res = max_frob(adjoint(w) @ w - np.eye(m))
     if not res <= tolerance:
         raise SymmetryInconsistencyError(

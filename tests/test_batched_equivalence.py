@@ -370,7 +370,7 @@ def test_loop_products_match_per_link_bitwise(case, m):
         assert rec.sign == rec_ref.sign
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_gauge_transform_and_densities_match_loops(rng, m):
     lat = rb.build_sphere2(6, 8)  # triangles among quads: padded plaquette rows
     # small random anti-Hermitian steps keep every plaquette off the branch cut
@@ -386,6 +386,9 @@ def test_gauge_transform_and_densities_match_loops(rng, m):
     for k in range(1, m + 1):
         dens = rb.chern_weil_density(curv, k)
         assert np.max(np.abs(dens - ref.chern_weil_density(curv_ref, k))) <= TOL
+    if m == 1:  # the trace of a 1 x 1 flux is its eigenvalue: curvature.csv's bits
+        dens_ref = ref.chern_weil_density(curv, 1)
+        assert rb.chern_weil_density(curv, 1).tobytes() == dens_ref.tobytes()
     parity = rb.curvature_parity_check(curv, lat)
     tr = np.trace(curv_ref.f, axis1=1, axis2=2)
     parity_ref = max(
@@ -645,9 +648,9 @@ def rotated_sphere():
     return rotated, rb.SymmetryData.constant(u @ u.T), rb.build_sphere2(10, 16), [0]
 
 
-def oscillator_6x6(bands):
+def oscillator_eta1(n, bands):
     def build():
-        lat = rb.build_torus2(6, 6, "eta1")
+        lat = rb.build_torus2(n, n, "eta1")
         h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
         return h, j, lat, bands
 
@@ -656,8 +659,11 @@ def oscillator_6x6(bands):
 
 CONSTANT_J_CASES = {
     "sphere-k+2": sphere_case(2),
-    "oscillator-6x6-rank1": oscillator_6x6([1]),
-    "oscillator-6x6-rank2": oscillator_6x6([0, 1]),
+    "oscillator-6x6-rank1": oscillator_eta1(6, [1]),
+    "oscillator-6x6-rank2": oscillator_eta1(6, [0, 1]),
+    # J = 1 checks the (n, 40, 2) columns in three blocks of 204 sites, the
+    # per-point J its (n, 40, 40) stack in blocks of 10: two partitions
+    "oscillator-24x24-rank2": oscillator_eta1(24, [0, 1]),
     "sphere-sum-rank2": HAMILTONIAN_CASES["sphere-sum-rank2"],
     "sigma-x-circle": HAMILTONIAN_CASES["mobius-two-band-circle"],
     "rotated-sphere": rotated_sphere,
@@ -717,6 +723,8 @@ def test_whitney_sums_keep_a_constant_j():
 def test_trivial_line_identity_j_matches_per_point():
     spec, lat = PRODUCT_CASES["trivial-line-xi-torus"]()
     assert np.array_equal(spec.j.matrix, np.eye(1))
+    assert spec.j.factor(lat.sites) is None  # J = 1: nothing to evaluate
+    assert per_point(spec.j).factor(lat.sites).shape == (lat.n_sites, 1, 1)
     assert _j_consistency(spec.j, lat) == _j_consistency(per_point(spec.j), lat)
     result = rb.classify_real_bundle(spec, lat=lat).to_json_dict()
     spec.j = per_point(spec.j)

@@ -196,6 +196,19 @@ def test_resolution_scale_below_one_is_config_error(tmp_path):
         assert code == cli.EXIT_CONFIG
 
 
+def test_overrides_set_known_fields_and_reject_unknown_names():
+    config = {
+        "lattice": {"topology": "circle", "n_sites": 16, "kind": "trivial"},
+        "model": {"name": "mobius_circle"},
+        "tasks": ["classify"],
+        "resolution_scale": 2,
+    }
+    cfg = cli.RunConfig.from_dict(config, strict=True, resolution_scale=None)
+    assert cfg.strict is True and cfg.resolution_scale == 2  # None keeps the file
+    with pytest.raises(TypeError, match="strcit"):
+        cli.RunConfig.from_dict(config, strcit=True)
+
+
 @pytest.mark.parametrize(
     "bands, message",
     [
