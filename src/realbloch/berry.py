@@ -22,7 +22,7 @@ from ._matrix import (
 from .errors import DiscretizationError, DomainError
 from .lattice import InvolutiveLattice
 from .spectral import Frame, evaluate_block
-from .symmetry import SewingField, SymmetryData, quaternionic_q
+from .symmetry import SewingField, SymmetryData
 
 __all__ = [
     "LinkField",
@@ -88,7 +88,6 @@ class LocalConnectionForm:
 
     a: np.ndarray  # (n_links, m, m)
     lattice: InvolutiveLattice
-    chart: str = "angular"
 
     @property
     def rank(self) -> int:
@@ -206,22 +205,20 @@ def gauge_transform(u: LinkField, g: np.ndarray) -> LinkField:
 
 
 def equivariance_residual(
-    u: LinkField, w: SewingField, lat: InvolutiveLattice, parity: int = +1
+    u: LinkField, w: SewingField, lat: InvolutiveLattice
 ) -> float:
     """Discrete equivariance defect of a link field under the involution.
 
-    Max over links x -> y of || W(x)^dag U(tau link) W(y) - conj(U(x->y)) ||
-    (odd parity replaces conjugation by the symplectic twist).  Direction
-    reversal of the image link is handled through the adjoint.  A residual
-    at discretization order certifies the connection equivariant.
+    Max over links x -> y of || W(x)^dag U(tau link) W(y) - conj(U(x->y)) ||.
+    Parity does not enter: W(x) = Psi(tau x)^dag J(x) conj(Psi(x)) (see
+    sewing_matrix) maps the conjugated frame to the frame at tau x, so the
+    relation is a change of frame at either parity.  Direction reversal of
+    the image link is handled through the adjoint.  A residual at
+    discretization order certifies the connection equivariant.
     """
     img = u.gather(lat.link_image, lat.link_image_sign)
     lhs = adjoint(w.w[lat.link_tail]) @ img @ w.w[lat.link_head]
-    rhs = u.u.conj()
-    if parity == -1:
-        q = quaternionic_q(u.rank)
-        rhs = -q @ rhs @ q
-    return max_frob(lhs - rhs)
+    return max_frob(lhs - u.u.conj())
 
 
 def j_conjugate_connection(
@@ -251,7 +248,7 @@ def j_conjugate_connection(
     # image value per unit coordinate of the image link; rescale to this link
     a_img = a.a[img] * (lat.link_image_sign * h[img] / h)[:, None, None]
     out = (adjoint(jx) @ a_img @ jx + steps / h[:, None, None]).conj()
-    return LocalConnectionForm(out, lat, a.chart)
+    return LocalConnectionForm(out, lat)
 
 
 def average_connection(
@@ -264,4 +261,4 @@ def average_connection(
     discretization order.
     """
     twisted = j_conjugate_connection(a, j, lat)
-    return LocalConnectionForm(0.5 * (a.a + twisted.a), lat, a.chart)
+    return LocalConnectionForm(0.5 * (a.a + twisted.a), lat)

@@ -155,8 +155,7 @@ class RealBundle:
 
     @cached_property
     def projection_residual(self) -> float:
-        tol = self.tolerances["projection_symmetry"]
-        return verify_projection_symmetry(self.projection, self.j, self.lat, tol)
+        return verify_projection_symmetry(self.projection, self.j, self.lat)
 
     @cached_property
     def frame(self) -> Frame:
@@ -178,7 +177,7 @@ class RealBundle:
 
     @cached_property
     def equivariance(self) -> float:
-        return equivariance_residual(self.links, self.sewing, self.lat, +1)
+        return equivariance_residual(self.links, self.sewing, self.lat)
 
     @cached_property
     def curvature(self) -> CurvatureField:

@@ -1,11 +1,9 @@
 """Command-line front end: config-driven runs with machine-readable reports.
 
-Usage:  realbloch run <config.json> [--out DIR] [--threads N] [--strict]
-                                    [--resolution-scale S]
+Usage:  realbloch run <config.json> [--out DIR] [--strict] [--resolution-scale S]
 
 The JSON config is the reproducibility artifact; reports are byte-stable
-across repeated runs with the same config.  --threads is accepted and
-ignored.
+across repeated runs with the same config.
 
 A run builds one `classify.RealBundle`, which every task reads, so each
 pipeline layer is computed at most once.  Its frames are aligned to the
@@ -94,6 +92,14 @@ FAILURES = (
      "refinement", EXIT_REFINE, "increase the lattice resolution"),
 )
 
+# coordinate dimension of the models that live on one base dimension
+MODEL_DIMS = {
+    "mobius_circle": 1,
+    "flat_line": 1,
+    "mobius_pullback_torus": 2,
+    "degree_k_sphere": 2,
+}
+
 KNOWN_TASKS = (
     "check-symmetry",
     "berry",
@@ -116,7 +122,7 @@ class RunConfig:
     out_dir: Path = Path(".")
     tolerances: dict = field(default_factory=dict)
     resolution_scale: int = 1
-    threads: int = 1
+    threads: int = 1  # no effect; the benchmark harness still passes it
     strict: bool = False
     moduli_values: list = field(default_factory=lambda: [0.0, 0.25, 0.5])
 
@@ -277,6 +283,12 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
         model, j = _build_model(config.model, lat)
     except ValueError as exc:  # a parameter the model constructor rejects
         raise ConfigError(str(exc)) from exc
+    name = config.model["name"]  # a known model name once it is built
+    if MODEL_DIMS.get(name, lat.dim) != lat.dim:
+        raise ConfigError(
+            f"model {name!r} has {MODEL_DIMS[name]}-dimensional coordinates, "
+            f"lattice {lat.base_tag} has {lat.dim}"
+        )
     report["lattice"] = {
         "base": lat.base_tag,
         "n_sites": lat.n_sites,
@@ -437,7 +449,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="execute a JSON run config")
     runp.add_argument("config", type=Path)
     runp.add_argument("--out", type=Path, default=None, help="output directory")
-    runp.add_argument("--threads", type=int, default=None)
     runp.add_argument("--strict", action="store_true", default=None,
                       help="warnings fail the run")
     runp.add_argument("--resolution-scale", type=int, default=None)
@@ -447,7 +458,6 @@ def main(argv=None) -> int:
         config = RunConfig.from_file(
             args.config,
             out_dir=args.out,
-            threads=args.threads,
             strict=args.strict,
             resolution_scale=args.resolution_scale,
         )

@@ -212,19 +212,18 @@ def eigensolve_family(
 
     Sectors: the indices split into the connected components of the block's
     nonzero pattern (the entries nonzero at any site of the block, made
-    symmetric).  A block of one component is solved by one dense eigh of
-    the whole stack.  Otherwise each component is solved on its own.  A
-    component tridiagonal in its index order (the oscillator's two parity
-    sectors) is rotated by a diagonal phase to a real symmetric tridiagonal
-    T and takes every eigenvalue from one eigvalsh per block; its kept
-    eigenvectors come from inverse iteration over chunks of kept rows
-    gathered across blocks (see _TridiagonalRows).  A kept eigenvalue
-    within CLUSTER_TOL ||T|| of a neighbour in its component, or a column
-    whose residual misses its bound, takes a dense eigh of T instead.  Any
-    other component takes a dense eigh; components of one kind and size are
-    solved as one stack.  The eigenvalues of all components merge in
-    ascending order (a stable sort, ties in component order), and each kept
-    eigenvector is zero outside its component.
+    symmetric).  A block of several components, each tridiagonal in its
+    index order (the oscillator's two parity sectors), solves each on its
+    own; any other block takes one dense eigh of the whole stack.  A
+    sector is rotated by a diagonal phase to a real symmetric tridiagonal
+    T and takes every eigenvalue from one eigvalsh per block, sectors of
+    one size as one stack; its kept eigenvectors come from inverse
+    iteration over chunks of kept rows gathered across blocks (see
+    _TridiagonalRows).  A kept eigenvalue within CLUSTER_TOL ||T|| of a
+    neighbour in its sector, or a column whose residual misses its bound,
+    takes a dense eigh of T instead.  The eigenvalues of all sectors merge
+    in ascending order (a stable sort, ties in sector order), and each kept
+    eigenvector is zero outside its sector.
 
     Every kept column depends only on its own site, component and
     eigenvalue, so the columns of a subset of the bands equal the full
@@ -252,7 +251,8 @@ def eigensolve_family(
         key = pattern.tobytes()
         if key not in split:
             sectors = _sectors(pattern)
-            split[key] = _sector_groups(sectors) if len(sectors) > 1 else None
+            tridiagonal = len(sectors) > 1 and all(tri for _, tri in sectors)
+            split[key] = _sector_groups(sectors) if tridiagonal else None
         if split[key] is None:
             values[sites], v = np.linalg.eigh(stack)
             vectors[sites] = v[:, :, sel]
@@ -285,23 +285,22 @@ def _sectors(pattern: np.ndarray) -> list:
 
 
 def _sector_groups(sectors: list) -> tuple:
-    """Sectors (see _sectors) grouped by kind and size, each group solved as
-    one stack, as ``(groups, locate)``.  Sector i holds merged columns
+    """Tridiagonal sectors (see _sectors) grouped by size, each group solved
+    as one stack, as ``(groups, locate)``.  Sector i holds merged columns
     start_i, start_i + 1, ... in sector order; groups lists per group
-    (tridiagonal, indices (S, k), merged columns (S, k)), and locate (3, N)
-    gives each merged column's group, sector in the group and position in
-    the sector."""
+    (indices (S, k), merged columns (S, k)), and locate (3, N) gives each
+    merged column's group, sector in the group and position in the sector."""
     start = np.cumsum([0] + [len(idx) for idx, _ in sectors])
     members = {}
-    for i, (idx, tridiagonal) in enumerate(sectors):
-        members.setdefault((tridiagonal, len(idx)), []).append(i)
+    for i, (idx, _) in enumerate(sectors):
+        members.setdefault(len(idx), []).append(i)
     groups, locate = [], np.empty((3, start[-1]), dtype=np.intp)
-    for g, ((tridiagonal, k), group) in enumerate(members.items()):
+    for g, (k, group) in enumerate(members.items()):
         cols = start[group][:, None] + np.arange(k)
         locate[0, cols] = g
         locate[1, cols] = np.arange(len(group))[:, None]
         locate[2, cols] = np.arange(k)
-        groups.append((tridiagonal, np.stack([sectors[i][0] for i in group]), cols))
+        groups.append((np.stack([sectors[i][0] for i in group]), cols))
     return groups, locate
 
 
@@ -309,44 +308,35 @@ def _sector_eigh(
     stack: np.ndarray, layout: tuple, bands: list, out, kept: dict, sites
 ) -> np.ndarray:
     """Ascending eigenvalues of the `sites`, whose stack is block diagonal
-    over the sectors of `layout` (see _sector_groups).
+    over the tridiagonal sectors of `layout` (see _sector_groups).
 
-    `out` is the flattened (n_sites, N, m) vector array.  A dense sector
-    writes its kept columns there.  A tridiagonal sector of size k writes
-    its phases d there and records its kept rows in kept[k] (see
+    `out` is the flattened (n_sites, N, m) vector array.  A sector of size
+    k writes its phases d there and records its kept rows in kept[k] (see
     _TridiagonalRows), which multiplies them by the real eigenvectors after
     the block loop."""
     groups, locate = layout
     n, dim = stack.shape[:2]
     w = np.empty((n, dim))
-    solved = []  # per group: eigenvalues (n, S, k), then phases and T, or vectors
-    for tridiagonal, idx, cols in groups:
-        if tridiagonal:
-            # D = diag(d), its phases from the sub-diagonal (1 where it is 0),
-            # makes D^dag T D real, with T's diagonal and off-diagonal |sub|
-            diag = stack[:, idx, idx].real
-            sub = stack[:, idx[:, 1:], idx[:, :-1]]
-            phase, off = polar_unitaries(sub.reshape(-1, 1, 1))
-            off = off.reshape(sub.shape)
-            d = np.ones(diag.shape, dtype=complex)
-            np.cumprod(phase.reshape(sub.shape), axis=-1, out=d[..., 1:])
-            ws = np.linalg.eigvalsh(_real_tridiagonal(diag, off))
-            solved.append((ws, d, diag, off))
-        else:
-            ws, u = np.linalg.eigh(stack[:, idx[:, :, None], idx[:, None, :]])
-            solved.append((ws, u))
+    solved = []  # per group: eigenvalues (n, S, k), phases and T
+    for idx, cols in groups:
+        # D = diag(d), its phases from the sub-diagonal (1 where it is 0),
+        # makes D^dag T D real, with T's diagonal and off-diagonal |sub|
+        diag = stack[:, idx, idx].real
+        sub = stack[:, idx[:, 1:], idx[:, :-1]]
+        phase, off = polar_unitaries(sub.reshape(-1, 1, 1))
+        off = off.reshape(sub.shape)
+        d = np.ones(diag.shape, dtype=complex)
+        np.cumprod(phase.reshape(sub.shape), axis=-1, out=d[..., 1:])
+        ws = np.linalg.eigvalsh(_real_tridiagonal(diag, off))
+        solved.append((ws, d, diag, off))
         w[:, cols] = ws
     order = np.argsort(w, axis=1, kind="stable")
     group, member, pos = locate[:, order[:, bands]]  # each (n, m)
     m = len(bands)
-    for g, ((tridiagonal, idx, _), (ws, *data)) in enumerate(zip(groups, solved)):
+    for g, ((idx, _), (ws, d, diag, off)) in enumerate(zip(groups, solved)):
         site, col = np.nonzero(group == g)
         s, j = member[site, col], pos[site, col]
         at = (sites[site, None] * dim + idx[s]) * m + col[:, None]
-        if not tridiagonal:
-            out[at] = data[0][site, s, :, j]
-            continue
-        d, diag, off = data
         out[at] = d[site, s]
         k = idx.shape[1]
         if k == 1:  # the phase is the whole column
@@ -420,7 +410,8 @@ class _TridiagonalRows:
                 self.diag[:, rows], self.off[:, rows], self.lam[rows], self.norm[rows]
             )
             failed = np.flatnonzero(~converged | self.cluster[rows])
-            x[:, failed] = self.dense(rows.start + failed)
+            if failed.size:
+                x[:, failed] = self.dense(rows.start + failed)
             self.out[self.at[:, rows]] *= x
         rest, self.rows = slice(done, self.rows), self.rows - done
         for a in (self.diag, self.off, self.at, self.lam, self.norm, self.pos):

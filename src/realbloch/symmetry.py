@@ -186,10 +186,7 @@ def _theta_blocks(cols: np.ndarray, j: SymmetryData, lat: InvolutiveLattice):
 
 
 def verify_projection_symmetry(
-    p: ProjectionFamily,
-    j: SymmetryData,
-    lat: InvolutiveLattice,
-    tolerance: float = 1e-8,
+    p: ProjectionFamily, j: SymmetryData, lat: InvolutiveLattice
 ) -> float:
     """Max site residual of P(tau x) J(x) = J(x) conj(P(x)), for unitary J.
 

@@ -780,7 +780,7 @@ def j_conjugate_connection(a, j, lat):
             jx.conj().T @ jy, what=f"J step on link {lk}"
         ) / float(lat.link_spacing[lk])
         out[lk] = (jx.conj().T @ a_img @ jx + dj).conj()
-    return rb.LocalConnectionForm(out, lat, a.chart)
+    return rb.LocalConnectionForm(out, lat)
 
 
 def gauge_transform(u, g):
@@ -797,15 +797,13 @@ def gauge_transform(u, g):
     return rb.LinkField(out, lat)
 
 
-def equivariance_residual(u, w, lat, parity=+1):
+def equivariance_residual(u, w, lat):
     worst = 0.0
-    q = rb.quaternionic_q(u.rank) if parity == -1 else None
     for lk in range(lat.n_links):
         a, b = int(lat.link_tail[lk]), int(lat.link_head[lk])
         img = u.on(int(lat.link_image[lk]), int(lat.link_image_sign[lk]))
         lhs = w.w[a].conj().T @ img @ w.w[b]
-        rhs = -q @ u.u[lk].conj() @ q if parity == -1 else u.u[lk].conj()
-        worst = max(worst, frob(lhs - rhs))
+        worst = max(worst, frob(lhs - u.u[lk].conj()))
     return worst
 
 

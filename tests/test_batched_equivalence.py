@@ -557,6 +557,34 @@ def test_eigensolve_keeps_the_selected_columns_bitwise(case):
         assert columns.tobytes() == rb.select_projection(full, bands).columns.tobytes()
 
 
+def test_a_dense_sector_takes_the_whole_block_eigh():
+    # a block splits only when every sector is tridiagonal: beside a dense
+    # sector, the whole block is one eigh, bit for bit
+    h, lat, _ = dense_beside_pair()
+    s = rb.eigensolve_family(h, lat)
+    w, v = np.linalg.eigh(h(lat.sites))
+    assert s.eigenvalues.tobytes() == w.tobytes()
+    assert s.eigenvectors.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("case", ["oscillator-N40", "degenerate-pieces"])
+def test_dense_fallback_gets_only_failed_rows(monkeypatch, case):
+    # the oscillator's rows all converge; the degenerate pieces' clusters
+    # take the fallback
+    sizes = []
+    dense = spectral._TridiagonalRows.dense
+
+    def counted(rows_store, rows):
+        sizes.append(len(rows))
+        return dense(rows_store, rows)
+
+    monkeypatch.setattr(spectral._TridiagonalRows, "dense", counted)
+    h, lat, _ = SECTOR_CASES[case]()
+    rb.eigensolve_family(h, lat)
+    assert all(sizes)  # never an empty row set
+    assert bool(sizes) == (case == "degenerate-pieces")
+
+
 def random_path(rng, k, scale, split):
     """scale times a random complex Hermitian tridiagonal k x k matrix.  For
     k >= 4 and a `split`, its second half repeats its first and couples to

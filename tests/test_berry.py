@@ -256,3 +256,34 @@ def test_mobius_connection_equivariant_on_lattice():
     u = rb.link_field_from_connection(spec, lat)
     w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
     assert rb.equivariance_residual(u, w, lat) <= 1e-12
+
+
+def test_kramers_pair_is_equivariant_without_a_twist():
+    # odd time reversal J = i sigma_y (x) 1 on the antipodal circle, rank 2:
+    # W = Psi(tau x)^dag J conj(Psi(x)) makes the plain relation a change of
+    # frame, so a symplectic twist keyed on the sewing field's parity fails
+    sy = np.array([[0, -1j], [1j, 0]])
+    jm = np.kron(1j * sy, np.eye(2))
+    rng = np.random.default_rng(7)
+    terms = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    terms = 0.3 * (terms + terms.conj().swapaxes(1, 2))
+    shift = np.kron(np.eye(2), np.diag([-3.0, 3.0]))
+
+    def h0(t):
+        cos, sin = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
+        return terms[0] + cos * terms[1] + sin * terms[2] + shift
+
+    def evaluate(coords):
+        t = coords[:, 0]
+        return 0.5 * (h0(t) + jm @ h0(t + np.pi).conj() @ jm.conj().T)
+
+    lat = rb.build_circle(32, "antipodal")
+    h = rb.HamiltonianFamily(4, evaluate, "kramers")
+    j = rb.SymmetryData.constant(jm, -1, "i sigma_y")
+    assert rb.verify_hamiltonian_symmetry(h, j, lat).symmetric
+    s = rb.eigensolve_family(h, lat, [0, 1])
+    f = rb.frame_from_projection(rb.select_projection(s, [0, 1]))
+    u = rb.link_field(f, lat)
+    w = rb.sewing_matrix(f, j, lat)
+    assert w.parity == -1
+    assert rb.equivariance_residual(u, w, lat) <= 1e-12

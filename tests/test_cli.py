@@ -114,6 +114,54 @@ def test_symmetry_violation_exit_code(tmp_path):
     assert code == cli.EXIT_SYMMETRY
 
 
+PAIRING_LATTICES = {
+    "circle-trivial": {"topology": "circle", "n_sites": 16, "kind": "trivial"},
+    "circle-reflection": {"topology": "circle", "n_sites": 16, "kind": "reflection"},
+    "circle-antipodal": {"topology": "circle", "n_sites": 16, "kind": "antipodal"},
+    "torus2-trivial": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "trivial"},
+    "torus2-eta": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "eta"},
+    "torus2-eta1": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "eta1"},
+    "torus2-xi": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "xi"},
+    "sphere2-reflect": {"topology": "sphere2", "n_theta": 6, "n_phi": 8},
+}
+PAIRING_MODELS = ("mobius_circle", "mobius_pullback_torus", "trivial_line",
+                  "flat_line", "degree_k_sphere", "oscillator", "constant_diag")
+# exit code per model, in PAIRING_MODELS order; a model whose coordinate
+# dimension is not the lattice's is a config error (2)
+PAIRING_EXITS = {
+    "circle-trivial": (0, 2, 0, 5, 2, 2, 0),
+    "circle-reflection": (4, 2, 0, 0, 2, 2, 0),
+    "circle-antipodal": (4, 2, 0, 0, 2, 2, 0),
+    "torus2-trivial": (2, 0, 0, 2, 4, 2, 0),
+    "torus2-eta": (2, 0, 0, 2, 0, 2, 0),
+    "torus2-eta1": (2, 5, 0, 2, 4, 0, 0),
+    "torus2-xi": (2, 0, 0, 2, 4, 2, 0),
+    "sphere2-reflect": (2, 0, 0, 2, 0, 2, 0),
+}
+
+
+@pytest.mark.parametrize("base", sorted(PAIRING_LATTICES))
+def test_every_model_on_every_lattice_reports(tmp_path, base):
+    lat_spec = PAIRING_LATTICES[base]
+    lat_dim = 1 if lat_spec["topology"] == "circle" else 2
+    kinds = {code: kind for _, kind, code, _ in cli.FAILURES}
+    for model, want in zip(PAIRING_MODELS, PAIRING_EXITS[base]):
+        config = {
+            "lattice": lat_spec,
+            "model": {"name": model},
+            "tasks": ["check-symmetry", "berry", "holonomy", "classify"],
+        }
+        out = tmp_path / model
+        path = write_config(tmp_path, config, f"{model}.json")
+        assert cli.main(["run", str(path), "--out", str(out)]) == want, model
+        report = json.loads((out / "report.json").read_text())
+        assert report.get("error", {}).get("kind") == kinds.get(want), model
+        if cli.MODEL_DIMS.get(model, lat_dim) != lat_dim:
+            message = report["error"]["message"]
+            assert f"{cli.MODEL_DIMS[model]}-dimensional" in message, model
+            assert f"lattice {base} has {lat_dim}" in message, model
+
+
 def test_moduli_task(tmp_path):
     config = {
         "lattice": {"topology": "circle", "n_sites": 16, "kind": "reflection"},
@@ -158,11 +206,13 @@ def test_report_byte_stability(tmp_path):
     assert (tmp_path / "a" / "report.json").read_bytes() == (
         tmp_path / "b" / "report.json"
     ).read_bytes()
-    # thread count does not change the numbers
-    cli.main(["run", str(path), "--out", str(tmp_path / "c"), "--threads", "4"])
-    assert (tmp_path / "a" / "report.json").read_bytes() == (
-        tmp_path / "c" / "report.json"
-    ).read_bytes()
+
+
+def test_threads_flag_is_gone(tmp_path):
+    path = write_config(tmp_path, {"lattice": {}, "model": {}, "tasks": ["chern"]})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(path), "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert exc.value.code == 2
 
 
 def test_resolution_scale_flag(tmp_path):
