@@ -65,6 +65,7 @@ from .spectral import (  # noqa: F401
     eigensolve_family,
     frame_from_projection,
     gap_margin,
+    index_blocks,
     select_projection,
     smooth_frame_gauge,
 )
@@ -82,13 +83,13 @@ EXIT_SYMMETRY = 4
 EXIT_REFINE = 5
 # how run() reports each failure: (errors, report kind, exit code, hint)
 FAILURES = (
-    ((ConfigError,), "config", EXIT_CONFIG, None),
+    ((ConfigError, UnsupportedBaseError), "config", EXIT_CONFIG, None),
     ((GapClosureError,), "gap-closure", EXIT_GAP,
      "choose a different band group or model"),
     ((SymmetryViolationError, SymmetryInconsistencyError, UnsupportedParityError),
      "symmetry", EXIT_SYMMETRY, "check the model's J and involution"),
     ((BranchCutError, DiscretizationError, IndeterminateHolonomyError,
-      TruncationError, InvalidDiscretizationError, UnsupportedBaseError),
+      TruncationError, InvalidDiscretizationError),
      "refinement", EXIT_REFINE, "increase the lattice resolution"),
 )
 
@@ -406,12 +407,32 @@ def _oscillator_oracle(params, u, curv, lat) -> dict:
 
 
 def _write_csv(path: Path, header: list, row_format: str, columns: list) -> None:
-    """One formatted row per entry of the columns, streamed, laid out as
-    csv.writer does (CRLF line ends)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        rows = zip(*(col.tolist() for col in columns))
-        fh.writelines(row_format % row + "\r\n" for row in rows)
+    """One row per entry of the columns, each value printed by its
+    `row_format` spec, laid out as csv.writer does (CRLF line ends).
+
+    Each distinct value of a column (a float by its bits, so -0.0 keeps its
+    sign) is formatted once.  Each row block gathers those strings as
+    NUL-padded bytes into a (rows, width) uint8 matrix, with the separator
+    bytes between them, and writes the matrix with its NULs dropped.  The
+    blocks hold at most BLOCK_ENTRIES values.
+    """
+    fields = []
+    for spec, col in zip(row_format.split(","), columns):
+        keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        text = np.array([spec % v for v in col[first].tolist()], dtype=bytes)
+        fields.append((text.view(np.uint8).reshape(first.size, text.itemsize), inverse))
+    # the separator byte after each field: a comma, then the CRLF of the row
+    seps = np.cumsum([text.shape[1] + 1 for text, _ in fields]) - 1
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for block in index_blocks(len(columns[0]), len(columns)):
+            mat = np.zeros((block.stop - block.start, seps[-1] + 2), np.uint8)
+            for (text, inverse), sep in zip(fields, seps):
+                mat[:, sep - text.shape[1]:sep] = text[inverse[block]]
+            mat[:, seps[:-1]] = ord(",")
+            mat[:, -2:] = (13, 10)
+            fh.write(mat[mat != 0].tobytes())
 
 
 def _write_curvature_csv(path: Path, curv, lat):

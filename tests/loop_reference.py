@@ -13,7 +13,8 @@ and plaquette by plaquette), which test_lattice.py compares bitwise.
 ``wilson_loop`` multiplies a loop's links one at a time; the kernels must
 reproduce both bit for bit.  The per-point model evaluators, and the loops
 that called them once per site, link, plaquette or curve step, are the
-reference of test_block_contract.py.
+reference of test_block_contract.py.  The CLI's CSV writers, one row, link
+or plaquette at a time, are the reference whose bytes test_cli.py compares.
 """
 
 import csv
@@ -916,3 +917,23 @@ def write_connection_csv(path, u, lat, log=principal_log_unitary):
                     row += [f"{a[r, c].real:.12g}", f"{a[r, c].imag:.12g}"]
             writer.writerow(row)
     return skipped
+
+
+def write_csv(path, header, row_format, columns):
+    """The CLI's CSV layout, one `row_format % row` per row over the
+    columns' Python values."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        rows = zip(*(col.tolist() for col in columns))
+        fh.writelines(row_format % row + "\r\n" for row in rows)
+
+
+def write_curvature_csv(path, curv, lat):
+    """The CLI's curvature.csv, one plaquette at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "berry_curvature"])
+        for p in range(lat.n_plaquettes):
+            x, y = lat.plaquette_centers[p]
+            eigs = np.linalg.eigvals(curv.f[p] / (2.0j * np.pi))
+            writer.writerow([f"{x:.12g}", f"{y:.12g}", f"{-eigs.sum().real:.12g}"])

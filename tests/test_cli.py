@@ -198,14 +198,28 @@ def test_report_byte_stability(tmp_path):
         "lattice": {"topology": "sphere2", "n_theta": 8, "n_phi": 8},
         "model": {"name": "degree_k_sphere", "params": {"k": 1}},
         "bands": [0],
-        "tasks": ["chern"],
+        "tasks": ["berry", "chern"],
     }
     path = write_config(tmp_path, config)
     cli.main(["run", str(path), "--out", str(tmp_path / "a")])
     cli.main(["run", str(path), "--out", str(tmp_path / "b")])
-    assert (tmp_path / "a" / "report.json").read_bytes() == (
-        tmp_path / "b" / "report.json"
-    ).read_bytes()
+    for name in ("report.json", "connection.csv", "curvature.csv"):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_chern_on_a_circle_is_a_config_error(tmp_path):
+    config = {
+        "lattice": {"topology": "circle", "n_sites": 16, "kind": "trivial"},
+        "model": {"name": "trivial_line"},
+        "tasks": ["chern"],
+    }
+    path = write_config(tmp_path, config)
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    error = json.loads((tmp_path / "out" / "report.json").read_text())["error"]
+    assert error == {"kind": "config",
+                     "message": "Chern numbers need a 2-dimensional lattice"}
 
 
 def test_threads_flag_is_gone(tmp_path):
@@ -587,12 +601,19 @@ def one_link_log(u, what):
     return principal_log_unitaries(u[None], what=what)[0]
 
 
-@pytest.mark.parametrize("bands", [[0], [0, 1]])
-def test_connection_csv_matches_per_link_writer(tmp_path, bands):
-    lat = rb.build_torus2(16, 12, "eta1")  # unequal spacings per direction
+def oscillator_links(bands):
+    """The oscillator's smoothed link field over an eta1 torus whose two
+    directions have unequal spacings."""
+    lat = rb.build_torus2(16, 12, "eta1")
     h, _ = rb.model_oscillator(rb.OscillatorParams(level=0, n_basis=24), lat)
     p = rb.select_projection(rb.eigensolve_family(h, lat), bands)
-    u = rb.link_field(rb.smooth_frame_gauge(rb.frame_from_projection(p), lat), lat)
+    frame = rb.smooth_frame_gauge(rb.frame_from_projection(p), lat)
+    return rb.link_field(frame, lat), lat
+
+
+@pytest.mark.parametrize("bands", [[0], [0, 1]])
+def test_connection_csv_matches_per_link_writer(tmp_path, bands):
+    u, lat = oscillator_links(bands)
     u.u[37] = -np.eye(len(bands))  # on the branch cut: must be skipped
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     assert cli._write_connection_csv(got, u, lat) == 1
@@ -606,6 +627,46 @@ def test_connection_csv_matches_per_link_writer(tmp_path, bands):
     values = np.loadtxt(got, delimiter=",", skiprows=1)
     assert len(values) == lat.n_links - 1
     assert np.max(np.abs(values - np.loadtxt(want, delimiter=",", skiprows=1))) <= 1e-12
+
+
+@pytest.mark.parametrize("bands", [[0], [0, 1]])
+def test_curvature_csv_matches_per_plaquette_writer(tmp_path, bands):
+    u, lat = oscillator_links(bands)
+    curv = rb.plaquette_curvature(u, lat)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_curvature_csv(got, curv, lat)
+    ref.write_curvature_csv(want, curv, lat)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# floats that print alike at 12 digits but differ in their bits, the signed
+# zeros, NaNs of either sign and with a payload, infinities, subnormals and
+# the extremes
+ODD_FLOATS = np.array([
+    0.0, -0.0, np.nan, -np.nan, np.int64(0x7FF8000000000001).view(float),
+    np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308, 1e300, -1e300,
+    1.0, np.nextafter(1.0, 2.0), 0.1, np.nextafter(0.1, 1.0),
+    1.0 / 3.0, np.nextafter(1.0 / 3.0, 0.0), -123456.789012345, 2.5e-7,
+])
+ODD_INTS = np.array([0, 1, -1, 2, 7, -42, 2**62, -(2**63)])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, "past a block"])
+def test_write_csv_matches_per_row_writer(tmp_path, n_rows):
+    if n_rows == "past a block":  # a row block holds BLOCK_ENTRIES values
+        n_rows = 2 * (rb.spectral.BLOCK_ENTRIES // 4) + 1
+    rng = np.random.default_rng(5)
+    grid = rng.permutation(np.resize(ODD_FLOATS, (n_rows, 2)))  # strided columns
+    columns = [grid[:, 0], rng.permutation(np.resize(ODD_INTS, n_rows)), grid[:, 1],
+               rng.permutation(np.resize(ODD_FLOATS[::-1], n_rows))]
+    header = ["x", "k", "y", "value"]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_csv(got, header, "%.12g,%d,%.12g,%.12g", columns)
+    ref.write_csv(want, header, "%.12g,%d,%.12g,%.12g", columns)
+    assert got.read_bytes() == want.read_bytes()
+    cli._write_csv(got, header[:1], "%.12g", columns[:1])
+    ref.write_csv(want, header[:1], "%.12g", columns[:1])
+    assert got.read_bytes() == want.read_bytes()
 
 
 # -- error precedence ----------------------------------------------------------
