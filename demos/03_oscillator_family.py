@@ -38,7 +38,7 @@ for n in (8, 16, 32):
     h1 = h2 = 2 * np.pi / n
     dev_curv = 0.0
     for pq in range(lat.n_plaquettes):
-        corner = lat.sites[lat.plaquette_vertices[pq][0]]
+        corner = lat.sites[lat.plaquette_corners[pq, 0]]
         flux = rb.oscillator_plaquette_flux(params, corner, h1, h2)
         dev_curv = max(dev_curv, abs(curv.f[pq, 0, 0] - flux) / lat.plaquette_areas[pq])
 

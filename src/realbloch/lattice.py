@@ -2,11 +2,12 @@
 
 A lattice carries sites with angular coordinates on a grid of ``shape``
 (n,), (n1, n2) or (n_theta, n_phi); directed links grouped by direction;
-oriented plaquettes that tile the closed surface; and an involution stored
-as an exact site permutation.  Builders lay them out by index arithmetic on
-the grid, and the tables below come from one sorted lookup of link keys, so
-all involution bookkeeping is integer-exact; no floating-point point maps
-are ever compared.
+oriented plaquettes that tile the closed surface, as rows of corner sites;
+and an involution stored as an exact site permutation.  Builders lay them
+out by index arithmetic on the grid, boundary links included; the lattice
+checks those by one gather and finds plaquette images by link incidence,
+so all involution bookkeeping is integer-exact and no point maps are ever
+compared.
 
 Supported bases: the circle with trivial / reflection / antipodal
 involutions, the 2-torus with trivial / theta2-conjugation ("eta") /
@@ -15,7 +16,8 @@ with the azimuthal reflection.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -57,13 +59,14 @@ class LoopPath:
 class InvolutiveLattice:
     """Immutable discretized involutive manifold.
 
-    ``shape`` is the site grid (see the module docstring).  Plaquettes are
-    stored as vertex cycles and as ``plaquette_corners``, of shape
-    (n_plaquettes, width) padded with -1, width being the longest boundary
-    (4 on the shipped lattices).  ``cycle_table`` builds their oriented
-    boundaries once as the padded plaquette table ``plaquette_links`` /
-    ``plaquette_signs``: entry ``k`` of row ``p`` is the k-th boundary link
-    and its traversal sign, and sign 0 pads with the identity.
+    ``shape`` is the site grid (see the module docstring).  Row ``p`` of
+    ``plaquette_corners`` (n_plaquettes, width) is the corner cycle of
+    plaquette ``p``, padded with -1 at its end (width 4 on the shipped
+    lattices).  Entry ``k`` of row ``p`` of the plaquette table
+    ``plaquette_links`` / ``plaquette_signs`` is the link from corner k to
+    corner k + 1 (wrapping) and its traversal sign; sign 0 pads with the
+    identity.  Builders state the links as ``boundary_links``; a stated link
+    that does not join its corners, or any if none is stated, is looked up.
     ``link_image`` / ``plaquette_image`` record the exact action of the
     involution on links and plaquettes with direction / orientation signs.
     """
@@ -76,12 +79,12 @@ class InvolutiveLattice:
     link_head: np.ndarray
     link_mu: np.ndarray
     link_spacing: np.ndarray
-    plaquette_vertices: list
+    plaquette_corners: np.ndarray
     plaquette_centers: np.ndarray
     plaquette_areas: np.ndarray
     involution: np.ndarray
     orientation_flip: bool
-    plaquette_corners: np.ndarray = field(init=False, repr=False)
+    boundary_links: InitVar[np.ndarray] = None
     plaquette_links: np.ndarray = field(init=False, repr=False)
     plaquette_signs: np.ndarray = field(init=False, repr=False)
     fixed_sites: np.ndarray = field(init=False)
@@ -92,7 +95,7 @@ class InvolutiveLattice:
     _link_keys: np.ndarray = field(init=False, repr=False)
     _link_ids: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, boundary_links):
         tau = self.involution
         if not np.array_equal(tau[tau], np.arange(self.n_sites)):
             raise InvalidDiscretizationError("involution is not an exact involution")
@@ -102,12 +105,17 @@ class InvolutiveLattice:
         order = np.argsort(keys, kind="stable")
         self._link_keys = np.concatenate([[-1], keys[order]])
         self._link_ids = np.concatenate([[-1], order])
-        corners, size = _corner_table(self.plaquette_vertices)
-        self.plaquette_corners = corners
-        self.plaquette_links, self.plaquette_signs = self._link_table(corners, size)
-        self._build_link_image()
-        self._build_plaquette_image(corners, size)
-        self._check_tiling()
+        used, size = self._corner_rows()
+        self.plaquette_links, self.plaquette_signs = self._link_table(
+            self.plaquette_corners, used, size, boundary_links
+        )
+        img, sgn = self._signed_links(tau[self.link_tail], tau[self.link_head])
+        if not sgn.all():
+            raise InvalidDiscretizationError(
+                f"involution does not map link {np.argmin(sgn != 0)} to a link"
+            )
+        self.link_image, self.link_image_sign = img, sgn
+        self._build_plaquette_image(used, size)
 
     # -- basic queries ------------------------------------------------
 
@@ -125,21 +133,13 @@ class InvolutiveLattice:
 
     @property
     def n_plaquettes(self) -> int:
-        return len(self.plaquette_vertices)
+        return self.plaquette_corners.shape[0]
 
     @property
     def grid_spacing(self) -> tuple:
         """Coordinate step along each grid direction (sphere: pi / n_theta)."""
         spans = (np.pi if self.topology_tag == "sphere2" else 2.0 * np.pi, 2.0 * np.pi)
         return tuple(span / n for span, n in zip(spans, self.shape))
-
-    @property
-    def plaquettes(self) -> list:
-        """Oriented boundary of every plaquette as (link_id, sign) rows."""
-        return [
-            np.column_stack([links[signs != 0], signs[signs != 0]])
-            for links, signs in zip(self.plaquette_links, self.plaquette_signs)
-        ]
 
     @property
     def base_tag(self) -> str:
@@ -158,21 +158,50 @@ class InvolutiveLattice:
         """Signed link table of vertex cycles, padded like the plaquette
         table: row r steps from each vertex of cycle r to the next, wrapping
         at the end.  DomainError names the first step that is not a link."""
-        return self._link_table(*_corner_table(cycles))
+        size = np.fromiter(map(len, cycles), dtype=int, count=len(cycles))
+        corners = np.full((size.size, size.max(initial=0)), -1)
+        used = np.arange(corners.shape[1]) < size[:, None]
+        corners[used] = np.fromiter(
+            itertools.chain.from_iterable(cycles), dtype=int, count=size.sum()
+        )
+        return self._link_table(corners, used, size)
 
     def link_midpoint(self, link_id: int) -> np.ndarray:
         """Chart coordinates of a link midpoint (unwrapped from the tail)."""
-        return self.link_midpoints(link_id)
+        return self.link_midpoints()[link_id]
 
-    def link_midpoints(self, links=slice(None)) -> np.ndarray:
-        """Chart coordinates of link midpoints, (n_links, dim) by default."""
-        a = self.sites[self.link_tail[links]]
-        b = self.sites[self.link_head[links]]
-        d = b - a
+    def link_midpoints(self) -> np.ndarray:
+        """Chart coordinates of all link midpoints, (n_links, dim)."""
+        return self._midpoints
+
+    @cached_property
+    def _midpoints(self) -> np.ndarray:  # once per lattice, read-only
+        a = self.sites[self.link_tail]
+        d = self.sites[self.link_head] - a
         d = (d + np.pi) % (2.0 * np.pi) - np.pi  # unwrap across the seam
-        return a + 0.5 * d
+        mids = a + 0.5 * d
+        mids.flags.writeable = False
+        return mids
 
-    # -- signed link lookup ------------------------------------------
+    # -- plaquette and link tables -------------------------------------
+
+    def _corner_rows(self) -> tuple:
+        """The used entries of the corner rows and their count per row.
+        InvalidDiscretizationError names the first row with an id off the
+        grid, a -1 hole before a corner, or fewer than 3 corners."""
+        c = self.plaquette_corners
+        used = c >= 0
+        size = used @ np.ones(c.shape[1], dtype=int)
+        hole = ~used & (np.arange(c.shape[1]) < size[:, None])
+        for bad, what in (
+            ((c < -1) | (c >= self.n_sites), "a corner id off the grid"),
+            (hole, "a -1 hole before a corner"),
+            ((size < 3)[:, None], "fewer than 3 corners"),
+        ):
+            if bad.any():
+                p = bad.any(axis=1).argmax()
+                raise InvalidDiscretizationError(f"plaquette {p} has {what}")
+        return used, size
 
     def _signed_links(self, a: np.ndarray, b: np.ndarray) -> tuple:
         """Link id and sign of every step a -> b: +1 where a -> b is a link,
@@ -180,117 +209,103 @@ class InvolutiveLattice:
         n = self.n_sites
         ids = np.zeros(a.shape, dtype=int)
         signs = np.zeros(a.shape, dtype=int)
-        on_grid = (a >= 0) & (a < n) & (b >= 0) & (b < n)
-        for sign, key in ((-1, b * n + a), (+1, a * n + b)):  # a -> b wins
+        todo = np.flatnonzero((a >= 0) & (a < n) & (b >= 0) & (b < n))
+        for sign, x, y in ((+1, a, b), (-1, b, a)):  # b -> a only where a -> b is not
+            key = x[todo] * n + y[todo]
             pos = np.searchsorted(self._link_keys, key, side="right") - 1
-            hit = on_grid & (self._link_keys[pos] == key)
-            ids[hit], signs[hit] = self._link_ids[pos[hit]], sign
+            hit = self._link_keys[pos] == key
+            ids[todo[hit]], signs[todo[hit]] = self._link_ids[pos[hit]], sign
+            todo = todo[~hit]
         return ids, signs
 
-    def _link_table(self, corners: np.ndarray, size: np.ndarray) -> tuple:
-        used = np.arange(corners.shape[1]) < size[:, None]
-        after = (np.arange(corners.shape[1]) + 1) % np.maximum(size, 1)[:, None]
-        a, b = corners[used], np.take_along_axis(corners, after, axis=1)[used]
-        ids, signs = self._signed_links(a, b)
-        bad = np.flatnonzero(signs == 0)
-        if bad.size:
-            raise DomainError(f"({a[bad[0]]}, {b[bad[0]]}) is not a lattice link")
-        links = np.zeros(corners.shape, dtype=int)
-        links[used] = ids
-        link_signs = np.zeros(corners.shape, dtype=np.int8)
-        link_signs[used] = signs
-        return links, link_signs
+    def _link_table(self, corners, used, size, stated=None) -> tuple:
+        # each step runs from corner a to the next corner b, the last wrapping
+        a, b = corners, np.roll(corners, -1, axis=1)
+        if a.size:
+            b[np.arange(len(a)), size - 1] = a[:, 0]
+        links, signs = np.zeros(a.shape, dtype=int), np.zeros(a.shape, dtype=np.int8)
+        if stated is not None and self.n_links:
+            # a stated link stands where it runs a -> b (sign +1) or b -> a (-1);
+            # no link runs to the padding's -1
+            ids = np.clip(stated, 0, self.n_links - 1)
+            tail, head = self.link_tail[ids], self.link_head[ids]
+            fwd, bwd = (tail == a) & (head == b), (tail == b) & (head == a)
+            signs = fwd.view(np.int8) - bwd.view(np.int8)
+            links = np.where(signs != 0, ids, 0)
+        todo = used & (signs == 0)
+        if todo.any():
+            a, b = a[todo], b[todo]
+            ids, sgn = self._signed_links(a, b)
+            if not sgn.all():
+                bad = np.argmin(sgn != 0)
+                raise DomainError(f"({a[bad]}, {b[bad]}) is not a lattice link")
+            links[todo], signs[todo] = ids, sgn
+        return links, signs
 
     # -- involution bookkeeping ----------------------------------------
 
-    def _build_link_image(self):
-        tau = self.involution
-        img, sgn = self._signed_links(tau[self.link_tail], tau[self.link_head])
-        if not sgn.all():
-            raise InvalidDiscretizationError(
-                f"involution does not map link {np.argmin(sgn != 0)} to a link"
-            )
-        self.link_image = img
-        self.link_image_sign = sgn
-
-    def _build_plaquette_image(self, corners: np.ndarray, size: np.ndarray):
-        """Image plaquette by vertex-set match (the last plaquette with that
-        set); sign +1 if the mapped cycle reads the image's cycle forwards
-        from the image of the first vertex, -1 if backwards."""
+    def _build_plaquette_image(self, used: np.ndarray, size: np.ndarray):
+        """Image plaquette by link incidence, then the tiling check.  The
+        image of plaquette p borders the image l of p's first link.  If the
+        mapped corner cycle reads it forwards from the image of p's first
+        corner (sign +1), it is the plaquette that runs l the way the mapped
+        first step does; if backwards (sign -1), the other plaquette on l."""
+        corners = self.plaquette_corners
+        links, signs = self.plaquette_links, self.plaquette_signs
         n, width = corners.shape
         if not n:  # a circle
-            self.plaquette_image = np.zeros(0, dtype=int)
-            self.plaquette_image_sign = np.zeros(0, dtype=int)
+            self.plaquette_image = self.plaquette_image_sign = np.zeros(0, dtype=int)
             return
-        used = np.arange(width) < size[:, None]
         mapped = np.where(used, self.involution[corners], -1)
-        _, group = np.unique(
-            _vertex_sets(np.concatenate([corners, mapped])), return_inverse=True
-        )
-        owner = np.full(2 * n, -1)
-        np.maximum.at(owner, group[:n], np.arange(n))
-        img = owner[group[n:]]
-        # a missing image (-1) gathers the last plaquette, whose vertex set
-        # differs, so that neither reading below can match it
-        target = corners[img]
-        start = np.argmax(target == mapped[:, :1], axis=1)[:, None]
-        period = np.maximum(size[img], 1)[:, None]
-        same = size[img] == size
-
-        def reads(offsets):
-            cycle = np.take_along_axis(target, offsets % period, axis=1)
-            return same & np.all((cycle == mapped) | ~used, axis=1)
-
-        fwd, rev = reads(start + np.arange(width)), reads(start - np.arange(width))
-        bad = np.flatnonzero(~(fwd | rev))
+        # slot l of `sides` holds a plaquette that runs link l forwards, slot
+        # half + l one that runs it backwards (-1: none), `step` the position
+        # of the link in the plaquette's row; padding fills slot n_links
+        half = self.n_links + 1
+        slot = np.where(used, links, self.n_links) + (signs < 0) * half
+        sides, step = np.full(2 * half, -1), np.zeros(2 * half, dtype=int)
+        sides[slot], step[slot] = np.arange(n)[:, None], np.arange(width)
+        # the candidates that would read the mapped cycle forwards from the
+        # tail of their step on l, backwards from its head (a missing one, -1,
+        # gathers the last row)
+        first = links[:, 0]
+        back = signs[:, 0] * self.link_image_sign[first] < 0
+        at = self.link_image[first] + np.stack([back, ~back]) * half
+        cand, period = sides[at], size[sides[at]][..., None]
+        col = np.arange(width)
+        offsets = step[at][..., None] + np.stack([col, 1 - col])[:, None]
+        cycle = corners[cand[..., None], offsets % period]
+        reads = (cand >= 0) & (period[..., 0] == size)
+        for k in range(width):
+            reads &= (cycle[..., k] == mapped[:, k]) | ~used[:, k]
+        # a closed surface: each link runs forwards in one plaquette and
+        # backwards in one
+        runs = np.bincount(slot.ravel(), minlength=sides.size).reshape(2, half)
+        closed = np.all(runs[:, :-1] == 1)
+        bad = np.flatnonzero(~(reads[0] | reads[1]))
         if bad.size:
+            # no plaquette holds the mapped corners, or one holds them out of
+            # order, unless a broken tiling kept it off the incidence table
             p = bad[0]
-            if img[p] < 0:
+            held = np.all(np.sort(corners, axis=1) == np.sort(mapped[p]), axis=1)
+            if not held.any():
                 raise InvalidDiscretizationError(
                     f"involution does not map plaquette {p} to a plaquette"
                 )
-            raise InvalidDiscretizationError(f"involution scrambles plaquette {p}")
-        self.plaquette_image = img
-        self.plaquette_image_sign = np.where(fwd, 1, -1)
-
-    def _check_tiling(self):
-        if self.n_plaquettes == 0:
-            return
-        used = self.plaquette_signs != 0
-        links = self.plaquette_links[used]
-        net = np.bincount(links, self.plaquette_signs[used], minlength=self.n_links)
-        count = np.bincount(links, minlength=self.n_links)
-        if np.any(net != 0) or np.any(count != 2):
+            q = cand[:, p]
+            if closed or held[q[q >= 0]].any():
+                raise InvalidDiscretizationError(f"involution scrambles plaquette {p}")
+        if not closed:
             raise InvalidDiscretizationError("plaquettes do not tile a closed surface")
+        self.plaquette_image = np.where(reads[0], cand[0], cand[1])
+        self.plaquette_image_sign = np.where(reads[0], 1, -1)
 
     def with_reversed_orientation(self) -> "InvolutiveLattice":
-        """Copy of the lattice with every plaquette boundary reversed."""
-        verts = list(map(tuple, map(reversed, self.plaquette_vertices)))
-        return replace(self, plaquette_vertices=verts)
-
-
-def _corner_table(cycles: list) -> tuple:
-    """Vertex cycles as an (n, width) array padded with -1, and their lengths."""
-    size = np.fromiter(map(len, cycles), dtype=int, count=len(cycles))
-    corners = np.full((size.size, size.max(initial=0)), -1)
-    corners[np.arange(corners.shape[1]) < size[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(cycles), dtype=int, count=size.sum()
-    )
-    return corners, size
-
-
-def _vertex_sets(rows: np.ndarray) -> np.ndarray:
-    """One key per row, equal for two rows iff they hold the same vertices:
-    the row sorted, with repeats turned into padding, read as raw bytes."""
-    rows = np.sort(rows, axis=1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
-    rows = np.sort(rows, axis=1)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-def _cycles(rows: np.ndarray) -> list:
-    """Rows of a vertex array as tuples of ints."""
-    return list(map(tuple, rows.tolist()))
+        """Copy of the lattice with every plaquette boundary reversed (the
+        used part of each corner row; the padding stays at its end)."""
+        c = self.plaquette_corners
+        back = np.count_nonzero(c >= 0, axis=1)[:, None] - 1 - np.arange(c.shape[1])
+        rows = np.where(back >= 0, np.take_along_axis(c, np.maximum(back, 0), 1), -1)
+        return replace(self, plaquette_corners=rows)
 
 
 # -- constructors -------------------------------------------------------
@@ -324,7 +339,7 @@ def build_circle(n_sites: int, kind: str) -> InvolutiveLattice:
         link_head=(idx + 1) % n_sites,
         link_mu=np.zeros(n_sites, dtype=int),
         link_spacing=np.full(n_sites, 2.0 * np.pi / n_sites),
-        plaquette_vertices=[],
+        plaquette_corners=np.zeros((0, 0), dtype=int),
         plaquette_centers=np.zeros((0, 1)),
         plaquette_areas=np.zeros(0),
         involution=tau,
@@ -354,7 +369,9 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
         return (i % n1) * n2 + (j % n2)
 
     def at(offsets):  # ids of the sites (i + di, j + dj), a column per offset
-        return np.column_stack([sid(ii + di, jj + dj) for di, dj in offsets])
+        grid = np.arange(n_sites).reshape(n1, n2)
+        rolled = [np.roll(grid, (-di, -dj), (0, 1)).ravel() for di, dj in offsets]
+        return np.column_stack(rolled)
 
     n_sites = n1 * n2
     ii, jj = np.divmod(np.arange(n_sites), n2)
@@ -367,19 +384,24 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
     cells = [[(0, 0), (1, 0), (1, 1), (0, 1)]]
     if kind == "xi":
         cells = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
-    verts = np.stack([at(c) for c in cells], axis=1)
+    corners = np.stack([at(c) for c in cells], axis=1)  # (site, cell, corner)
     centroids = np.mean(cells, axis=1)
     centers = np.stack(
         [np.column_stack([h1 * (ii + a), h2 * (jj + b)]) for a, b in centroids],
         axis=1,
     )
+    # site s owns link s * len(steps) + m: a step of a cell's boundary runs
+    # along the link of its tail corner or against that of its head corner
+    links = np.empty(corners.shape, dtype=int)
+    for c, cell in enumerate(cells):
+        for k, (a, b) in enumerate(zip(cell, cell[1:] + cell[:1])):
+            d = (b[0] - a[0], b[1] - a[1])
+            owner, d = (k, d) if d in steps else ((k + 1) % len(cell), (-d[0], -d[1]))
+            links[:, c, k] = corners[:, c, owner] * len(steps) + steps.index(d)
 
-    tau = {
-        "trivial": sid(ii, jj),
-        "eta": sid(ii, -jj),
-        "eta1": sid(-ii, jj),
-        "xi": sid(ii, ii - jj),
-    }[kind]
+    tau = sid(*{
+        "trivial": (ii, jj), "eta": (ii, -jj), "eta1": (-ii, jj), "xi": (ii, ii - jj)
+    }[kind])
 
     return InvolutiveLattice(
         topology_tag="torus2",
@@ -390,11 +412,12 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
         link_head=at(steps).ravel(),
         link_mu=np.tile(np.arange(len(steps)), n_sites),
         link_spacing=np.tile([h1, h2, float(np.hypot(h1, h2))][: len(steps)], n_sites),
-        plaquette_vertices=_cycles(verts.reshape(-1, verts.shape[-1])),
+        plaquette_corners=corners.reshape(-1, corners.shape[-1]),
         plaquette_centers=centers.reshape(-1, 2),
         plaquette_areas=np.full(n_sites * len(cells), h1 * h2 / len(cells)),
         involution=tau,
         orientation_flip=(kind != "trivial"),
+        boundary_links=links.reshape(-1, links.shape[-1]),
     )
 
 
@@ -414,28 +437,35 @@ def build_sphere2(n_theta: int, n_phi: int) -> InvolutiveLattice:
         raise InvalidDiscretizationError("sphere needs even n_phi >= 4")
     ht, hp = np.pi / n_theta, 2.0 * np.pi / n_phi
 
-    def node(i, j):  # site id of grid point (i, j); rows 0 and n_theta are poles
-        ring = 2 + (i - 1) * n_phi + j % n_phi
-        return np.select([i == 0, i == n_theta], [0, 1], ring)
+    # site ids of the grid points (i, j); rows 0 and n_theta are the poles
+    ring = np.arange(2, 2 + (n_theta - 1) * n_phi)
+    grid = np.concatenate([[0] * n_phi, ring, [1] * n_phi]).reshape(-1, n_phi)
+
+    def node(i, j):
+        return grid[i, j % n_phi]
 
     ci, cj = np.divmod(np.arange(n_theta * n_phi), n_phi)  # cells
     ri, rj = np.divmod(np.arange(n_phi, n_theta * n_phi), n_phi)  # ring sites
     poles = [(0.0, 0.0), (np.pi, 0.0)]
     sites = np.concatenate([poles, np.column_stack([ht * ri, hp * rj])])
-    counts = [ci.size, ri.size]  # theta links, then phi links
-
-    quads = np.column_stack(
+    n_cells = ci.size
+    # each cell's corners and boundary links: theta links are numbered like
+    # the cells, then phi links like their ring sites (from site 2 on); a pole
+    # cell loses the step between its two pole corners and that step's tail,
+    # the step 3 of a north cell and the step 1 of a south cell
+    corners = np.column_stack(
         [node(ci, cj), node(ci + 1, cj), node(ci + 1, cj + 1), node(ci, cj + 1)]
     )
-    # the cells at a pole lose their repeated pole corner
-    verts = (
-        _cycles(quads[:n_phi, :3])
-        + _cycles(quads[n_phi:-n_phi])
-        + _cycles(quads[-n_phi:][:, [0, 1, 3]])
+    phi = corners + n_cells - 2  # the phi link of each corner's ring site
+    links = np.column_stack(
+        [ci * n_phi + cj, phi[:, 1], ci * n_phi + (cj + 1) % n_phi, phi[:, 0]]
     )
+    for table, pad in ((corners, -1), (links, 0)):
+        table[-n_phi:, 1:3] = table[-n_phi:, 2:]
+        table[:n_phi, 3] = table[-n_phi:, 3] = pad
     theta = ht * (ci + 0.5)
     theta[-n_phi:] = np.pi - ht / 2  # measured from the south pole, like the north caps
-    areas = np.full(ci.size, ht * hp)
+    areas = np.full(n_cells, ht * hp)
     areas[:n_phi] = areas[-n_phi:] = 0.5 * ht * hp
 
     return InvolutiveLattice(
@@ -445,13 +475,14 @@ def build_sphere2(n_theta: int, n_phi: int) -> InvolutiveLattice:
         sites=sites,
         link_tail=np.concatenate([node(ci, cj), node(ri, rj)]),
         link_head=np.concatenate([node(ci + 1, cj), node(ri, rj + 1)]),
-        link_mu=np.repeat([0, 1], counts),
-        link_spacing=np.repeat([ht, hp], counts),
-        plaquette_vertices=verts,
+        link_mu=np.repeat([0, 1], [n_cells, ri.size]),
+        link_spacing=np.repeat([ht, hp], [n_cells, ri.size]),
+        plaquette_corners=corners,
         plaquette_centers=np.column_stack([theta, hp * (cj + 0.5)]),
         plaquette_areas=areas,
         involution=np.concatenate([[0, 1], node(ri, -rj)]),
         orientation_flip=True,
+        boundary_links=links,
     )
 
 

@@ -339,27 +339,15 @@ def model_degree_k_sphere(k: int) -> tuple[HamiltonianFamily, SymmetryData]:
     )
 
 
-def _d_vector(k: int, coords) -> np.ndarray:
-    x0, x1, x2 = sphere_embedding(coords)
-    w = _winding_factor(k, x1, x2)
-    d = np.array([w.real, w.imag, x0])
-    return d / np.linalg.norm(d)
-
-
 def degree_oracle(k: int, lat: InvolutiveLattice) -> int:
     """Brouwer degree of the unit d-vector map, by summed solid angles.
 
-    Splits each plaquette into triangles oriented with the lattice, maps the
-    corners through the d-vector, and accumulates signed spherical-triangle
-    solid angles; the total is 4*pi times the degree.  Fully independent of
-    the connection/curvature machinery.
+    Maps the sites through the d-vector, fans each plaquette into triangles
+    (corner 0, a, a + 1) oriented with the lattice, and sums their signed
+    spherical-triangle solid angles; the total is 4*pi times the degree.
+    Fully independent of the connection/curvature machinery.
     """
-    total = 0.0
-    for verts in lat.plaquette_vertices:
-        imgs = [_d_vector(k, lat.sites[v]) for v in verts]
-        for a, b in zip(range(1, len(imgs) - 1), range(2, len(imgs))):
-            total += _solid_angle(imgs[0], imgs[a], imgs[b])
-    degree = total / (4.0 * np.pi)
+    degree = _degree_sum(k, lat)
     rounded = int(round(degree))
     if abs(degree - rounded) > 1e-6:
         raise ArithmeticError(
@@ -368,10 +356,19 @@ def degree_oracle(k: int, lat: InvolutiveLattice) -> int:
     return rounded
 
 
-def _solid_angle(a, b, c) -> float:
-    num = np.dot(a, np.cross(b, c))
-    den = 1.0 + np.dot(a, b) + np.dot(b, c) + np.dot(c, a)
-    return 2.0 * np.arctan2(num, den)
+def _degree_sum(k: int, lat: InvolutiveLattice) -> float:
+    """The solid-angle sum of degree_oracle over 4*pi, before rounding."""
+    x0, x1, x2 = np.moveaxis(sphere_embedding(lat.sites), -1, 0)
+    w = _winding_factor(k, x1, x2)
+    d = np.stack([w.real, w.imag, x0], axis=-1)
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    corners = lat.plaquette_corners
+    # the fan triangles (0, a, a + 1); padding (-1) gathers a site, dropped
+    a, b, c = d[corners[:, :1]], d[corners[:, 1:-1]], d[corners[:, 2:]]
+    num = np.sum(a * np.cross(b, c), axis=-1)
+    den = 1.0 + np.sum(a * b + b * c + c * a, axis=-1)
+    angles = 2.0 * np.arctan2(num, den)[corners[:, 2:] >= 0]
+    return float(np.sum(angles)) / (4.0 * np.pi)
 
 
 # -- direct sums -----------------------------------------------------------

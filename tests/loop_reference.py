@@ -104,7 +104,7 @@ def circle_fields(n_sites, kind):
         link_head=(idx + 1) % n_sites,
         link_mu=np.zeros(n_sites, dtype=int),
         link_spacing=np.full(n_sites, 2.0 * np.pi / n_sites),
-        plaquette_vertices=[],
+        plaquette_corners=corner_array([]),
         plaquette_centers=np.zeros((0, 1)),
         plaquette_areas=np.zeros(0),
         involution=tau,
@@ -170,7 +170,7 @@ def torus2_fields(n1, n2, kind):
         link_head=np.array(head),
         link_mu=np.array(mu),
         link_spacing=np.array(spacing),
-        plaquette_vertices=verts,
+        plaquette_corners=corner_array(verts),
         plaquette_centers=np.array(centers),
         plaquette_areas=np.array(areas),
         involution=tau,
@@ -245,7 +245,7 @@ def sphere2_fields(n_theta, n_phi):
         link_head=np.array(head),
         link_mu=np.array(mu),
         link_spacing=np.array(spacing),
-        plaquette_vertices=verts,
+        plaquette_corners=corner_array(verts),
         plaquette_centers=np.array(centers),
         plaquette_areas=np.array(areas),
         involution=tau,
@@ -253,10 +253,22 @@ def sphere2_fields(n_theta, n_phi):
     )
 
 
+def corner_array(verts):
+    """Vertex cycles as rows padded with -1 at the end, row by row."""
+    width = max((len(v) for v in verts), default=0)
+    rows = [list(v) + [-1] * (width - len(v)) for v in verts]
+    return np.array(rows, dtype=int).reshape(len(verts), width)
+
+
+def corner_cycles(corners):
+    """Rows of a padded corner array as vertex-cycle tuples."""
+    return [tuple(c for c in row if c >= 0) for row in corners.tolist()]
+
+
 def reversed_fields(fields):
     """Constructor fields with every plaquette boundary reversed."""
-    verts = [tuple(reversed(v)) for v in fields["plaquette_vertices"]]
-    return dict(fields, plaquette_vertices=verts)
+    verts = [tuple(reversed(v)) for v in corner_cycles(fields["plaquette_corners"])]
+    return dict(fields, plaquette_corners=corner_array(verts))
 
 
 def link_lookup(tail, head):
@@ -280,10 +292,20 @@ def lattice_tables(fields):
     by link and plaquette by plaquette, with the same guards in the same
     order."""
     tau, tail, head = fields["involution"], fields["link_tail"], fields["link_head"]
-    verts = fields["plaquette_vertices"]
+    verts = corner_cycles(fields["plaquette_corners"])
     n_sites, n_links, n_plaq = len(tau), len(tail), len(verts)
     if not np.array_equal(tau[tau], np.arange(n_sites)):
         raise InvalidDiscretizationError("involution is not an exact involution")
+    rows = fields["plaquette_corners"].tolist()
+    checks = (
+        (lambda r: any(c < -1 or c >= n_sites for c in r), "a corner id off the grid"),
+        (lambda r: -1 in r[: sum(c >= 0 for c in r)], "a -1 hole before a corner"),
+        (lambda r: sum(c >= 0 for c in r) < 3, "fewer than 3 corners"),
+    )
+    for bad, what in checks:
+        for p, row in enumerate(rows):
+            if bad(row):
+                raise InvalidDiscretizationError(f"plaquette {p} has {what}")
     directed_link = link_lookup(tail, head)
 
     width = max((len(v) for v in verts), default=0)
@@ -490,7 +512,7 @@ def oscillator_oracle(p, u, curv, lat):
     h1, h2 = lat.grid_spacing
     dev_curv = 0.0
     for q in range(lat.n_plaquettes):
-        corner = lat.sites[lat.plaquette_vertices[q][0]]
+        corner = lat.sites[lat.plaquette_corners[q, 0]]
         target = oscillator_plaquette_flux(p, corner, h1, h2)
         dev_curv = max(dev_curv, abs(curv.f[q, 0, 0] - target) / lat.plaquette_areas[q])
     return {"connection_max_deviation": dev_conn, "curvature_max_deviation": dev_curv}
@@ -814,9 +836,10 @@ def equivariance_residual(u, w, lat):
 def plaquette_curvature(u, lat):
     m = u.rank
     f = np.empty((lat.n_plaquettes, m, m), dtype=complex)
-    for p, rows in enumerate(lat.plaquettes):
+    for p, links in enumerate(lat.plaquette_links):
+        signs = lat.plaquette_signs[p]
         hol = np.eye(m, dtype=complex)
-        for link_id, sign in rows:
+        for link_id, sign in zip(links[signs != 0], signs[signs != 0]):
             hol = hol @ u.on(int(link_id), int(sign))
         f[p] = principal_log_unitary(hol, what=f"plaquette {p}")
     return rb.CurvatureField(f, lat)
@@ -937,3 +960,29 @@ def write_curvature_csv(path, curv, lat):
             x, y = lat.plaquette_centers[p]
             eigs = np.linalg.eigvals(curv.f[p] / (2.0j * np.pi))
             writer.writerow([f"{x:.12g}", f"{y:.12g}", f"{-eigs.sum().real:.12g}"])
+
+
+# -- degree oracle -------------------------------------------------------------
+
+
+def degree_sum(k, lat):
+    """degree_oracle's solid-angle sum over 4*pi, plaquette by plaquette and
+    fan triangle by fan triangle, before rounding."""
+
+    def d_vector(coords):
+        x0, x1, x2 = rb.lattice.sphere_embedding(coords)
+        w = rb.models._winding_factor(k, x1, x2)
+        d = np.array([w.real, w.imag, x0])
+        return d / np.linalg.norm(d)
+
+    def solid_angle(a, b, c):
+        num = np.dot(a, np.cross(b, c))
+        den = 1.0 + np.dot(a, b) + np.dot(b, c) + np.dot(c, a)
+        return 2.0 * np.arctan2(num, den)
+
+    total = 0.0
+    for verts in corner_cycles(lat.plaquette_corners):
+        imgs = [d_vector(lat.sites[v]) for v in verts]
+        for a, b in zip(range(1, len(imgs) - 1), range(2, len(imgs))):
+            total += solid_angle(imgs[0], imgs[a], imgs[b])
+    return total / (4.0 * np.pi)

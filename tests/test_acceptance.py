@@ -116,7 +116,7 @@ def test_04_oscillator_oracle_match():
             h1 = h2 = 2 * np.pi / n
             df = 0.0
             for pq in range(lat.n_plaquettes):
-                corner = lat.sites[lat.plaquette_vertices[pq][0]]
+                corner = lat.sites[lat.plaquette_corners[pq, 0]]
                 flux = rb.oscillator_plaquette_flux(params, corner, h1, h2)
                 df = max(df, abs(curv.f[pq, 0, 0] - flux) / lat.plaquette_areas[pq])
             devs[n] = (dc, df)

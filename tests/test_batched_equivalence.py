@@ -346,7 +346,7 @@ def test_loop_products_match_per_link_bitwise(case, m):
     lat = LOOP_LATTICES[case]()
     u, w = real_link_field(lat, m, np.random.default_rng(m))
     loops = rb.fixed_loops(lat)
-    cells = [rb.LoopPath(verts) for verts in lat.plaquette_vertices[:4]]
+    cells = [rb.LoopPath(cell) for cell in ref.corner_cycles(lat.plaquette_corners[:4])]
     probes = loops + [lp.reversed() for lp in loops] + cells
     for loop in probes + [rb.map_loop(lat, lp) for lp in probes]:
         got, want = rb.wilson_loop(u, loop), ref.wilson_loop(u, loop)
@@ -396,6 +396,27 @@ def test_gauge_transform_and_densities_match_loops(rng, m):
         for p in range(lat.n_plaquettes)
     )
     assert abs(parity - parity_ref) <= TOL
+
+
+# -- the degree oracle: one fan-triangle sum against the plaquette loop ---------
+
+# the degree-k sphere lattices of ROADMAP item 1's table; the first five alias
+# (their degree is wrong, and the loop and the sum must agree on it anyway)
+DEGREE_CASES = [
+    (5, 4, 6), (5, 6, 8), (7, 8, 12), (15, 9, 12), (15, 12, 16),
+    (15, 24, 32), (1, 4, 6), (2, 6, 8), (3, 8, 12), (2, 96, 128),
+]
+
+
+@pytest.mark.parametrize("case", DEGREE_CASES, ids=lambda c: "k%d-%dx%d" % c)
+def test_degree_oracle_matches_plaquette_loop(case):
+    k, n_theta, n_phi = case
+    lat = rb.build_sphere2(n_theta, n_phi)
+    want = ref.degree_sum(k, lat)
+    assert abs(rb.models._degree_sum(k, lat) - want) <= 1e-12
+    assert rb.degree_oracle(k, lat) == round(want)
+    reverse = lat.with_reversed_orientation()
+    assert rb.degree_oracle(k, reverse) == -round(want)
 
 
 # -- the sector-split eigensolve against per-site dense eigh -------------------

@@ -57,8 +57,8 @@ def test_closed_surface_tiling():
             continue
         net = np.zeros(lat.n_links, dtype=int)
         cnt = np.zeros(lat.n_links, dtype=int)
-        for rows in lat.plaquettes:
-            for link_id, sign in rows:
+        for links, signs in zip(lat.plaquette_links, lat.plaquette_signs):
+            for link_id, sign in zip(links[signs != 0], signs[signs != 0]):
                 net[link_id] += sign
                 cnt[link_id] += 1
         assert np.all(net == 0)
@@ -175,7 +175,10 @@ def test_reversed_orientation_roundtrip():
     rev = lat.with_reversed_orientation()
     assert rev.n_plaquettes == lat.n_plaquettes
     back = rev.with_reversed_orientation()
-    assert back.plaquette_vertices == lat.plaquette_vertices
+    assert np.array_equal(back.plaquette_corners, lat.plaquette_corners)
+    # the caps' padding stays at the end of their rows
+    cap = lat.plaquette_corners[0]
+    assert np.array_equal(rev.plaquette_corners[0], cap[[2, 1, 0, 3]])
 
 
 def test_trivial_torus_generators_are_row_loops():
@@ -184,6 +187,20 @@ def test_trivial_torus_generators_are_row_loops():
     assert loops == [rb.torus_row_loop(lat, 0), rb.torus_row_loop(lat, 1)]
     assert loops[0].sites == (0, 6, 12, 18, 24, 30, 36, 42)
     assert loops[1].sites == tuple(range(6))
+
+
+def test_link_midpoints_once_per_lattice_read_only():
+    for lat in all_test_lattices():
+        mids = lat.link_midpoints()
+        assert lat.link_midpoints() is mids and not mids.flags.writeable
+        with pytest.raises(ValueError):
+            mids[0, 0] = 0.0
+        for lk in (0, lat.n_links - 1):
+            a, b = lat.sites[lat.link_tail[lk]], lat.sites[lat.link_head[lk]]
+            step = (b - a + np.pi) % (2.0 * np.pi) - np.pi
+            assert np.array_equal(lat.link_midpoint(lk), a + 0.5 * step)
+        # a new lattice computes its own
+        assert lat.with_reversed_orientation().link_midpoints() is not mids
 
 
 def test_grid_shape_and_spacing():
@@ -247,8 +264,6 @@ def assert_matches_reference(lat, fields):
             assert np.array_equal(got, want), name
         else:
             assert got == want, name
-    for verts in lat.plaquette_vertices:
-        assert type(verts) is tuple and all(type(v) is int for v in verts)
 
 
 @pytest.mark.parametrize("case", LATTICE_CASES, ids=lambda c: "-".join(map(str, c)))
@@ -289,22 +304,16 @@ def test_link_lookup_matches_dict(rng):
 # -- construction guards --------------------------------------------------------
 
 
-def _with_sorted_plaquette(lat, p):
-    verts = list(lat.plaquette_vertices)
-    verts[p] = tuple(sorted(verts[p]))
-    return {"plaquette_vertices": verts}
+def _with_row(lat, p, row):
+    corners = lat.plaquette_corners.copy()
+    corners[p] = row
+    return {"plaquette_corners": corners}
 
 
 def _with_swapped_sites(lat, a, b):
     tau = np.arange(lat.n_sites)
     tau[[a, b]] = [b, a]
     return {"involution": tau}
-
-
-def _with_copied_plaquette(lat, src, dst):
-    verts = list(lat.plaquette_vertices)
-    verts[dst] = verts[src]
-    return {"plaquette_vertices": verts}
 
 
 def _complete_graph_square():
@@ -318,7 +327,7 @@ def _complete_graph_square():
         "link_head": head,
         "link_mu": np.zeros(6, dtype=int),
         "link_spacing": np.ones(6),
-        "plaquette_vertices": [(0, 1, 2, 3)],
+        "plaquette_corners": np.array([[0, 1, 2, 3]]),
         "plaquette_centers": np.zeros((1, 2)),
         "plaquette_areas": np.ones(1),
         "involution": np.array([1, 0, 2, 3]),
@@ -328,6 +337,8 @@ def _complete_graph_square():
 TORUS = rb.build_torus2(4, 4, "trivial")
 ETA = rb.build_torus2(4, 4, "eta")
 CIRCLE = rb.build_circle(8, "trivial")
+SPHERE = rb.build_sphere2(3, 4)
+XI = rb.build_torus2(4, 4, "xi")
 
 MALFORMED = {
     "not-an-involution": (
@@ -338,7 +349,7 @@ MALFORMED = {
     ),
     "plaquette-edge-not-a-link": (
         TORUS,
-        _with_sorted_plaquette(TORUS, 5),
+        _with_row(TORUS, 5, np.sort(TORUS.plaquette_corners[5])),
         DomainError,
         "(6, 9) is not a lattice link",
     ),
@@ -350,7 +361,7 @@ MALFORMED = {
     ),
     "plaquette-image-not-a-plaquette": (
         ETA,
-        _with_copied_plaquette(ETA, 0, 3),
+        _with_row(ETA, 3, ETA.plaquette_corners[0]),
         InvalidDiscretizationError,
         "involution does not map plaquette 0 to a plaquette",
     ),
@@ -362,9 +373,42 @@ MALFORMED = {
     ),
     "open-tiling": (
         TORUS,
-        {"plaquette_vertices": TORUS.plaquette_vertices[:-1]},
+        {"plaquette_corners": TORUS.plaquette_corners[:-1]},
         InvalidDiscretizationError,
         "plaquettes do not tile a closed surface",
+    ),
+    # one plaquette reversed: every image is found, but not from the link
+    # incidence, which the reversed row overwrites
+    "reversed-plaquette": (
+        ETA,
+        _with_row(ETA, 5, ETA.plaquette_corners[5, ::-1]),
+        InvalidDiscretizationError,
+        "plaquettes do not tile a closed surface",
+    ),
+    # numpy gathers wrap negative ids, so the corner table is checked first
+    "corner-hole": (
+        SPHERE,
+        _with_row(SPHERE, 2, [2, -1, 3, 4]),
+        InvalidDiscretizationError,
+        "plaquette 2 has a -1 hole before a corner",
+    ),
+    "corner-past-the-grid": (
+        TORUS,
+        _with_row(TORUS, 6, [6, 10, 16, 7]),
+        InvalidDiscretizationError,
+        "plaquette 6 has a corner id off the grid",
+    ),
+    "corner-below-padding": (
+        SPHERE,
+        _with_row(SPHERE, 1, [0, 3, 4, -2]),
+        InvalidDiscretizationError,
+        "plaquette 1 has a corner id off the grid",
+    ),
+    "two-corners": (
+        TORUS,
+        _with_row(TORUS, 4, [4, 8, -1, -1]),
+        InvalidDiscretizationError,
+        "plaquette 4 has fewer than 3 corners",
     ),
 }
 
@@ -377,3 +421,40 @@ def test_construction_guards(case):
         ref.lattice_tables({**fields, **changes})
     with pytest.raises(error, match=rf"^{re.escape(message)}$"):
         dataclasses.replace(base, **changes)
+    # the boundary links a builder stated for the old corners change nothing
+    fields.update(changes)
+    if fields["plaquette_corners"].shape == base.plaquette_corners.shape:
+        with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+            rb.InvolutiveLattice(**fields, boundary_links=base.plaquette_links)
+
+
+@pytest.mark.parametrize("build", [lambda: TORUS, lambda: SPHERE, lambda: XI])
+def test_stated_boundary_links_are_checked(build, rng):
+    """A stated link that does not join its two corners is looked up, so a
+    wrong statement cannot reach the tables."""
+    lat = build()
+    fields = {f.name: getattr(lat, f.name) for f in dataclasses.fields(lat) if f.init}
+    links = lat.plaquette_links.copy()
+    wrong = rng.random(links.shape) < 0.5
+    links[wrong] = rng.integers(-3, lat.n_links + 3, wrong.sum())
+    got = rb.InvolutiveLattice(**fields, boundary_links=links)
+    for name in ("plaquette_links", "plaquette_signs", "plaquette_image",
+                 "plaquette_image_sign"):
+        assert np.array_equal(getattr(got, name), getattr(lat, name)), name
+
+
+@pytest.mark.parametrize("case", [("torus2", 6, 6, "xi"), ("torus2", 8, 6, "eta"),
+                                  ("torus2", 6, 8, "eta1"), ("sphere2", 4, 6)])
+def test_builders_state_every_boundary_link(case, monkeypatch):
+    """The builders' boundary links all pass the gather check: the only
+    link lookup of a build is the link image's, one query per link."""
+    queries = []
+    lookup = rb.InvolutiveLattice._signed_links
+
+    def counted(self, a, b):
+        queries.extend([a.size] if a.size else [])
+        return lookup(self, a, b)
+
+    monkeypatch.setattr(rb.InvolutiveLattice, "_signed_links", counted)
+    lat = BUILDERS[case[0]][0](*case[1:])
+    assert queries == [lat.n_links]
