@@ -48,12 +48,14 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def non_hermitian(a: np.ndarray, sign: int = 1) -> np.ndarray:
+def non_hermitian(a: np.ndarray, sign: int = 1, mirror=None) -> np.ndarray:
     """Indices of the stack entries off `sign` times their adjoint (relative
-    bound HERMITICITY_RTOL; sign -1 tests anti-Hermiticity) or not finite."""
+    bound HERMITICITY_RTOL; sign -1 tests anti-Hermiticity) or not finite.
+    Given `mirror`, `a` (n, 1, P) holds each matrix's entries on
+    transposition-closed positions (0 elsewhere), `mirror` them transposed."""
     scale = np.maximum(frob_each(a), 1.0)  # infinite for an infinite entry
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and flagged
-        off = frob_each(a - sign * adjoint(a))
+        off = frob_each(a - sign * (adjoint(a) if mirror is None else mirror.conj()))
     return np.flatnonzero(~(off <= HERMITICITY_RTOL * scale) | np.isinf(scale))
 
 

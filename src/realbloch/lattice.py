@@ -301,11 +301,14 @@ class InvolutiveLattice:
 
     def with_reversed_orientation(self) -> "InvolutiveLattice":
         """Copy of the lattice with every plaquette boundary reversed (the
-        used part of each corner row; the padding stays at its end)."""
+        used part of each corner row; the padding stays at its end), whose
+        step k of s states the original step (s - 2 - k) mod s as its link."""
         c = self.plaquette_corners
-        back = np.count_nonzero(c >= 0, axis=1)[:, None] - 1 - np.arange(c.shape[1])
+        size = np.count_nonzero(c >= 0, axis=1)[:, None]
+        back = size - 1 - np.arange(c.shape[1])
         rows = np.where(back >= 0, np.take_along_axis(c, np.maximum(back, 0), 1), -1)
-        return replace(self, plaquette_corners=rows)
+        links = np.take_along_axis(self.plaquette_links, (back - 1) % size, 1)
+        return replace(self, plaquette_corners=rows, boundary_links=links)
 
 
 # -- constructors -------------------------------------------------------

@@ -212,7 +212,9 @@ def eigensolve_family(
 
     Sectors: the indices split into the connected components of the block's
     nonzero pattern (the entries nonzero at any site of the block, made
-    symmetric).  A block of several components, each tridiagonal in its
+    symmetric).  It holds every nonzero, infinite or NaN entry, so the
+    Hermiticity guard and a J = 1 residual read only its entries and their
+    transposes.  A block of several components, each tridiagonal in its
     index order (the oscillator's two parity sectors), solves each on its
     own; any other block takes one dense eigh of the whole stack.  A
     sector is rotated by a diagonal phase to a real symmetric tridiagonal
@@ -236,18 +238,22 @@ def eigensolve_family(
     out = vectors.reshape(-1)
     kept = {}  # sector size -> _TridiagonalRows
     split = {}  # nonzero pattern -> its sector layout, None for one sector
-    residual = None if j is None else 0.0
+    res = None if j is None else 0.0  # the Hamiltonian residual
     skew = n  # the lowest non-Hermitian site seen; later blocks may hold lower
     for sites, tau in orbit_blocks(lat, dim):
         coords = lat.sites[sites]
         stack = h(coords)
-        skew = min(skew, sites[non_hermitian(stack)].min(initial=n))
+        pattern = (stack != 0).any(axis=0)  # NaN != 0: every bad entry is in it
+        pattern |= pattern.T
+        entries, mirror = stack, None  # a dense block: the stack itself
+        if not pattern.all():
+            at = np.array(np.nonzero(pattern))  # each entry, then its transpose
+            entries, mirror = np.split(stack[:, at, at[::-1]], 2, axis=1)
+        skew = min(skew, sites[non_hermitian(entries, 1, mirror)].min(initial=n))
         if skew < n:
             continue
         if j is not None:
-            residual = worst(residual, j.hamiltonian_residual(coords, stack, tau))
-        pattern = (stack != 0).any(axis=0)
-        pattern |= pattern.T
+            res = worst(res, j.hamiltonian_residual(coords, stack, tau, entries))
         key = pattern.tobytes()
         if key not in split:
             sectors = _sectors(pattern)
@@ -262,7 +268,7 @@ def eigensolve_family(
         raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {skew}")
     for rows in kept.values():
         rows.solve()
-    return SpectralData(values, vectors, lat, tuple(sel), residual)
+    return SpectralData(values, vectors, lat, tuple(sel), res)
 
 
 def _sectors(pattern: np.ndarray) -> list:
@@ -502,9 +508,8 @@ def _site_gaps(s: SpectralData, sel: list) -> Optional[np.ndarray]:
     rest = [j for j in range(s.dimension) if j not in sel]
     if not sel or not rest:
         return None
-    lam_sel = s.eigenvalues[:, sel]
-    lam_rest = s.eigenvalues[:, rest]
-    return np.abs(lam_sel[:, :, None] - lam_rest[:, None, :]).min(axis=(1, 2))
+    w = s.eigenvalues
+    return np.abs(w[:, sel, None] - w[:, None, rest]).min(axis=(1, 2))
 
 
 def band_selection(band_indices, dimension: int) -> list:
@@ -557,9 +562,10 @@ def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
     """Rotate frames so overlaps along a spanning tree are positive.
 
     The tree is breadth-first from site 0, each site visiting its
-    neighbours in link order.  Each frame is right-multiplied by the adjoint
-    of the polar unitary of its overlap with its already-fixed parent, one
-    batched SVD per depth level.  Off-tree links keep whatever holonomy the
+    neighbours in link order.  Each frame V is right-multiplied by the polar
+    unitary of V^dag V_parent (its parent already fixed), one polar_unitaries
+    call per depth level, so every tree overlap is Hermitian positive
+    semidefinite.  Off-tree links keep whatever holonomy the
     bundle forces on them (a twisted bundle admits no globally smooth
     gauge), but tree links become branch-safe for logarithm extraction.
     """
@@ -582,10 +588,8 @@ def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
         first = np.sort(np.unique(cand, return_index=True)[1])  # queue order
         level, parents = cand[first], par[first]
         seen[level] = True
-        # the SVD at every rank (no rank-1 phase shortcut) keeps the frames
-        # bitwise equal to a site-by-site polar decomposition
-        u, _, vh = np.linalg.svd(adjoint(cols[level]) @ cols[parents])
-        cols[level] = cols[level] @ (u @ vh)
+        u, _ = polar_unitaries(adjoint(cols[level]) @ cols[parents])
+        cols[level] = cols[level] @ u
     return Frame(cols, lat, gauge_tag="tree-smoothed")
 
 

@@ -71,12 +71,13 @@ class SymmetryData:
         and multiply nothing."""
         return None if self._unit else self(coords)
 
-    def hamiltonian_residual(self, coords, h: np.ndarray, tau) -> float:
+    def hamiltonian_residual(self, coords, h: np.ndarray, tau, entries=None) -> float:
         """Max of || J(x)^dag H(tau x) J(x) - conj(H(x)) || over an
         involution-closed block (see orbit_blocks): its coordinates, its H
         stack and the gather `tau` to the tau-images.  A NaN anywhere gives
-        NaN."""
+        NaN.  With J = 1, `entries`, H on positions holding every nonzero, serve."""
         js = self.factor(coords)
+        h = entries if js is None and entries is not None else h
         ht = h[tau] if js is None else adjoint(js) @ h[tau] @ js
         return max_frob(ht - h.conj())
 

@@ -15,6 +15,9 @@ reproduce both bit for bit.  The per-point model evaluators, and the loops
 that called them once per site, link, plaquette or curve step, are the
 reference of test_block_contract.py.  The CLI's CSV writers, one row, link
 or plaquette at a time, are the reference whose bytes test_cli.py compares.
+``eigensolve_dense_guards`` (the eigensolve's guards over dense blocks) and
+``smooth_frame_gauge_by_levels`` (the tree gauge by one SVD per depth
+level) are references that test_spectral.py compares bit for bit.
 """
 
 import csv
@@ -24,6 +27,7 @@ import numpy as np
 import scipy.linalg
 
 import realbloch as rb
+from realbloch import spectral
 from realbloch._matrix import BRANCH_CUT_GUARD, spectral_maps
 from realbloch.errors import (
     BranchCutError,
@@ -611,6 +615,47 @@ def eigensolve_family(h, lat):
     return rb.SpectralData(values, vectors, lat)
 
 
+def eigensolve_dense_guards(h, lat, bands, j=None):
+    """spectral.eigensolve_family with its guards on the dense block stacks:
+    the Hermiticity test matrix by matrix, and the Hamiltonian residual of
+    SymmetryData.hamiltonian_residual on the whole stack, whatever J is.
+    The sectors are solved by the package's own sector kernels, in the same
+    block order, so eigenvalues and kept columns must agree bit for bit."""
+    n, dim = lat.n_sites, h.dimension
+    sel = spectral.band_selection(bands, dim)
+    values = np.empty((n, dim))
+    vectors = np.zeros((n, dim, len(sel)), dtype=complex)
+    out, kept, residual = vectors.reshape(-1), {}, None if j is None else 0.0
+    skew = []
+    for sites, tau in spectral.orbit_blocks(lat, dim):
+        coords = lat.sites[sites]
+        stack = h(coords)
+        for site, mat in zip(sites.tolist(), stack):
+            scale = max(frob(mat), 1.0)
+            off = frob(mat - mat.conj().T)
+            if not (off <= HERMITICITY_RTOL * scale and np.isfinite(scale)):
+                skew.append(site)
+        if skew:
+            continue
+        if j is not None:
+            res = j.hamiltonian_residual(coords, stack, tau)
+            residual = float(np.maximum(residual, res))  # NaN wins
+        pattern = (stack != 0).any(axis=0)
+        pattern |= pattern.T
+        sectors = spectral._sectors(pattern)
+        if len(sectors) > 1 and all(tri for _, tri in sectors):
+            layout = spectral._sector_groups(sectors)
+            values[sites] = spectral._sector_eigh(stack, layout, sel, out, kept, sites)
+        else:
+            values[sites], v = np.linalg.eigh(stack)
+            vectors[sites] = v[:, :, sel]
+    if skew:
+        raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {min(skew)}")
+    for rows in kept.values():
+        rows.solve()
+    return rb.SpectralData(values, vectors, lat, tuple(sel), residual)
+
+
 def select_projection(s, band_indices):
     """The projector tensor of the selected bands, (n_sites, N, N)."""
     sel = sorted(set(int(b) for b in band_indices))
@@ -653,23 +698,43 @@ def frame_from_projection(projectors, rank, lat, reference=None):
     return rb.Frame(cols, lat)
 
 
-def smooth_frame_gauge(f, lat):
-    cols = f.columns.copy()
+def spanning_tree(lat):
+    """The breadth-first tree from site 0, each site visiting its neighbours
+    in link order: (child, parent, depth) triples in queue order."""
     neighbors = {}
     for a, b in zip(lat.link_tail, lat.link_head):
         neighbors.setdefault(int(a), []).append(int(b))
         neighbors.setdefault(int(b), []).append(int(a))
-    seen = {0}
-    queue = [0]
+    depth = {0: 0}
+    queue, tree = [0], []
     while queue:
         parent = queue.pop(0)
         for child in neighbors.get(parent, ()):
-            if child in seen:
+            if child in depth:
                 continue
-            seen.add(child)
-            v, _ = polar_unitary(cols[child].conj().T @ cols[parent])
-            cols[child] = cols[child] @ v
+            depth[child] = depth[parent] + 1
+            tree.append((child, parent, depth[child]))
             queue.append(child)
+    return tree
+
+
+def smooth_frame_gauge(f, lat):
+    cols = f.columns.copy()
+    for child, parent, _ in spanning_tree(lat):
+        v, _ = polar_unitary(cols[child].conj().T @ cols[parent])
+        cols[child] = cols[child] @ v
+    return rb.Frame(cols, lat, gauge_tag="tree-smoothed")
+
+
+def smooth_frame_gauge_by_levels(f, lat):
+    """The tree gauge as one batched SVD per depth level: U V^dag of each
+    level's overlaps, at every rank."""
+    cols = f.columns.copy()
+    tree = np.array(spanning_tree(lat), dtype=int).reshape(-1, 3)
+    for d in range(1, tree[:, 2].max(initial=0) + 1):
+        level, parents = tree[tree[:, 2] == d, :2].T
+        u, _, vh = np.linalg.svd(cols[level].conj().swapaxes(1, 2) @ cols[parents])
+        cols[level] = cols[level] @ (u @ vh)
     return rb.Frame(cols, lat, gauge_tag="tree-smoothed")
 
 

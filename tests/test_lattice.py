@@ -443,11 +443,8 @@ def test_stated_boundary_links_are_checked(build, rng):
         assert np.array_equal(getattr(got, name), getattr(lat, name)), name
 
 
-@pytest.mark.parametrize("case", [("torus2", 6, 6, "xi"), ("torus2", 8, 6, "eta"),
-                                  ("torus2", 6, 8, "eta1"), ("sphere2", 4, 6)])
-def test_builders_state_every_boundary_link(case, monkeypatch):
-    """The builders' boundary links all pass the gather check: the only
-    link lookup of a build is the link image's, one query per link."""
+def count_lookups(monkeypatch) -> list:
+    """The sizes of the link lookups made from here on, one per lookup."""
     queries = []
     lookup = rb.InvolutiveLattice._signed_links
 
@@ -456,5 +453,32 @@ def test_builders_state_every_boundary_link(case, monkeypatch):
         return lookup(self, a, b)
 
     monkeypatch.setattr(rb.InvolutiveLattice, "_signed_links", counted)
+    return queries
+
+
+@pytest.mark.parametrize("case", [("torus2", 6, 6, "xi"), ("torus2", 8, 6, "eta"),
+                                  ("torus2", 6, 8, "eta1"), ("sphere2", 4, 6)])
+def test_builders_state_every_boundary_link(case, monkeypatch):
+    """The builders' boundary links all pass the gather check: the only
+    link lookup of a build is the link image's, one query per link."""
+    queries = count_lookups(monkeypatch)
     lat = BUILDERS[case[0]][0](*case[1:])
     assert queries == [lat.n_links]
+
+
+@pytest.mark.parametrize("case", LATTICE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_reversed_copy_states_its_boundary_links(case, monkeypatch):
+    """The reversed copy states every plaquette step's link, so its only
+    link lookup is the link image's, and its tables equal those of the same
+    corners with every step looked up."""
+    lat = BUILDERS[case[0]][0](*case[1:])
+    queries = count_lookups(monkeypatch)
+    reverse = lat.with_reversed_orientation()
+    assert queries == [lat.n_links]
+    init = [f.name for f in dataclasses.fields(reverse) if f.init]
+    looked_up = rb.InvolutiveLattice(**{name: getattr(reverse, name) for name in init})
+    assert len(queries) == (2 if lat.n_plaquettes else 1) + 1
+    for name in ("plaquette_links", "plaquette_signs", "link_image", "link_image_sign",
+                 "plaquette_image", "plaquette_image_sign"):
+        got, want = getattr(reverse, name), getattr(looked_up, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import loop_reference as ref
 import realbloch as rb
 from conftest import constant_diag
 from realbloch import spectral
+from realbloch._matrix import adjoint, max_frob
 from realbloch.errors import GapClosureError, ModelError, RankError
 
 
@@ -208,3 +210,121 @@ def test_non_finite_hamiltonian_fails_the_hermiticity_guard(value):
         with pytest.raises(ModelError) as err:
             run()
         assert str(err.value) == "non-finite: non-Hermitian output at site 3"
+
+
+# -- the guards read the block's nonzero pattern -------------------------------
+
+
+def parity_sector_family(lat, bad_sites, entry, value):
+    """N = 40: the diagonal 0..39 and couplings 0.5 between i and i + 2, two
+    tridiagonal parity sectors, with H[entry] = value at the bad sites only
+    (the transposed entry stays 0)."""
+    dim = 40
+    base = np.diag(np.arange(dim, dtype=complex))
+    i = np.arange(dim - 2)
+    base[i, i + 2] = base[i + 2, i] = 0.5
+    bad_coords = lat.sites[list(bad_sites)]
+
+    def evaluate(coords):
+        stack = np.repeat(base[None], len(coords), axis=0)
+        bad = (np.abs(coords[:, None, :] - bad_coords[None]) < 1e-12).all(-1).any(-1)
+        stack[bad, entry[0], entry[1]] = value
+        return stack
+
+    return rb.HamiltonianFamily(dim, evaluate, "sectors")
+
+
+def assert_guard_names(h, lat, site):
+    # the eigensolve alone and through classify, with its J = 1 residual
+    for run in (
+        lambda: rb.eigensolve_family(h, lat, [0]),
+        lambda: rb.classify_real_bundle(h, rb.SymmetryData.identity(40), lat, [0]),
+    ):
+        with pytest.raises(ModelError) as err:
+            run()
+        assert str(err.value) == f"sectors: non-Hermitian output at site {site}"
+
+
+# on the 64-site reflection circle, an N = 40 orbit block holds 10 orbits:
+# site 60 lies in the first block, 45 in the second and 20 in the third, so
+# the lowest bad site is found last
+CIRCLE = rb.build_circle(64, "reflection")
+BAD_SITES = (60, 45, 20)
+
+
+def test_orbit_blocks_of_the_guard_tests():
+    blocks = [set(sites.tolist()) for sites, _ in spectral.orbit_blocks(CIRCLE, 40)]
+    first = [next(b for b, s in enumerate(blocks) if site in s) for site in BAD_SITES]
+    assert first == [0, 1, 2]
+
+
+def test_one_sided_entry_fails_the_pattern_guard():
+    # H[0, 1] != 0 with H[1, 0] = 0: the symmetric pattern holds both
+    # positions, so the guard compares each entry with its transpose
+    h = parity_sector_family(CIRCLE, BAD_SITES, (0, 1), 0.25)
+    assert_guard_names(h, CIRCLE, 20)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_outside_the_sectors_fails_the_pattern_guard(value):
+    # (0, 3) joins the two parity sectors; NaN != 0 puts it in the pattern
+    h = parity_sector_family(CIRCLE, BAD_SITES, (0, 3), value)
+    assert_guard_names(h, CIRCLE, 20)
+
+
+@pytest.mark.parametrize("bands", [[1], [0, 1]])
+def test_pattern_guards_match_dense_guards_bitwise(bands):
+    # the benchmark oscillator: 116 of the 1600 entries of a block can be
+    # nonzero, and the eigensolve reads only those in its guards
+    lat = rb.build_torus2(48, 48, "eta1")
+    h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
+    got = rb.eigensolve_family(h, lat, bands, j)
+    want = ref.eigensolve_dense_guards(h, lat, bands, j)
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+    assert np.float64(got.hamiltonian_residual).tobytes() == np.float64(
+        want.hamiltonian_residual).tobytes()
+
+
+def test_constant_j_keeps_the_dense_residual():
+    # J != 1 mixes the pattern's entries with others, so the residual is
+    # taken over the dense stack, as verify_hamiltonian_symmetry does
+    lat = rb.build_torus2(12, 12, "eta1")
+    h, _ = rb.model_oscillator(rb.OscillatorParams(), lat)
+    j = rb.SymmetryData.constant(np.diag((-1.0) ** (np.arange(40) // 2)))
+    got = rb.eigensolve_family(h, lat, [0], j).hamiltonian_residual
+    want = rb.verify_hamiltonian_symmetry(h, j, lat).hamiltonian_residual
+    assert got > 0.1
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert got == ref.eigensolve_dense_guards(h, lat, [0], j).hamiltonian_residual
+
+
+# -- the tree gauge ------------------------------------------------------------
+
+TREE_CASES = {
+    "sphere-24x32-rank1": lambda: (
+        rb.build_sphere2(24, 32), rb.model_degree_k_sphere(2)[0], [0]),
+    "oscillator-12x12-rank2": lambda: (
+        (lat := rb.build_torus2(12, 12, "eta1")),
+        rb.model_oscillator(rb.OscillatorParams(), lat)[0],
+        [0, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TREE_CASES))
+def test_tree_gauge_makes_tree_overlaps_positive(case):
+    lat, h, bands = TREE_CASES[case]()
+    p = rb.select_projection(rb.eigensolve_family(h, lat, bands), bands)
+    frame = rb.frame_from_projection(p)
+    cols = rb.smooth_frame_gauge(frame, lat).columns
+    child, parent, _ = np.array(ref.spanning_tree(lat)).T
+    assert child.size == lat.n_sites - 1
+    # V_child^dag V_parent is Hermitian positive semidefinite on every tree link
+    overlap = adjoint(cols[child]) @ cols[parent]
+    assert max_frob(overlap - adjoint(overlap)) <= 1e-13
+    assert np.linalg.eigvalsh(0.5 * (overlap + adjoint(overlap))).min() >= -1e-13
+    assert max_frob(adjoint(cols) @ cols - np.eye(len(bands))) <= 1e-13
+    if len(bands) > 1:  # above rank one, the polar factor is the SVD's U W^dag
+        want = ref.smooth_frame_gauge_by_levels(frame, lat).columns
+        assert cols.tobytes() == want.tobytes()
