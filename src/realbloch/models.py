@@ -164,11 +164,19 @@ def model_oscillator(
             "(build_torus2(..., kind='eta1'))"
         )
     q2, p2, pq_qp = _ladder_blocks(p.n_basis)
+    pq_qp = pq_qp.imag  # p^2 and q^2 are real, pq + qp imaginary
 
     def evaluate(coords):
         nu = p.nu(coords)[:, None, None]
         phi = p.phi(coords)[:, None, None]
-        return 0.5 * (p2 + phi * pq_qp + (nu * nu + phi * phi) * q2)
+        # 0.5 (p^2 + phi (pq + qp) + (nu^2 + phi^2) q^2), each part written
+        # into its half of one complex stack
+        out = np.empty((len(coords),) + q2.shape, dtype=complex)
+        np.multiply(nu * nu + phi * phi, q2, out=out.real)
+        out.real += p2
+        out.real *= 0.5
+        np.multiply(0.5 * phi, pq_qp, out=out.imag)
+        return out
 
     ham = HamiltonianFamily(p.n_basis, evaluate, p.name)
     # truncation sanity at the extreme-frequency and extreme-anomaly sites

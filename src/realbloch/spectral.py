@@ -6,7 +6,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._matrix import adjoint, non_hermitian, polar_unitaries, worst
+from ._matrix import adjoint, eighs, non_hermitian, polar_unitaries, worst
 from .errors import GapClosureError, ModelError, RankError
 from .lattice import InvolutiveLattice
 
@@ -112,7 +112,7 @@ class ProjectionFamily:
 
     ``ProjectionFamily(projectors, rank, lat)`` builds a family from
     projectors alone; its columns are then the eigenvalue-1 eigenvectors of
-    the projectors, found by one batched eigh on first access (RankError
+    the projectors, found by one eighs call on first access (RankError
     naming the first site whose projector has the wrong rank).
     """
 
@@ -260,7 +260,7 @@ def eigensolve_family(
             tridiagonal = len(sectors) > 1 and all(tri for _, tri in sectors)
             split[key] = _sector_groups(sectors) if tridiagonal else None
         if split[key] is None:
-            values[sites], v = np.linalg.eigh(stack)
+            values[sites], v = eighs(stack)
             vectors[sites] = v[:, :, sel]
         else:
             values[sites] = _sector_eigh(stack, split[key], sel, out, kept, sites)
@@ -427,7 +427,7 @@ class _TridiagonalRows:
     def dense(self, rows: np.ndarray) -> np.ndarray:
         """Eigenvectors (k, len(rows)) of the given rows by dense eigh."""
         t = _real_tridiagonal(self.diag[:, rows].T, self.off[:, rows].T)
-        return np.linalg.eigh(t)[1][np.arange(len(rows)), :, self.pos[rows]].T
+        return eighs(t)[1][np.arange(len(rows)), :, self.pos[rows]].T
 
 
 def _tridiagonal_eigh(diag, off, lam, norm) -> tuple:
@@ -594,8 +594,8 @@ def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
 
 
 def _projector_columns(projectors: np.ndarray, m: int) -> np.ndarray:
-    """Orthonormal range columns of rank-m projectors (batched eigh)."""
-    w, v = np.linalg.eigh(projectors)
+    """Orthonormal range columns of rank-m projectors (see eighs)."""
+    w, v = eighs(projectors)
     ranks = np.count_nonzero(w > 0.5, axis=1)
     wrong = np.flatnonzero(ranks != m)
     if wrong.size:

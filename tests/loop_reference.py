@@ -28,7 +28,7 @@ import scipy.linalg
 
 import realbloch as rb
 from realbloch import spectral
-from realbloch._matrix import BRANCH_CUT_GUARD, spectral_maps
+from realbloch._matrix import BRANCH_CUT_GUARD, polar_unitaries, spectral_maps
 from realbloch.errors import (
     BranchCutError,
     DiscretizationError,
@@ -727,14 +727,16 @@ def smooth_frame_gauge(f, lat):
 
 
 def smooth_frame_gauge_by_levels(f, lat):
-    """The tree gauge as one batched SVD per depth level: U V^dag of each
-    level's overlaps, at every rank."""
+    """The tree gauge as one polar_unitaries call per depth level, taking
+    the levels from spanning_tree: its polar factors carry the kernel's
+    bits, so the result tells the tree and its level order apart bit for
+    bit (smooth_frame_gauge checks the polar factors against the SVD)."""
     cols = f.columns.copy()
     tree = np.array(spanning_tree(lat), dtype=int).reshape(-1, 3)
     for d in range(1, tree[:, 2].max(initial=0) + 1):
         level, parents = tree[tree[:, 2] == d, :2].T
-        u, _, vh = np.linalg.svd(cols[level].conj().swapaxes(1, 2) @ cols[parents])
-        cols[level] = cols[level] @ (u @ vh)
+        u, _ = polar_unitaries(cols[level].conj().swapaxes(1, 2) @ cols[parents])
+        cols[level] = cols[level] @ u
     return rb.Frame(cols, lat, gauge_tag="tree-smoothed")
 
 

@@ -166,6 +166,24 @@ def test_inverse_iteration_converges_on_isolated_eigenvalues():
         assert np.all(np.abs(overlap[isolated] - 1) <= 1e-12)
 
 
+def test_pivoting_bounds_element_growth():
+    # zero-diagonal paths at their middle eigenvalue, 0 up to roundoff: the
+    # first pivot of T - lam is raised to eps ||T||, so without row swaps the
+    # next one is -off^2 / (eps ||T||), a growth of order 1/eps that
+    # overflows once ||T|| passes about 1e292 (unpivoted inverse iteration
+    # fails on element growth; Dhillon, BIT 38 (1998)).  Partial pivoting
+    # keeps every multiplier at most 1.
+    rng = np.random.default_rng(12)
+    for k in (3, 5, 7, 9):
+        diag = np.zeros((k, 1))
+        off = 1e300 * rng.uniform(0.5, 1.0, size=(k - 1, 1))
+        w, u = np.linalg.eigh(spectral._real_tridiagonal(diag.T, off.T))
+        j = k // 2
+        x, converged = spectral._tridiagonal_eigh(diag, off, w[:, j], np.abs(w[:, -1]))
+        assert converged.all()
+        assert abs(abs(u[0, :, j] @ x[:, 0]) - 1) <= 1e-14
+
+
 def test_rows_that_miss_the_residual_take_dense_columns():
     # every other row's eigenvalue is moved 60% of the way to a neighbour,
     # so inverse iteration heads for the wrong vector and misses the
@@ -325,6 +343,7 @@ def test_tree_gauge_makes_tree_overlaps_positive(case):
     assert max_frob(overlap - adjoint(overlap)) <= 1e-13
     assert np.linalg.eigvalsh(0.5 * (overlap + adjoint(overlap))).min() >= -1e-13
     assert max_frob(adjoint(cols) @ cols - np.eye(len(bands))) <= 1e-13
-    if len(bands) > 1:  # above rank one, the polar factor is the SVD's U W^dag
+    if len(bands) > 1:  # the same tree and levels; the SVD's polar factors
         want = ref.smooth_frame_gauge_by_levels(frame, lat).columns
         assert cols.tobytes() == want.tobytes()
+        assert max_frob(cols - ref.smooth_frame_gauge(frame, lat).columns) <= 1e-13
