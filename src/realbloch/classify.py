@@ -118,6 +118,8 @@ class RealBundle:
     def __init__(self, model, j, lat, bands=None, tolerances=None, frame_rule=None):
         self.model, self.lat, self.bands = model, lat, bands
         self.is_product = isinstance(model, ProductConnectionSpec)
+        if bands is None and not self.is_product:
+            raise ValueError("a Hamiltonian family needs `bands`, the band group")
         self.j = model.j if self.is_product and j is None else j
         self.tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
@@ -279,9 +281,9 @@ def classify_real_bundle(
     """Classify the Real bundle of a symmetric family over a supported base.
 
     Hamiltonian families are classified through their isolated-band Berry
-    connection (the bands argument selects the group, ascending 0-based) in
-    the raw eigenvector gauge; product-bundle models are classified through
-    their closed-form connection.  Raises distinct errors for unsupported
+    connection (the bands argument, required for them, selects the group,
+    ascending 0-based) in the raw eigenvector gauge; product-bundle models
+    are classified through their closed-form connection and ignore bands.  Raises distinct errors for unsupported
     bases, odd parity, gap closure, and symmetry violations.  `threads` has
     no effect.
     """

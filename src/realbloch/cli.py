@@ -89,8 +89,9 @@ FAILURES = (
     ((SymmetryViolationError, SymmetryInconsistencyError, UnsupportedParityError),
      "symmetry", EXIT_SYMMETRY, "check the model's J and involution"),
     ((BranchCutError, DiscretizationError, IndeterminateHolonomyError,
-      TruncationError, InvalidDiscretizationError),
+      InvalidDiscretizationError),
      "refinement", EXIT_REFINE, "increase the lattice resolution"),
+    ((TruncationError,), "refinement", EXIT_REFINE, None),  # it names n_basis
 )
 
 # coordinate dimension of the models that live on one base dimension

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._matrix import adjoint, eighs, non_hermitian, polar_unitaries, worst
-from .errors import GapClosureError, ModelError, RankError
+from .errors import DomainError, GapClosureError, ModelError, RankError
 from .lattice import InvolutiveLattice
 
 __all__ = [
@@ -112,8 +112,9 @@ class ProjectionFamily:
 
     ``ProjectionFamily(projectors, rank, lat)`` builds a family from
     projectors alone; its columns are then the eigenvalue-1 eigenvectors of
-    the projectors, found by one eighs call on first access (RankError
-    naming the first site whose projector has the wrong rank).
+    the projectors, found by one eighs call on first access (DomainError
+    naming the first site whose projector is not Hermitian, RankError the
+    first whose projector has the wrong rank).
     """
 
     def __init__(
@@ -220,12 +221,12 @@ def eigensolve_family(
     sector is rotated by a diagonal phase to a real symmetric tridiagonal
     T and takes every eigenvalue from one eigvalsh per block, sectors of
     one size as one stack; its kept eigenvectors come from inverse
-    iteration over chunks of kept rows gathered across blocks (see
-    _TridiagonalRows).  A kept eigenvalue within CLUSTER_TOL ||T|| of a
-    neighbour in its sector, or a column whose residual misses its bound,
-    takes a dense eigh of T instead.  The eigenvalues of all sectors merge
-    in ascending order (a stable sort, ties in sector order), and each kept
-    eigenvector is zero outside its sector.
+    iteration over kept rows gathered across blocks, solved once a chunk
+    is pending (see _kept_columns).  A kept eigenvalue within CLUSTER_TOL
+    ||T|| of a neighbour in its sector, or a column whose residual misses
+    its bound, takes a dense eigh of T instead.  The eigenvalues of all
+    sectors merge in ascending order (a stable sort, ties in sector order),
+    and each kept eigenvector is zero outside its sector.
 
     Every kept column depends only on its own site, component and
     eigenvalue, so the columns of a subset of the bands equal the full
@@ -236,7 +237,7 @@ def eigensolve_family(
     values = np.empty((n, dim))
     vectors = np.zeros((n, dim, len(sel)), dtype=complex)
     out = vectors.reshape(-1)
-    kept = {}  # sector size -> _TridiagonalRows
+    pending = {}  # sector size -> kept rows not yet solved (see _kept_columns)
     split = {}  # nonzero pattern -> its sector layout, None for one sector
     res = None if j is None else 0.0  # the Hamiltonian residual
     skew = n  # the lowest non-Hermitian site seen; later blocks may hold lower
@@ -263,11 +264,11 @@ def eigensolve_family(
             values[sites], v = eighs(stack)
             vectors[sites] = v[:, :, sel]
         else:
-            values[sites] = _sector_eigh(stack, split[key], sel, out, kept, sites)
+            values[sites] = _sector_eigh(stack, split[key], sel, out, pending, sites)
     if skew < n:
         raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {skew}")
-    for rows in kept.values():
-        rows.solve()
+    for rows in pending.values():
+        _kept_columns(rows, out)
     return SpectralData(values, vectors, lat, tuple(sel), res)
 
 
@@ -311,15 +312,14 @@ def _sector_groups(sectors: list) -> tuple:
 
 
 def _sector_eigh(
-    stack: np.ndarray, layout: tuple, bands: list, out, kept: dict, sites
+    stack: np.ndarray, layout: tuple, bands: list, out, pending: dict, sites
 ) -> np.ndarray:
     """Ascending eigenvalues of the `sites`, whose stack is block diagonal
-    over the tridiagonal sectors of `layout` (see _sector_groups).
-
-    `out` is the flattened (n_sites, N, m) vector array.  A sector of size
-    k writes its phases d there and records its kept rows in kept[k] (see
-    _TridiagonalRows), which multiplies them by the real eigenvectors after
-    the block loop."""
+    over the tridiagonal sectors of `layout` (see _sector_groups).  A sector
+    of size k writes its phases into `out`, the flattened (n_sites, N, m)
+    vector array, and appends its kept rows to pending[k], which goes to
+    _kept_columns once it holds a chunk of BLOCK_ENTRIES // k rows: so at
+    most a chunk plus one block's rows are pending."""
     groups, locate = layout
     n, dim = stack.shape[:2]
     w = np.empty((n, dim))
@@ -338,12 +338,11 @@ def _sector_eigh(
         w[:, cols] = ws
     order = np.argsort(w, axis=1, kind="stable")
     group, member, pos = locate[:, order[:, bands]]  # each (n, m)
-    m = len(bands)
     for g, ((idx, _), (ws, d, diag, off)) in enumerate(zip(groups, solved)):
         site, col = np.nonzero(group == g)
         s, j = member[site, col], pos[site, col]
-        at = (sites[site, None] * dim + idx[s]) * m + col[:, None]
-        out[at] = d[site, s]
+        at = (sites[site] * dim + idx[s].T) * len(bands) + col  # (k, rows)
+        out[at] = d[site, s].T
         k = idx.shape[1]
         if k == 1:  # the phase is the whole column
             continue
@@ -353,10 +352,11 @@ def _sector_eigh(
         np.subtract(ws[:, :, 1:], ws[:, :, :-1], out=gaps[:, :, 1:-1])
         near = np.minimum(gaps[site, s, j], gaps[site, s, j + 1])
         norm = np.maximum(np.maximum(-ws[site, s, 0], ws[site, s, -1]), SAFE_NORM)
-        if k not in kept:  # a later orbit block has at most twice these n sites
-            kept[k] = _TridiagonalRows(k, out, 2 * n * m)
-        cluster = near <= CLUSTER_TOL * norm
-        kept[k].add(diag[site, s], off[site, s], at, ws[site, s, j], norm, j, cluster)
+        pending.setdefault(k, []).append(
+            (diag[site, s].T, off[site, s].T, at, ws[site, s, j], norm, j, near)
+        )
+        if sum(len(row[3]) for row in pending[k]) >= BLOCK_ENTRIES // k:
+            _kept_columns(pending.pop(k), out)
     return np.take_along_axis(w, order, 1)
 
 
@@ -372,62 +372,23 @@ def _real_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return real.reshape(diag.shape + (k,))
 
 
-class _TridiagonalRows:
-    """Kept (site, band) rows of the tridiagonal sectors of one size k > 1,
-    whose phases d in the flattened vector array `out` are multiplied by
-    their real eigenvectors.
-
-    One column per row: the real tridiagonal T's diagonal (k, .) and
-    off-diagonal (k - 1, .), the positions (k, .) of the row's sector
-    entries in `out`; per row the eigenvalue, ||T|| (its largest eigenvalue
-    magnitude), the band's position in its sector and whether the
-    eigenvalue clusters with a neighbour.  `add` solves the whole chunks
-    (see solve) once one is pending, so the store holds at most a chunk
-    plus the `most` rows of one add.
-    """
-
-    def __init__(self, k: int, out: np.ndarray, most: int):
-        self.k, self.out, self.chunk = k, out, max(1, BLOCK_ENTRIES // k)
-        size, self.rows = self.chunk + most, 0
-        self.diag, self.off = np.empty((k, size)), np.empty((k - 1, size))
-        self.at = np.empty((k, size), dtype=np.intp)
-        self.lam, self.norm = np.empty(size), np.empty(size)
-        self.pos, self.cluster = np.empty(size, np.intp), np.empty(size, bool)
-
-    def add(self, diag, off, at, lam, norm, pos, cluster):
-        """Record rows given as diag (r, k), off (r, k - 1), at (r, k) and
-        lam, norm, pos, cluster (r,)."""
-        new = slice(self.rows, self.rows + len(lam))
-        self.diag[:, new], self.off[:, new], self.at[:, new] = diag.T, off.T, at.T
-        self.lam[new], self.norm[new], self.pos[new] = lam, norm, pos
-        self.cluster[new], self.rows = cluster, new.stop
-        if self.rows >= self.chunk:
-            self.solve(whole=True)
-
-    def solve(self, whole: bool = False):
-        """Multiply the rows' phases in `out` by their real eigenvectors, in
-        chunks of at most BLOCK_ENTRIES entries per (k, chunk) array: by
-        inverse iteration, or by a dense eigh of T for a clustered row and
-        a row that does not converge.  With `whole`, the rows past the last
-        whole chunk stay, moved to the front."""
-        done = self.rows - self.rows % self.chunk if whole else self.rows
-        for rows in index_blocks(done, self.k):
-            x, converged = _tridiagonal_eigh(
-                self.diag[:, rows], self.off[:, rows], self.lam[rows], self.norm[rows]
-            )
-            failed = np.flatnonzero(~converged | self.cluster[rows])
-            if failed.size:
-                x[:, failed] = self.dense(rows.start + failed)
-            self.out[self.at[:, rows]] *= x
-        rest, self.rows = slice(done, self.rows), self.rows - done
-        for a in (self.diag, self.off, self.at, self.lam, self.norm, self.pos):
-            a[..., : self.rows] = a[..., rest]
-        self.cluster[: self.rows] = self.cluster[rest]
-
-    def dense(self, rows: np.ndarray) -> np.ndarray:
-        """Eigenvectors (k, len(rows)) of the given rows by dense eigh."""
-        t = _real_tridiagonal(self.diag[:, rows].T, self.off[:, rows].T)
-        return eighs(t)[1][np.arange(len(rows)), :, self.pos[rows]].T
+def _kept_columns(rows: list, out: np.ndarray):
+    """Multiply phases in the flattened vector array `out` by the real
+    eigenvectors of the kept `rows` of size-k tridiagonal sectors (k > 1),
+    and empty the list.  Each entry holds some rows as columns: T's diagonal
+    (k, r) and off-diagonal (k - 1, r), the positions (k, r) in `out`, and
+    per row the eigenvalue, ||T||, its position in the sector and its
+    distance to the nearest other eigenvalue of T.  One _tridiagonal_eigh
+    call solves every row; a row whose eigenvalue clusters (CLUSTER_TOL) or
+    whose column does not converge takes a dense eigh of T instead."""
+    diag, off, at, lam, norm, pos, near = (np.concatenate(p, -1) for p in zip(*rows))
+    rows.clear()
+    x, converged = _tridiagonal_eigh(diag, off, lam, norm)
+    failed = np.flatnonzero(~converged | (near <= CLUSTER_TOL * norm))
+    if failed.size:
+        t = _real_tridiagonal(diag[:, failed].T, off[:, failed].T)
+        x[:, failed] = eighs(t)[1][np.arange(failed.size), :, pos[failed]].T
+    out[at] *= x
 
 
 def _tridiagonal_eigh(diag, off, lam, norm) -> tuple:
@@ -594,7 +555,11 @@ def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
 
 
 def _projector_columns(projectors: np.ndarray, m: int) -> np.ndarray:
-    """Orthonormal range columns of rank-m projectors (see eighs)."""
+    """Orthonormal range columns of rank-m projectors (see eighs); DomainError
+    names the first site whose projector is not Hermitian or not finite."""
+    bad = non_hermitian(projectors)
+    if bad.size:
+        raise DomainError(f"projector at site {bad[0]} is not Hermitian")
     w, v = eighs(projectors)
     ranks = np.count_nonzero(w > 0.5, axis=1)
     wrong = np.flatnonzero(ranks != m)

@@ -16,8 +16,9 @@ that called them once per site, link, plaquette or curve step, are the
 reference of test_block_contract.py.  The CLI's CSV writers, one row, link
 or plaquette at a time, are the reference whose bytes test_cli.py compares.
 ``eigensolve_dense_guards`` (the eigensolve's guards over dense blocks) and
-``smooth_frame_gauge_by_levels`` (the tree gauge by one SVD per depth
-level) are references that test_spectral.py compares bit for bit.
+``smooth_frame_gauge_by_levels`` (the tree gauge by one polar_unitaries
+call per depth level) are references that test_spectral.py compares bit for
+bit.
 """
 
 import csv
@@ -652,7 +653,7 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
     if skew:
         raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {min(skew)}")
     for rows in kept.values():
-        rows.solve()
+        spectral._kept_columns(rows, out)
     return rb.SpectralData(values, vectors, lat, tuple(sel), residual)
 
 

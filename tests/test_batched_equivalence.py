@@ -591,19 +591,48 @@ def test_a_dense_sector_takes_the_whole_block_eigh():
 @pytest.mark.parametrize("case", ["oscillator-N40", "degenerate-pieces"])
 def test_dense_fallback_gets_only_failed_rows(monkeypatch, case):
     # the oscillator's rows all converge; the degenerate pieces' clusters
-    # take the fallback
+    # take the fallback.  Every block of these cases splits into sectors,
+    # so each eighs call is a fallback of _kept_columns
     sizes = []
-    dense = spectral._TridiagonalRows.dense
+    eighs = spectral.eighs
 
-    def counted(rows_store, rows):
-        sizes.append(len(rows))
-        return dense(rows_store, rows)
+    def counted(t):
+        sizes.append(len(t))
+        return eighs(t)
 
-    monkeypatch.setattr(spectral._TridiagonalRows, "dense", counted)
+    monkeypatch.setattr(spectral, "eighs", counted)
     h, lat, _ = SECTOR_CASES[case]()
     rb.eigensolve_family(h, lat)
     assert all(sizes)  # never an empty row set
     assert bool(sizes) == (case == "degenerate-pieces")
+
+
+def test_kept_rows_flush_in_bounded_chunks(monkeypatch):
+    # every band of the oscillator's two 20 x 20 sectors: 400 kept rows per
+    # block of 10 sites, 1440 in all, so the rows cross two flushes.  A flush
+    # comes once a chunk is pending, holds less than a chunk plus one block's
+    # rows, and is one _tridiagonal_eigh call
+    flushes, calls = [], []
+    kept_columns, tridiagonal_eigh = spectral._kept_columns, spectral._tridiagonal_eigh
+
+    def flush(rows, out):
+        flushes.append(sum(len(lam) for _, _, _, lam, *_ in rows))
+        return kept_columns(rows, out)
+
+    def solve(*args):
+        calls.append(len(args[2]))
+        return tridiagonal_eigh(*args)
+
+    monkeypatch.setattr(spectral, "_kept_columns", flush)
+    monkeypatch.setattr(spectral, "_tridiagonal_eigh", solve)
+    h, lat, _ = SECTOR_CASES["oscillator-N40"]()
+    rb.eigensolve_family(h, lat)
+    chunk = spectral.BLOCK_ENTRIES // 20
+    block = max(len(sites) for sites, _ in spectral.orbit_blocks(lat, 40)) * 40
+    assert calls == flushes
+    assert len(flushes) >= 2 and sum(flushes) == lat.n_sites * 40
+    assert all(chunk <= rows < chunk + block for rows in flushes[:-1])
+    assert flushes[-1] < chunk + block
 
 
 def random_path(rng, k, scale, split):

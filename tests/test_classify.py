@@ -27,6 +27,26 @@ def test_mobius_hamiltonian_classification():
     assert (res.group, res.torsion, res.verdict) == ("Z2", [-1], "Mobius class")
 
 
+def test_hamiltonian_classification_needs_bands():
+    # without bands a Hamiltonian family fails before any sampling; a
+    # product spec has no bands and ignores them
+    lat = rb.build_sphere2(8, 12)
+    h, j = rb.model_degree_k_sphere(1)
+    calls = []
+    counted = rb.HamiltonianFamily(2, lambda c: calls.append(c) or h.evaluator(c))
+    for run in (
+        lambda: rb.classify_real_bundle(counted, j, lat),
+        lambda: rb.RealBundle(counted, j, lat),
+    ):
+        with pytest.raises(ValueError, match="needs `bands`"):
+            run()
+    assert calls == []
+    circle = rb.build_circle(16, "trivial")
+    for bands in (None, [0], [7]):
+        res = rb.classify_real_bundle(rb.model_mobius_circle(), lat=circle, bands=bands)
+        assert res.verdict == "Mobius class"
+
+
 def test_trivial_line_classification():
     lat = rb.build_circle(32, "trivial")
     res = rb.classify_real_bundle(rb.model_trivial_line("circle-trivial", 1), lat=lat)

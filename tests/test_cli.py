@@ -102,6 +102,30 @@ def test_gap_closure_exit_code(tmp_path):
     assert "hint" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        (1, "level-1 eigenvalue off by 1.20e-06 at site 16; increase n_basis"),
+        (3, "n_basis 22 too small for level 3; need at least 23"),
+    ],
+    ids=["level-eigenvalue", "basis-size"],
+)
+def test_truncation_exit_code_has_no_lattice_hint(tmp_path, level, message):
+    # a truncated oscillator basis is a refinement failure, but of n_basis:
+    # its message says so, with no hint to refine the lattice
+    config = {
+        "lattice": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "eta1"},
+        "model": {"name": "oscillator", "params": {"level": level, "n_basis": 22}},
+        "bands": [level],
+        "tasks": ["classify"],
+    }
+    path = write_config(tmp_path, config)
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_REFINE
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"] == {"kind": "refinement", "message": message}
+
+
 def test_symmetry_violation_exit_code(tmp_path):
     # mobius pullback J on the wrong torus involution breaks equivariance
     config = {

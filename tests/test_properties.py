@@ -63,10 +63,13 @@ def symmetric_family(base, n, m, rng, shift=0.0):
 
 
 def invariants(bundle):
-    """(Chern value, rounded Chern number, fixed-loop det-signs)."""
+    """(Chern value, rounded Chern number, fixed-loop det-signs), checking
+    the parity identity: the signs multiply to (-1)^C."""
     assert bundle.symmetry.symmetric
     value, rounded = bundle.chern
-    return value, rounded, [rec.sign for rec in bundle.fixed_loops]
+    signs = [rec.sign for rec in bundle.fixed_loops]
+    assert np.prod(signs) == (-1) ** (rounded % 2), (signs, rounded)
+    return value, rounded, signs
 
 
 def random_unitaries(rng, count, m):
@@ -99,9 +102,9 @@ def test_site_gauges_leave_chern_and_signs(base, n, m, seed):
 def test_reversed_orientation_flips_chern(base, n, m, seed):
     h, j = symmetric_family(base, n, m, np.random.default_rng(seed))
     lat = BASES[base][0]()
-    value, rounded = rb.RealBundle(h, j, lat, list(range(m))).chern
+    value, rounded, _ = invariants(rb.RealBundle(h, j, lat, list(range(m))))
     flipped = rb.RealBundle(h, j, lat.with_reversed_orientation(), list(range(m)))
-    value_r, rounded_r = flipped.chern
+    value_r, rounded_r, _ = invariants(flipped)
     assert abs(value_r + value) <= TOL
     assert rounded_r == -rounded
 

@@ -6,7 +6,7 @@ import realbloch as rb
 from conftest import constant_diag
 from realbloch import spectral
 from realbloch._matrix import adjoint, max_frob
-from realbloch.errors import GapClosureError, ModelError, RankError
+from realbloch.errors import DomainError, GapClosureError, ModelError, RankError
 
 
 def test_constant_family_eigensolve():
@@ -119,6 +119,17 @@ def test_frame_rank_error():
         rb.frame_from_projection(bad)
 
 
+@pytest.mark.parametrize("entry", [1.0, np.nan])
+def test_frame_of_a_non_hermitian_projector_fails(entry):
+    # the oblique idempotent [[1, 1], [0, 0]] has rank 1, but eigh reads only
+    # its lower triangle and took it for diag(1, 0); a NaN is caught likewise
+    lat = rb.build_circle(4, "trivial")
+    proj = np.tile(np.diag([1.0, 0.0]).astype(complex), (4, 1, 1))
+    proj[2, 0, 1] = entry
+    with pytest.raises(DomainError, match="projector at site 2 is not Hermitian"):
+        rb.frame_from_projection(rb.ProjectionFamily(proj, 1, lat))
+
+
 def test_frame_reference_alignment():
     # aligning to a constant reference reproduces the smooth global section
     lat = rb.build_circle(8, "trivial")
@@ -187,9 +198,9 @@ def test_pivoting_bounds_element_growth():
 def test_rows_that_miss_the_residual_take_dense_columns():
     # every other row's eigenvalue is moved 60% of the way to a neighbour,
     # so inverse iteration heads for the wrong vector and misses the
-    # residual bound, and every 7th row is recorded as clustered: over
-    # three chunks of rows, two of them solved as `add` fills them, each
-    # takes its column from a dense eigh of T
+    # residual bound, and every 7th row is recorded as clustered (its
+    # neighbour CLUSTER_TOL ||T|| away): over three pending entries of rows,
+    # solved in one flush, each takes its column from a dense eigh of T
     rng = np.random.default_rng(5)
     k, r = 4, 9000
     diag, off = rng.normal(size=(r, k)), np.abs(rng.normal(size=(r, k - 1)))
@@ -199,10 +210,15 @@ def test_rows_that_miss_the_residual_take_dense_columns():
     lam = w[np.arange(r), pos]
     lam[1::2] += 0.6 * (w[np.arange(r), other] - lam)[1::2]
     out = np.ones(r * k, dtype=complex)
-    rows = spectral._TridiagonalRows(k, out, r)
     at = np.arange(r * k).reshape(r, k)
-    rows.add(diag, off, at, lam, np.abs(w).max(axis=1), pos, np.arange(r) % 7 == 0)
-    rows.solve()
+    norm = np.abs(w).max(axis=1)
+    near = np.where(np.arange(r) % 7 == 0, spectral.CLUSTER_TOL * norm, 1.0)
+    rows = [
+        (diag[p].T, off[p].T, at[p].T, lam[p], norm[p], pos[p], near[p])
+        for p in np.array_split(np.arange(r), 3)
+    ]
+    spectral._kept_columns(rows, out)
+    assert rows == []
     overlap = np.abs(np.einsum("rk,rk->r", out.reshape(r, k), u[np.arange(r), :, pos]))
     assert np.all(np.abs(overlap - 1) <= 1e-10)
 
