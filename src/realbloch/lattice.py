@@ -176,8 +176,12 @@ class InvolutiveLattice:
 
     @cached_property
     def _midpoints(self) -> np.ndarray:  # once per lattice, read-only
-        a = self.sites[self.link_tail]
-        d = self.sites[self.link_head] - a
+        a, b = self.sites[self.link_tail], self.sites[self.link_head]
+        if self.topology_tag == "sphere2":  # a pole's phi is arbitrary:
+            for end, other in ((a, b), (b, a)):  # a pole link keeps its meridian
+                pole = np.isin(end[:, 0], (0.0, np.pi))
+                end[pole, 1] = other[pole, 1]
+        d = b - a
         d = (d + np.pi) % (2.0 * np.pi) - np.pi  # unwrap across the seam
         mids = a + 0.5 * d
         mids.flags.writeable = False

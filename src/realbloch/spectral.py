@@ -231,6 +231,16 @@ def eigensolve_family(
     Every kept column depends only on its own site, component and
     eigenvalue, so the columns of a subset of the bands equal the full
     eigensolve's bit for bit.
+
+    Real frames: given J, a block whose Hamiltonian residual is at most
+    RESIDUAL_TOL eps max|H| over the block (roundoff) is solved at its
+    orbit representatives only, the sites s <= tau(s), fixed sites
+    included.  Once the kept rows are solved, each image tau(s) takes the
+    eigenvalues of s and the columns J(s) conj(V(s)), an eigenframe of
+    J(s) conj(H(s)) J(s)^dag, which differs from H(tau s) by the residual;
+    gauge-invariant numbers then agree with a solve of both sites to about
+    residual / gap.  Every other block, and every call without J, solves
+    each site.  H is still sampled, guarded and checked at every site.
     """
     n, dim = lat.n_sites, h.dimension
     sel = list(range(dim)) if bands is None else band_selection(bands, dim)
@@ -241,6 +251,7 @@ def eigensolve_family(
     split = {}  # nonzero pattern -> its sector layout, None for one sector
     res = None if j is None else 0.0  # the Hamiltonian residual
     skew = n  # the lowest non-Hermitian site seen; later blocks may hold lower
+    mirrored = np.zeros(n, dtype=bool)  # the tau-images that take J conj(V)
     for sites, tau in orbit_blocks(lat, dim):
         coords = lat.sites[sites]
         stack = h(coords)
@@ -254,7 +265,13 @@ def eigensolve_family(
         if skew < n:
             continue
         if j is not None:
-            res = worst(res, j.hamiltonian_residual(coords, stack, tau, entries))
+            block_res = j.hamiltonian_residual(coords, stack, tau, entries)
+            res = worst(res, block_res)
+            if block_res <= RESIDUAL_TOL * EPS * np.abs(entries).max(initial=0.0):
+                # the orbits' representatives come first, their images after
+                k = np.count_nonzero(tau >= np.arange(tau.size))
+                mirrored[sites[k:]] = True
+                sites, stack = sites[:k], stack[:k]
         key = pattern.tobytes()
         if key not in split:
             sectors = _sectors(pattern)
@@ -269,6 +286,11 @@ def eigensolve_family(
         raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {skew}")
     for rows in pending.values():
         _kept_columns(rows, out)
+    if mirrored.any():
+        reps = lat.involution[mirrored]
+        values[mirrored] = values[reps]
+        for x, a in j.theta_blocks(vectors, lat, reps):
+            vectors[lat.involution[x]] = a
     return SpectralData(values, vectors, lat, tuple(sel), res)
 
 

@@ -81,6 +81,20 @@ class SymmetryData:
         ht = h[tau] if js is None else adjoint(js) @ h[tau] @ js
         return max_frob(ht - h.conj())
 
+    def theta_blocks(self, cols: np.ndarray, lat: InvolutiveLattice, sites=None):
+        """Theta on orthonormal columns V (n_sites, N, m) at `sites` (every
+        site when omitted), in blocks: yields ``(x, J(x) conj(V(x)))``, x
+        the block's sites, and conj(V(x)) when J = 1 (see factor).  A block
+        spans at most BLOCK_ENTRIES entries of the largest stack it holds:
+        the (n, N, N) J when J is evaluated, else the (n, N, m) columns."""
+        dim, m = cols.shape[1:]
+        count = lat.n_sites if sites is None else len(sites)
+        for block in index_blocks(count, dim * (m if self._unit else dim)):
+            x = block if sites is None else sites[block]
+            a = cols[x].conj()
+            js = self.factor(lat.sites[x])
+            yield x, (a if js is None else js @ a)
+
     @staticmethod
     def constant(j: np.ndarray, parity: int = +1, name: str = "") -> "SymmetryData":
         """The same J at every site, as a read-only broadcast view."""
@@ -168,20 +182,11 @@ def verify_hamiltonian_symmetry(
 
 
 def _theta_blocks(cols: np.ndarray, j: SymmetryData, lat: InvolutiveLattice):
-    """Orthonormal columns V (n_sites, N, m) under Theta, in site blocks.
-
-    Yields ``(block, A, V(tau x), V(tau x)^dag A)`` with A = J(x) conj(V(x)),
-    and A = conj(V(x)) when J = 1 (see SymmetryData.factor).  A block spans
-    at most BLOCK_ENTRIES entries of the largest stack it holds: the
-    (n, N, N) J when J is evaluated, else the (n, N, m) columns.
-    """
+    """Orthonormal columns V (n_sites, N, m) under Theta, in the site blocks
+    of SymmetryData.theta_blocks: yields ``(block, A, V(tau x),
+    V(tau x)^dag A)`` with A = J(x) conj(V(x))."""
     tau = lat.involution
-    dim, m = cols.shape[1:]
-    for block in index_blocks(lat.n_sites, dim * (m if j._unit else dim)):
-        a = cols[block].conj()
-        js = j.factor(lat.sites[block])
-        if js is not None:
-            a = js @ a
+    for block, a in j.theta_blocks(cols, lat):
         vt = cols[tau[block]]
         yield block, a, vt, adjoint(vt) @ a
 

@@ -621,13 +621,17 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
     the Hermiticity test matrix by matrix, and the Hamiltonian residual of
     SymmetryData.hamiltonian_residual on the whole stack, whatever J is.
     The sectors are solved by the package's own sector kernels, in the same
-    block order, so eigenvalues and kept columns must agree bit for bit."""
+    block order, so eigenvalues and kept columns must agree bit for bit.
+    A block whose residual is at most RESIDUAL_TOL eps max|H| is solved at
+    its orbit representatives only; after the kept rows are solved, each
+    other site of it takes, site by site, the eigenvalues of its image and
+    the columns J conj(V) there."""
     n, dim = lat.n_sites, h.dimension
     sel = spectral.band_selection(bands, dim)
     values = np.empty((n, dim))
     vectors = np.zeros((n, dim, len(sel)), dtype=complex)
     out, kept, residual = vectors.reshape(-1), {}, None if j is None else 0.0
-    skew = []
+    skew, mirrored = [], []
     for sites, tau in spectral.orbit_blocks(lat, dim):
         coords = lat.sites[sites]
         stack = h(coords)
@@ -638,11 +642,16 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
                 skew.append(site)
         if skew:
             continue
+        pattern = (stack != 0).any(axis=0)
+        pattern |= pattern.T
         if j is not None:
             res = j.hamiltonian_residual(coords, stack, tau)
             residual = float(np.maximum(residual, res))  # NaN wins
-        pattern = (stack != 0).any(axis=0)
-        pattern |= pattern.T
+            if res <= spectral.RESIDUAL_TOL * spectral.EPS * np.abs(stack).max():
+                reps = [i for i, t in enumerate(tau.tolist()) if t >= i]
+                images = [i for i, t in enumerate(tau.tolist()) if t < i]
+                mirrored += [(sites[i], sites[tau[i]]) for i in images]
+                sites, stack = sites[reps], stack[reps]
         sectors = spectral._sectors(pattern)
         if len(sectors) > 1 and all(tri for _, tri in sectors):
             layout = spectral._sector_groups(sectors)
@@ -654,6 +663,10 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
         raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {min(skew)}")
     for rows in kept.values():
         spectral._kept_columns(rows, out)
+    for image, rep in mirrored:
+        a, js = vectors[rep].conj(), j.factor(lat.sites[rep : rep + 1])
+        values[image] = values[rep]
+        vectors[image] = a if js is None else js[0] @ a
     return rb.SpectralData(values, vectors, lat, tuple(sel), residual)
 
 

@@ -563,6 +563,41 @@ def test_sector_eigensolve_matches_dense(case):
         assert np.max(np.abs(p - ref.select_projection(s_ref, bands))) <= TOL, bands
 
 
+def real_on_reflection(h, lat):
+    """A circle case made Real with J = 1 on the reflection circle:
+    (H(t) + conj(H(2 pi - t))) / 2, symmetric up to the roundoff of the
+    angles; other lattices keep their (Real) family."""
+    if lat.base_tag != "circle-trivial":
+        return h, lat
+    half = rb.HamiltonianFamily(
+        h.dimension, lambda c: 0.5 * (h(c) + h(-c % (2 * np.pi)).conj()), h.name
+    )
+    return half, rb.build_circle(lat.n_sites, "reflection")
+
+
+@pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+def test_mirrored_eigensolve_matches_full_solve(case):
+    # given J, blocks at roundoff solve one site per orbit and give the
+    # other J conj(V); without J every site is solved
+    h, lat, groups = SECTOR_CASES[case]()
+    h, lat = real_on_reflection(h, lat)
+    j = rb.SymmetryData.identity(h.dimension)
+    s, full = rb.eigensolve_family(h, lat, None, j), rb.eigensolve_family(h, lat)
+    tau = lat.involution
+    image = np.flatnonzero(np.arange(lat.n_sites) > tau)
+    mirrored = [t for t in image if np.array_equal(
+        s.eigenvectors[t], s.eigenvectors[tau[t]].conj())]
+    assert len(mirrored) == len(image)
+    stack = h(lat.sites)
+    scale = TOL * np.linalg.norm(stack, axis=(1, 2))
+    assert np.all(np.abs(s.eigenvalues - full.eigenvalues) <= scale[:, None])
+    residual = stack @ s.eigenvectors - s.eigenvectors * s.eigenvalues[:, None, :]
+    assert np.all(np.linalg.norm(residual, axis=(1, 2)) <= scale)
+    for bands in groups:
+        p, p_full = (rb.select_projection(x, bands).projectors for x in (s, full))
+        assert np.max(np.abs(p - p_full)) <= TOL, bands
+
+
 @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
 def test_eigensolve_keeps_the_selected_columns_bitwise(case):
     h, lat, groups = SECTOR_CASES[case]()

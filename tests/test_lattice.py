@@ -203,6 +203,25 @@ def test_link_midpoints_once_per_lattice_read_only():
         assert lat.with_reversed_orientation().link_midpoints() is not mids
 
 
+@pytest.mark.parametrize("shape", [(4, 6), (96, 128)])
+def test_sphere_midpoints_map_to_midpoints(shape):
+    # a pole's phi is arbitrary, so a pole link's midpoint takes the other
+    # end's meridian; tau then maps the midpoint of a link to that of its
+    # image, and the Hamiltonian residual there stays at roundoff for odd k
+    # too (the midpoint phi_j / 2 of the old unwrap gave 0.023 on 4 x 6)
+    lat = rb.build_sphere2(*shape)
+    mids = lat.link_midpoints()
+    ht = lat.grid_spacing[0]
+    caps = ((0, lat.link_head, ht / 2), (1, lat.link_tail, np.pi - ht / 2))
+    for pole, end, theta in caps:  # the poles are sites 0 (north) and 1
+        at = (lat.link_tail == pole) | (lat.link_head == pole)
+        assert np.allclose(mids[at, 0], theta, rtol=0, atol=1e-15)
+        assert np.array_equal(mids[at, 1], lat.sites[end[at], 1])
+    for k in (1, 3, 5, -5):
+        h, j = rb.model_degree_k_sphere(k)
+        assert j.hamiltonian_residual(mids, h(mids), lat.link_image) <= 1e-13, k
+
+
 def test_grid_shape_and_spacing():
     assert rb.build_circle(10, "reflection").shape == (10,)
     torus = rb.build_torus2(8, 6, "eta1")

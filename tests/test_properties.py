@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_reference as ref
 import realbloch as rb
 
 # lattice builder and the involution as a sign flip of the coordinates
@@ -113,9 +114,10 @@ def test_reversed_orientation_flips_chern(base, n, m, seed):
 @given(m1=st.sampled_from([1, 2]), **draws)
 def test_whitney_sum_adds_chern_and_multiplies_signs(base, n, m, seed, m1):
     # the dense 3 x 3 summand makes the sum's blocks two sectors, not both
-    # tridiagonal, so each block takes one eigh of the whole stack; the
-    # second summand sits 50 higher, so the sum keeps bands 0..m1 - 1 of
-    # the first and 3..3 + m - 1 of the second
+    # tridiagonal, so each block takes one eigh of its representatives' stack
+    # (of the whole stack unless it is mirrored); the second summand sits 50
+    # higher, so the sum keeps bands 0..m1 - 1 of the first and
+    # 3..3 + m - 1 of the second
     rng = np.random.default_rng(seed)
     pair1 = symmetric_family(base, 3, m1, rng)
     pair2 = symmetric_family(base, n, m, rng, shift=50.0)
@@ -123,12 +125,34 @@ def test_whitney_sum_adds_chern_and_multiplies_signs(base, n, m, seed, m1):
     h, j = rb.direct_sum_hamiltonians(pair1, pair2)
     bands = list(range(m1)) + [3 + b for b in range(m)]
     total = rb.RealBundle(h, j, lat, bands)
-    assert total.spectra.eigenvalues.tobytes() == (
-        np.linalg.eigh(h(lat.sites))[0].tobytes()
-    )
+    got, want = total.spectra.eigenvalues, np.linalg.eigh(h(lat.sites))[0]
+    tau = lat.involution
+    rep = np.arange(lat.n_sites) <= tau
+    assert got[rep].tobytes() == want[rep].tobytes()
+    assert ((got == want).all(axis=1) | (got == got[tau]).all(axis=1)).all()
     value1, rounded1, signs1 = invariants(rb.RealBundle(*pair1, lat, list(range(m1))))
     value2, rounded2, signs2 = invariants(rb.RealBundle(*pair2, lat, list(range(m))))
     value, rounded, signs = invariants(total)
     assert abs(value - (value1 + value2)) <= TOL
     assert rounded == rounded1 + rounded2
     assert signs == [a * b for a, b in zip(signs1, signs2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(**draws)
+def test_mirrored_frames_keep_the_invariants(base, n, m, seed):
+    # the eigensolve mirrors the tau-images of its blocks at roundoff, J
+    # conj(V) of their representatives; the loop reference solves each site
+    h, j = symmetric_family(base, n, m, np.random.default_rng(seed))
+    lat = BASES[base][0]()
+    mirrored = rb.RealBundle(h, j, lat, list(range(m)))
+    full = rb.RealBundle(h, j, lat, list(range(m)))
+    full.spectra = ref.eigensolve_family(h, lat)
+    full.spectra.hamiltonian_residual = mirrored.spectra.hamiltonian_residual
+    image = np.flatnonzero(np.arange(lat.n_sites) > lat.involution)
+    theta = j.matrix @ mirrored.spectra.eigenvectors[lat.involution[image]].conj()
+    assert np.array_equal(mirrored.spectra.eigenvectors[image], theta)
+    got, want = mirrored.classify(), full.classify()
+    assert (got.verdict, got.torsion) == (want.verdict, want.torsion)
+    value, value_full = (r.diagnostics["chern_value"] for r in (got, want))
+    assert abs(value - value_full) <= TOL

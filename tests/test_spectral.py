@@ -6,7 +6,13 @@ import realbloch as rb
 from conftest import constant_diag
 from realbloch import spectral
 from realbloch._matrix import adjoint, max_frob
-from realbloch.errors import DomainError, GapClosureError, ModelError, RankError
+from realbloch.errors import (
+    DomainError,
+    GapClosureError,
+    ModelError,
+    RankError,
+    SymmetryViolationError,
+)
 
 
 def test_constant_family_eigensolve():
@@ -331,6 +337,56 @@ def test_constant_j_keeps_the_dense_residual():
     assert got > 0.1
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert got == ref.eigensolve_dense_guards(h, lat, [0], j).hamiltonian_residual
+
+
+def planted_oscillator(size):
+    """The eta1 12 x 12 oscillator plus `size` sin(theta1) on H[0, 0] where
+    theta2 < pi: a residual of 2 size there, none elsewhere; returns the
+    family, J, the lattice and the sites the plant reaches."""
+    lat = rb.build_torus2(12, 12, "eta1")
+    h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
+    planted = (lat.sites[:, 1] < np.pi) & (np.abs(np.sin(lat.sites[:, 0])) > 0.1)
+
+    def evaluate(c):
+        out = h(c).copy()
+        out[:, 0, 0] += size * np.sin(c[:, 0]) * (c[:, 1] < np.pi)
+        return out
+
+    return rb.HamiltonianFamily(40, evaluate, "planted"), j, lat, planted
+
+
+def test_mirror_falls_back_on_a_planted_residual():
+    # a residual of 2e-11 passes the 1e-10 tolerance but is not roundoff:
+    # its blocks solve both sites of each orbit, as without J, while the
+    # blocks at roundoff solve one site per orbit and mirror the other
+    h, j, lat, planted = planted_oscillator(1e-11)
+    s = rb.eigensolve_family(h, lat, [0, 1], j)
+    full = rb.eigensolve_family(h, lat, [0, 1])
+    assert 1e-11 < s.hamiltonian_residual <= 1e-10
+    tau = lat.involution
+    solved = np.zeros(lat.n_sites, dtype=bool)
+    for sites, _ in spectral.orbit_blocks(lat, 40):
+        solved[sites] = planted[sites].any()
+    image = np.arange(lat.n_sites) > tau
+    assert solved.any() and (image & ~solved).any()
+    same = solved | ~image  # the representatives and the planted blocks
+    assert s.eigenvalues[same].tobytes() == full.eigenvalues[same].tobytes()
+    assert s.eigenvectors[same].tobytes() == full.eigenvectors[same].tobytes()
+    mirrored = image & ~solved
+    assert s.eigenvalues[mirrored].tobytes() == s.eigenvalues[tau[mirrored]].tobytes()
+    assert s.eigenvectors[mirrored].tobytes() == (
+        s.eigenvectors[tau[mirrored]].conj().tobytes())
+
+
+def test_broken_symmetry_raises_before_any_frame():
+    def no_frame(p):
+        raise AssertionError("a frame was read")
+
+    h, j, lat, _ = planted_oscillator(1e-6)
+    bundle = rb.RealBundle(h, j, lat, [0, 1], frame_rule=no_frame)
+    with pytest.raises(SymmetryViolationError, match="Hamiltonian symmetry residual"):
+        bundle.classify()
+    assert "projection" not in vars(bundle) and "frame" not in vars(bundle)
 
 
 # -- the tree gauge ------------------------------------------------------------
