@@ -287,8 +287,9 @@ def eigensolve_family(
     for rows in pending.values():
         _kept_columns(rows, out)
     if mirrored.any():
-        reps = lat.involution[mirrored]
-        values[mirrored] = values[reps]
+        images = np.flatnonzero(mirrored)
+        reps = lat.involution[images]
+        values[images] = values.take(reps, axis=0)  # take: a fast row gather
         for x, a in j.theta_blocks(vectors, lat, reps):
             vectors[lat.involution[x]] = a
     return SpectralData(values, vectors, lat, tuple(sel), res)

@@ -91,7 +91,7 @@ class SymmetryData:
         count = lat.n_sites if sites is None else len(sites)
         for block in index_blocks(count, dim * (m if self._unit else dim)):
             x = block if sites is None else sites[block]
-            a = cols[x].conj()
+            a = np.conjugate(cols[x] if sites is None else cols.take(x, axis=0))
             js = self.factor(lat.sites[x])
             yield x, (a if js is None else js @ a)
 

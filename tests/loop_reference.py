@@ -624,8 +624,8 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
     block order, so eigenvalues and kept columns must agree bit for bit.
     A block whose residual is at most RESIDUAL_TOL eps max|H| is solved at
     its orbit representatives only; after the kept rows are solved, each
-    other site of it takes, site by site, the eigenvalues of its image and
-    the columns J conj(V) there."""
+    other site t of it takes, site by site, the eigenvalues of its
+    representative tau(t) and the columns J conj(V) there."""
     n, dim = lat.n_sites, h.dimension
     sel = spectral.band_selection(bands, dim)
     values = np.empty((n, dim))
