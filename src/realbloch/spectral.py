@@ -202,53 +202,44 @@ def eigensolve_family(
 
     Returns the eigenvalues of every band and the eigenvector columns of
     `bands` only (default: every band), shape (n_sites, N, m); bad band
-    indices raise ValueError (see band_selection).  H is evaluated once per
-    site, in involution-closed blocks (see orbit_blocks), each checked for
-    Hermiticity, so no (n_sites, N, N) array exists unless every band is
-    kept.  Raises ModelError on an evaluator output of the wrong shape, or
-    naming the lowest site whose matrix is not Hermitian or not finite.
-    Given J (`j`, a SymmetryData), the blocks also yield the result's
-    `hamiltonian_residual`, verify_hamiltonian_symmetry's residual (see
-    SymmetryData.hamiltonian_residual), with no second evaluation of H.
+    indices raise ValueError (see band_selection).  Raises ModelError on an
+    evaluator output of the wrong shape, or naming the lowest site whose
+    matrix is not Hermitian or not finite.  Given J (`j`, a SymmetryData),
+    the result's `hamiltonian_residual` is verify_hamiltonian_symmetry's
+    (see SymmetryData.hamiltonian_residual), with no second evaluation of H.
 
-    Sectors: the indices split into the connected components of the block's
-    nonzero pattern (the entries nonzero at any site of the block, made
-    symmetric).  It holds every nonzero, infinite or NaN entry, so the
-    Hermiticity guard and a J = 1 residual read only its entries and their
-    transposes.  A block of several components, each tridiagonal in its
-    index order (the oscillator's two parity sectors), solves each on its
-    own; any other block takes one dense eigh of the whole stack.  A
-    sector is rotated by a diagonal phase to a real symmetric tridiagonal
-    T and takes every eigenvalue from one eigvalsh per block, sectors of
-    one size as one stack; its kept eigenvectors come from inverse
-    iteration over kept rows gathered across blocks, solved once a chunk
-    is pending (see _kept_columns).  A kept eigenvalue within CLUSTER_TOL
-    ||T|| of a neighbour in its sector, or a column whose residual misses
-    its bound, takes a dense eigh of T instead.  The eigenvalues of all
-    sectors merge in ascending order (a stable sort, ties in sector order),
-    and each kept eigenvector is zero outside its sector.
-
-    Every kept column depends only on its own site, component and
-    eigenvalue, so the columns of a subset of the bands equal the full
-    eigensolve's bit for bit.
+    Phase 1 runs per involution-closed block (see orbit_blocks), so no
+    (n_sites, N, N) array exists unless every band is kept.  It evaluates H
+    once per site and reads the block's nonzero pattern (entries nonzero at
+    any site of the block, made symmetric), which holds every nonzero,
+    infinite or NaN entry: the Hermiticity guard and a J = 1 residual read
+    only its entries and their transposes.  A block whose pattern splits
+    into several components, each tridiagonal in its index order (the
+    oscillator's two parity sectors), stores its sites' sectors (see
+    _SectorSites); any other block takes one dense eigh.  Phase 2, once
+    every block has passed the guard, solves each sector layout over all
+    its sites by one _sector_eigh: a sector, rotated by a diagonal phase to
+    a real symmetric tridiagonal T, takes its eigenvalues from eigvalsh and
+    its kept eigenvectors from inverse iteration (see _kept_columns), and
+    the eigenvalues of all sectors merge in ascending order (a stable sort,
+    ties in sector order).  A kept column is zero outside its sector and
+    depends only on its own site, sector and eigenvalue, so the columns of
+    a subset of the bands equal the full eigensolve's bit for bit.
 
     Real frames: given J, a block whose Hamiltonian residual is at most
-    RESIDUAL_TOL eps max|H| over the block (roundoff) is solved at its
-    orbit representatives only, the sites s <= tau(s), fixed sites
-    included.  Once the kept rows are solved, each image tau(s) takes the
-    eigenvalues of s and the columns J(s) conj(V(s)), an eigenframe of
-    J(s) conj(H(s)) J(s)^dag, which differs from H(tau s) by the residual;
-    gauge-invariant numbers then agree with a solve of both sites to about
-    residual / gap.  Every other block, and every call without J, solves
-    each site.  H is still sampled, guarded and checked at every site.
+    RESIDUAL_TOL eps max|H| over the block (roundoff) is solved at its orbit
+    representatives s <= tau(s) only, fixed sites included.  After phase 2,
+    each image tau(s) takes the eigenvalues of s and the columns
+    J(s) conj(V(s)), an eigenframe of J(s) conj(H(s)) J(s)^dag, which
+    differs from H(tau s) by the residual; gauge-invariant numbers then
+    agree with a solve of both sites to about residual / gap.  Every other
+    block, and every call without J, solves each site.
     """
     n, dim = lat.n_sites, h.dimension
     sel = list(range(dim)) if bands is None else band_selection(bands, dim)
     values = np.empty((n, dim))
     vectors = np.zeros((n, dim, len(sel)), dtype=complex)
-    out = vectors.reshape(-1)
-    pending = {}  # sector size -> kept rows not yet solved (see _kept_columns)
-    split = {}  # nonzero pattern -> its sector layout, None for one sector
+    split, layouts = {}, {}  # pattern, sectors -> _SectorSites, None if dense
     res = None if j is None else 0.0  # the Hamiltonian residual
     skew = n  # the lowest non-Hermitian site seen; later blocks may hold lower
     mirrored = np.zeros(n, dtype=bool)  # the tau-images that take J conj(V)
@@ -273,19 +264,22 @@ def eigensolve_family(
                 mirrored[sites[k:]] = True
                 sites, stack = sites[:k], stack[:k]
         key = pattern.tobytes()
-        if key not in split:
+        if key not in split:  # patterns of the same sectors share their sites
             sectors = _sectors(pattern)
-            tridiagonal = len(sectors) > 1 and all(tri for _, tri in sectors)
-            split[key] = _sector_groups(sectors) if tridiagonal else None
+            same = str([(idx.tolist(), tri) for idx, tri in sectors])
+            if same not in layouts:
+                tri = len(sectors) > 1 and all(t for _, t in sectors)
+                layouts[same] = _SectorSites(sectors, n) if tri else None
+            split[key] = layouts[same]
         if split[key] is None:
             values[sites], v = eighs(stack)
             vectors[sites] = v[:, :, sel]
         else:
-            values[sites] = _sector_eigh(stack, split[key], sel, out, pending, sites)
+            split[key].add(sites, stack)
     if skew < n:
         raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {skew}")
-    for rows in pending.values():
-        _kept_columns(rows, out)
+    for rows in filter(None, layouts.values()):
+        values[rows.sites[: rows.count]] = _sector_eigh(rows, sel, vectors.reshape(-1))
     if mirrored.any():
         images = np.flatnonzero(mirrored)
         reps = lat.involution[images]
@@ -314,72 +308,81 @@ def _sectors(pattern: np.ndarray) -> list:
     return out
 
 
-def _sector_groups(sectors: list) -> tuple:
-    """Tridiagonal sectors (see _sectors) grouped by size, each group solved
-    as one stack, as ``(groups, locate)``.  Sector i holds merged columns
-    start_i, start_i + 1, ... in sector order; groups lists per group
-    (indices (S, k), merged columns (S, k)), and locate (3, N) gives each
-    merged column's group, sector in the group and position in the sector."""
-    start = np.cumsum([0] + [len(idx) for idx, _ in sectors])
-    members = {}
-    for i, (idx, _) in enumerate(sectors):
-        members.setdefault(len(idx), []).append(i)
-    groups, locate = [], np.empty((3, start[-1]), dtype=np.intp)
-    for g, (k, group) in enumerate(members.items()):
-        cols = start[group][:, None] + np.arange(k)
-        locate[0, cols] = g
-        locate[1, cols] = np.arange(len(group))[:, None]
-        locate[2, cols] = np.arange(k)
-        groups.append((np.stack([sectors[i][0] for i in group]), cols))
-    return groups, locate
+class _SectorSites:
+    """The sites of one layout of tridiagonal sectors (see _sectors),
+    gathered over the whole lattice for one _sector_eigh.  Sectors of one
+    size form a group, solved as one stack; sector i holds merged columns
+    start_i, start_i + 1, ... in sector order.  `groups` lists per group
+    (indices (S, k), merged columns (S, k)); `locate` (3, N) gives each
+    merged column's group, sector in the group and position in the sector.
+    Per group, `diag` (n_sites, S, k) and `sub` (n_sites, S, k - 1) hold the
+    sectors' diagonals and sub-diagonals, the first `count` rows those of
+    sites[:count]; `real` stays True while every stack added is real."""
+
+    def __init__(self, sectors: list, n: int):
+        start = np.cumsum([0] + [len(idx) for idx, _ in sectors])
+        self.groups, self.locate = [], np.empty((3, start[-1]), dtype=np.intp)
+        for g, k in enumerate(dict.fromkeys(np.diff(start))):  # in sector order
+            group = np.flatnonzero(np.diff(start) == k)
+            cols = start[group][:, None] + np.arange(k)
+            self.locate[0, cols] = g
+            self.locate[1, cols] = np.arange(len(group))[:, None]
+            self.locate[2, cols] = np.arange(k)
+            self.groups.append((np.stack([sectors[i][0] for i in group]), cols))
+        self.sites, self.count, self.real = np.empty(n, dtype=np.intp), 0, True
+        self.diag = [np.empty((n,) + idx.shape) for idx, _ in self.groups]
+        self.sub = [np.empty(d[..., 1:].shape, complex) for d in self.diag]
+
+    def add(self, sites: np.ndarray, stack: np.ndarray):
+        rows = slice(self.count, self.count + len(sites))
+        self.sites[rows], self.count = sites, rows.stop
+        self.real &= not np.iscomplexobj(stack)
+        for (idx, _), diag, sub in zip(self.groups, self.diag, self.sub):
+            diag[rows] = stack[:, idx, idx].real
+            sub[rows] = stack[:, idx[:, 1:], idx[:, :-1]]
 
 
-def _sector_eigh(
-    stack: np.ndarray, layout: tuple, bands: list, out, pending: dict, sites
-) -> np.ndarray:
-    """Ascending eigenvalues of the `sites`, whose stack is block diagonal
-    over the tridiagonal sectors of `layout` (see _sector_groups).  A sector
-    of size k writes its phases into `out`, the flattened (n_sites, N, m)
-    vector array, and appends its kept rows to pending[k], which goes to
-    _kept_columns once it holds a chunk of BLOCK_ENTRIES // k rows: so at
-    most a chunk plus one block's rows are pending."""
-    groups, locate = layout
-    n, dim = stack.shape[:2]
+def _sector_eigh(rows: _SectorSites, bands: list, out: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the sites gathered in `rows`.  A sector of
+    size k writes its phases into `out`, the flattened (n_sites, N, m)
+    vector array, and solves its kept rows by _kept_columns in chunks of at
+    most BLOCK_ENTRIES // k rows."""
+    sites = rows.sites[: rows.count]
+    n, dim, groups = sites.size, rows.locate.shape[1], rows.groups
     w = np.empty((n, dim))
     solved = []  # per group: eigenvalues (n, S, k), phases and T
-    for idx, cols in groups:
+    for (idx, cols), diag, sub in zip(groups, rows.diag, rows.sub):
         # D = diag(d), its phases from the sub-diagonal (1 where it is 0),
         # makes D^dag T D real, with T's diagonal and off-diagonal |sub|
-        diag = stack[:, idx, idx].real
-        sub = stack[:, idx[:, 1:], idx[:, :-1]]
+        diag, sub = diag[:n], sub[:n].real if rows.real else sub[:n]
         phase, off = polar_unitaries(sub.reshape(-1, 1, 1))
         off = off.reshape(sub.shape)
         d = np.ones(diag.shape, dtype=complex)
         np.cumprod(phase.reshape(sub.shape), axis=-1, out=d[..., 1:])
-        ws = np.linalg.eigvalsh(_real_tridiagonal(diag, off))
+        del phase  # d holds the phases now
+        ws = np.empty(diag.shape)
+        for b in index_blocks(n, idx.size * idx.shape[1]):
+            ws[b] = np.linalg.eigvalsh(_real_tridiagonal(diag[b], off[b]))
         solved.append((ws, d, diag, off))
         w[:, cols] = ws
     order = np.argsort(w, axis=1, kind="stable")
-    group, member, pos = locate[:, order[:, bands]]  # each (n, m)
+    group, member, pos = rows.locate[:, order[:, bands]]  # each (n, m)
     for g, ((idx, _), (ws, d, diag, off)) in enumerate(zip(groups, solved)):
-        site, col = np.nonzero(group == g)
-        s, j = member[site, col], pos[site, col]
-        at = (sites[site] * dim + idx[s].T) * len(bands) + col  # (k, rows)
-        out[at] = d[site, s].T
         k = idx.shape[1]
-        if k == 1:  # the phase is the whole column
-            continue
-        # each kept eigenvalue's distance to its sector neighbours (inf past
-        # the ends), and ||T||, the largest eigenvalue magnitude
+        # each eigenvalue's distance to its sector neighbours, inf past the ends
         gaps = np.full(ws.shape[:2] + (k + 1,), np.inf)
         np.subtract(ws[:, :, 1:], ws[:, :, :-1], out=gaps[:, :, 1:-1])
-        near = np.minimum(gaps[site, s, j], gaps[site, s, j + 1])
-        norm = np.maximum(np.maximum(-ws[site, s, 0], ws[site, s, -1]), SAFE_NORM)
-        pending.setdefault(k, []).append(
-            (diag[site, s].T, off[site, s].T, at, ws[site, s, j], norm, j, near)
-        )
-        if sum(len(row[3]) for row in pending[k]) >= BLOCK_ENTRIES // k:
-            _kept_columns(pending.pop(k), out)
+        site, col = np.nonzero(group == g)
+        for chunk in index_blocks(site.size, k):
+            r, c = site[chunk], col[chunk]
+            s, j = member[r, c], pos[r, c]
+            at = (sites[r] * dim + idx[s].T) * len(bands) + c  # (k, rows)
+            out[at] = d[r, s].T
+            if k == 1:  # the phase is the whole column
+                continue
+            lam, near = ws[r, s, j], np.minimum(gaps[r, s, j], gaps[r, s, j + 1])
+            norm = np.maximum(np.maximum(-ws[r, s, 0], ws[r, s, -1]), SAFE_NORM)
+            _kept_columns(diag[r, s].T, off[r, s].T, at, lam, norm, j, near, out)
     return np.take_along_axis(w, order, 1)
 
 
@@ -395,17 +398,14 @@ def _real_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return real.reshape(diag.shape + (k,))
 
 
-def _kept_columns(rows: list, out: np.ndarray):
+def _kept_columns(diag, off, at, lam, norm, pos, near, out: np.ndarray):
     """Multiply phases in the flattened vector array `out` by the real
-    eigenvectors of the kept `rows` of size-k tridiagonal sectors (k > 1),
-    and empty the list.  Each entry holds some rows as columns: T's diagonal
-    (k, r) and off-diagonal (k - 1, r), the positions (k, r) in `out`, and
-    per row the eigenvalue, ||T||, its position in the sector and its
+    eigenvectors of kept rows of size-k tridiagonal sectors (k > 1): row r
+    is column r of T's diagonal (k, r), off-diagonal (k - 1, r) and
+    positions (k, r) in `out`, with its eigenvalue, ||T||, position in T and
     distance to the nearest other eigenvalue of T.  One _tridiagonal_eigh
     call solves every row; a row whose eigenvalue clusters (CLUSTER_TOL) or
     whose column does not converge takes a dense eigh of T instead."""
-    diag, off, at, lam, norm, pos, near = (np.concatenate(p, -1) for p in zip(*rows))
-    rows.clear()
     x, converged = _tridiagonal_eigh(diag, off, lam, norm)
     failed = np.flatnonzero(~converged | (near <= CLUSTER_TOL * norm))
     if failed.size:

@@ -620,17 +620,18 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
     """spectral.eigensolve_family with its guards on the dense block stacks:
     the Hermiticity test matrix by matrix, and the Hamiltonian residual of
     SymmetryData.hamiltonian_residual on the whole stack, whatever J is.
-    The sectors are solved by the package's own sector kernels, in the same
-    block order, so eigenvalues and kept columns must agree bit for bit.
+    The sectors are gathered block by block and solved after every guard
+    has passed by the package's own sector kernel, one _sector_eigh per
+    layout, so eigenvalues and kept columns must agree bit for bit.
     A block whose residual is at most RESIDUAL_TOL eps max|H| is solved at
-    its orbit representatives only; after the kept rows are solved, each
+    its orbit representatives only; after the sectors are solved, each
     other site t of it takes, site by site, the eigenvalues of its
     representative tau(t) and the columns J conj(V) there."""
     n, dim = lat.n_sites, h.dimension
     sel = spectral.band_selection(bands, dim)
     values = np.empty((n, dim))
     vectors = np.zeros((n, dim, len(sel)), dtype=complex)
-    out, kept, residual = vectors.reshape(-1), {}, None if j is None else 0.0
+    layouts, residual = {}, None if j is None else 0.0
     skew, mirrored = [], []
     for sites, tau in spectral.orbit_blocks(lat, dim):
         coords = lat.sites[sites]
@@ -654,15 +655,18 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
                 sites, stack = sites[reps], stack[reps]
         sectors = spectral._sectors(pattern)
         if len(sectors) > 1 and all(tri for _, tri in sectors):
-            layout = spectral._sector_groups(sectors)
-            values[sites] = spectral._sector_eigh(stack, layout, sel, out, kept, sites)
+            same = repr([(idx.tolist(), tri) for idx, tri in sectors])
+            if same not in layouts:
+                layouts[same] = spectral._SectorSites(sectors, n)
+            layouts[same].add(sites, stack)
         else:
             values[sites], v = np.linalg.eigh(stack)
             vectors[sites] = v[:, :, sel]
     if skew:
         raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {min(skew)}")
-    for rows in kept.values():
-        spectral._kept_columns(rows, out)
+    for rows in layouts.values():
+        solved = rows.sites[: rows.count]
+        values[solved] = spectral._sector_eigh(rows, sel, vectors.reshape(-1))
     for image, rep in mirrored:
         a, js = vectors[rep].conj(), j.factor(lat.sites[rep : rep + 1])
         values[image] = values[rep]

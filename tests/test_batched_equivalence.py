@@ -642,32 +642,59 @@ def test_dense_fallback_gets_only_failed_rows(monkeypatch, case):
     assert bool(sizes) == (case == "degenerate-pieces")
 
 
-def test_kept_rows_flush_in_bounded_chunks(monkeypatch):
-    # every band of the oscillator's two 20 x 20 sectors: 400 kept rows per
-    # block of 10 sites, 1440 in all, so the rows cross two flushes.  A flush
-    # comes once a chunk is pending, holds less than a chunk plus one block's
-    # rows, and is one _tridiagonal_eigh call
-    flushes, calls = [], []
+def test_patterns_of_the_same_sectors_share_one_solve(monkeypatch):
+    # diagonal entry (1, 1) vanishes for t >= pi, so the first two of the
+    # four blocks have one nonzero pattern and the last two another, with
+    # the same two path sectors: their sites are solved together, by one
+    # _sector_eigh call, as a dense eigh would solve them
+    calls = []
+    sector_eigh = spectral._sector_eigh
+
+    def counted(rows, *args):
+        calls.append(rows.count)
+        return sector_eigh(rows, *args)
+
+    monkeypatch.setattr(spectral, "_sector_eigh", counted)
+    rng = np.random.default_rng(44)
+    shift = np.where(np.arange(32) % 2, 0.0, -50.0)
+    gate = (1, 1, lambda t: np.where(t < np.pi, 1.0, 0.0))
+    h = trig_family(rng, path_pattern(32), shift, [gate])
+    lat = rb.build_circle(64, "trivial")
+    patterns = {(h(lat.sites[sites]) != 0).any(axis=0).tobytes()
+                for sites, _ in spectral.orbit_blocks(lat, 32)}
+    assert len(patterns) == 2
+    s = rb.eigensolve_family(h, lat)
+    assert calls == [lat.n_sites]
+    stack = h(lat.sites)
+    scale = TOL * np.linalg.norm(stack, axis=(1, 2))
+    assert np.all(np.abs(s.eigenvalues - np.linalg.eigvalsh(stack)) <= scale[:, None])
+    residual = stack @ s.eigenvectors - s.eigenvectors * s.eigenvalues[:, None, :]
+    assert np.all(np.linalg.norm(residual, axis=(1, 2)) <= scale)
+
+
+def test_kept_rows_are_solved_in_bounded_chunks(monkeypatch):
+    # every band of the oscillator's two 20 x 20 sectors: 1440 kept rows
+    # over the 36 sites, solved after the block loop in chunks of at most
+    # BLOCK_ENTRIES // 20 rows, so at least two, each one _kept_columns
+    # call with one _tridiagonal_eigh call
+    chunks, calls = [], []
     kept_columns, tridiagonal_eigh = spectral._kept_columns, spectral._tridiagonal_eigh
 
-    def flush(rows, out):
-        flushes.append(sum(len(lam) for _, _, _, lam, *_ in rows))
-        return kept_columns(rows, out)
+    def chunk(diag, off, at, lam, *rest):
+        chunks.append(len(lam))
+        return kept_columns(diag, off, at, lam, *rest)
 
     def solve(*args):
         calls.append(len(args[2]))
         return tridiagonal_eigh(*args)
 
-    monkeypatch.setattr(spectral, "_kept_columns", flush)
+    monkeypatch.setattr(spectral, "_kept_columns", chunk)
     monkeypatch.setattr(spectral, "_tridiagonal_eigh", solve)
     h, lat, _ = SECTOR_CASES["oscillator-N40"]()
     rb.eigensolve_family(h, lat)
-    chunk = spectral.BLOCK_ENTRIES // 20
-    block = max(len(sites) for sites, _ in spectral.orbit_blocks(lat, 40)) * 40
-    assert calls == flushes
-    assert len(flushes) >= 2 and sum(flushes) == lat.n_sites * 40
-    assert all(chunk <= rows < chunk + block for rows in flushes[:-1])
-    assert flushes[-1] < chunk + block
+    assert calls == chunks
+    assert len(chunks) >= 2 and sum(chunks) == lat.n_sites * 40
+    assert max(chunks) <= spectral.BLOCK_ENTRIES // 20
 
 
 def random_path(rng, k, scale, split):

@@ -5,7 +5,8 @@ H0 (affine in the sphere embedding, or a first-order trigonometric
 polynomial on the torus) and a random constant J = U U^T, so J conj(J) = 1
 and the family is Real.  A diagonal shift puts the lowest m bands below the
 rest at the constant term; the coupling is of the same size, so about a
-third of the draws carry a nonzero Chern number.
+third of the draws carry a nonzero Chern number.  Product bundles over the
+eta torus (see product_spec) draw a Real connection and J instead.
 """
 
 import numpy as np
@@ -156,3 +157,61 @@ def test_mirrored_frames_keep_the_invariants(base, n, m, seed):
     assert (got.verdict, got.torsion) == (want.verdict, want.torsion)
     value, value_full = (r.diagnostics["chern_value"] for r in (got, want))
     assert abs(value - value_full) <= TOL
+
+
+def product_spec(m, twist, rng):
+    """A random Real product bundle of rank m over the eta torus: J =
+    e^{i twist theta1} U U^T, and A = (B + J conj(tau^* B) J^dag) / 2 for a
+    random degree-one anti-Hermitian B, plus -i twist / 2 dtheta1 (the
+    Mobius pullback's connection) when J twists."""
+    flip = np.array(BASES["eta"][1])
+    u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    w = u @ u.T
+    c = rng.normal(size=(5, 2, m, m)) + 1j * rng.normal(size=(5, 2, m, m))
+    c = 0.25 * (c - c.conj().swapaxes(-1, -2))  # anti-Hermitian
+
+    def b(coords):
+        return np.einsum("nk,kdij->ndij", features("eta", coords), c)
+
+    def connection(coords):
+        # tau flips theta2, so the pullback flips A_2's sign
+        mirrored = w @ b(coords * flip).conj() @ w.conj().T
+        a = 0.5 * (b(coords) + flip[None, :, None, None] * mirrored)
+        a[:, 0] -= 0.5j * twist * np.eye(m)
+        return a
+
+    def j(coords):
+        phase = np.exp(1j * twist * coords[:, 0])
+        return phase[:, None, None] * w
+
+    sym = rb.SymmetryData(m, +1, j, f"twist-{twist}")
+    return rb.ProductConnectionSpec(m, connection, sym, "torus2-eta", f"product-{m}")
+
+
+spec_draws = st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([0, 1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(first=spec_draws, second=spec_draws, seed=st.integers(0, 2**32 - 1))
+def test_whitney_sum_of_product_bundles_adds_chern_and_multiplies_signs(
+    first, second, seed
+):
+    # direct_sum_specs sums connections and J block-diagonally: each
+    # plaquette's flux trace adds, so the Chern values add (a product bundle
+    # has Chern number 0), and the fixed-loop determinants multiply; a
+    # summand's loops carry (-1)^(m twist), the class of its real subbundle
+    rng = np.random.default_rng(seed)
+    s1, s2 = product_spec(*first, rng), product_spec(*second, rng)
+    lat = BASES["eta"][0]()
+    parts = [rb.RealBundle(s, None, lat) for s in (s1, s2)]
+    total = rb.RealBundle(rb.direct_sum_specs(s1, s2), None, lat)
+    flux1, flux2, flux = (
+        np.trace(b.curvature.f, axis1=1, axis2=2) for b in parts + [total])
+    assert np.abs(flux - (flux1 + flux2)).max() <= TOL
+    (r1, r2), r = (b.classify() for b in parts), total.classify()
+    for (m, twist), part in zip((first, second), (r1, r2)):
+        assert part.torsion == [(-1) ** (m * twist)] * 2
+    value1, value2, value = (x.diagnostics["chern_value"] for x in (r1, r2, r))
+    assert abs(value - (value1 + value2)) <= TOL
+    assert r.free == [r1.free[0] + r2.free[0]] == [0]
+    assert r.torsion == [a * b for a, b in zip(r1.torsion, r2.torsion)]

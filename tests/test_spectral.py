@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,8 +207,8 @@ def test_rows_that_miss_the_residual_take_dense_columns():
     # every other row's eigenvalue is moved 60% of the way to a neighbour,
     # so inverse iteration heads for the wrong vector and misses the
     # residual bound, and every 7th row is recorded as clustered (its
-    # neighbour CLUSTER_TOL ||T|| away): over three pending entries of rows,
-    # solved in one flush, each takes its column from a dense eigh of T
+    # neighbour CLUSTER_TOL ||T|| away): given as arrays to one
+    # _kept_columns call, each takes its column from a dense eigh of T
     rng = np.random.default_rng(5)
     k, r = 4, 9000
     diag, off = rng.normal(size=(r, k)), np.abs(rng.normal(size=(r, k - 1)))
@@ -219,12 +221,7 @@ def test_rows_that_miss_the_residual_take_dense_columns():
     at = np.arange(r * k).reshape(r, k)
     norm = np.abs(w).max(axis=1)
     near = np.where(np.arange(r) % 7 == 0, spectral.CLUSTER_TOL * norm, 1.0)
-    rows = [
-        (diag[p].T, off[p].T, at[p].T, lam[p], norm[p], pos[p], near[p])
-        for p in np.array_split(np.arange(r), 3)
-    ]
-    spectral._kept_columns(rows, out)
-    assert rows == []
+    spectral._kept_columns(diag.T, off.T, at.T, lam, norm, pos, near, out)
     overlap = np.abs(np.einsum("rk,rk->r", out.reshape(r, k), u[np.arange(r), :, pos]))
     assert np.all(np.abs(overlap - 1) <= 1e-10)
 
@@ -312,6 +309,23 @@ def test_non_finite_entry_outside_the_sectors_fails_the_pattern_guard(value):
     assert_guard_names(h, CIRCLE, 20)
 
 
+def test_nothing_is_solved_before_the_guard_fails(monkeypatch):
+    # a one-sided entry at site 32, in the last orbit block of the circle:
+    # the sector solve waits for every block's guard, so neither the
+    # eigenvalues nor the inverse iteration run before the error
+    def never(*args):
+        raise AssertionError("a sector was solved before the guard failed")
+
+    last, _ = list(spectral.orbit_blocks(CIRCLE, 40))[-1]
+    assert 32 in last
+    monkeypatch.setattr(np.linalg, "eigvalsh", never)
+    monkeypatch.setattr(spectral, "_tridiagonal_eigh", never)
+    h = parity_sector_family(CIRCLE, [32], (0, 1), 0.25)
+    for j in (None, rb.SymmetryData.identity(40)):
+        with pytest.raises(ModelError, match="non-Hermitian output at site 32$"):
+            rb.eigensolve_family(h, CIRCLE, [0], j)
+
+
 @pytest.mark.parametrize("bands", [[1], [0, 1]])
 def test_pattern_guards_match_dense_guards_bitwise(bands):
     # the benchmark oscillator: 116 of the 1600 entries of a block can be
@@ -324,6 +338,22 @@ def test_pattern_guards_match_dense_guards_bitwise(bands):
     assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
     assert np.float64(got.hamiltonian_residual).tobytes() == np.float64(
         want.hamiltonian_residual).tobytes()
+
+
+def test_eigensolve_memory_stays_bounded():
+    # the benchmark oscillator at rank 2: the whole-lattice sector arrays
+    # (about 2.2 MB) and the sector solve's temporaries stay far below the
+    # 59 MB (n_sites, N, N) tensor, with and without J's mirrored sites
+    lat = rb.build_torus2(48, 48, "eta1")
+    h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
+    for sym in (None, j):
+        tracemalloc.start()
+        try:
+            rb.eigensolve_family(h, lat, [0, 1], sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, (sym, peak)
 
 
 def test_constant_j_keeps_the_dense_residual():
