@@ -76,9 +76,12 @@ def chern_weil_density(curv: CurvatureField, k: int) -> np.ndarray:
 def chern_number(curv: CurvatureField, lat: InvolutiveLattice):
     """Total first Chern number: (real value, rounded integer).
 
-    The value sits within 1e-9 of an integer on adequately refined lattices;
-    larger quantization residuals trigger a non-quantized warning (gap too
-    small or a branch event).
+    For a curvature built from a link field (plaquette_curvature) on a
+    closed surface the principal plaquette logs telescope, so the value is
+    an integer up to roundoff on any lattice, an under-resolved one
+    included: the residual cannot tell an aliased verdict from a right one.
+    A residual above QUANTIZATION_WARN warns; only a curvature not built
+    from link variables, such as gb_curvature_direct, gets there.
     """
     if lat.dim != 2 or lat.n_plaquettes == 0:
         raise UnsupportedBaseError("Chern numbers need a 2-dimensional lattice")

@@ -7,7 +7,7 @@ symmetry check at shipped resolutions.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class OscillatorParams:
     anomaly is phi(theta1, theta2) = sin(theta1) * g(theta2), odd in theta1
     so the family is symmetric under theta1 -> -theta1 with entrywise
     conjugation.  df/dg are the derivatives of f and g used by the analytic
-    connection and curvature; omitted ones fall back to central differences.
-    f, g and their derivatives act elementwise on arrays (constants are
+    connection and curvature.  f, g and their derivatives act elementwise on arrays (constants are
     broadcast), and nu, phi and their gradients read coords[..., mu], so
     they take one (2,) point or a (..., 2) coordinate block.
     """
@@ -57,8 +56,8 @@ class OscillatorParams:
     delta: float = 1.0
     f: Callable[[float], float] = np.sin
     g: Callable[[float], float] = lambda t: 1.0
-    df: Optional[Callable[[float], float]] = np.cos
-    dg: Optional[Callable[[float], float]] = lambda t: 0.0
+    df: Callable[[float], float] = np.cos
+    dg: Callable[[float], float] = lambda t: 0.0
     name: str = "oscillator"
 
     def __post_init__(self):
@@ -80,22 +79,16 @@ class OscillatorParams:
         c = np.asarray(coords, dtype=float)
         return np.sin(c[..., 0]) * _on(self.g, c[..., 1])
 
-    def _d2(self, fn, dfn, t):
-        if dfn is not None:
-            return _on(dfn, t)
-        h = 1e-6
-        return (_on(fn, t + h) - _on(fn, t - h)) / (2 * h)
-
     def grad_nu(self, coords) -> np.ndarray:
         t2 = np.asarray(coords, dtype=float)[..., 1]
-        slope = 2.0 * _on(self.f, t2) * self._d2(self.f, self.df, t2)
+        slope = 2.0 * _on(self.f, t2) * _on(self.df, t2)
         return np.stack([np.zeros_like(slope), slope], axis=-1)
 
     def grad_phi(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=float)
         t1, t2 = c[..., 0], c[..., 1]
         return np.stack(
-            [np.cos(t1) * _on(self.g, t2), np.sin(t1) * self._d2(self.g, self.dg, t2)],
+            [np.cos(t1) * _on(self.g, t2), np.sin(t1) * _on(self.dg, t2)],
             axis=-1,
         )
 

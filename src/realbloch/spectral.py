@@ -88,7 +88,7 @@ class SpectralData:
 
     eigenvalues: np.ndarray  # (n_sites, N)
     eigenvectors: np.ndarray  # (n_sites, N, m), column i is band bands[i]
-    lattice: InvolutiveLattice
+    lattice: InvolutiveLattice  # the point set the solve ran on
     bands: Optional[tuple] = None
     hamiltonian_residual: Optional[float] = None  # see eigensolve_family
 
@@ -175,18 +175,20 @@ def index_blocks(n: int, entries: int):
         yield slice(start, min(start + size, n))
 
 
-def orbit_blocks(lat: InvolutiveLattice, dim: int):
+def orbit_blocks(points, dim: int):
     """Site blocks closed under the involution, with the involution inside.
 
+    `points` is a tau-closed point set: any object whose `involution` maps
+    each point's index to its image's, such as an InvolutiveLattice.
     Yields ``(sites, tau)``: ``sites`` holds the orbits of one
     ``index_blocks`` block of orbit representatives carrying dim x dim
     matrices (so at most twice that many sites), and ``sites[tau]`` equals
-    ``lat.involution[sites]``.  The blocks partition the sites, so values
+    ``points.involution[sites]``.  The blocks partition the sites, so values
     sampled on a block give their tau-images by the gather ``values[tau]``.
     """
-    tau = lat.involution
-    reps = np.flatnonzero(np.arange(lat.n_sites) <= tau)
-    where = np.empty(lat.n_sites, dtype=int)
+    tau = points.involution
+    reps = np.flatnonzero(np.arange(tau.size) <= tau)
+    where = np.empty(tau.size, dtype=int)
     for block in index_blocks(reps.size, dim * dim):
         first = reps[block]
         images = tau[first]
@@ -196,17 +198,20 @@ def orbit_blocks(lat: InvolutiveLattice, dim: int):
 
 
 def eigensolve_family(
-    h: HamiltonianFamily, lat: InvolutiveLattice, bands=None, j=None
+    h: HamiltonianFamily, points, bands=None, j=None
 ) -> SpectralData:
-    """Diagonalize the family at every lattice site.
+    """Diagonalize the family at every point of a tau-closed point set.
 
-    Returns the eigenvalues of every band and the eigenvector columns of
-    `bands` only (default: every band), shape (n_sites, N, m); bad band
-    indices raise ValueError (see band_selection).  Raises ModelError on an
-    evaluator output of the wrong shape, or naming the lowest site whose
-    matrix is not Hermitian or not finite.  Given J (`j`, a SymmetryData),
-    the result's `hamiltonian_residual` is verify_hamiltonian_symmetry's
-    (see SymmetryData.hamiltonian_residual), with no second evaluation of H.
+    Only the (n, d) coordinates `points.sites` and `points.involution`
+    (see orbit_blocks) are read: a lattice, or its link midpoints with
+    `link_image` as the involution, serves.  Returns the eigenvalues of
+    every band and the eigenvector columns of `bands` only (default: every
+    band), shape (n_sites, N, m); bad band indices raise ValueError (see
+    band_selection).  Raises ModelError on an evaluator output of the wrong
+    shape, or naming the lowest site whose matrix is not Hermitian or not
+    finite.  Given J (`j`, a SymmetryData), the result's
+    `hamiltonian_residual` is verify_hamiltonian_symmetry's (see
+    SymmetryData.hamiltonian_residual), with no second evaluation of H.
 
     Phase 1 runs per involution-closed block (see orbit_blocks), so no
     (n_sites, N, N) array exists unless every band is kept.  It evaluates H
@@ -235,7 +240,7 @@ def eigensolve_family(
     agree with a solve of both sites to about residual / gap.  Every other
     block, and every call without J, solves each site.
     """
-    n, dim = lat.n_sites, h.dimension
+    n, dim = len(points.sites), h.dimension
     sel = list(range(dim)) if bands is None else band_selection(bands, dim)
     values = np.empty((n, dim))
     vectors = np.zeros((n, dim, len(sel)), dtype=complex)
@@ -243,8 +248,8 @@ def eigensolve_family(
     res = None if j is None else 0.0  # the Hamiltonian residual
     skew = n  # the lowest non-Hermitian site seen; later blocks may hold lower
     mirrored = np.zeros(n, dtype=bool)  # the tau-images that take J conj(V)
-    for sites, tau in orbit_blocks(lat, dim):
-        coords = lat.sites[sites]
+    for sites, tau in orbit_blocks(points, dim):
+        coords = points.sites[sites]
         stack = h(coords)
         pattern = (stack != 0).any(axis=0)  # NaN != 0: every bad entry is in it
         pattern |= pattern.T
@@ -282,11 +287,11 @@ def eigensolve_family(
         values[rows.sites[: rows.count]] = _sector_eigh(rows, sel, vectors.reshape(-1))
     if mirrored.any():
         images = np.flatnonzero(mirrored)
-        reps = lat.involution[images]
+        reps = points.involution[images]
         values[images] = values.take(reps, axis=0)  # take: a fast row gather
-        for x, a in j.theta_blocks(vectors, lat, reps):
-            vectors[lat.involution[x]] = a
-    return SpectralData(values, vectors, lat, tuple(sel), res)
+        for x, a in j.theta_blocks(vectors, points, reps):
+            vectors[points.involution[x]] = a
+    return SpectralData(values, vectors, points, tuple(sel), res)
 
 
 def _sectors(pattern: np.ndarray) -> list:
@@ -310,36 +315,26 @@ def _sectors(pattern: np.ndarray) -> list:
 
 class _SectorSites:
     """The sites of one layout of tridiagonal sectors (see _sectors),
-    gathered over the whole lattice for one _sector_eigh.  Sectors of one
-    size form a group, solved as one stack; sector i holds merged columns
-    start_i, start_i + 1, ... in sector order.  `groups` lists per group
-    (indices (S, k), merged columns (S, k)); `locate` (3, N) gives each
-    merged column's group, sector in the group and position in the sector.
-    Per group, `diag` (n_sites, S, k) and `sub` (n_sites, S, k - 1) hold the
-    sectors' diagonals and sub-diagonals, the first `count` rows those of
-    sites[:count]; `real` stays True while every stack added is real."""
+    gathered over the whole point set for one _sector_eigh; sector i holds
+    merged columns start_i ... start_i + k_i - 1, in sector order.  Per
+    sector, `diag` (n, k) and `sub` (n, k - 1) hold its diagonal and
+    sub-diagonal, the first `count` rows those of sites[:count]; `real`
+    stays True while every stack added is real."""
 
     def __init__(self, sectors: list, n: int):
-        start = np.cumsum([0] + [len(idx) for idx, _ in sectors])
-        self.groups, self.locate = [], np.empty((3, start[-1]), dtype=np.intp)
-        for g, k in enumerate(dict.fromkeys(np.diff(start))):  # in sector order
-            group = np.flatnonzero(np.diff(start) == k)
-            cols = start[group][:, None] + np.arange(k)
-            self.locate[0, cols] = g
-            self.locate[1, cols] = np.arange(len(group))[:, None]
-            self.locate[2, cols] = np.arange(k)
-            self.groups.append((np.stack([sectors[i][0] for i in group]), cols))
+        self.index = [idx for idx, _ in sectors]
+        self.start = np.cumsum([0] + [idx.size for idx in self.index])
         self.sites, self.count, self.real = np.empty(n, dtype=np.intp), 0, True
-        self.diag = [np.empty((n,) + idx.shape) for idx, _ in self.groups]
-        self.sub = [np.empty(d[..., 1:].shape, complex) for d in self.diag]
+        self.diag = [np.empty((n, idx.size)) for idx in self.index]
+        self.sub = [np.empty((n, idx.size - 1), complex) for idx in self.index]
 
     def add(self, sites: np.ndarray, stack: np.ndarray):
         rows = slice(self.count, self.count + len(sites))
         self.sites[rows], self.count = sites, rows.stop
         self.real &= not np.iscomplexobj(stack)
-        for (idx, _), diag, sub in zip(self.groups, self.diag, self.sub):
+        for idx, diag, sub in zip(self.index, self.diag, self.sub):
             diag[rows] = stack[:, idx, idx].real
-            sub[rows] = stack[:, idx[:, 1:], idx[:, :-1]]
+            sub[rows] = stack[:, idx[1:], idx[:-1]]
 
 
 def _sector_eigh(rows: _SectorSites, bands: list, out: np.ndarray) -> np.ndarray:
@@ -347,42 +342,42 @@ def _sector_eigh(rows: _SectorSites, bands: list, out: np.ndarray) -> np.ndarray
     size k writes its phases into `out`, the flattened (n_sites, N, m)
     vector array, and solves its kept rows by _kept_columns in chunks of at
     most BLOCK_ENTRIES // k rows."""
-    sites = rows.sites[: rows.count]
-    n, dim, groups = sites.size, rows.locate.shape[1], rows.groups
+    sites, start = rows.sites[: rows.count], rows.start
+    n, dim = sites.size, start[-1]
     w = np.empty((n, dim))
-    solved = []  # per group: eigenvalues (n, S, k), phases and T
-    for (idx, cols), diag, sub in zip(groups, rows.diag, rows.sub):
+    solved = []  # per sector: its eigenvalues (n, k), phases and T
+    for i, (diag, sub) in enumerate(zip(rows.diag, rows.sub)):
         # D = diag(d), its phases from the sub-diagonal (1 where it is 0),
         # makes D^dag T D real, with T's diagonal and off-diagonal |sub|
         diag, sub = diag[:n], sub[:n].real if rows.real else sub[:n]
         phase, off = polar_unitaries(sub.reshape(-1, 1, 1))
         off = off.reshape(sub.shape)
         d = np.ones(diag.shape, dtype=complex)
-        np.cumprod(phase.reshape(sub.shape), axis=-1, out=d[..., 1:])
+        np.cumprod(phase.reshape(sub.shape), axis=-1, out=d[:, 1:])
         del phase  # d holds the phases now
-        ws = np.empty(diag.shape)
-        for b in index_blocks(n, idx.size * idx.shape[1]):
+        ws = w[:, start[i] : start[i + 1]]
+        for b in index_blocks(n, diag.shape[1] ** 2):
             ws[b] = np.linalg.eigvalsh(_real_tridiagonal(diag[b], off[b]))
         solved.append((ws, d, diag, off))
-        w[:, cols] = ws
     order = np.argsort(w, axis=1, kind="stable")
-    group, member, pos = rows.locate[:, order[:, bands]]  # each (n, m)
-    for g, ((idx, _), (ws, d, diag, off)) in enumerate(zip(groups, solved)):
-        k = idx.shape[1]
+    kept = order[:, bands]  # (n, m) merged columns
+    sector = np.searchsorted(start, kept, side="right") - 1
+    for i, (idx, (ws, d, diag, off)) in enumerate(zip(rows.index, solved)):
+        k = idx.size
         # each eigenvalue's distance to its sector neighbours, inf past the ends
-        gaps = np.full(ws.shape[:2] + (k + 1,), np.inf)
-        np.subtract(ws[:, :, 1:], ws[:, :, :-1], out=gaps[:, :, 1:-1])
-        site, col = np.nonzero(group == g)
+        gaps = np.full((n, k + 1), np.inf)
+        np.subtract(ws[:, 1:], ws[:, :-1], out=gaps[:, 1:-1])
+        site, col = np.nonzero(sector == i)
         for chunk in index_blocks(site.size, k):
             r, c = site[chunk], col[chunk]
-            s, j = member[r, c], pos[r, c]
-            at = (sites[r] * dim + idx[s].T) * len(bands) + c  # (k, rows)
-            out[at] = d[r, s].T
+            j = kept[r, c] - start[i]
+            at = (sites[r] * dim + idx[:, None]) * len(bands) + c  # (k, rows)
+            out[at] = d[r].T
             if k == 1:  # the phase is the whole column
                 continue
-            lam, near = ws[r, s, j], np.minimum(gaps[r, s, j], gaps[r, s, j + 1])
-            norm = np.maximum(np.maximum(-ws[r, s, 0], ws[r, s, -1]), SAFE_NORM)
-            _kept_columns(diag[r, s].T, off[r, s].T, at, lam, norm, j, near, out)
+            lam, near = ws[r, j], np.minimum(gaps[r, j], gaps[r, j + 1])
+            norm = np.maximum(np.maximum(-ws[r, 0], ws[r, -1]), SAFE_NORM)
+            _kept_columns(diag[r].T, off[r].T, at, lam, norm, j, near, out)
     return np.take_along_axis(w, order, 1)
 
 

@@ -86,9 +86,10 @@ class SymmetryData:
         site when omitted), in blocks: yields ``(x, J(x) conj(V(x)))``, x
         the block's sites, and conj(V(x)) when J = 1 (see factor).  A block
         spans at most BLOCK_ENTRIES entries of the largest stack it holds:
-        the (n, N, N) J when J is evaluated, else the (n, N, m) columns."""
+        the (n, N, N) J when J is evaluated, else the (n, N, m) columns.
+        `lat` serves only its coordinates `sites`: any point set does."""
         dim, m = cols.shape[1:]
-        count = lat.n_sites if sites is None else len(sites)
+        count = len(cols) if sites is None else len(sites)
         for block in index_blocks(count, dim * (m if self._unit else dim)):
             x = block if sites is None else sites[block]
             a = np.conjugate(cols[x] if sites is None else cols.take(x, axis=0))

@@ -431,13 +431,6 @@ def degree_k_sphere(k):
     return evaluate
 
 
-def _d2(fn, dfn, t):
-    if dfn is not None:
-        return float(dfn(t))
-    h = 1e-6
-    return (float(fn(t + h)) - float(fn(t - h))) / (2 * h)
-
-
 def oscillator_nu(p, coords):
     return p.delta + float(p.f(coords[1])) ** 2
 
@@ -448,12 +441,12 @@ def oscillator_phi(p, coords):
 
 def oscillator_grad_nu(p, coords):
     t2 = coords[1]
-    return np.array([0.0, 2.0 * float(p.f(t2)) * _d2(p.f, p.df, t2)])
+    return np.array([0.0, 2.0 * float(p.f(t2)) * float(p.df(t2))])
 
 
 def oscillator_grad_phi(p, coords):
     t1, t2 = coords[0], coords[1]
-    return np.array([np.cos(t1) * float(p.g(t2)), np.sin(t1) * _d2(p.g, p.dg, t2)])
+    return np.array([np.cos(t1) * float(p.g(t2)), np.sin(t1) * float(p.dg(t2))])
 
 
 def oscillator(p):

@@ -217,19 +217,54 @@ def test_oscillator_oracle_task(tmp_path):
     assert (tmp_path / "out" / "connection.csv").exists()
 
 
-def test_report_byte_stability(tmp_path):
-    config = {
+STABILITY_CONFIGS = {
+    "sphere": {
         "lattice": {"topology": "sphere2", "n_theta": 8, "n_phi": 8},
         "model": {"name": "degree_k_sphere", "params": {"k": 1}},
         "bands": [0],
         "tasks": ["berry", "chern"],
+    },
+    # the reference-aligned gauge, the sector solve and the mirror
+    "oscillator": {
+        "lattice": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "eta1"},
+        "model": {"name": "oscillator", "params": {"n_basis": 20}},
+        "bands": [0],
+        "tasks": list(cli.KNOWN_TASKS),
+    },
+    "mobius-eta": {
+        "lattice": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "eta"},
+        "model": {"name": "mobius_pullback_torus"},
+        "tasks": ["berry", "chern", "holonomy", "classify"],
+    },
+}
+
+
+def test_report_byte_stability(tmp_path):
+    for case, config in STABILITY_CONFIGS.items():
+        path = write_config(tmp_path, config, f"{case}.json")
+        runs = [tmp_path / case / out for out in ("a", "b")]
+        for out in runs:
+            assert cli.main(["run", str(path), "--out", str(out)]) == 0, case
+        for name in ("report.json", "connection.csv", "curvature.csv"):
+            first = (runs[0] / name).read_bytes()
+            assert first == (runs[1] / name).read_bytes(), (case, name)
+
+
+def test_strict_turns_warnings_into_a_config_exit(tmp_path):
+    # the eta torus is a mixed free+torsion base, which classify warns about
+    config = {
+        "lattice": {"topology": "torus2", "n1": 8, "n2": 8, "kind": "eta"},
+        "model": {"name": "mobius_pullback_torus"},
+        "tasks": ["classify"],
     }
     path = write_config(tmp_path, config)
-    cli.main(["run", str(path), "--out", str(tmp_path / "a")])
-    cli.main(["run", str(path), "--out", str(tmp_path / "b")])
-    for name in ("report.json", "connection.csv", "curvature.csv"):
-        first = (tmp_path / "a" / name).read_bytes()
-        assert first == (tmp_path / "b" / name).read_bytes(), name
+    for flags, code in (([], cli.EXIT_OK), (["--strict"], cli.EXIT_CONFIG)):
+        out = tmp_path / ("out" + "".join(flags))
+        assert cli.main(["run", str(path), "--out", str(out)] + flags) == code
+        report = json.loads((out / "report.json").read_text())
+        assert "error" not in report
+        assert len(report["warnings"]) == 1
+        assert report["warnings"][0].startswith("mixed free+torsion base")
 
 
 def test_chern_on_a_circle_is_a_config_error(tmp_path):
@@ -442,6 +477,30 @@ def test_tolerance_must_be_positive_and_finite(tmp_path, value):
     error = json.loads((out / "report.json").read_text())["error"]
     assert error == {"kind": "config", "message": str(err.value)}
     assert "classify" not in json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize("lattice, model", [
+    ({"topology": "sphere2", "n_theta": 8, "n_phi": 12},
+     {"name": "degree_k_sphere", "params": {"k": 2}}),
+    ({"topology": "torus2", "n1": 12, "n2": 12, "kind": "eta1"},
+     {"name": "oscillator"}),
+])
+def test_projection_symmetry_guard_raises(tmp_path, lattice, model):
+    # the projection residual is roundoff (about 1e-15 on both), so a
+    # tolerance below it trips the guard after the Hamiltonian check passes
+    tolerances = {"projection_symmetry": 1e-20}
+    lat = cli._build_lattice(lattice, 1)
+    h, j = cli._build_model(model, lat)
+    with pytest.raises(SymmetryViolationError, match="^projection symmetry residual"):
+        rb.classify_real_bundle(h, j, lat, [0], tolerances)
+    config = {"lattice": lattice, "model": model, "bands": [0],
+              "tasks": ["classify"], "tolerances": tolerances}
+    out = tmp_path / "out"
+    code = cli.main(["run", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == cli.EXIT_SYMMETRY
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["kind"] == "symmetry"
+    assert error["message"].startswith("projection symmetry residual")
 
 
 def test_unknown_tolerance_key_is_rejected(tmp_path):

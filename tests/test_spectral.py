@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -338,6 +339,34 @@ def test_pattern_guards_match_dense_guards_bitwise(bands):
     assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
     assert np.float64(got.hamiltonian_residual).tobytes() == np.float64(
         want.hamiltonian_residual).tobytes()
+
+
+def midpoint_cases():
+    lat = rb.build_torus2(12, 12, "eta1")
+    h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
+    yield "oscillator", lat, h, j, [0, 1]
+    for k in (1, 2, 5):
+        yield f"sphere-k{k}", rb.build_sphere2(8, 12), *rb.model_degree_k_sphere(k), [0]
+
+
+@pytest.mark.parametrize("case", list(midpoint_cases()), ids=lambda c: c[0])
+def test_eigensolve_over_link_midpoints(case):
+    # the link midpoints with the link image form a tau-closed point set
+    # that is not a lattice: the eigensolve reads only its sites and its
+    # involution, and matches a dense eigvalsh at those points
+    _, lat, h, j, bands = case
+    points = SimpleNamespace(sites=lat.link_midpoints(), involution=lat.link_image)
+    s = rb.eigensolve_family(h, points, bands, j)
+    assert s.lattice is points
+    assert s.eigenvalues.shape == (lat.n_links, h.dimension)
+    stack = h(points.sites)
+    scale = np.abs(stack).max(axis=(1, 2))
+    w = np.linalg.eigvalsh(stack)
+    assert np.all(np.abs(s.eigenvalues - w) <= 1e-12 * scale[:, None])
+    v = s.eigenvectors
+    residual = stack @ v - v * s.eigenvalues[:, None, bands]
+    assert np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-12 * scale)
+    assert s.hamiltonian_residual <= 1e-12 * scale.max()
 
 
 def test_eigensolve_memory_stays_bounded():
