@@ -145,11 +145,14 @@ def model_oscillator(
 ) -> tuple[HamiltonianFamily, SymmetryData]:
     """Truncated oscillator family over a theta1-reflection torus.
 
-    The matrix is assembled from ladder operators in one fixed reference
-    basis (unit frequency, zero anomaly), so entrywise conjugation is the
-    intended time-reversal conjugation and J = 1 with even parity.  Raises
-    TruncationError when the level eigenvalue at the stiffest site misses
-    nu * (level + 1/2) by more than 1e-6.
+    H = p^2/2 + phi (pq + qp)/2 + (nu^2 + phi^2) q^2/2, an affine family
+    (see HamiltonianFamily): the terms p^2/2, q^2/2 and (pq + qp)/2 with the
+    coefficients 1, nu^2 + phi^2 and phi.  The terms come from ladder
+    operators in one fixed reference basis (unit frequency, zero anomaly),
+    so entrywise conjugation is the intended time-reversal conjugation and
+    J = 1 with even parity.  Raises TruncationError when the level
+    eigenvalue at the stiffest site misses nu * (level + 1/2) by more than
+    1e-6.
     """
     if not (lat.topology_tag == "torus2" and lat.involution_kind == "eta1"):
         raise ValueError(
@@ -157,21 +160,13 @@ def model_oscillator(
             "(build_torus2(..., kind='eta1'))"
         )
     q2, p2, pq_qp = _ladder_blocks(p.n_basis)
-    pq_qp = pq_qp.imag  # p^2 and q^2 are real, pq + qp imaginary
 
-    def evaluate(coords):
-        nu = p.nu(coords)[:, None, None]
-        phi = p.phi(coords)[:, None, None]
-        # 0.5 (p^2 + phi (pq + qp) + (nu^2 + phi^2) q^2), each part written
-        # into its half of one complex stack
-        out = np.empty((len(coords),) + q2.shape, dtype=complex)
-        np.multiply(nu * nu + phi * phi, q2, out=out.real)
-        out.real += p2
-        out.real *= 0.5
-        np.multiply(0.5 * phi, pq_qp, out=out.imag)
-        return out
+    def coefficients(coords):
+        nu, phi = p.nu(coords), p.phi(coords)
+        return np.stack([np.ones_like(nu), nu * nu + phi * phi, phi], axis=1)
 
-    ham = HamiltonianFamily(p.n_basis, evaluate, p.name)
+    terms = 0.5 * np.stack([p2, q2, pq_qp])
+    ham = HamiltonianFamily(p.n_basis, coefficients, p.name, terms)
     # truncation sanity at the extreme-frequency and extreme-anomaly sites
     nus, phis = p.nu(lat.sites), p.phi(lat.sites)
     sites = list({int(np.argmax(nus)), int(np.argmax(np.abs(phis)))})

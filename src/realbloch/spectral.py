@@ -70,15 +70,46 @@ def constant(value: np.ndarray) -> Callable:
 class HamiltonianFamily:
     """N x N Hermitian matrix family: `evaluator` maps an (n, d) coordinate
     block to an (n, N, N) stack in one call (see evaluate_block; wrap a
-    per-point function in `pointwise`)."""
+    per-point function in `pointwise`).  An affine family states fixed
+    `terms` (T, N, N), H(x) = sum_t c_t(x) terms[t], and its evaluator
+    returns the real (n, T) coefficients c instead; calling the family
+    still returns the stack, summed term by term (see _affine)."""
 
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+    terms: Optional[np.ndarray] = None
+
+    def sample(self, coords) -> np.ndarray:
+        """The evaluator's output on a block: the stack, or the coefficients."""
+        shape = (self.dimension,) * 2 if self.terms is None else self.terms.shape[:1]
+        out = evaluate_block(self.evaluator, coords, shape, self.name or "model")
+        if self.terms is not None and np.iscomplexobj(out):
+            raise ModelError(f"{self.name or 'model'}: complex coefficients")
+        return out
 
     def __call__(self, coords) -> np.ndarray:
-        n = self.dimension
-        return evaluate_block(self.evaluator, coords, (n, n), self.name or "model")
+        out = self.sample(coords)
+        if self.terms is None:
+            return out
+        stack = _affine(np.atleast_2d(out), self.terms)
+        return stack.reshape(out.shape[:-1] + stack.shape[1:])
+
+
+def _affine(coefs: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_t coefs[:, t] terms[t] for terms (T, ., .), in term order.  The
+    real and the imaginary part each sum only the terms whose part is
+    nonzero somewhere, from the first on (0 + x would turn a -0 into +0);
+    any positions holding every nonzero entry see the same terms, so a
+    stack and its pattern entries get the same bits."""
+    out = np.zeros((len(coefs),) + terms.shape[1:], terms.dtype)
+    c = coefs[:, :, None, None]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN: flagged
+        for part, m in zip((out.real, out.imag), (terms.real, terms.imag)):
+            live = [c[:, t] * m[t] for t in range(len(m)) if m[t].any()]
+            if live:
+                part[...] = sum(live[1:], live[0])
+    return out
 
 
 @dataclass
@@ -175,21 +206,21 @@ def index_blocks(n: int, entries: int):
         yield slice(start, min(start + size, n))
 
 
-def orbit_blocks(points, dim: int):
+def orbit_blocks(points, entries: int):
     """Site blocks closed under the involution, with the involution inside.
 
     `points` is a tau-closed point set: any object whose `involution` maps
     each point's index to its image's, such as an InvolutiveLattice.
     Yields ``(sites, tau)``: ``sites`` holds the orbits of one
-    ``index_blocks`` block of orbit representatives carrying dim x dim
-    matrices (so at most twice that many sites), and ``sites[tau]`` equals
+    ``index_blocks`` block of orbit representatives carrying `entries`
+    values each (so at most twice that many sites), and ``sites[tau]`` equals
     ``points.involution[sites]``.  The blocks partition the sites, so values
     sampled on a block give their tau-images by the gather ``values[tau]``.
     """
     tau = points.involution
     reps = np.flatnonzero(np.arange(tau.size) <= tau)
     where = np.empty(tau.size, dtype=int)
-    for block in index_blocks(reps.size, dim * dim):
+    for block in index_blocks(reps.size, entries):
         first = reps[block]
         images = tau[first]
         sites = np.concatenate([first, images[images != first]])
@@ -213,15 +244,18 @@ def eigensolve_family(
     `hamiltonian_residual` is verify_hamiltonian_symmetry's (see
     SymmetryData.hamiltonian_residual), with no second evaluation of H.
 
-    Phase 1 runs per involution-closed block (see orbit_blocks), so no
-    (n_sites, N, N) array exists unless every band is kept.  It evaluates H
-    once per site and reads the block's nonzero pattern (entries nonzero at
-    any site of the block, made symmetric), which holds every nonzero,
-    infinite or NaN entry: the Hermiticity guard and a J = 1 residual read
-    only its entries and their transposes.  A block whose pattern splits
-    into several components, each tridiagonal in its index order (the
-    oscillator's two parity sectors), stores its sites' sectors (see
-    _SectorSites); any other block takes one dense eigh.  Phase 2, once
+    Phase 1 runs per involution-closed block (see orbit_blocks) of
+    BLOCK_ENTRIES values of the largest array it holds, so no (n_sites, N,
+    N) array exists unless every band is kept.  It samples H once per site
+    and reads the block's nonzero pattern (entries nonzero at any site of
+    the block, made symmetric; an affine family's is its terms' union),
+    which holds every nonzero, infinite or NaN entry: the Hermiticity
+    guard, a J = 1 residual and the sectors read only its entries and
+    their transposes, which an affine family sums from its terms' entries
+    unless a dense eigh or a J other than 1 needs the stack.  A block whose
+    pattern splits into several components, each tridiagonal in its index
+    order (the oscillator's two parity sectors), stores its sites' sectors
+    (see _SectorSites); any other block takes one dense eigh.  Phase 2, once
     every block has passed the guard, solves each sector layout over all
     its sites by one _sector_eigh: a sector, rotated by a diagonal phase to
     a real symmetric tridiagonal T, takes its eigenvalues from eigvalsh and
@@ -248,26 +282,8 @@ def eigensolve_family(
     res = None if j is None else 0.0  # the Hamiltonian residual
     skew = n  # the lowest non-Hermitian site seen; later blocks may hold lower
     mirrored = np.zeros(n, dtype=bool)  # the tau-images that take J conj(V)
-    for sites, tau in orbit_blocks(points, dim):
-        coords = points.sites[sites]
-        stack = h(coords)
-        pattern = (stack != 0).any(axis=0)  # NaN != 0: every bad entry is in it
-        pattern |= pattern.T
-        entries, mirror = stack, None  # a dense block: the stack itself
-        if not pattern.all():
-            at = np.array(np.nonzero(pattern))  # each entry, then its transpose
-            entries, mirror = np.split(stack[:, at, at[::-1]], 2, axis=1)
-        skew = min(skew, sites[non_hermitian(entries, 1, mirror)].min(initial=n))
-        if skew < n:
-            continue
-        if j is not None:
-            block_res = j.hamiltonian_residual(coords, stack, tau, entries)
-            res = worst(res, block_res)
-            if block_res <= RESIDUAL_TOL * EPS * np.abs(entries).max(initial=0.0):
-                # the orbits' representatives come first, their images after
-                k = np.count_nonzero(tau >= np.arange(tau.size))
-                mirrored[sites[k:]] = True
-                sites, stack = sites[:k], stack[:k]
+
+    def layout(pattern):  # its _SectorSites, or None: the block takes one eighs
         key = pattern.tobytes()
         if key not in split:  # patterns of the same sectors share their sites
             sectors = _sectors(pattern)
@@ -276,11 +292,41 @@ def eigensolve_family(
                 tri = len(sectors) > 1 and all(t for _, t in sectors)
                 layouts[same] = _SectorSites(sectors, n) if tri else None
             split[key] = layouts[same]
-        if split[key] is None:
-            values[sites], v = eighs(stack)
-            vectors[sites] = v[:, :, sel]
+        return split[key]
+
+    terms = h.terms  # an affine family's pattern is its terms' union
+    fixed = None if terms is None else _pattern(terms)
+    stacked = terms is None or layout(fixed) is None or (j is not None and not j.unit)
+    size = dim * dim if stacked else np.count_nonzero(fixed)  # values per site
+    for sites, tau in orbit_blocks(points, size):
+        coords = points.sites[sites]
+        if stacked:
+            stack = h(coords)
+        else:  # the coefficients alone
+            coefs, stack = h.sample(coords), None
+        pattern = fixed if terms is not None else _pattern(stack)
+        entries, mirror = stack, None  # a dense block: the stack itself
+        if not pattern.all():
+            at = np.array(np.nonzero(pattern))  # each entry, then its transpose
+            pair = (stack[:, at, at[::-1]] if stack is not None
+                    else _affine(coefs, terms[:, at, at[::-1]]))
+            entries, mirror = np.split(pair, 2, axis=1)
+        skew = min(skew, sites[non_hermitian(entries, 1, mirror)].min(initial=n))
+        if skew < n:
+            continue
+        k = len(sites)  # the sites to solve, representatives first
+        if j is not None:
+            block_res = j.hamiltonian_residual(coords, stack, tau, entries)
+            res = worst(res, block_res)
+            if block_res <= RESIDUAL_TOL * EPS * np.abs(entries).max(initial=0.0):
+                k = np.count_nonzero(tau >= np.arange(tau.size))
+                mirrored[sites[k:]] = True
+        rows = layout(pattern)
+        if rows is None:
+            values[sites[:k]], v = eighs(stack[:k])
+            vectors[sites[:k]] = v[:, :, sel]
         else:
-            split[key].add(sites, stack)
+            rows.add(sites[:k], entries[:k, 0], at)
     if skew < n:
         raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {skew}")
     for rows in filter(None, layouts.values()):
@@ -292,6 +338,13 @@ def eigensolve_family(
         for x, a in j.theta_blocks(vectors, points, reps):
             vectors[points.involution[x]] = a
     return SpectralData(values, vectors, points, tuple(sel), res)
+
+
+def _pattern(stack: np.ndarray) -> np.ndarray:
+    """The entries nonzero in any matrix of the stack, made symmetric (NaN
+    != 0: every infinite or NaN entry is in it)."""
+    pattern = (stack != 0).any(axis=0)
+    return pattern | pattern.T
 
 
 def _sectors(pattern: np.ndarray) -> list:
@@ -328,13 +381,18 @@ class _SectorSites:
         self.diag = [np.empty((n, idx.size)) for idx in self.index]
         self.sub = [np.empty((n, idx.size - 1), complex) for idx in self.index]
 
-    def add(self, sites: np.ndarray, stack: np.ndarray):
+    def add(self, sites: np.ndarray, entries: np.ndarray, at: np.ndarray):
+        """Append `sites` from their matrices' `entries` (n, P) at the
+        positions `at` (2, P), which hold every nonzero entry."""
         rows = slice(self.count, self.count + len(sites))
         self.sites[rows], self.count = sites, rows.stop
-        self.real &= not np.iscomplexobj(stack)
+        self.real &= not np.iscomplexobj(entries)
+        col = np.full((self.start[-1],) * 2, at.shape[1])  # past the end: a 0
+        col[tuple(at)] = np.arange(at.shape[1])
+        entries = np.concatenate([entries, np.zeros((len(sites), 1), entries.dtype)], 1)
         for idx, diag, sub in zip(self.index, self.diag, self.sub):
-            diag[rows] = stack[:, idx, idx].real
-            sub[rows] = stack[:, idx[1:], idx[:-1]]
+            diag[rows] = entries[:, col[idx, idx]].real
+            sub[rows] = entries[:, col[idx[1:], idx[:-1]]]
 
 
 def _sector_eigh(rows: _SectorSites, bands: list, out: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ class SymmetryData:
     coordinate block in, an (n, N, N) stack out.  `matrix` is the (N, N)
     J of a constant family (see `constant`) and None for a site-dependent
     one: the checks compute a constant J's unitary residual once, and skip
-    J altogether when the matrix is the identity (see `factor`).
+    J altogether when the matrix is the identity (`unit`; see `factor`).
     """
 
     dimension: int
@@ -55,7 +55,7 @@ class SymmetryData:
     matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self._unit = self.matrix is not None and np.array_equal(
+        self.unit = self.matrix is not None and np.array_equal(
             self.matrix, np.eye(self.dimension)
         )
 
@@ -69,7 +69,7 @@ class SymmetryData:
         None when `matrix` is the identity (decided once, at construction):
         Theta is then plain complex conjugation, and the checks evaluate
         and multiply nothing."""
-        return None if self._unit else self(coords)
+        return None if self.unit else self(coords)
 
     def hamiltonian_residual(self, coords, h: np.ndarray, tau, entries=None) -> float:
         """Max of || J(x)^dag H(tau x) J(x) - conj(H(x)) || over an
@@ -81,19 +81,19 @@ class SymmetryData:
         ht = h[tau] if js is None else adjoint(js) @ h[tau] @ js
         return max_frob(ht - h.conj())
 
-    def theta_blocks(self, cols: np.ndarray, lat: InvolutiveLattice, sites=None):
+    def theta_blocks(self, cols: np.ndarray, points, sites=None):
         """Theta on orthonormal columns V (n_sites, N, m) at `sites` (every
         site when omitted), in blocks: yields ``(x, J(x) conj(V(x)))``, x
         the block's sites, and conj(V(x)) when J = 1 (see factor).  A block
         spans at most BLOCK_ENTRIES entries of the largest stack it holds:
         the (n, N, N) J when J is evaluated, else the (n, N, m) columns.
-        `lat` serves only its coordinates `sites`: any point set does."""
+        Only `points.sites` is read: a lattice, or any point set, serves."""
         dim, m = cols.shape[1:]
         count = len(cols) if sites is None else len(sites)
-        for block in index_blocks(count, dim * (m if self._unit else dim)):
+        for block in index_blocks(count, dim * (m if self.unit else dim)):
             x = block if sites is None else sites[block]
             a = np.conjugate(cols[x] if sites is None else cols.take(x, axis=0))
-            js = self.factor(lat.sites[x])
+            js = self.factor(points.sites[x])
             yield x, (a if js is None else js @ a)
 
     @staticmethod
@@ -153,7 +153,7 @@ def unitary_residual(j: SymmetryData, lat: InvolutiveLattice) -> float:
     if j.matrix is not None:
         return _block_unitary_residual(j.matrix[None], j.matrix[None], j.parity)
     res = 0.0
-    for sites, tau in orbit_blocks(lat, j.dimension):
+    for sites, tau in orbit_blocks(lat, j.dimension**2):
         js = j(lat.sites[sites])
         res = worst(res, _block_unitary_residual(js, js[tau], j.parity))
     return res
@@ -176,18 +176,18 @@ def verify_hamiltonian_symmetry(
     classify pipeline does.  Report-only: never raises.
     """
     res_h = 0.0
-    for sites, tau in orbit_blocks(lat, h.dimension):
+    for sites, tau in orbit_blocks(lat, h.dimension**2):
         coords = lat.sites[sites]
         res_h = worst(res_h, j.hamiltonian_residual(coords, h(coords), tau))
     return SymmetryReport(res_h, unitary_residual(j, lat), tolerance)
 
 
-def _theta_blocks(cols: np.ndarray, j: SymmetryData, lat: InvolutiveLattice):
+def _theta_blocks(cols: np.ndarray, j: SymmetryData, points):
     """Orthonormal columns V (n_sites, N, m) under Theta, in the site blocks
     of SymmetryData.theta_blocks: yields ``(block, A, V(tau x),
-    V(tau x)^dag A)`` with A = J(x) conj(V(x))."""
-    tau = lat.involution
-    for block, a in j.theta_blocks(cols, lat):
+    V(tau x)^dag A)`` with A = J(x) conj(V(x)) on a tau-closed point set."""
+    tau = points.involution
+    for block, a in j.theta_blocks(cols, points):
         vt = cols[tau[block]]
         yield block, a, vt, adjoint(vt) @ a
 

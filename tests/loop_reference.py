@@ -626,7 +626,7 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
     vectors = np.zeros((n, dim, len(sel)), dtype=complex)
     layouts, residual = {}, None if j is None else 0.0
     skew, mirrored = [], []
-    for sites, tau in spectral.orbit_blocks(lat, dim):
+    for sites, tau in spectral.orbit_blocks(lat, dim * dim):
         coords = lat.sites[sites]
         stack = h(coords)
         for site, mat in zip(sites.tolist(), stack):
@@ -651,7 +651,8 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
             same = repr([(idx.tolist(), tri) for idx, tri in sectors])
             if same not in layouts:
                 layouts[same] = spectral._SectorSites(sectors, n)
-            layouts[same].add(sites, stack)
+            every = np.indices((dim, dim)).reshape(2, -1)  # the whole matrix
+            layouts[same].add(sites, stack.reshape(len(sites), -1), every)
         else:
             values[sites], v = np.linalg.eigh(stack)
             vectors[sites] = v[:, :, sel]

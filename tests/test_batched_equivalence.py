@@ -661,7 +661,7 @@ def test_patterns_of_the_same_sectors_share_one_solve(monkeypatch):
     h = trig_family(rng, path_pattern(32), shift, [gate])
     lat = rb.build_circle(64, "trivial")
     patterns = {(h(lat.sites[sites]) != 0).any(axis=0).tobytes()
-                for sites, _ in spectral.orbit_blocks(lat, 32)}
+                for sites, _ in spectral.orbit_blocks(lat, 32 * 32)}
     assert len(patterns) == 2
     s = rb.eigensolve_family(h, lat)
     assert calls == [lat.n_sites]

@@ -14,7 +14,7 @@ import pytest
 import loop_reference as ref
 import realbloch as rb
 import realbloch.cli as cli
-from conftest import SX, constant_diag
+from conftest import SX, SZ, constant_diag
 from realbloch.errors import ModelError
 
 BLOCK = 37
@@ -163,6 +163,23 @@ def test_unwrapped_per_point_evaluators_raise():
     assert str(err.value) == (
         "connection: evaluator returned shape (1, 1, 1), expected (16, 1, 1, 1)"
     )
+
+
+def test_affine_evaluators_return_real_coefficients():
+    # an affine family's evaluator returns (n, T) real coefficients: a stack,
+    # or complex coefficients whose imaginary part the real sum would drop,
+    # raise as any other output of the wrong kind
+    lat = rb.build_circle(16, "trivial")
+    terms = np.stack([SX, SZ])
+    h = rb.HamiltonianFamily(2, lambda c: np.cos(c[:, :, None]) * SX, "stack", terms)
+    with pytest.raises(ModelError) as err:
+        rb.eigensolve_family(h, lat)
+    assert str(err.value) == (
+        "stack: evaluator returned shape (16, 2, 2), expected (16, 2)")
+    h = rb.HamiltonianFamily(2, lambda c: np.exp(1j * c[:, [0, 0]]), "complex", terms)
+    for run in (lambda: h(lat.sites), lambda: rb.eigensolve_family(h, lat)):
+        with pytest.raises(ModelError, match="^complex: complex coefficients$"):
+            run()
 
 
 # -- the loops that sampled once per element -----------------------------------

@@ -645,19 +645,28 @@ def count_layer_calls(monkeypatch):
 def test_full_run_computes_each_layer_once(tmp_path, monkeypatch, case):
     lattice, model, bands, tasks = PIPELINE_RUNS[case]
     calls = count_layer_calls(monkeypatch)
-    sampled = []  # rows of every Hamiltonian block evaluated
-    evaluate = rb.HamiltonianFamily.__call__
+    # rows of every Hamiltonian block sampled: a stack, or an affine
+    # family's coefficients (calling a family samples it too), and the
+    # calls that formed a stack
+    sampled, stacks = [], []
+    sample, evaluate = rb.HamiltonianFamily.sample, rb.HamiltonianFamily.__call__
 
     def counted(h, coords):
         sampled.append(len(np.atleast_2d(coords)))
+        return sample(h, coords)
+
+    def stacked(h, coords):
+        stacks.append(len(np.atleast_2d(coords)))
         return evaluate(h, coords)
 
-    monkeypatch.setattr(rb.HamiltonianFamily, "__call__", counted)
+    monkeypatch.setattr(rb.HamiltonianFamily, "sample", counted)
+    monkeypatch.setattr(rb.HamiltonianFamily, "__call__", stacked)
     build = cli._build_model
 
     def built(*args):  # the oscillator's truncation check samples two sites
         out = build(*args)
         sampled.clear()
+        stacks.clear()
         return out
 
     monkeypatch.setattr(cli, "_build_model", built)
@@ -675,6 +684,8 @@ def test_full_run_computes_each_layer_once(tmp_path, monkeypatch, case):
         want = {"eigensolve_family": 1, "verify_projection_symmetry": 1,
                 "link_field": 1, "plaquette_curvature": 1}
         assert sum(sampled) == report["lattice"]["n_sites"]
+    if case == "oscillator":  # J = 1: the eigensolve reads the terms' entries
+        assert stacks == []
     assert dict(calls) == want
     # chern and classify read one link field
     assert report["chern"]["chern_value"] == report["classify"]["diagnostics"]["chern_value"]

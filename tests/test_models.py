@@ -58,6 +58,26 @@ def test_oscillator_truncation_error_detected():
         rb.model_oscillator(params, lat)
 
 
+def test_oscillator_terms_keep_the_closed_form_bits():
+    # the affine oscillator sums its terms p^2/2, q^2/2 and (pq + qp)/2 with
+    # coefficients 1, nu^2 + phi^2 and phi; factoring out 1/2 is exact, and
+    # each part sums only the terms that carry it, so the stack keeps the
+    # bits of the closed form, signed zeros included (phi = 0 on theta1 = 0)
+    params = rb.OscillatorParams(level=1, n_basis=40, delta=0.8)
+    lat = rb.build_torus2(8, 8, "eta1")
+    h, _ = rb.model_oscillator(params, lat)
+    assert h.sample(lat.sites).shape == (lat.n_sites, 3)
+    q2, p2, pq_qp = rb.models._ladder_blocks(40)
+    nu = params.nu(lat.sites)[:, None, None]
+    phi = params.phi(lat.sites)[:, None, None]
+    want = np.empty((lat.n_sites, 40, 40), dtype=complex)
+    want.real = 0.5 * ((nu * nu + phi * phi) * q2 + p2)
+    want.imag = (0.5 * phi) * pq_qp.imag
+    assert np.signbit(want.imag).any()
+    assert h(lat.sites).tobytes() == want.tobytes()
+    assert h(lat.sites[5]).tobytes() == want[5].tobytes()
+
+
 def test_oscillator_symmetry_residual():
     params = rb.OscillatorParams()
     lat = rb.build_torus2(6, 6, "eta1")

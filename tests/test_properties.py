@@ -215,3 +215,74 @@ def test_whitney_sum_of_product_bundles_adds_chern_and_multiplies_signs(
     assert abs(value - (value1 + value2)) <= TOL
     assert r.free == [r1.free[0] + r2.free[0]] == [0]
     assert r.torsion == [a * b for a, b in zip(r1.torsion, r2.torsion)]
+
+
+# -- affine families -----------------------------------------------------------
+
+AFFINE_TORUS = rb.build_torus2(8, 8, "eta1")
+# the terms' union pattern: every entry; one path; or the paths i, i + s,
+# i + 2s, ... for s = 2, 3 (two or three tridiagonal sectors)
+PATTERNS = {
+    "dense": None, "tridiagonal": (0, 1), "sectors-2": (0, 2), "sectors-3": (0, 3)}
+
+
+def affine_family(pattern, n, kinds, rng):
+    """A random affine family (see HamiltonianFamily) on the eta1 torus.
+    Per term, by kind: a real symmetric matrix with a coefficient even in
+    theta1; an imaginary antisymmetric one with an odd coefficient, so that
+    terms of these two kinds alone give a Real family with J = 1; or a
+    complex Hermitian one with a generic coefficient.  The first term is
+    real, so the union pattern holds the diagonal."""
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    steps = PATTERNS[pattern]
+    mask = np.ones((n, n)) if steps is None else np.isin(gap, steps)
+    terms, weights = [], []
+    for kind in kinds:
+        a = rng.normal(size=(n, n))
+        b = rng.normal(size=(n, n)) if kind == "generic" else np.zeros((n, n))
+        if kind == "odd":
+            a, b = np.zeros((n, n)), a
+        terms.append(0.5 * mask * ((a + a.T) + 1j * (b - b.T)))
+        weights.append((kind, rng.normal(size=5)))
+
+    def coefficients(coords):
+        f = features("eta1", coords)  # 1, cos, sin of theta1, then theta2
+        columns = []
+        for kind, w in weights:
+            if kind == "even":
+                columns.append(f[:, [0, 1, 3, 4]] @ w[:4])
+            elif kind == "odd":
+                columns.append(f[:, 2] * (f[:, [0, 3, 4]] @ w[:3]))
+            else:
+                columns.append(f @ w)
+        return np.stack(columns, axis=1)
+
+    terms = np.array(terms)
+    if not terms.imag.any() and rng.random() < 0.5:  # a real-dtype family
+        terms = terms.real
+    return rb.HamiltonianFamily(n, coefficients, f"affine-{pattern}", terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pattern=st.sampled_from(sorted(PATTERNS)),
+    n=st.sampled_from([6, 7]),
+    kinds=st.lists(st.sampled_from(["even", "odd", "generic"]), max_size=2),
+    bands=st.sampled_from([[0], [0, 1], None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_affine_family_solves_as_its_stack(pattern, n, kinds, bands, seed):
+    # the eigensolve reads an affine family's pattern entries from its terms
+    # and forms a stack only for a dense eigh or a J other than 1; the same
+    # matrices behind a plain evaluator give the same bits
+    rng = np.random.default_rng(seed)
+    h = affine_family(pattern, n, ["even"] + kinds, rng)
+    plain = rb.HamiltonianFamily(n, h.__call__, h.name)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    for j in (None, rb.SymmetryData.identity(n), rb.SymmetryData.constant(u @ u.T)):
+        got, want = (
+            rb.eigensolve_family(f, AFFINE_TORUS, bands, j) for f in (h, plain))
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        assert np.float64(got.hamiltonian_residual).tobytes() == np.float64(
+            want.hamiltonian_residual).tobytes()

@@ -253,18 +253,21 @@ def test_non_finite_hamiltonian_fails_the_hermiticity_guard(value):
 # -- the guards read the block's nonzero pattern -------------------------------
 
 
+# N = 40: the diagonal 0..39 and couplings 0.5 between i and i + 2, two
+# tridiagonal parity sectors
+SECTOR_BASE = np.diag(np.arange(40, dtype=complex))
+SECTOR_BASE[np.arange(38), np.arange(2, 40)] = 0.5
+SECTOR_BASE[np.arange(2, 40), np.arange(38)] = 0.5
+
+
 def parity_sector_family(lat, bad_sites, entry, value):
-    """N = 40: the diagonal 0..39 and couplings 0.5 between i and i + 2, two
-    tridiagonal parity sectors, with H[entry] = value at the bad sites only
-    (the transposed entry stays 0)."""
+    """SECTOR_BASE with H[entry] = value at the bad sites only (the
+    transposed entry stays 0)."""
     dim = 40
-    base = np.diag(np.arange(dim, dtype=complex))
-    i = np.arange(dim - 2)
-    base[i, i + 2] = base[i + 2, i] = 0.5
     bad_coords = lat.sites[list(bad_sites)]
 
     def evaluate(coords):
-        stack = np.repeat(base[None], len(coords), axis=0)
+        stack = np.repeat(SECTOR_BASE[None], len(coords), axis=0)
         bad = (np.abs(coords[:, None, :] - bad_coords[None]) < 1e-12).all(-1).any(-1)
         stack[bad, entry[0], entry[1]] = value
         return stack
@@ -283,15 +286,15 @@ def assert_guard_names(h, lat, site):
         assert str(err.value) == f"sectors: non-Hermitian output at site {site}"
 
 
-# on the 64-site reflection circle, an N = 40 orbit block holds 10 orbits:
-# site 60 lies in the first block, 45 in the second and 20 in the third, so
-# the lowest bad site is found last
+# on the 64-site reflection circle, an orbit block of 40 x 40 matrices
+# (1600 values per site) holds 10 orbits: site 60 lies in the first block,
+# 45 in the second and 20 in the third, so the lowest bad site is found last
 CIRCLE = rb.build_circle(64, "reflection")
 BAD_SITES = (60, 45, 20)
 
 
 def test_orbit_blocks_of_the_guard_tests():
-    blocks = [set(sites.tolist()) for sites, _ in spectral.orbit_blocks(CIRCLE, 40)]
+    blocks = [set(sites.tolist()) for sites, _ in spectral.orbit_blocks(CIRCLE, 1600)]
     first = [next(b for b, s in enumerate(blocks) if site in s) for site in BAD_SITES]
     assert first == [0, 1, 2]
 
@@ -317,7 +320,7 @@ def test_nothing_is_solved_before_the_guard_fails(monkeypatch):
     def never(*args):
         raise AssertionError("a sector was solved before the guard failed")
 
-    last, _ = list(spectral.orbit_blocks(CIRCLE, 40))[-1]
+    last, _ = list(spectral.orbit_blocks(CIRCLE, 1600))[-1]
     assert 32 in last
     monkeypatch.setattr(np.linalg, "eigvalsh", never)
     monkeypatch.setattr(spectral, "_tridiagonal_eigh", never)
@@ -325,6 +328,67 @@ def test_nothing_is_solved_before_the_guard_fails(monkeypatch):
     for j in (None, rb.SymmetryData.identity(40)):
         with pytest.raises(ModelError, match="non-Hermitian output at site 32$"):
             rb.eigensolve_family(h, CIRCLE, [0], j)
+
+
+# -- the guards on an affine family's entries ----------------------------------
+
+# with the 116 pattern entries of SECTOR_BASE, an orbit block
+# of the 384-site reflection circle holds 141 orbits: site 300 lies in the
+# first block and 150 in the second, so the lowest bad site is found last
+AFFINE_CIRCLE = rb.build_circle(384, "reflection")
+AFFINE_BAD_SITES = (300, 150)
+ONE_SIDED = np.zeros((40, 40))
+ONE_SIDED[0, 2] = 0.25  # inside the even sector, its transpose 0
+
+
+def affine_sector_family(term, value):
+    """SECTOR_BASE as the first term of an affine family, with coefficient
+    1, plus `term` with coefficient `value` at the bad sites and 0
+    elsewhere."""
+    bad_coords = AFFINE_CIRCLE.sites[list(AFFINE_BAD_SITES)]
+
+    def coefficients(coords):
+        bad = (np.abs(coords[:, None, :] - bad_coords[None]) < 1e-12).all(-1).any(-1)
+        return np.stack([np.ones(len(coords)), np.where(bad, value, 0.0)], axis=1)
+
+    terms = np.stack([SECTOR_BASE, term])
+    return rb.HamiltonianFamily(40, coefficients, "affine", terms)
+
+
+AFFINE_BAD = {
+    "nan-coefficient": (np.eye(40), np.nan),
+    "inf-coefficient": (np.eye(40), np.inf),
+    "non-hermitian-term": (ONE_SIDED, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AFFINE_BAD))
+def test_affine_guards_name_the_lowest_site_before_any_solve(monkeypatch, case):
+    # the guards read entries summed from the terms, with no (n, N, N) stack:
+    # the same message as the same matrices behind a plain evaluator, and
+    # nothing solved before it (the sector solve waits for every block)
+    blocks = [set(s.tolist()) for s, _ in spectral.orbit_blocks(AFFINE_CIRCLE, 116)]
+    assert [next(b for b, s in enumerate(blocks) if site in s)
+            for site in AFFINE_BAD_SITES] == [0, 1]
+    h = affine_sector_family(*AFFINE_BAD[case])
+    plain = rb.HamiltonianFamily(40, h.__call__, h.name)
+    syms = (None, rb.SymmetryData.identity(40))
+    dense = []
+    for j in syms:
+        with pytest.raises(ModelError) as err:
+            rb.eigensolve_family(plain, AFFINE_CIRCLE, [0], j)
+        dense.append(str(err.value))
+
+    def never(*args):
+        raise AssertionError("a sector was solved or a stack formed")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", never)
+    monkeypatch.setattr(spectral, "_tridiagonal_eigh", never)
+    monkeypatch.setattr(rb.HamiltonianFamily, "__call__", never)
+    for j, want in zip(syms, dense):
+        with pytest.raises(ModelError) as err:
+            rb.eigensolve_family(h, AFFINE_CIRCLE, [0], j)
+        assert str(err.value) == want == "affine: non-Hermitian output at site 150"
 
 
 @pytest.mark.parametrize("bands", [[1], [0, 1]])
@@ -424,7 +488,7 @@ def test_mirror_falls_back_on_a_planted_residual():
     assert 1e-11 < s.hamiltonian_residual <= 1e-10
     tau = lat.involution
     solved = np.zeros(lat.n_sites, dtype=bool)
-    for sites, _ in spectral.orbit_blocks(lat, 40):
+    for sites, _ in spectral.orbit_blocks(lat, 1600):
         solved[sites] = planted[sites].any()
     image = np.arange(lat.n_sites) > tau
     assert solved.any() and (image & ~solved).any()
