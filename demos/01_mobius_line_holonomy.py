@@ -20,7 +20,7 @@ for spec in (rb.model_trivial_line("circle-trivial", 1), rb.model_mobius_circle(
 
     # route 1: lattice Wilson loop of the sampled connection
     u = rb.link_field_from_connection(spec, lat)
-    wilson = rb.wilson_loop(u, loop).hol[0, 0]
+    wilson = rb.wilson_loop(u, loop, lat).hol[0, 0]
     print(f"  Wilson loop over {lat.n_sites} links:   {wilson:+.12f}")
 
     # route 2: path-ordered continuum integration
@@ -37,9 +37,7 @@ for spec in (rb.model_trivial_line("circle-trivial", 1), rb.model_mobius_circle(
 # connection; averaging any starting connection lands on it.
 jmob = rb.model_mobius_circle().j
 rng = np.random.default_rng(0)
-start = rb.LocalConnectionForm(
-    1j * rng.normal(size=lat.n_links)[:, None, None], lat
-)
+start = rb.LocalConnectionForm(1j * rng.normal(size=lat.n_links)[:, None, None])
 averaged = rb.average_connection(start, jmob, lat)
 print("averaged random connection, worst deviation from -i/2 dtheta:",
       float(np.max(np.abs(averaged.a - (-0.5j)))))

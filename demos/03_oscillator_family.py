@@ -26,7 +26,7 @@ for n in (8, 16, 32):
     f = rb.frame_from_projection(p, ref)
     u = rb.link_field(f, lat)
 
-    a = rb.local_connection_from_links(u)
+    a = rb.local_connection_from_links(u, lat)
     dev_conn = 0.0
     for lk in range(lat.n_links):
         mid = lat.link_midpoint(lk)

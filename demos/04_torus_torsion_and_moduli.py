@@ -38,6 +38,7 @@ for a in (0.0, 0.25, 0.5, 0.75, 1.0):
     via_links = rb.wilson_loop(
         rb.link_field_from_connection(rb.model_flat_line(a), lat1),
         rb.circle_loop(lat1),
+        lat1,
     ).hol[0, 0]
     print(f"  a = {a:4.2f}: holonomy {hol:+.4f}  (lattice route {via_links:+.4f})")
 print("a and a+1 share a holonomy: gauge equivalent; the moduli is R/Z")

@@ -43,21 +43,18 @@ OVERLAP_SINGULAR_TOL = 1e-6
 
 @dataclass
 class LinkField:
-    """Per-link m x m unitaries on the lattice's canonical directed links.
+    """Per-link m x m unitaries on a lattice's canonical directed links, in
+    its link order; the lattice itself is the caller's `lat`.
 
     Each undirected link is stored once in its canonical direction; the
     reversed traversal is the adjoint.  Immutable after construction.
     """
 
     u: np.ndarray  # (n_links, m, m)
-    lattice: InvolutiveLattice
 
     @property
     def rank(self) -> int:
         return self.u.shape[2]
-
-    def on(self, link_id: int, sign: int) -> np.ndarray:
-        return self.u[link_id] if sign > 0 else self.u[link_id].conj().T
 
     def gather(self, links: np.ndarray, signs: np.ndarray) -> np.ndarray:
         """Signed links: the adjoint at sign -1, the identity at sign 0."""
@@ -87,7 +84,6 @@ class LocalConnectionForm:
     """
 
     a: np.ndarray  # (n_links, m, m)
-    lattice: InvolutiveLattice
 
     @property
     def rank(self) -> int:
@@ -135,7 +131,7 @@ def link_field(f: Frame, lat: InvolutiveLattice) -> LinkField:
             f"singular frame overlap on link {lk} ({tail[lk]}->{head[lk]}), "
             f"smallest singular value {smin[lk]:.3e}"
         )
-    return LinkField(u, lat)
+    return LinkField(u)
 
 
 def _connection_steps(
@@ -167,19 +163,21 @@ def link_field_from_connection(
         steps = source.a * lat.link_spacing[:, None, None]
     else:
         steps = _connection_steps(source, lat)
-    return LinkField(expms(steps), lat)
+    return LinkField(expms(steps))
 
 
-def local_connection_from_links(u: LinkField) -> LocalConnectionForm:
-    """Principal-log connection components, per unit coordinate.
+def local_connection_from_links(
+    u: LinkField, lat: InvolutiveLattice
+) -> LocalConnectionForm:
+    """Principal-log connection components of a link field on `lat`, per
+    unit coordinate.
 
     Raises BranchCutError (advising a finer lattice) naming the first link
     whose unitary has an eigenvalue at -1, where the principal branch is
     ambiguous.
     """
-    lat = u.lattice
     a = principal_log_unitaries(u.u, what="link") / lat.link_spacing[:, None, None]
-    return LocalConnectionForm(a, lat)
+    return LocalConnectionForm(a)
 
 
 def local_connection_from_spec(
@@ -187,11 +185,14 @@ def local_connection_from_spec(
 ) -> LocalConnectionForm:
     """Evaluate a closed-form connection on canonical links (midpoint rule)."""
     a = _connection_steps(spec, lat) / lat.link_spacing[:, None, None]
-    return LocalConnectionForm(a, lat)
+    return LocalConnectionForm(a)
 
 
-def gauge_transform(u: LinkField, g: np.ndarray) -> LinkField:
-    """Apply a per-site gauge: U on link x->y becomes g(x)^dag U g(y).
+def gauge_transform(
+    u: LinkField, g: np.ndarray, lat: InvolutiveLattice
+) -> LinkField:
+    """Apply a per-site gauge to a link field on `lat`: U on link x->y
+    becomes g(x)^dag U g(y).
 
     Raises DomainError naming the first site whose matrix is not unitary.
     """
@@ -200,8 +201,7 @@ def gauge_transform(u: LinkField, g: np.ndarray) -> LinkField:
     bad = np.flatnonzero(defect > 1e-10)
     if bad.size:
         raise DomainError(f"gauge matrix at site {bad[0]} is not unitary")
-    lat = u.lattice
-    return LinkField(adjoint(g[lat.link_tail]) @ u.u @ g[lat.link_head], lat)
+    return LinkField(adjoint(g[lat.link_tail]) @ u.u @ g[lat.link_head])
 
 
 def equivariance_residual(
@@ -248,7 +248,7 @@ def j_conjugate_connection(
     # image value per unit coordinate of the image link; rescale to this link
     a_img = a.a[img] * (lat.link_image_sign * h[img] / h)[:, None, None]
     out = (adjoint(jx) @ a_img @ jx + steps / h[:, None, None]).conj()
-    return LocalConnectionForm(out, lat)
+    return LocalConnectionForm(out)
 
 
 def average_connection(
@@ -261,4 +261,4 @@ def average_connection(
     discretization order.
     """
     twisted = j_conjugate_connection(a, j, lat)
-    return LocalConnectionForm(0.5 * (a.a + twisted.a), lat)
+    return LocalConnectionForm(0.5 * (a.a + twisted.a))

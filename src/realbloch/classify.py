@@ -174,7 +174,7 @@ class RealBundle:
         j, lat = self.j, self.lat
         if self.is_product:
             # standard-basis frames make the sewing matrix equal to J itself
-            return SewingField(j(lat.sites), lat, j.parity, 0.0)
+            return SewingField(j(lat.sites), j.parity, 0.0)
         return sewing_matrix(self.frame, j, lat, self.tolerances["sewing_unitarity"])
 
     @cached_property

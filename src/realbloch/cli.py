@@ -395,7 +395,7 @@ def _run_tasks(config: RunConfig, report: dict) -> int:
 def _oscillator_oracle(params, u, curv, lat) -> dict:
     """Max deviation of the link connection and the plaquette curvature from
     the closed forms, each evaluated once over all links and plaquettes."""
-    a = local_connection_from_links(u).a[:, 0, 0]
+    a = local_connection_from_links(u, lat).a[:, 0, 0]
     target = oscillator_analytic_connection(params, lat.link_midpoints())
     dev_conn = np.abs(a - target[np.arange(lat.n_links), lat.link_mu]).max()
     corners = lat.sites[lat.plaquette_corners[:, 0]]

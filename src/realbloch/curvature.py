@@ -31,10 +31,9 @@ QUANTIZATION_WARN = 1e-6
 
 @dataclass
 class CurvatureField:
-    """Per-plaquette anti-Hermitian total flux matrices."""
+    """Per-plaquette anti-Hermitian total flux matrices, in plaquette order."""
 
     f: np.ndarray  # (n_plaquettes, m, m)
-    lattice: InvolutiveLattice
 
     @property
     def rank(self) -> int:
@@ -48,7 +47,7 @@ def plaquette_curvature(u: LinkField, lat: InvolutiveLattice) -> CurvatureField:
     eigenvalue at -1 (advice: refine the lattice).
     """
     hol = u.products(lat.plaquette_links, lat.plaquette_signs)
-    return CurvatureField(principal_log_unitaries(hol, what="plaquette"), lat)
+    return CurvatureField(principal_log_unitaries(hol, what="plaquette"))
 
 
 def chern_weil_density(curv: CurvatureField, k: int) -> np.ndarray:
@@ -129,4 +128,4 @@ def gb_curvature_direct(
     core = p0 @ (d1 @ d2 - d2 @ d1)
     core[size == 3] *= 0.5  # a triangle: half the parallelogram
     psi = frame.columns[v0]
-    return CurvatureField(adjoint(psi) @ core @ psi, lat)
+    return CurvatureField(adjoint(psi) @ core @ psi)

@@ -32,10 +32,6 @@ class GapClosureError(RealblochError):
         )
 
 
-class RankError(RealblochError):
-    """Numerical rank of a projector disagrees with its declared rank."""
-
-
 class SymmetryInconsistencyError(RealblochError):
     """Symmetry data inconsistent with the supplied family or frame."""
 

@@ -59,15 +59,17 @@ class FixedLoopHolonomy:
     sign: int
 
 
-def _holonomies(u: LinkField, loops: list) -> np.ndarray:
+def _holonomies(u: LinkField, loops: list, lat: InvolutiveLattice) -> np.ndarray:
     """(n_loops, m, m) adjoints of the ordered link products around loops."""
-    return adjoint(u.products(*u.lattice.cycle_table([lp.sites for lp in loops])))
+    return adjoint(u.products(*lat.cycle_table([lp.sites for lp in loops])))
 
 
-def wilson_loop(u: LinkField, loop: LoopPath) -> HolonomyResult:
-    """Holonomy of a lattice loop: the adjoint of the ordered link product
+def wilson_loop(
+    u: LinkField, loop: LoopPath, lat: InvolutiveLattice
+) -> HolonomyResult:
+    """Holonomy of a loop of `lat`: the adjoint of the ordered link product
     along the one row of its link table (`InvolutiveLattice.cycle_table`)."""
-    return HolonomyResult(_holonomies(u, [loop])[0], loop, loop.base)
+    return HolonomyResult(_holonomies(u, [loop], lat)[0], loop, loop.base)
 
 
 def continuum_holonomy(
@@ -127,7 +129,7 @@ def fixed_loop_holonomies(
     roots, ev = spectral_maps(at_bases, lambda z: np.exp(0.5j * np.angle(z)))
     cut = (np.abs(ev + 1.0) < BRANCH_CUT_GUARD).any(axis=1)
     out = []
-    for loop, g, at_cut, hol in zip(loops, roots, cut, _holonomies(u, loops)):
+    for loop, g, at_cut, hol in zip(loops, roots, cut, _holonomies(u, loops, lat)):
         if at_cut:
             raise BranchCutError("sewing matrix eigenvalue at -1; refine the lattice")
         rotated = g.conj().T @ hol @ g
@@ -146,7 +148,7 @@ def holonomy_equivariance_check(
     discretization order certifies that holonomies of the image loop are the
     conjugates of the original ones.
     """
-    hol, hol_img = _holonomies(u, [loop, map_loop(lat, loop)])
+    hol, hol_img = _holonomies(u, [loop, map_loop(lat, loop)], lat)
     wb = w.w[loop.base]
     return frob(wb.conj().T @ hol_img @ wb - hol.conj())
 

@@ -381,6 +381,8 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _sum_j(j1: SymmetryData, j2: SymmetryData) -> SymmetryData:
     """J1 + J2 block-diagonally; constant when both summands are."""
+    if j1.parity != j2.parity:
+        raise ValueError("direct sum needs matching parity")
     if j1.matrix is not None and j2.matrix is not None:
         matrix = _block_diag(j1.matrix, j2.matrix)
         return SymmetryData.constant(matrix, j1.parity, "sum-J")
@@ -394,8 +396,6 @@ def direct_sum_specs(
     """Block sum of two product-bundle models over the same base."""
     if s1.base_tag != s2.base_tag:
         raise ValueError("direct sum needs a common base")
-    if s1.j.parity != s2.j.parity:
-        raise ValueError("direct sum needs matching parity")
     return ProductConnectionSpec(
         rank=s1.rank + s2.rank,
         connection=lambda c: _block_diag(s1.connection_at(c), s2.connection_at(c)),
@@ -409,15 +409,19 @@ def direct_sum_hamiltonians(
     pair1: tuple[HamiltonianFamily, SymmetryData],
     pair2: tuple[HamiltonianFamily, SymmetryData],
 ) -> tuple[HamiltonianFamily, SymmetryData]:
-    """Block-diagonal sum of two Hamiltonian models with their symmetries."""
-    h1, j1 = pair1
-    h2, j2 = pair2
-    if j1.parity != j2.parity:
-        raise ValueError("direct sum needs matching parity")
-    n = h1.dimension + h2.dimension
-    return (
-        HamiltonianFamily(
-            n, lambda c: _block_diag(h1(c), h2(c)), f"{h1.name}+{h2.name}"
-        ),
-        _sum_j(j1, j2),
-    )
+    """Block-diagonal sum of two Hamiltonian models with their symmetries.
+    Two affine summands give an affine sum: their terms, each padded into its
+    diagonal block, and their coefficients side by side."""
+    (h1, j1), (h2, j2) = pair1, pair2
+    n, name = h1.dimension + h2.dimension, f"{h1.name}+{h2.name}"
+    if h1.terms is None or h2.terms is None:
+        h = HamiltonianFamily(n, lambda c: _block_diag(h1(c), h2(c)), name)
+    else:
+        t1, t2 = h1.terms, h2.terms
+        terms = np.zeros((len(t1) + len(t2), n, n), np.result_type(t1, t2))
+        terms[: len(t1), : h1.dimension, : h1.dimension] = t1
+        terms[len(t1) :, h1.dimension :, h1.dimension :] = t2
+        h = HamiltonianFamily(
+            n, lambda c: np.concatenate([h1.sample(c), h2.sample(c)], 1), name, terms
+        )
+    return h, _sum_j(j1, j2)

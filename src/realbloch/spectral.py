@@ -2,12 +2,13 @@
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._matrix import adjoint, eighs, non_hermitian, polar_unitaries, worst
-from .errors import DomainError, GapClosureError, ModelError, RankError
+from .errors import GapClosureError, ModelError
 from .lattice import InvolutiveLattice
 
 __all__ = [
@@ -114,88 +115,53 @@ def _affine(coefs: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SpectralData:
-    """Per-site ascending eigenvalues of every band, and the eigenvector
-    columns of the bands in `bands` (sorted; every band when omitted)."""
+    """Per-point ascending eigenvalues of every band, and the eigenvector
+    columns of the sorted `bands`, in the order of the point set the solve
+    ran on."""
 
     eigenvalues: np.ndarray  # (n_sites, N)
     eigenvectors: np.ndarray  # (n_sites, N, m), column i is band bands[i]
-    lattice: InvolutiveLattice  # the point set the solve ran on
-    bands: Optional[tuple] = None
+    bands: tuple
     hamiltonian_residual: Optional[float] = None  # see eigensolve_family
-
-    def __post_init__(self):
-        if self.bands is None:
-            self.bands = tuple(range(self.eigenvectors.shape[2]))
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[1]
 
 
+@dataclass
 class ProjectionFamily:
-    """Per-site rank-m spectral projector P(x) = V(x) V(x)^dag.
+    """Per-point rank-m spectral projector P(x) = V(x) V(x)^dag, held as the
+    eigensolve's kept columns V (n_sites, N, m) of the bands `band_indices`.
 
-    The selected eigenvector columns ``columns`` (n_sites, N, m) are the
-    primary data: frames, symmetry checks and sewing read them directly.
-    ``projectors`` (n_sites, N, N) is formed from them on first access and
-    then kept; the classify pipeline never reads it, so the N x N tensor
-    exists only for callers that ask, such as the ``gb_*`` oracles.
-
-    ``ProjectionFamily(projectors, rank, lat)`` builds a family from
-    projectors alone; its columns are then the eigenvalue-1 eigenvectors of
-    the projectors, found by one eighs call on first access (DomainError
-    naming the first site whose projector is not Hermitian, RankError the
-    first whose projector has the wrong rank).
+    Frames, symmetry checks and sewing read the columns.  `projectors`
+    (n_sites, N, N) is formed on first read and then kept; the classify
+    pipeline never reads it, so the N x N tensor exists only for callers
+    that ask, such as the ``gb_*`` oracles.
     """
 
-    def __init__(
-        self,
-        projectors: Optional[np.ndarray],
-        rank: int,
-        lattice: InvolutiveLattice,
-        band_indices: tuple = (),
-        columns: Optional[np.ndarray] = None,
-    ):
-        if projectors is None and columns is None:
-            raise ValueError("a projection family needs projectors or columns")
-        self._projectors = projectors
-        self._columns = columns
-        self.rank = rank
-        self.lattice = lattice
-        self.band_indices = tuple(band_indices)
-
-    @property
-    def columns(self) -> np.ndarray:
-        if self._columns is None:
-            self._columns = _projector_columns(self._projectors, self.rank)
-        return self._columns
-
-    @property
-    def projectors(self) -> np.ndarray:
-        if self._projectors is None:
-            self._projectors = self.columns @ adjoint(self.columns)
-        return self._projectors
-
-    @property
-    def dimension(self) -> int:
-        return self.columns.shape[1]
-
-
-@dataclass
-class Frame:
-    """Per-site N x m orthonormal columns spanning the projector range."""
-
     columns: np.ndarray  # (n_sites, N, m)
-    lattice: InvolutiveLattice
-    gauge_tag: str = "projector-eigh"
+    band_indices: tuple
 
     @property
     def rank(self) -> int:
         return self.columns.shape[2]
 
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        return self.columns @ adjoint(self.columns)
+
+
+@dataclass
+class Frame:
+    """Per-point N x m orthonormal columns spanning the projector range."""
+
+    columns: np.ndarray  # (n_sites, N, m)
+    gauge_tag: str = "projector-eigh"
+
     @property
-    def dimension(self) -> int:
-        return self.columns.shape[1]
+    def rank(self) -> int:
+        return self.columns.shape[2]
 
 
 def index_blocks(n: int, entries: int):
@@ -337,7 +303,7 @@ def eigensolve_family(
         values[images] = values.take(reps, axis=0)  # take: a fast row gather
         for x, a in j.theta_blocks(vectors, points, reps):
             vectors[points.involution[x]] = a
-    return SpectralData(values, vectors, points, tuple(sel), res)
+    return SpectralData(values, vectors, tuple(sel), res)
 
 
 def _pattern(stack: np.ndarray) -> np.ndarray:
@@ -592,7 +558,7 @@ def select_projection(s: SpectralData, band_indices) -> ProjectionFamily:
         if gaps[worst] < DEGENERACY_TOL:
             raise GapClosureError(worst, float(gaps[worst]))
     cols = s.eigenvectors[:, :, [s.bands.index(b) for b in sel]]
-    return ProjectionFamily(None, len(sel), s.lattice, tuple(sel), columns=cols)
+    return ProjectionFamily(cols, tuple(sel))
 
 
 def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
@@ -627,22 +593,7 @@ def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
         seen[level] = True
         u, _ = polar_unitaries(adjoint(cols[level]) @ cols[parents])
         cols[level] = cols[level] @ u
-    return Frame(cols, lat, gauge_tag="tree-smoothed")
-
-
-def _projector_columns(projectors: np.ndarray, m: int) -> np.ndarray:
-    """Orthonormal range columns of rank-m projectors (see eighs); DomainError
-    names the first site whose projector is not Hermitian or not finite."""
-    bad = non_hermitian(projectors)
-    if bad.size:
-        raise DomainError(f"projector at site {bad[0]} is not Hermitian")
-    w, v = eighs(projectors)
-    ranks = np.count_nonzero(w > 0.5, axis=1)
-    wrong = np.flatnonzero(ranks != m)
-    if wrong.size:
-        s = int(wrong[0])
-        raise RankError(f"projector rank {ranks[s]} != {m} at site {s}")
-    return v[:, :, v.shape[2] - m :]
+    return Frame(cols, gauge_tag="tree-smoothed")
 
 
 def _fix_gauge(basis: np.ndarray) -> np.ndarray:
@@ -660,10 +611,9 @@ def _fix_gauge(basis: np.ndarray) -> np.ndarray:
 def frame_from_projection(
     p: ProjectionFamily, reference: Optional[np.ndarray] = None
 ) -> Frame:
-    """Orthonormal spanning columns of the projector range at every site.
+    """Orthonormal spanning columns of the projector range at every point.
 
-    Default gauge: the family's eigenvector columns (for a projector-only
-    family, the eigenvalue-1 eigenvectors of P), ordered by the index of
+    Default gauge: the family's eigenvector columns, ordered by the index of
     their largest-magnitude component, that component phase-fixed real
     positive.  The gauge is arbitrary but deterministic; downstream
     gauge-invariant quantities never depend on it.
@@ -675,9 +625,9 @@ def frame_from_projection(
     """
     cols = _fix_gauge(np.asarray(p.columns, dtype=complex))
     if reference is None:
-        return Frame(cols, p.lattice)
+        return Frame(cols)
     ref = np.asarray(reference, dtype=complex)
     if ref.ndim == 2:
         ref = ref[:, :, None]
     u, _ = polar_unitaries(adjoint(cols) @ ref)
-    return Frame(cols @ u, p.lattice, gauge_tag="reference-aligned")
+    return Frame(cols @ u, gauge_tag="reference-aligned")

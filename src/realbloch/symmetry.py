@@ -113,7 +113,6 @@ class SewingField:
     conjugated frame at x through J."""
 
     w: np.ndarray  # (n_sites, m, m)
-    lattice: InvolutiveLattice
     parity: int
     unitarity_residual: float
 
@@ -234,7 +233,7 @@ def sewing_matrix(
         raise SymmetryInconsistencyError(
             f"sewing matrix unitarity residual {res:.3e} exceeds {tolerance:g}"
         )
-    return SewingField(w, lat, j.parity, res)
+    return SewingField(w, j.parity, res)
 
 
 def gb_equivariance_obstruction(

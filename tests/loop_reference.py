@@ -39,7 +39,6 @@ from realbloch.errors import (
     InvalidDiscretizationError,
     KramersObstructionError,
     ModelError,
-    RankError,
     SymmetryInconsistencyError,
     UnsupportedBaseError,
 )
@@ -54,6 +53,12 @@ OVERLAP_SINGULAR_TOL = 1e-6
 
 def frob(a) -> float:
     return float(np.linalg.norm(a))
+
+
+def link_on(u, link_id, sign):
+    """A link field's unitary on one link, traversed forwards (sign > 0) or
+    backwards (the adjoint)."""
+    return u.u[link_id] if sign > 0 else u.u[link_id].conj().T
 
 
 def polar_unitary(a):
@@ -502,7 +507,7 @@ def oscillator_reference_section(p, lat, n_nodes=96):
 def oscillator_oracle(p, u, curv, lat):
     """The CLI's oscillator-oracle deviations, link by link and plaquette by
     plaquette."""
-    a = local_connection_from_links(u).a[:, 0, 0]
+    a = local_connection_from_links(u, lat).a[:, 0, 0]
     dev_conn = max(
         abs(a[lk] - oscillator_connection(p, lat.link_midpoint(lk))[lat.link_mu[lk]])
         for lk in range(lat.n_links)
@@ -606,7 +611,7 @@ def eigensolve_family(h, lat):
         if frob(mat - mat.conj().T) > HERMITICITY_RTOL * scale:
             raise ModelError(f"{h.name or 'model'}: non-Hermitian output at site {s}")
         values[s], vectors[s] = np.linalg.eigh(mat)
-    return rb.SpectralData(values, vectors, lat)
+    return rb.SpectralData(values, vectors, tuple(range(dim)))
 
 
 def eigensolve_dense_guards(h, lat, bands, j=None):
@@ -665,7 +670,7 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
         a, js = vectors[rep].conj(), j.factor(lat.sites[rep : rep + 1])
         values[image] = values[rep]
         vectors[image] = a if js is None else js[0] @ a
-    return rb.SpectralData(values, vectors, lat, tuple(sel), residual)
+    return rb.SpectralData(values, vectors, tuple(sel), residual)
 
 
 def select_projection(s, band_indices):
@@ -691,7 +696,7 @@ def frame_from_projection(projectors, rank, lat, reference=None):
         w, v = np.linalg.eigh(projectors[s])
         keep = np.flatnonzero(w > 0.5)
         if keep.size != m:
-            raise RankError(f"projector rank {keep.size} != {m} at site {s}")
+            raise ValueError(f"projector rank {keep.size} != {m} at site {s}")
         basis = v[:, keep]
         order = np.argsort([int(np.argmax(np.abs(basis[:, c]))) for c in range(m)])
         basis = basis[:, order]
@@ -707,7 +712,7 @@ def frame_from_projection(projectors, rank, lat, reference=None):
         for s in range(n):
             u, _ = polar_unitary(cols[s].conj().T @ ref[s])
             cols[s] = cols[s] @ u
-    return rb.Frame(cols, lat)
+    return rb.Frame(cols)
 
 
 def spanning_tree(lat):
@@ -735,7 +740,7 @@ def smooth_frame_gauge(f, lat):
     for child, parent, _ in spanning_tree(lat):
         v, _ = polar_unitary(cols[child].conj().T @ cols[parent])
         cols[child] = cols[child] @ v
-    return rb.Frame(cols, lat, gauge_tag="tree-smoothed")
+    return rb.Frame(cols, gauge_tag="tree-smoothed")
 
 
 def smooth_frame_gauge_by_levels(f, lat):
@@ -749,7 +754,7 @@ def smooth_frame_gauge_by_levels(f, lat):
         level, parents = tree[tree[:, 2] == d, :2].T
         u, _ = polar_unitaries(cols[level].conj().swapaxes(1, 2) @ cols[parents])
         cols[level] = cols[level] @ u
-    return rb.Frame(cols, lat, gauge_tag="tree-smoothed")
+    return rb.Frame(cols, gauge_tag="tree-smoothed")
 
 
 # -- symmetry ------------------------------------------------------------------
@@ -813,7 +818,7 @@ def sewing_matrix(f, j, lat, tolerance=1e-6):
         raise SymmetryInconsistencyError(
             f"sewing matrix unitarity residual {worst:.3e} exceeds {tolerance:g}"
         )
-    return rb.SewingField(w, lat, j.parity, worst)
+    return rb.SewingField(w, j.parity, worst)
 
 
 # -- berry ---------------------------------------------------------------------
@@ -830,7 +835,7 @@ def link_field(f, lat):
                 f"singular frame overlap on link {lk} ({a}->{b}), "
                 f"smallest singular value {smin:.3e}"
             )
-    return rb.LinkField(u, lat)
+    return rb.LinkField(u)
 
 
 def _grid_len(lat, mu):
@@ -843,7 +848,7 @@ def link_field_from_connection(source, lat):
         u = np.empty((lat.n_links, m, m), dtype=complex)
         for lk in range(lat.n_links):
             u[lk] = expm(source.a[lk] * float(lat.link_spacing[lk]))
-        return rb.LinkField(u, lat)
+        return rb.LinkField(u)
     m = source.rank
     u = np.empty((lat.n_links, m, m), dtype=complex)
     for lk in range(lat.n_links):
@@ -856,17 +861,16 @@ def link_field_from_connection(source, lat):
         else:
             step = a[mu] * float(lat.link_spacing[lk])
         u[lk] = expm(step)
-    return rb.LinkField(u, lat)
+    return rb.LinkField(u)
 
 
-def local_connection_from_links(u):
-    lat = u.lattice
+def local_connection_from_links(u, lat):
     a = np.empty((lat.n_links, u.rank, u.rank), dtype=complex)
     for lk in range(lat.n_links):
         a[lk] = principal_log_unitary(u.u[lk], what=f"link {lk}") / float(
             lat.link_spacing[lk]
         )
-    return rb.LocalConnectionForm(a, lat)
+    return rb.LocalConnectionForm(a)
 
 
 def j_conjugate_connection(a, j, lat):
@@ -882,28 +886,27 @@ def j_conjugate_connection(a, j, lat):
             jx.conj().T @ jy, what=f"J step on link {lk}"
         ) / float(lat.link_spacing[lk])
         out[lk] = (jx.conj().T @ a_img @ jx + dj).conj()
-    return rb.LocalConnectionForm(out, lat)
+    return rb.LocalConnectionForm(out)
 
 
-def gauge_transform(u, g):
+def gauge_transform(u, g, lat):
     g = np.asarray(g, dtype=complex)
     eye = np.eye(u.rank)
     for s in range(g.shape[0]):
         if frob(g[s].conj().T @ g[s] - eye) > 1e-10:
             raise DomainError(f"gauge matrix at site {s} is not unitary")
-    lat = u.lattice
     out = np.empty_like(u.u)
     for lk in range(lat.n_links):
         a, b = int(lat.link_tail[lk]), int(lat.link_head[lk])
         out[lk] = g[a].conj().T @ u.u[lk] @ g[b]
-    return rb.LinkField(out, lat)
+    return rb.LinkField(out)
 
 
 def equivariance_residual(u, w, lat):
     worst = 0.0
     for lk in range(lat.n_links):
         a, b = int(lat.link_tail[lk]), int(lat.link_head[lk])
-        img = u.on(int(lat.link_image[lk]), int(lat.link_image_sign[lk]))
+        img = link_on(u, int(lat.link_image[lk]), int(lat.link_image_sign[lk]))
         lhs = w.w[a].conj().T @ img @ w.w[b]
         worst = max(worst, frob(lhs - u.u[lk].conj()))
     return worst
@@ -919,9 +922,9 @@ def plaquette_curvature(u, lat):
         signs = lat.plaquette_signs[p]
         hol = np.eye(m, dtype=complex)
         for link_id, sign in zip(links[signs != 0], signs[signs != 0]):
-            hol = hol @ u.on(int(link_id), int(sign))
+            hol = hol @ link_on(u, int(link_id), int(sign))
         f[p] = principal_log_unitary(hol, what=f"plaquette {p}")
-    return rb.CurvatureField(f, lat)
+    return rb.CurvatureField(f)
 
 
 def _elementary_symmetric(x, k):
@@ -950,10 +953,10 @@ def chern_value(curv, lat):
 # -- holonomy ------------------------------------------------------------------
 
 
-def wilson_loop(u, loop):
+def wilson_loop(u, loop, lat):
     prod = np.eye(u.rank, dtype=complex)
-    for link_id, sign in u.lattice.loop_link_ids(loop):
-        prod = prod @ u.on(link_id, sign)
+    for link_id, sign in lat.loop_link_ids(loop):
+        prod = prod @ link_on(u, link_id, sign)
     return rb.HolonomyResult(prod.conj().T, loop, loop.base)
 
 
@@ -980,7 +983,7 @@ def fixed_loop_holonomies(u, lat, w):
         if np.any(np.abs(ev + 1.0) < BRANCH_CUT_GUARD):
             raise BranchCutError("sewing matrix eigenvalue at -1; refine the lattice")
         g = roots[0]
-        rotated = g.conj().T @ wilson_loop(u, loop).hol @ g
+        rotated = g.conj().T @ wilson_loop(u, loop, lat).hol @ g
         sign = _round_sign(float(np.linalg.det(rotated).real))
         hol = rb.HolonomyResult(rotated, loop, loop.base, gauge_tag="real-frame")
         out.append(rb.FixedLoopHolonomy(hol, frob(rotated.imag), sign))

@@ -64,7 +64,7 @@ def test_01_mobius_holonomy():
         lat = rb.build_circle(64, "trivial")
         spec = rb.model_mobius_circle()
         hol = rb.wilson_loop(
-            rb.link_field_from_connection(spec, lat), rb.circle_loop(lat)
+            rb.link_field_from_connection(spec, lat), rb.circle_loop(lat), lat
         ).hol[0, 0]
         err_lattice = abs(hol - (-1.0))
         curve = lambda t: ((2 * np.pi * t,), (2 * np.pi,))
@@ -83,7 +83,7 @@ def test_02_trivial_holonomy():
         u = rb.link_field_from_connection(
             rb.model_trivial_line("circle-trivial", 1), lat
         )
-        hol = rb.wilson_loop(u, rb.circle_loop(lat)).hol[0, 0]
+        hol = rb.wilson_loop(u, rb.circle_loop(lat), lat).hol[0, 0]
     report("02 trivial holonomy +1", abs(hol - 1.0) <= 1e-9, f"err {abs(hol-1):.1e}")
 
 
@@ -105,7 +105,7 @@ def test_04_oscillator_oracle_match():
         devs = {}
         for n in (16, 32):
             params, lat, p, f, u, w = oscillator_pipeline(n)
-            a = rb.local_connection_from_links(u)
+            a = rb.local_connection_from_links(u, lat)
             dc = 0.0
             for lk in range(lat.n_links):
                 mid = lat.link_midpoint(lk)
@@ -164,11 +164,11 @@ def test_06_torus_mobius_pullback():
 
 def product_pipeline(spec, lat):
     u = rb.link_field_from_connection(spec, lat)
-    w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), +1, 0.0)
+    # standard-basis frames: every band kept, so P = 1
     proj = rb.ProjectionFamily(
         np.tile(np.eye(spec.rank, dtype=complex), (lat.n_sites, 1, 1)),
-        spec.rank,
-        lat,
+        tuple(range(spec.rank)),
     )
     return lat, proj, None, u, w
 
@@ -219,7 +219,7 @@ def test_07_equivariance_suite():
                 full = rb.circle_loop(lat)
                 loops = [full, rb.LoopPath(full.sites + full.sites), full.reversed()]
             obstruction = (
-                rb.gb_equivariance_obstruction(p, rb.SymmetryData.identity(p.dimension), lat)
+                rb.gb_equivariance_obstruction(p, rb.SymmetryData.identity(p.columns.shape[1]), lat)
             )
             res = rb.equivariance_residual(u, w, lat)
             hol_res = max(
@@ -260,17 +260,17 @@ def test_09_gauge_invariance():
     lat, p, f, u, w = sphere_pipeline(1, 12, 16)
     v0, _ = rb.chern_number(rb.plaquette_curvature(u, lat), lat)
     loops = [rb.latitude_loop(lat, r) for r in (2, 5, 8)] + rb.fixed_loops(lat)
-    traces0 = [rb.wilson_loop(u, lp).trace for lp in loops]
+    traces0 = [rb.wilson_loop(u, lp, lat).trace for lp in loops]
     worst_chern = 0.0
     worst_trace = 0.0
     for _ in range(100):
         g = np.exp(1j * rng.uniform(0, 2 * np.pi, lat.n_sites))[:, None, None]
-        u2 = rb.gauge_transform(u, g)
+        u2 = rb.gauge_transform(u, g, lat)
         v1, _ = rb.chern_number(rb.plaquette_curvature(u2, lat), lat)
         worst_chern = max(worst_chern, abs(v1 - v0))
         for lp, t0 in zip(loops, traces0):
             worst_trace = max(
-                worst_trace, abs(rb.wilson_loop(u2, lp).trace - t0)
+                worst_trace, abs(rb.wilson_loop(u2, lp, lat).trace - t0)
             )
     ok = worst_chern <= 1e-12 and worst_trace <= 1e-12
     report(
@@ -295,7 +295,7 @@ def test_10_flat_moduli():
         ok = ok and abs(hol - target) <= 1e-12
         # and the lattice route
         u = rb.link_field_from_connection(rb.model_flat_line(a), lat)
-        wil = rb.wilson_loop(u, rb.circle_loop(lat)).hol[0, 0]
+        wil = rb.wilson_loop(u, rb.circle_loop(lat), lat).hol[0, 0]
         ok = ok and abs(wil - target) <= 1e-12
     # distinct parameters in (0,1) hit distinct holonomies
     hols = [rb.flat_moduli_holonomy(a) for a in samples]
@@ -316,7 +316,7 @@ def test_11_averaging_real_condition():
     for trial in range(20):
         j = j_winding if trial % 2 else j_identity
         vals = 1j * rng.normal(size=lat.n_links)[:, None, None]
-        a = rb.LocalConnectionForm(vals, lat)
+        a = rb.LocalConnectionForm(vals)
         avg = rb.average_connection(a, j, lat)
         again = rb.average_connection(avg, j, lat)
         worst = max(worst, float(np.max(np.abs(again.a - avg.a))))

@@ -16,7 +16,7 @@ def winding_frame(lat, n_ambient=2):
     """psi(theta) = exp(i theta) e1: rank-1 frame with one unit of winding."""
     cols = np.zeros((lat.n_sites, n_ambient, 1), dtype=complex)
     cols[:, 0, 0] = np.exp(1j * lat.sites[:, 0])
-    return rb.Frame(cols, lat, "winding")
+    return rb.Frame(cols, "winding")
 
 
 def test_constant_frame_gives_identity_links():
@@ -54,23 +54,23 @@ def test_singular_overlap_raises():
     cols[0::2, 0, 0] = 1.0
     cols[1::2, 1, 0] = 1.0  # orthogonal neighbors
     with pytest.raises(DiscretizationError):
-        rb.link_field(rb.Frame(cols, lat), lat)
+        rb.link_field(rb.Frame(cols), lat)
 
 
 def test_gauge_transform_law(rng):
     lat = rb.build_circle(8, "trivial")
     u = rb.link_field(winding_frame(lat), lat)
     # identity leaves the field alone
-    same = rb.gauge_transform(u, np.tile(np.eye(1, dtype=complex), (8, 1, 1)))
+    same = rb.gauge_transform(u, np.tile(np.eye(1, dtype=complex), (8, 1, 1)), lat)
     assert np.allclose(same.u, u.u)
     # the defining transformation rule
     g = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))[:, None, None]
-    out = rb.gauge_transform(u, g)
+    out = rb.gauge_transform(u, g, lat)
     for lk in range(lat.n_links):
         a, b = int(lat.link_tail[lk]), int(lat.link_head[lk])
         assert np.allclose(out.u[lk], g[a].conj().T @ u.u[lk] @ g[b])
     with pytest.raises(DomainError):
-        rb.gauge_transform(u, 2.0 * g)
+        rb.gauge_transform(u, 2.0 * g, lat)
 
 
 def test_constant_gauge_preserves_wilson_trace(rng):
@@ -80,9 +80,9 @@ def test_constant_gauge_preserves_wilson_trace(rng):
     f = rb.frame_from_projection(rb.select_projection(s, {0}))
     u = rb.link_field(f, lat)
     loop = rb.latitude_loop(lat, 2)
-    t0 = rb.wilson_loop(u, loop).trace
+    t0 = rb.wilson_loop(u, loop, lat).trace
     g = np.tile(np.exp(1j * 0.7) * np.eye(1, dtype=complex), (lat.n_sites, 1, 1))
-    t1 = rb.wilson_loop(rb.gauge_transform(u, g), loop).trace
+    t1 = rb.wilson_loop(rb.gauge_transform(u, g, lat), loop, lat).trace
     assert t1 == pytest.approx(t0, abs=1e-12)
 
 
@@ -90,17 +90,17 @@ def test_local_connection_values():
     lat = rb.build_circle(8, "trivial")
     h = 2 * np.pi / 8
     # identity links -> zero form
-    ones = rb.LinkField(np.ones((8, 1, 1), dtype=complex), lat)
-    assert np.allclose(rb.local_connection_from_links(ones).a, 0.0)
+    ones = rb.LinkField(np.ones((8, 1, 1), dtype=complex))
+    assert np.allclose(rb.local_connection_from_links(ones, lat).a, 0.0)
     # scalar phase alpha -> i alpha / h
     alpha = 0.4
-    u = rb.LinkField(np.full((8, 1, 1), np.exp(1j * alpha), dtype=complex), lat)
-    a = rb.local_connection_from_links(u)
+    u = rb.LinkField(np.full((8, 1, 1), np.exp(1j * alpha), dtype=complex))
+    a = rb.local_connection_from_links(u, lat)
     assert np.allclose(a.a, 1j * alpha / h)
     # eigenvalue at -1 is a branch error
-    um = rb.LinkField(np.full((8, 1, 1), -1.0 + 0j), lat)
+    um = rb.LinkField(np.full((8, 1, 1), -1.0 + 0j))
     with pytest.raises(BranchCutError):
-        rb.local_connection_from_links(um)
+        rb.local_connection_from_links(um, lat)
 
 
 def test_local_connection_antihermitian():
@@ -112,18 +112,18 @@ def test_local_connection_antihermitian():
     s = rb.eigensolve_family(h, lat)
     p = rb.select_projection(s, {0})
     f = rb.frame_from_projection(p, rb.oscillator_reference_section(params, lat))
-    a = rb.local_connection_from_links(rb.link_field(f, lat))
+    a = rb.local_connection_from_links(rb.link_field(f, lat), lat)
     assert np.max(np.abs(a.a + a.a.conj().transpose(0, 2, 1))) <= 1e-10
 
 
 def test_rank_one_form_must_be_imaginary():
     # a real part would give links of modulus exp(0.3 h), not unitaries
     lat = rb.build_circle(16, "trivial")
-    bad = rb.LocalConnectionForm(np.full((lat.n_links, 1, 1), 0.3 + 0.5j), lat)
+    bad = rb.LocalConnectionForm(np.full((lat.n_links, 1, 1), 0.3 + 0.5j))
     with pytest.raises(ModelError, match="^exponent 0 is not anti-Hermitian$"):
         rb.link_field_from_connection(bad, lat)
     a = np.full((lat.n_links, 1, 1), 0.5j)
-    u = rb.link_field_from_connection(rb.LocalConnectionForm(a, lat), lat)
+    u = rb.link_field_from_connection(rb.LocalConnectionForm(a), lat)
     assert u.u.tobytes() == np.exp(a * lat.link_spacing[:, None, None]).tobytes()
 
 
@@ -138,7 +138,7 @@ def test_oscillator_connection_matches_closed_form():
     p = rb.select_projection(s, {0})
     ref = rb.oscillator_reference_section(params, lat)
     f = rb.frame_from_projection(p, ref)
-    a = rb.local_connection_from_links(rb.link_field(f, lat))
+    a = rb.local_connection_from_links(rb.link_field(f, lat), lat)
     dev = 0.0
     for lk in range(lat.n_links):
         mid = lat.link_midpoint(lk)
@@ -160,14 +160,14 @@ def test_equivariance_residual_cases(rng):
 
     # random links are order-one away from equivariant
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, lat.n_links))
-    urand = rb.LinkField(phases[:, None, None], lat)
+    urand = rb.LinkField(phases[:, None, None])
     assert rb.equivariance_residual(urand, w, lat) > 0.1
 
     # trivial involution with real links: residual vanishes identically
     lat2 = rb.build_circle(8, "trivial")
     signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0], dtype=complex)
-    ureal = rb.LinkField(signs[:, None, None], lat2)
-    w2 = rb.SewingField(np.ones((8, 1, 1), dtype=complex), lat2, +1, 0.0)
+    ureal = rb.LinkField(signs[:, None, None])
+    w2 = rb.SewingField(np.ones((8, 1, 1), dtype=complex), +1, 0.0)
     assert rb.equivariance_residual(ureal, w2, lat2) == 0.0
 
 
@@ -175,9 +175,9 @@ def test_small_residual_forces_small_connection():
     # trivial involution, rank one: the Real condition pins the connection
     # near zero, so link logs are bounded by the equivariance residual
     lat = rb.build_circle(8, "trivial")
-    w = rb.SewingField(np.ones((8, 1, 1), dtype=complex), lat, +1, 0.0)
+    w = rb.SewingField(np.ones((8, 1, 1), dtype=complex), +1, 0.0)
     for alpha in (1e-3, 1e-2, 0.1):
-        u = rb.LinkField(np.full((8, 1, 1), np.exp(1j * alpha)), lat)
+        u = rb.LinkField(np.full((8, 1, 1), np.exp(1j * alpha)))
         residual = rb.equivariance_residual(u, w, lat)
         assert abs(alpha) <= residual  # |log U| <= ||U - conj(U)||
 
@@ -187,17 +187,17 @@ def test_average_connection_properties(rng):
     jmob = rb.model_mobius_circle().j
     j1 = rb.SymmetryData.identity(1)
     # zero with identity twist stays zero
-    zero = rb.LocalConnectionForm(np.zeros((lat.n_links, 1, 1), dtype=complex), lat)
+    zero = rb.LocalConnectionForm(np.zeros((lat.n_links, 1, 1), dtype=complex))
     assert np.allclose(rb.average_connection(zero, j1, lat).a, 0.0)
     # zero with the winding twist lands on the canonical half-winding form
     avg = rb.average_connection(zero, jmob, lat)
     assert np.allclose(avg.a, -0.5j, atol=1e-12)
     # already-equivariant input is a fixed point
-    mob = rb.LocalConnectionForm(np.full((lat.n_links, 1, 1), -0.5j), lat)
+    mob = rb.LocalConnectionForm(np.full((lat.n_links, 1, 1), -0.5j))
     assert np.allclose(rb.average_connection(mob, jmob, lat).a, mob.a, atol=1e-10)
     # random inputs average onto an exact fixed point of the twist map
     vals = 1j * rng.normal(size=lat.n_links)[:, None, None]
-    a = rb.LocalConnectionForm(vals, lat)
+    a = rb.LocalConnectionForm(vals)
     avg = rb.average_connection(a, jmob, lat)
     again = rb.average_connection(avg, jmob, lat)
     assert np.max(np.abs(again.a - avg.a)) <= 1e-10
@@ -221,7 +221,7 @@ def test_j_conjugate_connection_matches_loop(rng, case):
     gen = rng.normal(size=(lat.n_links, spec.rank, spec.rank)) * (1 + 1j)
     inputs = (
         rb.local_connection_from_spec(spec, lat),
-        rb.LocalConnectionForm(gen - gen.conj().swapaxes(1, 2), lat),
+        rb.LocalConnectionForm(gen - gen.conj().swapaxes(1, 2)),
     )
     for a in inputs:
         got = rb.j_conjugate_connection(a, spec.j, lat)
@@ -235,7 +235,7 @@ def test_j_step_branch_cut_names_same_link():
     j = rb.SymmetryData(
         1, +1, rb.pointwise(lambda c: np.array([[1.0 if c[0] < 2.0 else -1.0]]))
     )
-    a = rb.LocalConnectionForm(np.zeros((lat.n_links, 1, 1), dtype=complex), lat)
+    a = rb.LocalConnectionForm(np.zeros((lat.n_links, 1, 1), dtype=complex))
     with pytest.raises(BranchCutError) as got:
         rb.j_conjugate_connection(a, j, lat)
     with pytest.raises(BranchCutError) as want:
@@ -245,7 +245,7 @@ def test_j_step_branch_cut_names_same_link():
 
 def test_average_connection_rejects_rank_mismatch():
     lat = rb.build_circle(8, "trivial")
-    a = rb.LocalConnectionForm(np.zeros((8, 2, 2), dtype=complex), lat)
+    a = rb.LocalConnectionForm(np.zeros((8, 2, 2), dtype=complex))
     with pytest.raises(DomainError):
         rb.average_connection(a, rb.SymmetryData.identity(1), lat)
 
@@ -254,7 +254,7 @@ def test_mobius_connection_equivariant_on_lattice():
     lat = rb.build_circle(32, "trivial")
     spec = rb.model_mobius_circle()
     u = rb.link_field_from_connection(spec, lat)
-    w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), +1, 0.0)
     assert rb.equivariance_residual(u, w, lat) <= 1e-12
 
 

@@ -198,7 +198,9 @@ def test_continuum_holonomy_matches_per_step(spec):
 def test_gb_obstruction_matches_per_link():
     lat = rb.build_circle(24, "trivial")
     proj = np.tile(np.diag([1.0, 0.0]).astype(complex), (lat.n_sites, 1, 1))
-    p = rb.ProjectionFamily(proj, 1, lat)
+    cols = np.zeros((lat.n_sites, 2, 1), dtype=complex)
+    cols[:, 0, 0] = 1.0
+    p = rb.ProjectionFamily(cols, (0,))
     j = rb.SymmetryData(
         2, +1, rb.pointwise(lambda c: np.exp(1j * c[0]) * np.eye(2)), "winding"
     )

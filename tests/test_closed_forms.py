@@ -183,7 +183,7 @@ def test_non_finite_frame_names_the_same_link_at_ranks_one_and_two(m, value):
     cols = np.zeros((8, 3, m), dtype=complex)
     cols[:, :m, :] = np.eye(m)
     cols[5, 0, 0] = value
-    frame = rb.Frame(cols, lat)
+    frame = rb.Frame(cols)
     # the overlap's complex products inf * 0 are NaN
     with np.errstate(invalid="ignore"):
         with pytest.raises(DiscretizationError, match="on link 4 "):

@@ -21,7 +21,7 @@ def uniform_flux_field(n, phi0):
             u[lk, 0, 0] = np.exp(1j * phi0 * i)
         elif i == n - 1:  # seam links carry the twist
             u[lk, 0, 0] = np.exp(-1j * phi0 * n * j)
-    return lat, rb.LinkField(u, lat)
+    return lat, rb.LinkField(u)
 
 
 def sphere_band_curvature(k, n_theta, n_phi, band={0}):
@@ -36,7 +36,7 @@ def sphere_band_curvature(k, n_theta, n_phi, band={0}):
 
 def test_identity_links_zero_curvature():
     lat = rb.build_torus2(6, 6, "trivial")
-    u = rb.LinkField(np.ones((lat.n_links, 1, 1), dtype=complex), lat)
+    u = rb.LinkField(np.ones((lat.n_links, 1, 1), dtype=complex))
     curv = rb.plaquette_curvature(u, lat)
     assert np.allclose(curv.f, 0.0)
     value, rounded = rb.chern_number(curv, lat)
@@ -58,7 +58,7 @@ def test_chern_weil_diagonal_values():
     lat = rb.build_torus2(4, 4, "trivial")
     a, b = 0.3, -0.7
     f = np.tile(np.diag([1j * a, 1j * b]), (lat.n_plaquettes, 1, 1))
-    curv = rb.CurvatureField(f, lat)
+    curv = rb.CurvatureField(f)
     c1 = rb.chern_weil_density(curv, 1)
     c2 = rb.chern_weil_density(curv, 2)
     assert c1[0] == pytest.approx(-(a + b) / (2 * np.pi))
@@ -69,7 +69,7 @@ def test_chern_weil_diagonal_values():
 
 def test_zero_curvature_all_densities():
     lat = rb.build_torus2(4, 4, "trivial")
-    curv = rb.CurvatureField(np.zeros((lat.n_plaquettes, 2, 2), dtype=complex), lat)
+    curv = rb.CurvatureField(np.zeros((lat.n_plaquettes, 2, 2), dtype=complex))
     assert np.allclose(rb.chern_weil_density(curv, 1), 0.0)
     assert np.allclose(rb.chern_weil_density(curv, 2), 0.0)
 
@@ -104,7 +104,7 @@ def test_orientation_reversal_negates_chern():
 
 def test_chern_needs_two_dimensions():
     lat = rb.build_circle(8, "trivial")
-    curv = rb.CurvatureField(np.zeros((0, 1, 1), dtype=complex), lat)
+    curv = rb.CurvatureField(np.zeros((0, 1, 1), dtype=complex))
     with pytest.raises(UnsupportedBaseError):
         rb.chern_number(curv, lat)
 
@@ -121,27 +121,23 @@ def test_mobius_pullback_is_flat():
 def test_curvature_parity_sphere_and_broken(rng):
     lat, _, _, curv = sphere_band_curvature(1, 8, 12)
     assert rb.curvature_parity_check(curv, lat) <= 1e-12
-    noisy = rb.CurvatureField(
-        curv.f + 1j * rng.normal(scale=0.3, size=curv.f.shape), lat
-    )
+    noisy = rb.CurvatureField(curv.f + 1j * rng.normal(scale=0.3, size=curv.f.shape))
     assert rb.curvature_parity_check(noisy, lat) > 0.05
 
 
 def test_parity_trivial_involution_real_field():
     lat = rb.build_torus2(6, 6, "trivial")
-    u = rb.LinkField(np.ones((lat.n_links, 1, 1), dtype=complex), lat)
+    u = rb.LinkField(np.ones((lat.n_links, 1, 1), dtype=complex))
     curv = rb.plaquette_curvature(u, lat)
     assert rb.curvature_parity_check(curv, lat) == 0.0
 
 
 def test_direct_curvature_constant_projector():
     lat = rb.build_torus2(6, 6, "trivial")
-    proj = rb.ProjectionFamily(
-        np.tile(np.diag([1.0, 0.0]).astype(complex), (lat.n_sites, 1, 1)), 1, lat
-    )
     cols = np.zeros((lat.n_sites, 2, 1), dtype=complex)
     cols[:, 0, 0] = 1.0
-    direct = rb.gb_curvature_direct(proj, lat, rb.Frame(cols, lat))
+    proj = rb.ProjectionFamily(cols, (0,))
+    direct = rb.gb_curvature_direct(proj, lat, rb.Frame(cols))
     assert np.allclose(direct.f, 0.0)
 
 
@@ -181,6 +177,6 @@ def test_gauge_invariance_small(rng):
     v0, _ = rb.chern_number(curv, lat)
     for _ in range(5):
         g = np.exp(1j * rng.uniform(0, 2 * np.pi, lat.n_sites))[:, None, None]
-        u2 = rb.gauge_transform(u, g)
+        u2 = rb.gauge_transform(u, g, lat)
         v1, _ = rb.chern_number(rb.plaquette_curvature(u2, lat), lat)
         assert abs(v1 - v0) <= 1e-12

@@ -21,18 +21,18 @@ def sphere_model_links(k, n_theta, n_phi):
 
 def test_identity_links_unit_holonomy():
     lat = rb.build_circle(8, "trivial")
-    u = rb.LinkField(np.ones((8, 1, 1), dtype=complex), lat)
-    hol = rb.wilson_loop(u, rb.circle_loop(lat))
+    u = rb.LinkField(np.ones((8, 1, 1), dtype=complex))
+    hol = rb.wilson_loop(u, rb.circle_loop(lat), lat)
     assert np.allclose(hol.hol, 1.0)
 
 
 def test_mobius_and_trivial_full_loop():
     lat = rb.build_circle(64, "trivial")
     u = rb.link_field_from_connection(rb.model_mobius_circle(), lat)
-    hol = rb.wilson_loop(u, rb.circle_loop(lat))
+    hol = rb.wilson_loop(u, rb.circle_loop(lat), lat)
     assert abs(hol.hol[0, 0] + 1.0) <= 1e-9
     u0 = rb.link_field_from_connection(rb.model_trivial_line("circle-trivial", 1), lat)
-    hol0 = rb.wilson_loop(u0, rb.circle_loop(lat))
+    hol0 = rb.wilson_loop(u0, rb.circle_loop(lat), lat)
     assert abs(hol0.hol[0, 0] - 1.0) <= 1e-9
 
 
@@ -87,10 +87,10 @@ def test_concatenation_and_reversal():
     loop = rb.latitude_loop(lat, 2)
     loop2 = rb.latitude_loop(lat, 2)
     combined = rb.LoopPath(loop.sites + loop2.sites)
-    h1 = rb.wilson_loop(u, loop).hol
-    h12 = rb.wilson_loop(u, combined).hol
+    h1 = rb.wilson_loop(u, loop, lat).hol
+    h12 = rb.wilson_loop(u, combined, lat).hol
     assert np.allclose(h12, h1 @ h1, atol=1e-12)
-    hrev = rb.wilson_loop(u, loop.reversed()).hol
+    hrev = rb.wilson_loop(u, loop.reversed(), lat).hol
     assert np.allclose(hrev, np.linalg.inv(h1), atol=1e-12)
 
 
@@ -105,10 +105,10 @@ def test_flat_field_homotopy_invariance():
     for lk in range(lat.n_links):
         if lat.link_mu[lk] == 0:
             uvals[lk, 0, 0] = np.exp(1j * a * h1)
-    u = rb.LinkField(uvals, lat)
+    u = rb.LinkField(uvals)
     assert np.max(np.abs(rb.plaquette_curvature(u, lat).f)) <= 1e-14
-    row0 = rb.wilson_loop(u, rb.torus_row_loop(lat, 0, 0)).hol[0, 0]
-    row3 = rb.wilson_loop(u, rb.torus_row_loop(lat, 0, 3)).hol[0, 0]
+    row0 = rb.wilson_loop(u, rb.torus_row_loop(lat, 0, 0), lat).hol[0, 0]
+    row3 = rb.wilson_loop(u, rb.torus_row_loop(lat, 0, 3), lat).hol[0, 0]
     assert row0 == pytest.approx(row3, abs=1e-10)
     # a homotopic detour: same winding, but dipping into the second row
     loop_sites = []
@@ -119,20 +119,20 @@ def test_flat_field_homotopy_invariance():
             loop_sites.append(i * n + prev_j)
         loop_sites.append(i * n + j)
         prev_j = j
-    hol_wiggly = rb.wilson_loop(u, rb.LoopPath(tuple(loop_sites))).hol[0, 0]
+    hol_wiggly = rb.wilson_loop(u, rb.LoopPath(tuple(loop_sites)), lat).hol[0, 0]
     assert hol_wiggly == pytest.approx(row0, abs=1e-10)
     # contractible loop is trivial
     cell = rb.LoopPath((0, n, n + 1, 1))
-    assert rb.wilson_loop(u, cell).hol[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert rb.wilson_loop(u, cell, lat).hol[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_gauge_invariance(rng):
     lat, u, w = sphere_model_links(1, 6, 8)
     loop = rb.latitude_loop(lat, 3)
-    t0 = rb.wilson_loop(u, loop).trace
+    t0 = rb.wilson_loop(u, loop, lat).trace
     for _ in range(5):
         g = np.exp(1j * rng.uniform(0, 2 * np.pi, lat.n_sites))[:, None, None]
-        t1 = rb.wilson_loop(rb.gauge_transform(u, g), loop).trace
+        t1 = rb.wilson_loop(rb.gauge_transform(u, g, lat), loop, lat).trace
         assert t1 == pytest.approx(t0, abs=1e-12)
 
 
@@ -141,13 +141,13 @@ def test_fixed_loop_holonomies_trivial_and_pullback():
     u0 = rb.link_field_from_connection(
         rb.model_trivial_line("torus2-eta", 2), lat
     )
-    w0 = rb.SewingField(np.ones((lat.n_sites, 1, 1), dtype=complex), lat, +1, 0.0)
+    w0 = rb.SewingField(np.ones((lat.n_sites, 1, 1), dtype=complex), +1, 0.0)
     recs = rb.fixed_loop_holonomies(u0, lat, w0)
     assert [r.sign for r in recs] == [1, 1]
 
     spec = rb.model_mobius_pullback_torus()
     u = rb.link_field_from_connection(spec, lat)
-    w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), +1, 0.0)
     recs = rb.fixed_loop_holonomies(u, lat, w)
     assert [r.sign for r in recs] == [-1, -1]
     assert all(r.reality_residual <= 1e-10 for r in recs)
@@ -158,14 +158,14 @@ def test_fixed_loop_sign_stable_under_refinement():
         lat = rb.build_torus2(n, n, "eta")
         spec = rb.model_mobius_pullback_torus()
         u = rb.link_field_from_connection(spec, lat)
-        w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
+        w = rb.SewingField(spec.j(lat.sites), +1, 0.0)
         assert [r.sign for r in rb.fixed_loop_holonomies(u, lat, w)] == [-1, -1]
 
 
 def test_indeterminate_holonomy_error():
     lat = rb.build_circle(16, "trivial")
     quarter = rb.link_field_from_connection(rb.model_flat_line(0.25), lat)
-    w = rb.SewingField(np.ones((16, 1, 1), dtype=complex), lat, +1, 0.0)
+    w = rb.SewingField(np.ones((16, 1, 1), dtype=complex), +1, 0.0)
     with pytest.raises(IndeterminateHolonomyError):
         rb.fixed_loop_holonomies(quarter, lat, w)
 
@@ -175,21 +175,21 @@ def test_sewing_root_errors_keep_loop_order():
     # eigenvalue at -1 raises only when its loop comes first
     lat = rb.build_torus2(8, 8, "eta")
     a = np.where(lat.link_mu == 0, 0.25j, 0.0)[:, None, None]
-    u = rb.link_field_from_connection(rb.LocalConnectionForm(a, lat), lat)
+    u = rb.link_field_from_connection(rb.LocalConnectionForm(a), lat)
     loops = rb.fixed_loops(lat)
     for cut_loop, error in ((1, IndeterminateHolonomyError), (0, BranchCutError)):
         w = np.ones((lat.n_sites, 1, 1), dtype=complex)
         w[loops[cut_loop].base] = -1.0
         with pytest.raises(error):
-            rb.fixed_loop_holonomies(u, lat, rb.SewingField(w, lat, +1, 0.0))
+            rb.fixed_loop_holonomies(u, lat, rb.SewingField(w, +1, 0.0))
 
 
 def test_rank_one_sewing_root_keeps_its_bits():
     # the real-frame rotation uses exp(i angle(W) / 2), bit for bit
     lat = rb.build_circle(8, "trivial")
-    u = rb.LinkField(np.ones((lat.n_links, 1, 1), dtype=complex), lat)
+    u = rb.LinkField(np.ones((lat.n_links, 1, 1), dtype=complex))
     for z in np.exp(1j * np.random.default_rng(5).uniform(-3.0, 3.0, size=32)):
-        w = rb.SewingField(np.full((lat.n_sites, 1, 1), z), lat, +1, 0.0)
+        w = rb.SewingField(np.full((lat.n_sites, 1, 1), z), +1, 0.0)
         (rec,) = rb.fixed_loop_holonomies(u, lat, w)
         g = np.array([[np.exp(0.5j * np.angle(z))]])
         assert rec.holonomy.hol.tobytes() == (g.conj().T @ u.u[0] @ g).tobytes()
@@ -198,8 +198,8 @@ def test_rank_one_sewing_root_keeps_its_bits():
 def test_no_fixed_loops_is_an_empty_stack():
     lat = rb.build_circle(8, "antipodal")
     eye = np.eye(2, dtype=complex)
-    u = rb.LinkField(np.tile(eye, (lat.n_links, 1, 1)), lat)
-    w = rb.SewingField(np.tile(eye, (lat.n_sites, 1, 1)), lat, +1, 0.0)
+    u = rb.LinkField(np.tile(eye, (lat.n_links, 1, 1)))
+    w = rb.SewingField(np.tile(eye, (lat.n_sites, 1, 1)), +1, 0.0)
     assert rb.fixed_loop_holonomies(u, lat, w) == []
 
 
@@ -230,9 +230,8 @@ def test_holonomy_equivariance_check():
         assert rb.holonomy_equivariance_check(u, w, loop, lat) <= 1e-12
     # random links are far from equivariant on a loop the involution moves
     rng = np.random.default_rng(5)
-    urand = rb.LinkField(
-        np.exp(1j * rng.uniform(0, 2 * np.pi, lat.n_links))[:, None, None], lat
-    )
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, lat.n_links))
+    urand = rb.LinkField(phases[:, None, None])
     assert rb.holonomy_equivariance_check(urand, w, sphere_cell_loop(12, 2, 3), lat) > 0.1
 
 
@@ -242,7 +241,7 @@ def test_holonomy_equivariance_with_winding_j():
     lat = rb.build_torus2(12, 12, "eta")
     spec = rb.model_mobius_pullback_torus()
     u = rb.link_field_from_connection(spec, lat)
-    w = rb.SewingField(spec.j(lat.sites), lat, +1, 0.0)
+    w = rb.SewingField(spec.j(lat.sites), +1, 0.0)
     for loop in (
         rb.torus_row_loop(lat, 0, 3),   # theta1 row at theta2 = 3h -> -3h
         rb.torus_row_loop(lat, 1, 2),   # theta2 column, reversed by eta

@@ -9,13 +9,7 @@ import realbloch as rb
 from conftest import constant_diag
 from realbloch import spectral
 from realbloch._matrix import adjoint, max_frob
-from realbloch.errors import (
-    DomainError,
-    GapClosureError,
-    ModelError,
-    RankError,
-    SymmetryViolationError,
-)
+from realbloch.errors import GapClosureError, ModelError, SymmetryViolationError
 
 
 def test_constant_family_eigensolve():
@@ -117,26 +111,6 @@ def test_frame_standard_basis_case():
     s = rb.eigensolve_family(constant_diag([-1.0, 1.0]), lat)
     f = rb.frame_from_projection(rb.select_projection(s, {0}))
     assert np.allclose(f.columns, np.array([[1.0], [0.0]], dtype=complex))
-
-
-def test_frame_rank_error():
-    lat = rb.build_circle(4, "trivial")
-    bad = rb.ProjectionFamily(
-        np.tile(np.diag([1.0, 0.0]).astype(complex), (4, 1, 1)), 2, lat
-    )
-    with pytest.raises(RankError):
-        rb.frame_from_projection(bad)
-
-
-@pytest.mark.parametrize("entry", [1.0, np.nan])
-def test_frame_of_a_non_hermitian_projector_fails(entry):
-    # the oblique idempotent [[1, 1], [0, 0]] has rank 1, but eigh reads only
-    # its lower triangle and took it for diag(1, 0); a NaN is caught likewise
-    lat = rb.build_circle(4, "trivial")
-    proj = np.tile(np.diag([1.0, 0.0]).astype(complex), (4, 1, 1))
-    proj[2, 0, 1] = entry
-    with pytest.raises(DomainError, match="projector at site 2 is not Hermitian"):
-        rb.frame_from_projection(rb.ProjectionFamily(proj, 1, lat))
 
 
 def test_frame_reference_alignment():
@@ -421,7 +395,7 @@ def test_eigensolve_over_link_midpoints(case):
     _, lat, h, j, bands = case
     points = SimpleNamespace(sites=lat.link_midpoints(), involution=lat.link_image)
     s = rb.eigensolve_family(h, points, bands, j)
-    assert s.lattice is points
+    assert not hasattr(s, "lattice")
     assert s.eigenvalues.shape == (lat.n_links, h.dimension)
     stack = h(points.sites)
     scale = np.abs(stack).max(axis=(1, 2))
@@ -431,6 +405,38 @@ def test_eigensolve_over_link_midpoints(case):
     residual = stack @ v - v * s.eigenvalues[:, None, bands]
     assert np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-12 * scale)
     assert s.hamiltonian_residual <= 1e-12 * scale.max()
+
+
+def midpoint_frame_cases():
+    for k in (1, 2):
+        yield f"sphere-k{k}", rb.build_sphere2(8, 12), *rb.model_degree_k_sphere(k), [0]
+    lat = rb.build_torus2(12, 12, "eta1")
+    h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
+    yield "oscillator", lat, h, j, [1]
+    yield "oscillator-rank2", lat, h, j, [0, 1]
+
+
+@pytest.mark.parametrize("case", list(midpoint_frame_cases()), ids=lambda c: c[0])
+def test_frames_over_link_midpoints(case):
+    # eigensolve, projection and frame over the link midpoints, a tau-closed
+    # point set that is not a lattice: each midpoint's frame columns are
+    # eigenvectors of H there, and no result carries the point set
+    _, lat, h, j, bands = case
+    points = SimpleNamespace(sites=lat.link_midpoints(), involution=lat.link_image)
+    s = rb.eigensolve_family(h, points, bands, j)
+    p = rb.select_projection(s, bands)
+    f = rb.frame_from_projection(p)
+    assert rb.gap_margin(s, bands) > 0
+    for result in (s, p, f):
+        assert not hasattr(result, "lattice")
+    stack = h(points.sites)
+    psi = f.columns
+    lam = np.einsum("nim,nij,njm->nm", psi.conj(), stack, psi).real
+    residual = stack @ psi - psi * lam[:, None, :]
+    scale = np.abs(stack).max(axis=(1, 2))
+    assert np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-12 * scale)
+    want = s.eigenvalues[:, bands]
+    assert np.all(np.abs(np.sort(lam, axis=1) - want) <= 1e-12 * scale[:, None])
 
 
 def test_eigensolve_memory_stays_bounded():

@@ -105,7 +105,7 @@ def test_sewing_rejects_asymmetric_projection():
     cols = np.zeros((8, 2, 1), dtype=complex)
     cols[:, 0, 0] = np.cos(0.5 * lat.sites[:, 0])
     cols[:, 1, 0] = np.sin(0.5 * lat.sites[:, 0])
-    f = rb.Frame(cols, lat)
+    f = rb.Frame(cols)
     with pytest.raises(SymmetryInconsistencyError):
         rb.sewing_matrix(f, rb.SymmetryData.identity(2), lat)
 
@@ -130,7 +130,7 @@ def test_sewing_gauge_covariance(rng):
     w = rb.sewing_matrix(f, j, lat)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, lat.n_sites))
     g = phases[:, None, None]
-    f2 = rb.Frame(f.columns * g, lat, "gauged")
+    f2 = rb.Frame(f.columns * g, "gauged")
     w2 = rb.sewing_matrix(f2, j, lat)
     tau = lat.involution
     for site in range(lat.n_sites):
@@ -154,15 +154,15 @@ def test_obstruction_winding_j_order_one():
     j = rb.SymmetryData(
         2, +1, rb.pointwise(lambda c: np.exp(1j * c[0]) * np.eye(2)), "winding"
     )
-    proj = rb.ProjectionFamily(
-        np.tile(np.diag([1.0, 0.0]).astype(complex), (lat.n_sites, 1, 1)), 1, lat
-    )
+    cols = np.zeros((lat.n_sites, 2, 1), dtype=complex)
+    cols[:, 0, 0] = 1.0
+    proj = rb.ProjectionFamily(cols, (0,))
     assert rb.gb_equivariance_obstruction(proj, j, lat) > 0.5
 
 
 def test_obstruction_empty_projection_zero():
     lat = rb.build_circle(8, "trivial")
-    proj = rb.ProjectionFamily(np.zeros((8, 2, 2), dtype=complex), 0, lat)
+    proj = rb.ProjectionFamily(np.zeros((8, 2, 0), dtype=complex), ())
     j = rb.SymmetryData(
         2, +1, rb.pointwise(lambda c: np.exp(1j * c[0]) * np.eye(2)), "winding"
     )
