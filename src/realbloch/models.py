@@ -409,19 +409,12 @@ def direct_sum_hamiltonians(
     pair1: tuple[HamiltonianFamily, SymmetryData],
     pair2: tuple[HamiltonianFamily, SymmetryData],
 ) -> tuple[HamiltonianFamily, SymmetryData]:
-    """Block-diagonal sum of two Hamiltonian models with their symmetries.
-    Two affine summands give an affine sum: their terms, each padded into its
-    diagonal block, and their coefficients side by side."""
+    """Block-diagonal sum of two Hamiltonian models with their symmetries."""
     (h1, j1), (h2, j2) = pair1, pair2
-    n, name = h1.dimension + h2.dimension, f"{h1.name}+{h2.name}"
-    if h1.terms is None or h2.terms is None:
-        h = HamiltonianFamily(n, lambda c: _block_diag(h1(c), h2(c)), name)
-    else:
-        t1, t2 = h1.terms, h2.terms
-        terms = np.zeros((len(t1) + len(t2), n, n), np.result_type(t1, t2))
-        terms[: len(t1), : h1.dimension, : h1.dimension] = t1
-        terms[len(t1) :, h1.dimension :, h1.dimension :] = t2
-        h = HamiltonianFamily(
-            n, lambda c: np.concatenate([h1.sample(c), h2.sample(c)], 1), name, terms
-        )
-    return h, _sum_j(j1, j2)
+    n = h1.dimension + h2.dimension
+    return (
+        HamiltonianFamily(
+            n, lambda c: _block_diag(h1(c), h2(c)), f"{h1.name}+{h2.name}"
+        ),
+        _sum_j(j1, j2),
+    )

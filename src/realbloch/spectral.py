@@ -129,7 +129,7 @@ class SpectralData:
         return self.eigenvalues.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class ProjectionFamily:
     """Per-point rank-m spectral projector P(x) = V(x) V(x)^dag, held as the
     eigensolve's kept columns V (n_sites, N, m) of the bands `band_indices`.

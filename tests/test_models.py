@@ -3,7 +3,6 @@ import pytest
 
 import realbloch as rb
 from realbloch.errors import TruncationError
-from realbloch.models import _block_diag
 
 
 def test_hermite_value_at_origin():
@@ -227,30 +226,3 @@ def test_direct_sum_hamiltonians():
     lat = rb.build_sphere2(6, 8)
     rep = rb.verify_hamiltonian_symmetry(h, j, lat)
     assert rep.hamiltonian_residual <= 1e-12
-
-
-def test_whitney_sum_of_affine_families_stays_affine(monkeypatch):
-    # the sum of two oscillators states its terms (theirs, padded into the
-    # diagonal blocks), so the eigensolve samples coefficients only and never
-    # forms an (n, N1 + N2, N1 + N2) stack
-    lat = rb.build_torus2(12, 12, "eta1")
-    pairs = [
-        rb.model_oscillator(rb.OscillatorParams(n_basis=n, delta=d), lat)
-        for n, d in ((20, 1.0), (22, 1.25))
-    ]
-    (h1, _), (h2, _) = pairs
-    h, j = rb.direct_sum_hamiltonians(*pairs)
-    bands = [0, 1, 2]
-    plain = rb.HamiltonianFamily(42, lambda c: _block_diag(h1(c), h2(c)), "plain")
-    want = rb.eigensolve_family(plain, lat, bands, j)
-
-    def never(self, coords):
-        raise AssertionError("the eigensolve formed a Hamiltonian stack")
-
-    monkeypatch.setattr(rb.HamiltonianFamily, "__call__", never)
-    got = rb.eigensolve_family(h, lat, bands, j)
-    assert h.terms.shape == (6, 42, 42)
-    scale = np.abs(h.terms).max() * np.abs(h.sample(lat.sites)).max()
-    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-12 * scale
-    assert np.max(np.abs(got.eigenvectors - want.eigenvectors)) <= 1e-12
-    assert abs(got.hamiltonian_residual - want.hamiltonian_residual) <= 1e-12 * scale

@@ -383,6 +383,7 @@ def midpoint_cases():
     lat = rb.build_torus2(12, 12, "eta1")
     h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
     yield "oscillator", lat, h, j, [0, 1]
+    yield "oscillator-band1", lat, h, j, [1]
     for k in (1, 2, 5):
         yield f"sphere-k{k}", rb.build_sphere2(8, 12), *rb.model_degree_k_sphere(k), [0]
 
@@ -391,11 +392,16 @@ def midpoint_cases():
 def test_eigensolve_over_link_midpoints(case):
     # the link midpoints with the link image form a tau-closed point set
     # that is not a lattice: the eigensolve reads only its sites and its
-    # involution, and matches a dense eigvalsh at those points
+    # involution, and matches a dense eigvalsh at those points; projection
+    # and frame follow it there, and no result carries the point set
     _, lat, h, j, bands = case
     points = SimpleNamespace(sites=lat.link_midpoints(), involution=lat.link_image)
     s = rb.eigensolve_family(h, points, bands, j)
-    assert not hasattr(s, "lattice")
+    p = rb.select_projection(s, bands)
+    f = rb.frame_from_projection(p)
+    for result in (s, p, f):
+        assert not hasattr(result, "lattice")
+    assert rb.gap_margin(s, bands) > 0
     assert s.eigenvalues.shape == (lat.n_links, h.dimension)
     stack = h(points.sites)
     scale = np.abs(stack).max(axis=(1, 2))
@@ -405,35 +411,10 @@ def test_eigensolve_over_link_midpoints(case):
     residual = stack @ v - v * s.eigenvalues[:, None, bands]
     assert np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-12 * scale)
     assert s.hamiltonian_residual <= 1e-12 * scale.max()
-
-
-def midpoint_frame_cases():
-    for k in (1, 2):
-        yield f"sphere-k{k}", rb.build_sphere2(8, 12), *rb.model_degree_k_sphere(k), [0]
-    lat = rb.build_torus2(12, 12, "eta1")
-    h, j = rb.model_oscillator(rb.OscillatorParams(level=1, n_basis=40), lat)
-    yield "oscillator", lat, h, j, [1]
-    yield "oscillator-rank2", lat, h, j, [0, 1]
-
-
-@pytest.mark.parametrize("case", list(midpoint_frame_cases()), ids=lambda c: c[0])
-def test_frames_over_link_midpoints(case):
-    # eigensolve, projection and frame over the link midpoints, a tau-closed
-    # point set that is not a lattice: each midpoint's frame columns are
-    # eigenvectors of H there, and no result carries the point set
-    _, lat, h, j, bands = case
-    points = SimpleNamespace(sites=lat.link_midpoints(), involution=lat.link_image)
-    s = rb.eigensolve_family(h, points, bands, j)
-    p = rb.select_projection(s, bands)
-    f = rb.frame_from_projection(p)
-    assert rb.gap_margin(s, bands) > 0
-    for result in (s, p, f):
-        assert not hasattr(result, "lattice")
-    stack = h(points.sites)
+    # each midpoint's frame columns are eigenvectors of H there
     psi = f.columns
     lam = np.einsum("nim,nij,njm->nm", psi.conj(), stack, psi).real
     residual = stack @ psi - psi * lam[:, None, :]
-    scale = np.abs(stack).max(axis=(1, 2))
     assert np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-12 * scale)
     want = s.eigenvalues[:, bands]
     assert np.all(np.abs(np.sort(lam, axis=1) - want) <= 1e-12 * scale[:, None])
@@ -548,3 +529,12 @@ def test_tree_gauge_makes_tree_overlaps_positive(case):
         want = ref.smooth_frame_gauge_by_levels(frame, lat).columns
         assert cols.tobytes() == want.tobytes()
         assert max_frob(cols - ref.smooth_frame_gauge(frame, lat).columns) <= 1e-13
+
+
+def test_projection_family_compares_by_identity():
+    # an ndarray field has no truth value, so equality is identity and the
+    # family stays hashable
+    cols = np.zeros((2, 2, 1), complex)
+    p, q = rb.ProjectionFamily(cols, (0,)), rb.ProjectionFamily(cols.copy(), (0,))
+    assert p == p and p != q
+    assert len({p, q}) == 2
