@@ -221,17 +221,18 @@ def unitary_logs(u: np.ndarray):
     return (logs if u.shape[1] == 1 else 0.5 * (logs - adjoint(logs))), cut
 
 
-def principal_log_unitaries(u: np.ndarray, *, what: str = "matrix"):
+def principal_log_unitaries(u: np.ndarray, *, what: str = "matrix", ids=None):
     """Principal logarithm of every unitary in a stack (see unitary_logs).
 
     Raises BranchCutError naming the first entry with an eigenvalue within
-    BRANCH_CUT_GUARD of -1 as "<what> <index>".
+    BRANCH_CUT_GUARD of -1 as "<what> <index>", or "<what> <ids[index]>".
     """
     logs, cut = unitary_logs(u)
     bad = np.flatnonzero(cut)
     if bad.size:
+        at = bad[0] if ids is None else ids[bad[0]]
         raise BranchCutError(
-            f"{what} {bad[0]}: eigenvalue at -1 within {BRANCH_CUT_GUARD:g}; "
+            f"{what} {at}: eigenvalue at -1 within {BRANCH_CUT_GUARD:g}; "
             "refine the lattice"
         )
     return logs

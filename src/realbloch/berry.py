@@ -20,7 +20,7 @@ from ._matrix import (
     principal_log_unitaries,
 )
 from .errors import DiscretizationError, DomainError
-from .lattice import InvolutiveLattice
+from .lattice import InvolutiveLattice, mirror_rows, orbit_split
 from .spectral import Frame, evaluate_block
 from .symmetry import SewingField, SymmetryData
 
@@ -41,7 +41,7 @@ __all__ = [
 OVERLAP_SINGULAR_TOL = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class LinkField:
     """Per-link m x m unitaries on a lattice's canonical directed links, in
     its link order; the lattice itself is the caller's `lat`.
@@ -72,7 +72,7 @@ class LinkField:
         return hol
 
 
-@dataclass
+@dataclass(eq=False)
 class LocalConnectionForm:
     """Anti-Hermitian m x m matrices per canonical link, per unit coordinate.
 
@@ -113,25 +113,30 @@ class ProductConnectionSpec:
         return np.asarray(a, dtype=complex)
 
 
-def link_field(f: Frame, lat: InvolutiveLattice) -> LinkField:
+def link_field(f: Frame, lat: InvolutiveLattice, mirrored=None) -> LinkField:
     """Unitarized frame overlaps on every canonical link.
 
     One gather of the tail and head frames, one batched overlap and one
     batched polar decomposition (rank one: z/|z|).  Raises
     DiscretizationError naming the first link whose overlap is singular or
     not finite (band crossing or a lattice too coarse for the model's
-    variation).
+    variation).  A link whose ends are `mirrored`, sites whose frame is the
+    conjugate of their tau-image's bit for bit, is written from its image
+    (conjugated, or transposed where `link_image_sign` is -1) when that is
+    the lower link of the orbit.
     """
-    tail, head = lat.link_tail, lat.link_head
+    rows, copies = orbit_split(lat.link_image, mirrored, (lat.link_tail, lat.link_head))
+    tail, head = lat.link_tail[rows], lat.link_head[rows]
     u, smin = polar_unitaries(adjoint(f.columns[tail]) @ f.columns[head])
     bad = np.flatnonzero(~(smin > OVERLAP_SINGULAR_TOL))
     if bad.size:
-        lk = int(bad[0])
+        k = bad[0]
+        lk = np.arange(lat.n_links)[rows][k]
         raise DiscretizationError(
-            f"singular frame overlap on link {lk} ({tail[lk]}->{head[lk]}), "
-            f"smallest singular value {smin[lk]:.3e}"
+            f"singular frame overlap on link {lk} ({tail[k]}->{head[k]}), "
+            f"smallest singular value {smin[k]:.3e}"
         )
-    return LinkField(u)
+    return LinkField(mirror_rows(u, rows, copies, lat.link_image, lat.link_image_sign))
 
 
 def _connection_steps(
@@ -205,7 +210,7 @@ def gauge_transform(
 
 
 def equivariance_residual(
-    u: LinkField, w: SewingField, lat: InvolutiveLattice
+    u: LinkField, w: SewingField, lat: InvolutiveLattice, mirrored=None
 ) -> float:
     """Discrete equivariance defect of a link field under the involution.
 
@@ -214,11 +219,14 @@ def equivariance_residual(
     sewing_matrix) maps the conjugated frame to the frame at tau x, so the
     relation is a change of frame at either parity.  Direction reversal of
     the image link is handled through the adjoint.  A residual at
-    discretization order certifies the connection equivariant.
+    discretization order certifies the connection equivariant.  A link
+    written from its image (`mirrored`, see link_field), with its ends' W
+    written likewise (see sewing_matrix), repeats its defect and is skipped.
     """
-    img = u.gather(lat.link_image, lat.link_image_sign)
-    lhs = adjoint(w.w[lat.link_tail]) @ img @ w.w[lat.link_head]
-    return max_frob(lhs - u.u.conj())
+    rows, _ = orbit_split(lat.link_image, mirrored, (lat.link_tail, lat.link_head))
+    img = u.gather(lat.link_image[rows], lat.link_image_sign[rows])
+    lhs = adjoint(w.w[lat.link_tail[rows]]) @ img @ w.w[lat.link_head[rows]]
+    return max_frob(lhs - u.u[rows].conj())
 
 
 def j_conjugate_connection(

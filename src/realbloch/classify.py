@@ -113,6 +113,11 @@ class RealBundle:
     it; a layer raises what its function raises, and the residual checks
     that raise are classify's.  `frame_rule(projection) -> Frame` fixes the
     frame gauge, by default frame_from_projection's raw eigenvector gauge.
+    With J = 1, `mirrored` marks the sites whose frame is the conjugate of
+    their tau-image's bit for bit, one comparison pass; the link field, the
+    rank-one plaquette fluxes and the sewing matrix are written there from
+    their orbit representatives, and the equivariance residual skips what
+    they wrote.  Any other frame is computed at every site.
     """
 
     def __init__(self, model, j, lat, bands=None, tolerances=None, frame_rule=None):
@@ -164,10 +169,25 @@ class RealBundle:
         return self.frame_rule(self.projection)
 
     @cached_property
+    def mirrored(self) -> Optional[np.ndarray]:
+        """With J = 1, the sites whose frame is the conjugate of their
+        tau-image's, bit for bit; None for any other J and a product spec."""
+        if self.is_product or self.j is None or not self.j.unit:
+            return None
+        tau = self.lat.involution
+        cols = self.frame.columns.reshape(tau.size, -1)  # flat rows: take is fast
+        high = np.flatnonzero(tau <= np.arange(tau.size))  # one site per orbit
+        image = cols.take(tau[high], axis=0)
+        same = (cols.take(high, axis=0) == np.conjugate(image, out=image)).all(axis=1)
+        mirrored = np.zeros(tau.size, bool)
+        mirrored[high] = mirrored[tau[high]] = same
+        return mirrored
+
+    @cached_property
     def links(self) -> LinkField:
         if self.is_product:
             return link_field_from_connection(self.model, self.lat)
-        return link_field(self.frame, self.lat)
+        return link_field(self.frame, self.lat, self.mirrored)
 
     @cached_property
     def sewing(self) -> SewingField:
@@ -175,15 +195,16 @@ class RealBundle:
         if self.is_product:
             # standard-basis frames make the sewing matrix equal to J itself
             return SewingField(j(lat.sites), j.parity, 0.0)
-        return sewing_matrix(self.frame, j, lat, self.tolerances["sewing_unitarity"])
+        tol = self.tolerances["sewing_unitarity"]
+        return sewing_matrix(self.frame, j, lat, tol, self.mirrored)
 
     @cached_property
     def equivariance(self) -> float:
-        return equivariance_residual(self.links, self.sewing, self.lat)
+        return equivariance_residual(self.links, self.sewing, self.lat, self.mirrored)
 
     @cached_property
     def curvature(self) -> CurvatureField:
-        return plaquette_curvature(self.links, self.lat)
+        return plaquette_curvature(self.links, self.lat, self.mirrored)
 
     @cached_property
     def chern(self) -> tuple:

@@ -14,7 +14,7 @@ import numpy as np
 from ._matrix import adjoint, principal_log_unitaries
 from .berry import LinkField
 from .errors import UnsupportedBaseError
-from .lattice import InvolutiveLattice
+from .lattice import InvolutiveLattice, mirror_rows, orbit_split
 from .spectral import Frame, ProjectionFamily
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
 QUANTIZATION_WARN = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class CurvatureField:
     """Per-plaquette anti-Hermitian total flux matrices, in plaquette order."""
 
@@ -40,14 +40,24 @@ class CurvatureField:
         return self.f.shape[2]
 
 
-def plaquette_curvature(u: LinkField, lat: InvolutiveLattice) -> CurvatureField:
+def plaquette_curvature(
+    u: LinkField, lat: InvolutiveLattice, mirrored=None
+) -> CurvatureField:
     """Principal log of the ordered link product around each plaquette.
 
     Raises BranchCutError naming the first plaquette whose holonomy has an
-    eigenvalue at -1 (advice: refine the lattice).
+    eigenvalue at -1 (advice: refine the lattice).  At rank one a plaquette
+    whose corners are `mirrored` (see link_field) takes the flux of its
+    image when that is the lower plaquette of the orbit.  Above rank one an
+    image's cycle may start at another corner, which conjugates its flux.
     """
-    hol = u.products(lat.plaquette_links, lat.plaquette_signs)
-    return CurvatureField(principal_log_unitaries(hol, what="plaquette"))
+    image = lat.plaquette_image
+    real = None if u.rank > 1 else mirrored
+    rows, copies = orbit_split(image, real, lat.plaquette_corners.T)
+    hol = u.products(lat.plaquette_links[rows], lat.plaquette_signs[rows])
+    ids = np.arange(lat.n_plaquettes)[rows]
+    f = principal_log_unitaries(hol, what="plaquette", ids=ids)
+    return CurvatureField(mirror_rows(f, rows, copies, image, lat.plaquette_image_sign))
 
 
 def chern_weil_density(curv: CurvatureField, k: int) -> np.ndarray:

@@ -32,7 +32,7 @@ __all__ = [
 SIGN_ROUND_MARGIN = 0.3
 
 
-@dataclass
+@dataclass(eq=False)
 class HolonomyResult:
     """Loop holonomy with its base point and frame gauge tag."""
 
@@ -50,7 +50,7 @@ class HolonomyResult:
         return complex(np.trace(self.hol))
 
 
-@dataclass
+@dataclass(eq=False)
 class FixedLoopHolonomy:
     """Holonomy around a fixed-point loop, rotated into a real gauge."""
 

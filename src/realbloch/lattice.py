@@ -502,6 +502,39 @@ def sphere_embedding(coords: np.ndarray) -> np.ndarray:
     )
 
 
+# -- tau-orbits of Real values --------------------------------------------
+
+
+def orbit_split(image: np.ndarray, mirrored=None, ends=None) -> tuple:
+    """``(rows, copies)``: the ids of sites, links or plaquettes whose value is
+    computed (``slice(None)`` when that is all of them), and those written
+    from their tau-image's: the higher id of each orbit whose `ends` (site id
+    arrays, -1 for none; a site is its own end when `ends` is None) are all
+    `mirrored`."""
+    copy = image < np.arange(image.size)
+    if mirrored is None:
+        copy[:] = False
+    elif ends is None:
+        copy &= mirrored
+    else:
+        for e in ends:  # one array at a time: .all(axis=1) is slow on short rows
+            copy &= mirrored[e] | (e < 0)
+    copies = np.flatnonzero(copy)
+    return (np.flatnonzero(~copy) if copies.size else slice(None)), copies
+
+
+def mirror_rows(values: np.ndarray, rows, copies, image, sign) -> np.ndarray:
+    """The stack with `values` at `rows` and at `copies` their images' values,
+    conjugated where `sign` is +1 and transposed where -1."""
+    if not copies.size:
+        return values
+    out = np.empty((len(values) + copies.size,) + values.shape[1:], values.dtype)
+    out[rows] = values
+    src, plus = out[image[copies]], (sign[copies] > 0)[:, None, None]
+    out[copies] = np.where(plus, src.conj(), src.swapaxes(1, 2))
+    return out
+
+
 # -- loops ---------------------------------------------------------------
 
 

@@ -113,7 +113,7 @@ def _affine(coefs: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralData:
     """Per-point ascending eigenvalues of every band, and the eigenvector
     columns of the sorted `bands`, in the order of the point set the solve
@@ -152,7 +152,7 @@ class ProjectionFamily:
         return self.columns @ adjoint(self.columns)
 
 
-@dataclass
+@dataclass(eq=False)
 class Frame:
     """Per-point N x m orthonormal columns spanning the projector range."""
 

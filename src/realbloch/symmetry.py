@@ -12,7 +12,7 @@ import numpy as np
 
 from ._matrix import adjoint, frob_each, max_frob, worst
 from .errors import KramersObstructionError, SymmetryInconsistencyError
-from .lattice import InvolutiveLattice
+from .lattice import InvolutiveLattice, orbit_split
 from .spectral import (
     Frame,
     HamiltonianFamily,
@@ -92,7 +92,7 @@ class SymmetryData:
         count = len(cols) if sites is None else len(sites)
         for block in index_blocks(count, dim * (m if self.unit else dim)):
             x = block if sites is None else sites[block]
-            a = np.conjugate(cols[x] if sites is None else cols.take(x, axis=0))
+            a = np.conjugate(cols[x])  # not take: it copies a strided array whole
             js = self.factor(points.sites[x])
             yield x, (a if js is None else js @ a)
 
@@ -107,7 +107,7 @@ class SymmetryData:
         return SymmetryData.constant(np.eye(dimension), +1, "identity")
 
 
-@dataclass
+@dataclass(eq=False)
 class SewingField:
     """Per-site m x m matrix W(x) relating the frame at tau(x) to the
     conjugated frame at x through J."""
@@ -181,14 +181,30 @@ def verify_hamiltonian_symmetry(
     return SymmetryReport(res_h, unitary_residual(j, lat), tolerance)
 
 
-def _theta_blocks(cols: np.ndarray, j: SymmetryData, points):
+def _theta_blocks(cols: np.ndarray, j: SymmetryData, points, sites=None):
     """Orthonormal columns V (n_sites, N, m) under Theta, in the site blocks
     of SymmetryData.theta_blocks: yields ``(block, A, V(tau x),
     V(tau x)^dag A)`` with A = J(x) conj(V(x)) on a tau-closed point set."""
     tau = points.involution
-    for block, a in j.theta_blocks(cols, points):
+    for block, a in j.theta_blocks(cols, points, sites):
         vt = cols[tau[block]]
         yield block, a, vt, adjoint(vt) @ a
+
+
+def _theta_orbits(cols: np.ndarray, j: SymmetryData, lat: InvolutiveLattice):
+    """_theta_blocks over every site, or with J = 1 over one site x >= tau x
+    per orbit, then over the images of those whose A = conj V(x) differs
+    from V(tau x): where the two are equal bit for bit (the eigensolve's
+    mirror), tau x repeats x, conjugated."""
+    tau = lat.involution
+    if not j.unit:
+        yield from _theta_blocks(cols, j, lat)
+        return
+    high, again = np.flatnonzero(tau >= np.arange(tau.size)), []
+    for x, a, vt, vta in _theta_blocks(cols, j, lat, high):
+        again.append(tau[x][(a != vt).reshape(len(x), -1).any(axis=1) & (tau[x] != x)])
+        yield x, a, vt, vta
+    yield from _theta_blocks(cols, j, lat, np.concatenate(again))
 
 
 def verify_projection_symmetry(
@@ -202,16 +218,22 @@ def verify_projection_symmetry(
     unless J is evaluated.  The two norms agree for unitary J (both
     projectors have rank m); classify checks J's unitary residual (see
     unitary_residual) first, so a non-unitary J fails there.  A NaN
-    anywhere gives NaN.
+    anywhere gives NaN.  With J = 1 a site whose columns are the conjugate
+    of its image's bit for bit repeats its image's residual and is skipped
+    (see _theta_orbits).
     """
     res = 0.0
-    for _, a, vt, vta in _theta_blocks(p.columns, j, lat):
+    for _, a, vt, vta in _theta_orbits(p.columns, j, lat):
         res = worst(res, np.sqrt(2.0) * max_frob(a - vt @ vta))
     return res
 
 
 def sewing_matrix(
-    f: Frame, j: SymmetryData, lat: InvolutiveLattice, tolerance: float = 1e-6
+    f: Frame,
+    j: SymmetryData,
+    lat: InvolutiveLattice,
+    tolerance: float = 1e-6,
+    mirrored=None,
 ) -> SewingField:
     """W(x) = Psi(tau x)^dag J(x) conj(Psi(x)) per site, the product taken
     as Psi(tau x)^dag A on the blocks of verify_projection_symmetry.
@@ -219,6 +241,8 @@ def sewing_matrix(
     Requires the projection symmetry to hold; a unitarity residual above
     tolerance, or NaN, raises.  Odd parity with odd rank over a nonempty
     fixed set is rejected outright: no consistent sewing matrix exists there.
+    With J = 1, a site x > tau x whose frame is conj Psi(tau x) bit for bit
+    (`mirrored`) takes W(x) = conj W(tau x).
     """
     m = f.rank
     if j.parity == -1 and m % 2 == 1 and lat.fixed_sites.size > 0:
@@ -226,8 +250,11 @@ def sewing_matrix(
             f"odd parity with rank {m} over {lat.fixed_sites.size} fixed sites"
         )
     w = np.empty((lat.n_sites, m, m), dtype=complex)
-    for block, _, _, vta in _theta_blocks(f.columns, j, lat):
+    rows, copies = orbit_split(lat.involution, mirrored if j.unit else None)
+    sites = rows if copies.size else None  # every site: the blocks are slices
+    for block, _, _, vta in _theta_blocks(f.columns, j, lat, sites):
         w[block] = vta
+    w[copies] = w[lat.involution[copies]].conj()
     res = max_frob(adjoint(w) @ w - np.eye(m))
     if not res <= tolerance:
         raise SymmetryInconsistencyError(

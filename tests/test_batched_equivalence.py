@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 import realbloch as rb
-from conftest import mobius_two_band
-from realbloch import spectral
-from realbloch._matrix import adjoint, expms
+from conftest import assert_bundle_mirrors, mirrored_copies, mobius_two_band
+from realbloch import berry, curvature, spectral
+from realbloch._matrix import adjoint, expms, max_frob
 from realbloch.classify import _BASE_TABLE, _j_consistency
 from realbloch.models import _block_diag
 from realbloch.errors import (
@@ -597,6 +597,35 @@ def test_mirrored_eigensolve_matches_full_solve(case):
     for bands in groups:
         p, p_full = (rb.select_projection(x, bands).projectors for x in (s, full))
         assert np.max(np.abs(p - p_full)) <= TOL, bands
+        bundle = rb.RealBundle(h, j, lat, bands)
+        assert bundle.mirrored[image].all()
+        assert_mirror_matches_full(bundle)
+
+
+def assert_mirror_matches_full(bundle):
+    """The layers a bundle writes from tau-images (see assert_bundle_mirrors)
+    against the same layers computed at every site, link and plaquette of
+    its own frame (the projection residual by the loop reference), to
+    TOL."""
+    lat, f, j = bundle.lat, bundle.frame, bundle.j
+    try:
+        u = rb.link_field(f, lat)
+    except DiscretizationError as exc:  # eigenvectors that jump inside the group
+        with pytest.raises(DiscretizationError) as got:
+            bundle.links
+        assert str(got.value) == str(exc)
+        return
+    assert assert_bundle_mirrors(bundle) > 0
+    w = rb.sewing_matrix(f, j, lat)
+    assert max_frob(bundle.links.u - u.u) <= TOL
+    assert max_frob(bundle.sewing.w - w.w) <= TOL
+    assert abs(w.unitarity_residual - bundle.sewing.unitarity_residual) <= TOL
+    pres = ref.verify_projection_symmetry(bundle.projection.projectors, j, lat)
+    assert abs(pres - bundle.projection_residual) <= TOL
+    eq = rb.equivariance_residual(u, w, lat)
+    assert abs(eq - bundle.equivariance) <= TOL
+    if lat.dim == 2:
+        assert max_frob(bundle.curvature.f - rb.plaquette_curvature(u, lat).f) <= TOL
 
 
 @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
@@ -834,12 +863,22 @@ def assert_same_symmetry_layers(h, j, j_ref, lat, bands):
 
 
 @pytest.mark.parametrize("case", sorted(CONSTANT_J_CASES))
-def test_constant_j_layers_match_per_point_j_bitwise(case):
+def test_constant_j_layers_match_per_point_j_bitwise(monkeypatch, case):
+    # a per-point J is never the identity, so its bundle computes every
+    # site, link and plaquette; the constant J's bundle does too once its
+    # mirror is off, and then the two agree bit for bit
     h, j, lat, bands = CONSTANT_J_CASES[case]()
     assert j.matrix is not None
     assert_same_symmetry_layers(h, j, per_point(j), lat, bands)
-    result = rb.classify_real_bundle(h, j, lat, bands).to_json_dict()
-    assert result == rb.classify_real_bundle(h, per_point(j), lat, bands).to_json_dict()
+    want = rb.classify_real_bundle(h, per_point(j), lat, bands).to_json_dict()
+    mirrored = rb.classify_real_bundle(h, j, lat, bands).to_json_dict()
+    monkeypatch.setattr(rb.RealBundle, "mirrored", None)
+    assert rb.classify_real_bundle(h, j, lat, bands).to_json_dict() == want
+    # with the mirror (J = 1), the numbers move at roundoff only
+    got, expect = mirrored.pop("diagnostics"), want.pop("diagnostics")
+    assert mirrored == want and sorted(got) == sorted(expect)
+    for key, value in got.items():
+        assert np.allclose(value, expect[key], rtol=0, atol=TOL), key
 
 
 def test_whitney_sums_keep_a_constant_j():
@@ -907,6 +946,92 @@ def test_degeneracy_across_sectors_names_same_site():
     with pytest.raises(GapClosureError) as got:
         rb.classify_real_bundle(h, rb.SymmetryData.identity(4), lat, [0])
     assert got.value.site == 8
+
+
+# -- the mirror: tau-images written from their representatives ---------------
+
+# the trivial torus is left out: every site is fixed, so its Real frames are
+# real and a plaquette holonomy in O(m) may sit on the cut at -1
+SMALL_LATTICES = sorted(
+    k for k, v in SHIPPED_LATTICES.items() if v[1] <= 12 and k != "torus-trivial"
+)
+
+
+def real_frame(lat, dim, m, rng):
+    """Orthonormal (n, dim, m) columns, random at the lower site of each
+    orbit, their conjugate at the higher and real at a fixed site: Real bit
+    for bit at every site."""
+    z = rng.normal(size=(lat.n_sites, dim, m, 2)) @ [1.0, 1j]
+    fixed = lat.fixed_sites
+    z[fixed] = z[fixed].real
+    cols, _ = np.linalg.qr(z)
+    tau = lat.involution
+    high = np.flatnonzero(tau < np.arange(lat.n_sites))
+    cols[high] = cols[tau[high]].conj()
+    return cols
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("case", SMALL_LATTICES)
+def test_mirror_writes_what_the_full_path_computes(case, m):
+    # every layer with the mirror on against the same layer computed
+    # everywhere, on one Real frame: links, plaquette fluxes (mirrored at
+    # rank one), sewing matrices and the residuals agree to TOL (the
+    # projection residual, which finds the mirror itself, against the loop
+    # reference)
+    builder, *args = SHIPPED_LATTICES[case]
+    lat = builder(*args)
+    f = rb.Frame(real_frame(lat, 3, m, np.random.default_rng(m)))
+    j, mirrored = rb.SymmetryData.identity(3), np.ones(lat.n_sites, bool)
+    u, u_full = rb.link_field(f, lat, mirrored), rb.link_field(f, lat)
+    assert max_frob(u.u - u_full.u) <= TOL
+    w = rb.sewing_matrix(f, j, lat, mirrored=mirrored)
+    w_full = rb.sewing_matrix(f, j, lat)
+    assert max_frob(w.w - w_full.w) <= TOL
+    assert abs(w_full.unitarity_residual - w.unitarity_residual) <= TOL
+    p = rb.ProjectionFamily(f.columns, tuple(range(m)))
+    pres = rb.verify_projection_symmetry(p, j, lat)
+    assert abs(ref.verify_projection_symmetry(p.projectors, j, lat) - pres) <= TOL
+    eq = rb.equivariance_residual(u, w, lat, mirrored)
+    assert abs(eq - rb.equivariance_residual(u_full, w_full, lat)) <= TOL
+    copies = mirrored_copies(lat.link_image, np.ones(lat.n_links, bool))
+    moved = np.count_nonzero(lat.link_image != np.arange(lat.n_links))
+    assert copies.size == moved // 2
+    curv = rb.plaquette_curvature(u, lat, mirrored)  # a circle's is empty
+    assert curv.f.shape == (lat.n_plaquettes, m, m)
+    assert max_frob(curv.f - rb.plaquette_curvature(u_full, lat).f) <= TOL
+
+
+@pytest.mark.parametrize("case", ["sphere-k+2", "oscillator-rank2"])
+def test_a_frame_that_is_not_real_takes_the_full_path(monkeypatch, case):
+    # a random phase per site breaks the frame's Realness: every link and
+    # plaquette is computed, and the invariants are those of the default rule
+    h, j, lat, bands = HAMILTONIAN_CASES[case]()
+    angles = 2.0 * np.pi * np.random.default_rng(3).random((lat.n_sites, 1, 1))
+    phases = np.exp(1j * angles)
+
+    def phased(p):
+        return rb.Frame(rb.frame_from_projection(p).columns * phases, "phased")
+
+    sizes = []  # rows of the overlap polar and of the plaquette logs
+    kernels = [(berry, "polar_unitaries"), (curvature, "principal_log_unitaries")]
+    for mod, name in kernels:
+        def counted(a, *args, kernel=getattr(mod, name), **kwargs):
+            sizes.append(len(a))
+            return kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    bundle = rb.RealBundle(h, j, lat, bands, frame_rule=phased)
+    got = bundle.classify()
+    assert not bundle.mirrored.any()
+    assert sizes == [lat.n_links, lat.n_plaquettes]
+    sizes.clear()
+    want = rb.classify_real_bundle(h, j, lat, bands)
+    assert sizes[0] < lat.n_links
+    for key in ("verdict", "free", "torsion"):
+        assert getattr(got, key) == getattr(want, key)
+    value, value_want = (r.diagnostics["chern_value"] for r in (got, want))
+    assert abs(value - value_want) <= TOL
 
 
 # -- failures name the same site, link or plaquette --------------------------
@@ -999,6 +1124,64 @@ def test_singular_overlap_names_same_link():
         DiscretizationError,
         lambda: rb.link_field(f, lat),
         lambda: ref.link_field(f, lat),
+    )
+
+
+def test_mirror_names_the_lowest_singular_link():
+    # a singular overlap planted on the image link of an orbit, with the
+    # frame still Real: the error names the orbit's lower link, as the full
+    # path and the loop reference do.  Every site holds e0 but the ends of
+    # the orbit's two links: (e0 + e1) / sqrt 2 at one end, (e0 - e1) / sqrt 2
+    # at the other, so only these two links are singular
+    lat = rb.build_torus2(8, 12, "eta")
+    tau, img, tail, head = lat.involution, lat.link_image, lat.link_tail, lat.link_head
+    for lk in np.flatnonzero(img < np.arange(lat.n_links)):
+        cols = np.zeros((lat.n_sites, 3, 1))
+        cols[:, 0] = 1.0
+        cols[[tail[lk], tau[tail[lk]]]] = [[1.0], [1.0], [0.0]]
+        cols[[head[lk], tau[head[lk]]]] = [[1.0], [-1.0], [0.0]]
+        singular = np.sum(cols[tail] * cols[head], axis=(1, 2)) == 0
+        if set(np.flatnonzero(singular)) == {lk, img[lk]}:
+            break
+    else:
+        pytest.fail("no link to plant on")
+    f = rb.Frame(cols / np.linalg.norm(cols, axis=1, keepdims=True) + 0j)
+    mirrored = np.ones(lat.n_sites, bool)
+    err = same_failure(
+        DiscretizationError,
+        lambda: rb.link_field(f, lat, mirrored),
+        lambda: ref.link_field(f, lat),
+    )
+    assert f"on link {img[lk]} " in str(err)
+    same_failure(
+        DiscretizationError,
+        lambda: rb.link_field(f, lat, mirrored),
+        lambda: rb.link_field(f, lat),
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_mirror_names_the_lowest_plaquette_on_the_cut(m):
+    # a link at -1 on the image link of an orbit and on its representative
+    # (a Real link field): the error names the lowest plaquette on the cut,
+    # as the full path and the loop reference do (rank 2 computes every
+    # plaquette)
+    lat = rb.build_torus2(10, 10, "xi")
+    u = np.tile(np.eye(m, dtype=complex), (lat.n_links, 1, 1))
+    lk = np.flatnonzero(lat.link_image < np.arange(lat.n_links))[7]
+    u[[lk, lat.link_image[lk]], 0, 0] = -1.0
+    links, mirrored = rb.LinkField(u), np.ones(lat.n_sites, bool)
+    err = same_failure(
+        BranchCutError,
+        lambda: rb.plaquette_curvature(links, lat, mirrored),
+        lambda: ref.plaquette_curvature(links, lat),
+    )
+    on_cut = np.isin(lat.plaquette_links, [lk, lat.link_image[lk]]).any(axis=1)
+    assert str(err).startswith(f"plaquette {np.argmax(on_cut)}:")
+    same_failure(
+        BranchCutError,
+        lambda: rb.plaquette_curvature(links, lat, mirrored),
+        lambda: rb.plaquette_curvature(links, lat),
     )
 
 

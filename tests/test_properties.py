@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 import realbloch as rb
+from conftest import assert_bundle_mirrors
 
 # lattice builder and the involution as a sign flip of the coordinates
 BASES = {
@@ -43,16 +44,16 @@ def features(base, coords):
     return np.stack([one, np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)], axis=1)
 
 
-def symmetric_family(base, n, m, rng, shift=0.0):
+def symmetric_family(base, n, m, rng, shift=0.0, real=False):
     """A random Real family of dimension n whose lowest m bands are meant to
-    be isolated, plus `shift` times the identity."""
+    be isolated, plus `shift` times the identity; J = 1 when `real`."""
     flip = np.array(BASES[base][1])
     k = features(base, np.zeros((1, 2))).shape[1]
     a = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
     a = 0.5 * (a + a.conj().swapaxes(1, 2))
     a[0] += np.diag(np.where(np.arange(n) < m, -1.0, 1.0) + shift)
     u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    jm = u @ u.T
+    jm = np.eye(n) if real else u @ u.T
 
     def h0(coords):
         return np.einsum("nk,kij->nij", features(base, coords), a)
@@ -140,23 +141,40 @@ def test_whitney_sum_adds_chern_and_multiplies_signs(base, n, m, seed, m1):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**draws)
-def test_mirrored_frames_keep_the_invariants(base, n, m, seed):
+@given(real=st.booleans(), **draws)
+def test_mirrored_frames_keep_the_invariants(base, n, m, seed, real):
     # the eigensolve mirrors the tau-images of its blocks at roundoff, J
-    # conj(V) of their representatives; the loop reference solves each site
-    h, j = symmetric_family(base, n, m, np.random.default_rng(seed))
+    # conj(V) of their representatives; the loop reference solves each site.
+    # With J = 1 the mirrored frames are Real, and the links, plaquette
+    # fluxes and sewing matrices at tau-images are written from their
+    # representatives; the full bundle computes each of them
+    h, j = symmetric_family(base, n, m, np.random.default_rng(seed), real=real)
     lat = BASES[base][0]()
-    mirrored = rb.RealBundle(h, j, lat, list(range(m)))
+    bundle = rb.RealBundle(h, j, lat, list(range(m)))
     full = rb.RealBundle(h, j, lat, list(range(m)))
     full.spectra = ref.eigensolve_family(h, lat)
-    full.spectra.hamiltonian_residual = mirrored.spectra.hamiltonian_residual
+    full.spectra.hamiltonian_residual = bundle.spectra.hamiltonian_residual
+    full.mirrored = None  # every later layer computes every site
     image = np.flatnonzero(np.arange(lat.n_sites) > lat.involution)
-    theta = j.matrix @ mirrored.spectra.eigenvectors[lat.involution[image]].conj()
-    assert np.array_equal(mirrored.spectra.eigenvectors[image], theta)
-    got, want = mirrored.classify(), full.classify()
+    theta = j.matrix @ bundle.spectra.eigenvectors[lat.involution[image]].conj()
+    assert np.array_equal(bundle.spectra.eigenvectors[image], theta)
+    got, want = bundle.classify(), full.classify()
     assert (got.verdict, got.torsion) == (want.verdict, want.torsion)
     value, value_full = (r.diagnostics["chern_value"] for r in (got, want))
     assert abs(value - value_full) <= TOL
+    assert (bundle.mirrored is not None) == real
+    if real:
+        assert bundle.mirrored[image].all()
+        assert assert_bundle_mirrors(bundle) > 0
+    flux, flux_full = (
+        np.trace(x.curvature.f, axis1=1, axis2=2) for x in (bundle, full)
+    )
+    assert np.max(np.abs(flux - flux_full)) <= TOL
+    traces = [rec.holonomy.trace.real for rec in bundle.fixed_loops]
+    traces_full = [rec.holonomy.trace.real for rec in full.fixed_loops]
+    assert np.allclose(traces, traces_full, rtol=0, atol=TOL)
+    for key in ("sewing_unitarity", "projection_residual", "equivariance_residual"):
+        assert got.diagnostics[key] <= TOL, key
 
 
 def product_spec(m, twist, rng):

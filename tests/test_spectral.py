@@ -538,3 +538,24 @@ def test_projection_family_compares_by_identity():
     p, q = rb.ProjectionFamily(cols, (0,)), rb.ProjectionFamily(cols.copy(), (0,))
     assert p == p and p != q
     assert len({p, q}) == 2
+
+
+def test_result_types_compare_by_identity():
+    # every result type holds ndarrays: two with equal contents compare
+    # unequal without raising, each equals itself, and both hash
+    z = np.zeros((2, 2, 1), complex)
+    hol = rb.HolonomyResult(np.eye(1), None, 0)
+    makers = [
+        lambda: rb.Frame(z.copy()),
+        lambda: rb.SpectralData(np.zeros((2, 2)), z.copy(), (0,)),
+        lambda: rb.LinkField(np.ones((2, 1, 1), complex)),
+        lambda: rb.LocalConnectionForm(np.zeros((2, 1, 1), complex)),
+        lambda: rb.CurvatureField(np.zeros((2, 1, 1), complex)),
+        lambda: rb.SewingField(np.ones((2, 1, 1), complex), 1, 0.0),
+        lambda: rb.HolonomyResult(np.eye(1), None, 0),
+        lambda: rb.FixedLoopHolonomy(hol, 0.0, 1),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b}) == 2
