@@ -55,9 +55,9 @@ class LoopPath:
         return LoopPath((self.sites[0],) + tuple(reversed(self.sites[1:])))
 
 
-@dataclass
+@dataclass(eq=False)
 class InvolutiveLattice:
-    """Immutable discretized involutive manifold.
+    """Immutable discretized involutive manifold; lattices compare by identity.
 
     ``shape`` is the site grid (see the module docstring).  Row ``p`` of
     ``plaquette_corners`` (n_plaquettes, width) is the corner cycle of

@@ -113,19 +113,18 @@ def hermite_eigenfunction(n: int, r, nu: float, phi: float):
         raise ValueError("frequency must be positive")
     r = np.asarray(r, dtype=float)
     y = r * np.sqrt(nu)
-    h = _normalized_hermite(n, y)
+    h = _normalized_hermite(n, y)[n]
     return nu**0.25 * h * np.exp(-0.5j * phi * r**2)
 
 
 def _normalized_hermite(n: int, y: np.ndarray) -> np.ndarray:
-    """h_n(y) = C_n H_n(y) exp(-y^2/2) by stable upward recurrence."""
+    """h_0(y), ..., h_n(y) stacked, h_k = C_k H_k(y) exp(-y^2/2), by one
+    stable upward recurrence."""
     h0 = np.pi**-0.25 * np.exp(-0.5 * y**2)
-    if n == 0:
-        return h0
-    h1 = np.sqrt(2.0) * y * h0
+    h = [h0, np.sqrt(2.0) * y * h0][: n + 1]
     for k in range(2, n + 1):
-        h0, h1 = h1, y * np.sqrt(2.0 / k) * h1 - np.sqrt((k - 1) / k) * h0
-    return h1
+        h.append(y * np.sqrt(2.0 / k) * h[k - 1] - np.sqrt((k - 1) / k) * h[k - 2])
+    return np.stack(h)
 
 
 def _ladder_blocks(n_basis: int):
@@ -154,11 +153,7 @@ def model_oscillator(
     eigenvalue at the stiffest site misses nu * (level + 1/2) by more than
     1e-6.
     """
-    if not (lat.topology_tag == "torus2" and lat.involution_kind == "eta1"):
-        raise ValueError(
-            "oscillator model lives on a torus with the theta1 reflection "
-            "(build_torus2(..., kind='eta1'))"
-        )
+    _require_eta1(lat)
     q2, p2, pq_qp = _ladder_blocks(p.n_basis)
 
     def coefficients(coords):
@@ -188,14 +183,40 @@ def oscillator_reference_section(
     Gauss-Hermite quadrature of the overlaps of the site eigenfunction with
     the reference-basis functions; used to align numeric frames with the
     analytic gauge before comparing connection components pointwise.
+
+    The section is Real, psi(tau x) = conj psi(x) (Theta psi = psi tau with
+    J = 1): on the theta1-reflection torus, the only lattice accepted
+    (ValueError as in model_oscillator), tau keeps theta2 and negates theta1,
+    so it keeps nu, flips the odd phi, and the basis is real.  Rows are
+    computed at the orbit representatives s <= tau(s) only, and each image
+    tau(s) takes the conjugate row, so a frame aligned to it is Real.
     """
+    _require_eta1(lat)
     nodes, weights = np.polynomial.hermite.hermgauss(96)
     bare = weights * np.exp(nodes**2)
-    basis = np.stack(
-        [hermite_eigenfunction(jn, nodes, 1.0, 0.0).real for jn in range(p.n_basis)]
-    )
-    nu, phi = p.nu(lat.sites)[:, None], p.phi(lat.sites)[:, None]
-    return (bare * hermite_eigenfunction(p.level, nodes, nu, phi)) @ basis.T
+    basis = _normalized_hermite(p.n_basis - 1, nodes)
+    tau = lat.involution
+    reps = np.flatnonzero(np.arange(tau.size) <= tau)
+    nus, nu_at = np.unique(p.nu(lat.sites[reps]), return_inverse=True)
+    phis, phi_at = np.unique(p.phi(lat.sites[reps]), return_inverse=True)
+    nus, phis = nus[:, None], phis[:, None]
+    # per distinct nu and phi, with hermite_eigenfunction's products, so a
+    # representative's row is bit for bit its own evaluation's
+    radial = nus**0.25 * _normalized_hermite(p.level, nodes * np.sqrt(nus))[p.level]
+    twist = np.exp(-0.5j * phis * nodes**2)
+    rows = (bare * (radial[nu_at] * twist[phi_at])) @ basis.T
+    section = np.empty((tau.size, p.n_basis), dtype=complex)
+    section[tau[reps]] = rows.conj()
+    section[reps] = rows  # fixed sites keep their row
+    return section
+
+
+def _require_eta1(lat: InvolutiveLattice) -> None:
+    if not (lat.topology_tag == "torus2" and lat.involution_kind == "eta1"):
+        raise ValueError(
+            "oscillator model lives on a torus with the theta1 reflection "
+            "(build_torus2(..., kind='eta1'))"
+        )
 
 
 # The closed forms below take one (2,) point or a (..., 2) coordinate block.

@@ -507,12 +507,16 @@ def _start_vector(k: int) -> np.ndarray:
 
 def _site_gaps(s: SpectralData, sel: list) -> Optional[np.ndarray]:
     """Per-site distance between the selected bands and the rest, or None
-    when either group is empty."""
-    rest = [j for j in range(s.dimension) if j not in sel]
-    if not sel or not rest:
+    when either group is empty.  The eigenvalues ascend, so the closest pair
+    is adjacent: the least w[i + 1] - w[i] over the boundaries i, where
+    exactly one of the bands i, i + 1 is selected."""
+    picked = np.zeros(s.dimension, dtype=bool)
+    picked[sel] = True
+    edges = np.flatnonzero(picked[1:] != picked[:-1])
+    if not edges.size:
         return None
     w = s.eigenvalues
-    return np.abs(w[:, sel, None] - w[:, None, rest]).min(axis=(1, 2))
+    return (w[:, edges + 1] - w[:, edges]).min(axis=1)
 
 
 def band_selection(band_indices, dimension: int) -> list:

@@ -15,9 +15,10 @@ reproduce both bit for bit.  The per-point model evaluators, and the loops
 that called them once per site, link, plaquette or curve step, are the
 reference of test_block_contract.py.  The CLI's CSV writers, one row, link
 or plaquette at a time, are the reference whose bytes test_cli.py compares.
-``eigensolve_dense_guards`` (the eigensolve's guards over dense blocks) and
+``eigensolve_dense_guards`` (the eigensolve's guards over dense blocks),
 ``smooth_frame_gauge_by_levels`` (the tree gauge by one polar_unitaries
-call per depth level) are references that test_spectral.py compares bit for
+call per depth level) and ``site_gaps`` (the band gap over every selected
+and unselected pair) are references that test_spectral.py compares bit for
 bit.
 """
 
@@ -673,15 +674,20 @@ def eigensolve_dense_guards(h, lat, bands, j=None):
     return rb.SpectralData(values, vectors, tuple(sel), residual)
 
 
+def site_gaps(w, sel):
+    """Per-site least |w_i - w_j| over every selected band i and unselected
+    band j, or None when either group is empty."""
+    rest = [j for j in range(w.shape[1]) if j not in sel]
+    if not sel or not rest:
+        return None
+    return np.abs(w[:, sel][:, :, None] - w[:, rest][:, None, :]).min(axis=(1, 2))
+
+
 def select_projection(s, band_indices):
     """The projector tensor of the selected bands, (n_sites, N, N)."""
     sel = sorted(set(int(b) for b in band_indices))
-    dim = s.dimension
-    rest = [j for j in range(dim) if j not in sel]
-    if sel and rest:
-        d = np.abs(
-            s.eigenvalues[:, sel][:, :, None] - s.eigenvalues[:, rest][:, None, :]
-        ).min(axis=(1, 2))
+    d = site_gaps(s.eigenvalues, sel)
+    if d is not None:
         worst = int(np.argmin(d))
         if d[worst] < DEGENERACY_TOL:
             raise GapClosureError(worst, float(d[worst]))

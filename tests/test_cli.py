@@ -217,6 +217,45 @@ def test_oscillator_oracle_task(tmp_path):
     assert (tmp_path / "out" / "connection.csv").exists()
 
 
+def test_oscillator_reference_frame_is_real(tmp_path, monkeypatch):
+    # the section is Real, so the reference-aligned frame is mirrored at
+    # every site off the fixed loops, and the mirror moves no reported
+    # number beyond roundoff
+    bundles = []
+
+    class Recorded(rb.RealBundle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bundles.append(self)
+
+    monkeypatch.setattr(cli, "RealBundle", Recorded)
+    config = {
+        "lattice": {"topology": "torus2", "n1": 12, "n2": 16, "kind": "eta1"},
+        "model": {"name": "oscillator", "params": {"level": 1, "n_basis": 24}},
+        "bands": [1],
+        "tasks": list(cli.KNOWN_TASKS),
+    }
+    path = write_config(tmp_path, config)
+
+    def run(out):
+        assert cli.main(["run", str(path), "--out", str(tmp_path / out)]) == cli.EXIT_OK
+        return json.loads((tmp_path / out / "report.json").read_text())
+
+    got = run("mirrored")
+    lat, mirrored = bundles[0].lat, bundles[0].mirrored
+    assert mirrored[lat.involution != np.arange(lat.n_sites)].all()
+    monkeypatch.setattr(rb.RealBundle, "mirrored", None)
+    want = run("full")
+    assert bundles[1].mirrored is None
+    for key in ("verdict", "free", "torsion"):
+        assert got["classify"][key] == want["classify"][key]
+    for a, b in zip(got["holonomy"]["fixed_loops"], want["holonomy"]["fixed_loops"]):
+        assert a["sign"] == b["sign"] and abs(a["trace_re"] - b["trace_re"]) <= 1e-12
+    for key in ("connection_max_deviation", "curvature_max_deviation"):
+        assert abs(got["oscillator_oracle"][key] - want["oscillator_oracle"][key]) <= 1e-12
+    assert abs(got["chern"]["chern_value"] - want["chern"]["chern_value"]) <= 1e-12
+
+
 STABILITY_CONFIGS = {
     "sphere": {
         "lattice": {"topology": "sphere2", "n_theta": 8, "n_phi": 8},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import realbloch as rb
+from realbloch import models
 from realbloch.errors import TruncationError
 
 
@@ -46,9 +47,55 @@ def test_oscillator_params_validation():
 
 
 def test_oscillator_needs_reflection_torus():
+    # the model and its Real section: only on eta1 does tau keep theta2 and
+    # negate theta1
     params = rb.OscillatorParams()
-    with pytest.raises(ValueError):
-        rb.model_oscillator(params, rb.build_torus2(4, 4, "eta"))
+    lattices = [rb.build_circle(8, kind) for kind in ("trivial", "reflection", "antipodal")]
+    lattices += [rb.build_torus2(4, 4, kind) for kind in ("trivial", "eta", "xi")]
+    lattices.append(rb.build_sphere2(4, 6))
+    for lat in lattices:
+        for build in (rb.model_oscillator, rb.oscillator_reference_section):
+            with pytest.raises(ValueError, match="torus with the theta1 reflection"):
+                build(params, lat)
+
+
+SECTION_PARAMS = {
+    "default": rb.OscillatorParams(),
+    # nu and phi vary with theta2, and phi reads -0.0 where cos(theta2) < 0
+    "cos": rb.OscillatorParams(
+        level=2, f=np.cos, df=lambda t: -np.sin(t), g=np.cos, dg=lambda t: -np.sin(t)
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", [(12, 16), (48, 48)])
+@pytest.mark.parametrize("case", sorted(SECTION_PARAMS))
+def test_reference_section_is_real(case, shape):
+    # each orbit representative s <= tau(s) holds its own evaluation's row
+    # bit for bit, and each image the conjugate of its representative's
+    p = SECTION_PARAMS[case]
+    lat = rb.build_torus2(*shape, "eta1")
+    section = rb.oscillator_reference_section(p, lat)
+    nodes, weights = np.polynomial.hermite.hermgauss(96)
+    bare = weights * np.exp(nodes**2)
+    basis = np.stack(
+        [rb.hermite_eigenfunction(j, nodes, 1.0, 0.0).real for j in range(p.n_basis)]
+    )
+    tau, ids = lat.involution, np.arange(lat.n_sites)
+    reps, images = ids[ids <= tau], ids[ids > tau]
+    x = lat.sites[reps]
+    psi = rb.hermite_eigenfunction(p.level, nodes, p.nu(x)[:, None], p.phi(x)[:, None])
+    assert np.array_equal(section[reps], (bare * psi) @ basis.T)
+    assert np.array_equal(section[images], section[tau[images]].conj())
+    assert images.size == (lat.n_sites - lat.fixed_sites.size) // 2
+
+
+def test_hermite_basis_in_one_recurrence():
+    nodes = np.polynomial.hermite.hermgauss(96)[0]
+    for n in (0, 1, 39):
+        want = np.stack([rb.hermite_eigenfunction(j, nodes, 1.0, 0.0).real
+                         for j in range(n + 1)])
+        assert models._normalized_hermite(n, nodes).tobytes() == want.tobytes()
 
 
 def test_oscillator_truncation_error_detected():

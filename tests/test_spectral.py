@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_reference as ref
 import realbloch as rb
@@ -65,6 +67,44 @@ def test_gap_margin_positive_iff_selection_succeeds():
         else:
             with pytest.raises(GapClosureError):
                 rb.select_projection(s, {0})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(2, 9),
+    pool=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 8), min_size=1, max_size=9),
+)
+def test_site_gaps_read_the_boundary_pairs_only(dim, pool, seed, picks):
+    # ascending eigenvalues drawn from a small pool of values, so bands tie
+    # within and across the selection, which may skip bands or take them
+    # all: the boundary-pair gaps equal the minimum over every selected and
+    # unselected pair bit for bit, and a touching selection names the same
+    # site as the loop reference
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=pool) * 10.0 ** rng.integers(-9, 3, size=pool)
+    w = np.sort(rng.choice(values, size=(7, dim)), axis=1)
+    sel = sorted({b % dim for b in picks})
+    got = spectral._site_gaps(rb.SpectralData(w, None, ()), sel)
+    want = ref.site_gaps(w, sel)
+    if want is None:
+        assert got is None
+        return
+    assert got.tobytes() == want.tobytes()
+    vectors = np.broadcast_to(np.eye(dim, dtype=complex), (7, dim, dim))
+    s = rb.SpectralData(w, vectors, tuple(range(dim)))
+    assert rb.gap_margin(s, sel) == float(want.min())
+    worst = int(np.argmin(want))
+    if want[worst] < spectral.DEGENERACY_TOL:
+        with pytest.raises(GapClosureError) as err:
+            rb.select_projection(s, sel)
+        with pytest.raises(GapClosureError) as loop_err:
+            ref.select_projection(s, sel)
+        assert err.value.site == loop_err.value.site == worst
+        assert str(err.value) == str(loop_err.value)
+    else:
+        rb.select_projection(s, sel)
 
 
 @pytest.mark.parametrize(
@@ -541,8 +581,9 @@ def test_projection_family_compares_by_identity():
 
 
 def test_result_types_compare_by_identity():
-    # every result type holds ndarrays: two with equal contents compare
-    # unequal without raising, each equals itself, and both hash
+    # every result type and the lattice hold ndarrays: two with equal
+    # contents compare unequal without raising, each equals itself, and both
+    # hash
     z = np.zeros((2, 2, 1), complex)
     hol = rb.HolonomyResult(np.eye(1), None, 0)
     makers = [
@@ -554,6 +595,7 @@ def test_result_types_compare_by_identity():
         lambda: rb.SewingField(np.ones((2, 1, 1), complex), 1, 0.0),
         lambda: rb.HolonomyResult(np.eye(1), None, 0),
         lambda: rb.FixedLoopHolonomy(hol, 0.0, 1),
+        lambda: rb.build_circle(4, "trivial"),
     ]
     for make in makers:
         a, b = make(), make()
