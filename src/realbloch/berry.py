@@ -58,17 +58,21 @@ class LinkField:
 
     def gather(self, links: np.ndarray, signs: np.ndarray) -> np.ndarray:
         """Signed links: the adjoint at sign -1, the identity at sign 0."""
-        step = self.u[links]
-        step[signs < 0] = adjoint(step[signs < 0])
+        step, back = self.u[links], signs < 0
+        np.conjugate(step, out=step, where=back[:, None, None])  # in place: no copies
+        if self.rank > 1:
+            step[back] = step[back].swapaxes(1, 2)
         step[signs == 0] = np.eye(self.rank)
         return step
 
     def products(self, links: np.ndarray, signs: np.ndarray) -> np.ndarray:
         """Ordered link product along each row of a padded signed table."""
-        m = self.rank
-        hol = np.broadcast_to(np.eye(m, dtype=complex), (len(links), m, m))
-        for k in range(links.shape[1]):
-            hol = hol @ self.gather(links[:, k], signs[:, k])
+        m, (rows, width) = self.rank, links.shape
+        # one gather, step-major so that each step's stack is contiguous
+        steps = self.gather(links.T.ravel(), signs.T.ravel()).reshape(width, rows, m, m)
+        hol = np.broadcast_to(np.eye(m, dtype=complex), (rows, m, m))
+        for step in steps:
+            hol = hol @ step
         return hol
 
 

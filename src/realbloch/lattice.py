@@ -3,11 +3,12 @@
 A lattice carries sites with angular coordinates on a grid of ``shape``
 (n,), (n1, n2) or (n_theta, n_phi); directed links grouped by direction;
 oriented plaquettes that tile the closed surface, as rows of corner sites;
-and an involution stored as an exact site permutation.  Builders lay them
-out by index arithmetic on the grid, boundary links included; the lattice
-checks those by one gather and finds plaquette images by link incidence,
-so all involution bookkeeping is integer-exact and no point maps are ever
-compared.
+an involution stored as an exact site permutation; and a spanning tree,
+the link from each site to its parent.  Builders lay them out by index
+arithmetic on the grid, boundary links, link images and the tree included;
+the lattice checks those by gathers and finds plaquette images by link
+incidence, so all involution bookkeeping is integer-exact and no point maps
+are ever compared.
 
 Supported bases: the circle with trivial / reflection / antipodal
 involutions, the 2-torus with trivial / theta2-conjugation ("eta") /
@@ -65,10 +66,13 @@ class InvolutiveLattice:
     lattices).  Entry ``k`` of row ``p`` of the plaquette table
     ``plaquette_links`` / ``plaquette_signs`` is the link from corner k to
     corner k + 1 (wrapping) and its traversal sign; sign 0 pads with the
-    identity.  Builders state the links as ``boundary_links``; a stated link
-    that does not join its corners, or any if none is stated, is looked up.
-    ``link_image`` / ``plaquette_image`` record the exact action of the
-    involution on links and plaquettes with direction / orientation signs.
+    identity.  Builders state the links as ``boundary_links`` and the link
+    images as ``image_links``; a stated link that does not join its two
+    sites, or any if none is stated, is looked up.  ``link_image`` /
+    ``plaquette_image`` record the exact action of the involution on links
+    and plaquettes with direction / orientation signs.  ``tree_links`` holds
+    per site the link to its parent in a spanning tree (-1 at the root), and
+    ``tree_parent`` the parent site (the root its own).
     """
 
     topology_tag: str
@@ -84,7 +88,9 @@ class InvolutiveLattice:
     plaquette_areas: np.ndarray
     involution: np.ndarray
     orientation_flip: bool
+    tree_links: np.ndarray
     boundary_links: InitVar[np.ndarray] = None
+    image_links: InitVar[np.ndarray] = None
     plaquette_links: np.ndarray = field(init=False, repr=False)
     plaquette_signs: np.ndarray = field(init=False, repr=False)
     fixed_sites: np.ndarray = field(init=False)
@@ -92,10 +98,11 @@ class InvolutiveLattice:
     link_image_sign: np.ndarray = field(init=False)
     plaquette_image: np.ndarray = field(init=False)
     plaquette_image_sign: np.ndarray = field(init=False)
+    tree_parent: np.ndarray = field(init=False)
     _link_keys: np.ndarray = field(init=False, repr=False)
     _link_ids: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, boundary_links):
+    def __post_init__(self, boundary_links, image_links):
         tau = self.involution
         if not np.array_equal(tau[tau], np.arange(self.n_sites)):
             raise InvalidDiscretizationError("involution is not an exact involution")
@@ -109,13 +116,16 @@ class InvolutiveLattice:
         self.plaquette_links, self.plaquette_signs = self._link_table(
             self.plaquette_corners, used, size, boundary_links
         )
-        img, sgn = self._signed_links(tau[self.link_tail], tau[self.link_head])
+        img, sgn = self._step_links(
+            tau[self.link_tail], tau[self.link_head], image_links, True
+        )
         if not sgn.all():
             raise InvalidDiscretizationError(
                 f"involution does not map link {np.argmin(sgn != 0)} to a link"
             )
-        self.link_image, self.link_image_sign = img, sgn
+        self.link_image, self.link_image_sign = img, sgn.astype(int)
         self._build_plaquette_image(used, size)
+        self._check_tree()
 
     # -- basic queries ------------------------------------------------
 
@@ -222,29 +232,59 @@ class InvolutiveLattice:
             todo = todo[~hit]
         return ids, signs
 
-    def _link_table(self, corners, used, size, stated=None) -> tuple:
-        # each step runs from corner a to the next corner b, the last wrapping
-        a, b = corners, np.roll(corners, -1, axis=1)
-        if a.size:
-            b[np.arange(len(a)), size - 1] = a[:, 0]
+    def _step_links(self, a, b, stated, todo) -> tuple:
+        """Link id and sign of every step a -> b where `todo` (a mask or True):
+        the `stated` link where it runs a -> b (sign +1) or b -> a (-1), else
+        looked up; sign 0 where neither is a link."""
         links, signs = np.zeros(a.shape, dtype=int), np.zeros(a.shape, dtype=np.int8)
         if stated is not None and self.n_links:
-            # a stated link stands where it runs a -> b (sign +1) or b -> a (-1);
-            # no link runs to the padding's -1
+            # no link runs to a padding's -1
             ids = np.clip(stated, 0, self.n_links - 1)
             tail, head = self.link_tail[ids], self.link_head[ids]
             fwd, bwd = (tail == a) & (head == b), (tail == b) & (head == a)
             signs = fwd.view(np.int8) - bwd.view(np.int8)
             links = np.where(signs != 0, ids, 0)
-        todo = used & (signs == 0)
+        todo = todo & (signs == 0)
         if todo.any():
-            a, b = a[todo], b[todo]
-            ids, sgn = self._signed_links(a, b)
-            if not sgn.all():
-                bad = np.argmin(sgn != 0)
-                raise DomainError(f"({a[bad]}, {b[bad]}) is not a lattice link")
-            links[todo], signs[todo] = ids, sgn
+            links[todo], signs[todo] = self._signed_links(a[todo], b[todo])
         return links, signs
+
+    def _link_table(self, corners, used, size, stated=None) -> tuple:
+        # each step runs from corner a to the next corner b, the last wrapping
+        a, b = corners, np.roll(corners, -1, axis=1)
+        if a.size:
+            b[np.arange(len(a)), size - 1] = a[:, 0]
+        links, signs = self._step_links(a, b, stated, used)
+        missing = used & (signs == 0)
+        if missing.any():
+            bad = np.argmax(missing)
+            raise DomainError(f"({a.flat[bad]}, {b.flat[bad]}) is not a lattice link")
+        return links, signs
+
+    def _check_tree(self):
+        """InvalidDiscretizationError names the lowest site whose stated tree
+        link does not end at it, else the lowest that pointer jumping does
+        not bring to the root (a second root, or a site on or below a
+        cycle)."""
+        site, link = np.arange(self.n_sites), self.tree_links
+        root = link == -1
+        ids = np.clip(link, 0, self.n_links - 1)
+        tail, head = self.link_tail[ids], self.link_head[ids]
+        off = ~root & ((ids != link) | ((tail != site) & (head != site)))
+        if off.any():
+            raise InvalidDiscretizationError(
+                f"tree link of site {off.argmax()} does not end at it"
+            )
+        up = self.tree_parent = np.where(root, site, tail + head - site)
+        for _ in range(site.size.bit_length()):  # 2**steps > any depth
+            if root[up].all():
+                break
+            up = up[up]
+        lost = ~root[up] | (up != root.argmax())
+        if lost.any():
+            raise InvalidDiscretizationError(
+                f"tree does not bring site {lost.argmax()} to the root"
+            )
 
     # -- involution bookkeeping ----------------------------------------
 
@@ -312,7 +352,8 @@ class InvolutiveLattice:
         back = size - 1 - np.arange(c.shape[1])
         rows = np.where(back >= 0, np.take_along_axis(c, np.maximum(back, 0), 1), -1)
         links = np.take_along_axis(self.plaquette_links, (back - 1) % size, 1)
-        return replace(self, plaquette_corners=rows, boundary_links=links)
+        return replace(self, plaquette_corners=rows, boundary_links=links,
+                       image_links=self.link_image)
 
 
 # -- constructors -------------------------------------------------------
@@ -320,7 +361,8 @@ class InvolutiveLattice:
 
 def build_circle(n_sites: int, kind: str) -> InvolutiveLattice:
     """Circle lattice with trivial, reflection, or antipodal involution
-    (another kind raises DomainError)."""
+    (another kind raises DomainError).  Link i runs from site i to i + 1; the
+    tree runs both ways from site 0 and meets past site n_sites / 2."""
     if kind not in ("trivial", "reflection", "antipodal"):
         raise DomainError(f"unknown circle involution {kind!r}")
     if n_sites < 4:
@@ -332,11 +374,11 @@ def build_circle(n_sites: int, kind: str) -> InvolutiveLattice:
     idx = np.arange(n_sites)
     sites = (2.0 * np.pi * idx / n_sites)[:, None]
     if kind == "trivial":
-        tau = idx.copy()
-    elif kind == "reflection":
-        tau = (-idx) % n_sites
+        tau, image = idx.copy(), idx
+    elif kind == "reflection":  # link i runs back along link -i - 1
+        tau, image = (-idx) % n_sites, (-idx - 1) % n_sites
     else:
-        tau = (idx + n_sites // 2) % n_sites
+        tau = image = (idx + n_sites // 2) % n_sites
     return InvolutiveLattice(
         topology_tag="circle",
         involution_kind=kind,
@@ -351,6 +393,8 @@ def build_circle(n_sites: int, kind: str) -> InvolutiveLattice:
         plaquette_areas=np.zeros(0),
         involution=tau,
         orientation_flip=(kind == "reflection"),
+        tree_links=np.where(idx <= n_sites // 2, idx - 1, idx),
+        image_links=image,
     )
 
 
@@ -363,7 +407,11 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
     DomainError.  The xi torus is triangulated with diagonal links so the
     involution maps links to links exactly; it requires n1 == n2.  Site
     (i, j) has id i * n2 + j and owns its theta1, theta2 and (xi) diagonal
-    link, in that order.
+    link, in that order.  The tree runs both ways from site 0 along a spine,
+    the theta2 = 0 loop (eta1: theta1 = 0), and from there both ways across
+    it: tau-symmetric on the eta and eta1 tori but at the other fixed loop,
+    whose sites are leaves (no tau-symmetric tree reaches a second fixed
+    loop), and on the xi torus just a spanning tree.
     """
     if kind not in ("trivial", "eta", "eta1", "xi"):
         raise DomainError(f"unknown torus involution {kind!r}")
@@ -406,9 +454,27 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
             owner, d = (k, d) if d in steps else ((k + 1) % len(cell), (-d[0], -d[1]))
             links[:, c, k] = corners[:, c, owner] * len(steps) + steps.index(d)
 
-    tau = sid(*{
-        "trivial": (ii, jj), "eta": (ii, -jj), "eta1": (-ii, jj), "xi": (ii, ii - jj)
-    }[kind])
+    # tau acts linearly on the grid, so it maps a link's step d to mat @ d,
+    # run along the link of tau(tail) or against that of tau(head)
+    mat = np.array({"trivial": [[1, 0], [0, 1]], "eta": [[1, 0], [0, -1]],
+                    "eta1": [[-1, 0], [0, 1]], "xi": [[1, 0], [1, -1]]}[kind])
+    tau = sid(*(mat[:, :1] * ii + mat[:, 1:] * jj))
+    head = at(steps)
+    image = np.empty(head.shape, dtype=int)
+    for m, d in enumerate(steps):
+        e = mat @ d
+        back = tuple(e) not in steps
+        owner = tau[head[:, m]] if back else tau
+        image[:, m] = owner * len(steps) + steps.index(tuple(-e if back else e))
+    # the tree: a site off the spine steps across it toward it, a spine site
+    # along it toward site 0; at coordinate x <= n / 2 by the link of the
+    # site below, else by its own link
+    branch = int(kind != "eta1")  # the axis across the spine
+    x, half, stride = (ii, jj), (n1 // 2, n2 // 2), (n2, 1)
+    tree = [(np.arange(n_sites) - stride[a] * (x[a] <= half[a])) * len(steps) + a
+            for a in (0, 1)]
+    tree = np.where(x[branch] != 0, tree[branch], tree[1 - branch])
+    tree[0] = -1
 
     return InvolutiveLattice(
         topology_tag="torus2",
@@ -416,7 +482,7 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
         shape=(n1, n2),
         sites=sites,
         link_tail=np.repeat(np.arange(n_sites), len(steps)),
-        link_head=at(steps).ravel(),
+        link_head=head.ravel(),
         link_mu=np.tile(np.arange(len(steps)), n_sites),
         link_spacing=np.tile([h1, h2, float(np.hypot(h1, h2))][: len(steps)], n_sites),
         plaquette_corners=corners.reshape(-1, corners.shape[-1]),
@@ -424,7 +490,9 @@ def build_torus2(n1: int, n2: int, kind: str) -> InvolutiveLattice:
         plaquette_areas=np.full(n_sites * len(cells), h1 * h2 / len(cells)),
         involution=tau,
         orientation_flip=(kind != "trivial"),
+        tree_links=tree,
         boundary_links=links.reshape(-1, links.shape[-1]),
+        image_links=image.ravel(),
     )
 
 
@@ -437,6 +505,8 @@ def build_sphere2(n_theta: int, n_phi: int) -> InvolutiveLattice:
     The fixed set is the great circle through both poles at phi in {0, pi}.
     The grid rows i = 0..n_theta run from pole to pole: each row of cells
     has its theta links and its plaquettes, and each ring its phi links.
+    The tree hangs the meridians from the north pole and the south pole from
+    the last ring at phi = 0; it is tau-symmetric.
     """
     if n_theta < 3:
         raise InvalidDiscretizationError("sphere needs n_theta >= 3")
@@ -470,6 +540,9 @@ def build_sphere2(n_theta: int, n_phi: int) -> InvolutiveLattice:
     for table, pad in ((corners, -1), (links, 0)):
         table[-n_phi:, 1:3] = table[-n_phi:, 2:]
         table[:n_phi, 3] = table[-n_phi:, 3] = pad
+    # tau maps a theta link to that of cell (i, -j) and runs a phi link back
+    # along that of ring site (i, -j - 1)
+    image = np.concatenate([ci * n_phi + -cj % n_phi, node(ri, -rj - 1) + n_cells - 2])
     theta = ht * (ci + 0.5)
     theta[-n_phi:] = np.pi - ht / 2  # measured from the south pole, like the north caps
     areas = np.full(n_cells, ht * hp)
@@ -489,7 +562,10 @@ def build_sphere2(n_theta: int, n_phi: int) -> InvolutiveLattice:
         plaquette_areas=areas,
         involution=np.concatenate([[0, 1], node(ri, -rj)]),
         orientation_flip=True,
+        # a ring site hangs from the theta link above it, numbered like its cell
+        tree_links=np.concatenate([[-1, n_cells - n_phi], ring - 2]),
         boundary_links=links,
+        image_links=image,
     )
 
 

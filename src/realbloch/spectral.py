@@ -566,38 +566,25 @@ def select_projection(s: SpectralData, band_indices) -> ProjectionFamily:
 
 
 def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
-    """Rotate frames so overlaps along a spanning tree are positive.
+    """Rotate frames so overlaps along the lattice's spanning tree are positive.
 
-    The tree is breadth-first from site 0, each site visiting its
-    neighbours in link order.  Each frame V is right-multiplied by the polar
-    unitary of V^dag V_parent (its parent already fixed), one polar_unitaries
-    call per depth level, so every tree overlap is Hermitian positive
-    semidefinite.  Off-tree links keep whatever holonomy the
-    bundle forces on them (a twisted bundle admits no globally smooth
-    gauge), but tree links become branch-safe for logarithm extraction.
+    Each frame V is right-multiplied by a_s = W_s a_parent(s), with W_s the
+    polar unitary of V_s^dag V_parent(s) (the identity at the root), so every
+    tree overlap is Hermitian positive semidefinite.  The W come from one
+    polar_unitaries call; the products by pointer doubling (a <- a a[anc],
+    anc <- anc[anc]), ceil(log2 depth) whole-lattice steps, and one more
+    polar call re-unitarizes them.  On a Real frame a tau-symmetric tree
+    keeps the result Real.  Off-tree links keep whatever holonomy the bundle
+    forces on them (a twisted bundle admits no globally smooth gauge), but
+    tree links become branch-safe for logarithm extraction.
     """
-    src = np.stack([lat.link_tail, lat.link_head], axis=1).ravel()
-    order = np.argsort(src, kind="stable")
-    nbr = np.stack([lat.link_head, lat.link_tail], axis=1).ravel()[order]
-    start = np.searchsorted(src[order], np.arange(lat.n_sites + 1))
-    cols = f.columns.copy()
-    seen = np.zeros(lat.n_sites, dtype=bool)
-    seen[0] = True
-    level = np.array([0])
-    while level.size:
-        # the level's neighbour lists, concatenated in level order
-        counts = start[level + 1] - start[level]
-        offsets = np.cumsum(counts) - counts
-        entry = np.arange(counts.sum()) + np.repeat(start[level] - offsets, counts)
-        cand, par = nbr[entry], np.repeat(level, counts)
-        fresh = ~seen[cand]
-        cand, par = cand[fresh], par[fresh]
-        first = np.sort(np.unique(cand, return_index=True)[1])  # queue order
-        level, parents = cand[first], par[first]
-        seen[level] = True
-        u, _ = polar_unitaries(adjoint(cols[level]) @ cols[parents])
-        cols[level] = cols[level] @ u
-    return Frame(cols, gauge_tag="tree-smoothed")
+    cols, anc, root = f.columns, lat.tree_parent, lat.tree_links < 0
+    a, _ = polar_unitaries(adjoint(cols) @ cols[anc])
+    a[root] = np.eye(cols.shape[2])
+    while not root[anc].all():
+        a, anc = a @ a[anc], anc[anc]
+    a, _ = polar_unitaries(a)
+    return Frame(cols @ a, gauge_tag="tree-smoothed")
 
 
 def _fix_gauge(basis: np.ndarray) -> np.ndarray:

@@ -15,11 +15,10 @@ reproduce both bit for bit.  The per-point model evaluators, and the loops
 that called them once per site, link, plaquette or curve step, are the
 reference of test_block_contract.py.  The CLI's CSV writers, one row, link
 or plaquette at a time, are the reference whose bytes test_cli.py compares.
-``eigensolve_dense_guards`` (the eigensolve's guards over dense blocks),
-``smooth_frame_gauge_by_levels`` (the tree gauge by one polar_unitaries
-call per depth level) and ``site_gaps`` (the band gap over every selected
-and unselected pair) are references that test_spectral.py compares bit for
-bit.
+``eigensolve_dense_guards`` (the eigensolve's guards over dense blocks)
+and ``site_gaps`` (the band gap over every selected and unselected pair)
+are references that test_spectral.py compares bit for bit;
+``smooth_frame_gauge`` walks the lattice's stated tree site by site.
 """
 
 import csv
@@ -30,7 +29,7 @@ import scipy.linalg
 
 import realbloch as rb
 from realbloch import spectral
-from realbloch._matrix import BRANCH_CUT_GUARD, polar_unitaries, spectral_maps
+from realbloch._matrix import BRANCH_CUT_GUARD, spectral_maps
 from realbloch.errors import (
     BranchCutError,
     DiscretizationError,
@@ -722,23 +721,22 @@ def frame_from_projection(projectors, rank, lat, reference=None):
 
 
 def spanning_tree(lat):
-    """The breadth-first tree from site 0, each site visiting its neighbours
-    in link order: (child, parent, depth) triples in queue order."""
-    neighbors = {}
-    for a, b in zip(lat.link_tail, lat.link_head):
-        neighbors.setdefault(int(a), []).append(int(b))
-        neighbors.setdefault(int(b), []).append(int(a))
-    depth = {0: 0}
-    queue, tree = [0], []
-    while queue:
-        parent = queue.pop(0)
-        for child in neighbors.get(parent, ()):
-            if child in depth:
-                continue
-            depth[child] = depth[parent] + 1
-            tree.append((child, parent, depth[child]))
-            queue.append(child)
-    return tree
+    """The lattice's stated tree, read site by site: (child, parent, depth)
+    triples, parents first (by depth, then site)."""
+    parent = {}
+    for site, link in enumerate(lat.tree_links.tolist()):
+        if link >= 0:
+            ends = (int(lat.link_tail[link]), int(lat.link_head[link]))
+            assert site in ends, f"tree link {link} does not end at site {site}"
+            parent[site] = ends[0] + ends[1] - site
+
+    def depth(site):
+        d = 0
+        while site in parent:
+            site, d = parent[site], d + 1
+        return d
+
+    return sorted(((s, p, depth(s)) for s, p in parent.items()), key=lambda t: t[2])
 
 
 def smooth_frame_gauge(f, lat):
@@ -746,20 +744,6 @@ def smooth_frame_gauge(f, lat):
     for child, parent, _ in spanning_tree(lat):
         v, _ = polar_unitary(cols[child].conj().T @ cols[parent])
         cols[child] = cols[child] @ v
-    return rb.Frame(cols, gauge_tag="tree-smoothed")
-
-
-def smooth_frame_gauge_by_levels(f, lat):
-    """The tree gauge as one polar_unitaries call per depth level, taking
-    the levels from spanning_tree: its polar factors carry the kernel's
-    bits, so the result tells the tree and its level order apart bit for
-    bit (smooth_frame_gauge checks the polar factors against the SVD)."""
-    cols = f.columns.copy()
-    tree = np.array(spanning_tree(lat), dtype=int).reshape(-1, 3)
-    for d in range(1, tree[:, 2].max(initial=0) + 1):
-        level, parents = tree[tree[:, 2] == d, :2].T
-        u, _ = polar_unitaries(cols[level].conj().swapaxes(1, 2) @ cols[parents])
-        cols[level] = cols[level] @ u
     return rb.Frame(cols, gauge_tag="tree-smoothed")
 
 

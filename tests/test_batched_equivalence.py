@@ -255,7 +255,7 @@ def test_product_pipeline_matches_loops(case):
     "case", ["sphere-k+2", "oscillator-rank2", "mobius-two-band-circle"]
 )
 def test_smooth_frame_gauge_matches_loop(case):
-    # same breadth-first tree, one batched polar decomposition per depth
+    # the lattice's tree, walked site by site against pointer doubling
     h, _, lat, bands = HAMILTONIAN_CASES[case]()
     p = rb.select_projection(rb.eigensolve_family(h, lat), bands)
     frame = rb.frame_from_projection(p)

@@ -256,6 +256,55 @@ def test_oscillator_reference_frame_is_real(tmp_path, monkeypatch):
     assert abs(got["chern"]["chern_value"] - want["chern"]["chern_value"]) <= 1e-12
 
 
+def report_leaves(node, path=""):
+    """(path, value) of every leaf of a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from report_leaves(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from report_leaves(value, f"{path}[{k}]")
+    else:
+        yield path, node
+
+
+def test_sphere_tree_frame_is_real(tmp_path, monkeypatch):
+    # the lattice's tree is tau-symmetric, so the tree-smoothed frame of the
+    # benchmark sphere keeps its mirror; the sequential walk down the same
+    # tree moves no gauge-invariant number beyond roundoff
+    bundles = []
+
+    class Recorded(rb.RealBundle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bundles.append(self)
+
+    monkeypatch.setattr(cli, "RealBundle", Recorded)
+    config = {
+        "lattice": {"topology": "sphere2", "n_theta": 96, "n_phi": 128},
+        "model": {"name": "degree_k_sphere", "params": {"k": 2}},
+        "bands": [0],
+        "tasks": ["check-symmetry", "berry", "chern", "holonomy", "classify"],
+    }
+    path = write_config(tmp_path, config)
+
+    def run(out):
+        assert cli.main(["run", str(path), "--out", str(tmp_path / out)]) == cli.EXIT_OK
+        return dict(report_leaves(json.loads((tmp_path / out / "report.json").read_text())))
+
+    got = run("doubling")
+    assert bundles[0].frame.gauge_tag == "tree-smoothed"
+    assert bundles[0].mirrored.sum() >= 12067 and bundles[0].lat.n_sites == 12162
+    monkeypatch.setattr(cli, "smooth_frame_gauge", ref.smooth_frame_gauge)
+    want = run("sequential")
+    assert got.keys() == want.keys()
+    for key, value in got.items():
+        if isinstance(value, float):
+            assert abs(value - want[key]) <= 1e-12, key
+        else:
+            assert value == want[key], key
+
+
 STABILITY_CONFIGS = {
     "sphere": {
         "lattice": {"topology": "sphere2", "n_theta": 8, "n_phi": 8},

@@ -475,29 +475,173 @@ def count_lookups(monkeypatch) -> list:
     return queries
 
 
+@pytest.mark.parametrize("build", [lambda: TORUS, lambda: ETA, lambda: SPHERE, lambda: XI,
+                                   lambda: rb.build_circle(8, "reflection")])
+def test_stated_link_images_are_checked(build, rng):
+    """A stated link image that does not join the images of its link's ends
+    is looked up, so a wrong statement cannot reach the tables."""
+    lat = build()
+    fields = {f.name: getattr(lat, f.name) for f in dataclasses.fields(lat) if f.init}
+    image = lat.link_image.copy()
+    wrong = rng.random(image.shape) < 0.5
+    image[wrong] = rng.integers(-3, lat.n_links + 3, wrong.sum())
+    got = rb.InvolutiveLattice(**fields, boundary_links=lat.plaquette_links,
+                               image_links=image)
+    for name in ("link_image", "link_image_sign", "plaquette_links", "plaquette_signs",
+                 "plaquette_image", "plaquette_image_sign"):
+        have, want = getattr(got, name), getattr(lat, name)
+        assert have.dtype == want.dtype and np.array_equal(have, want), name
+
+
+def count_lookups(monkeypatch) -> list:
+    """The sizes of the link lookups made from here on, one per lookup."""
+    queries = []
+    lookup = rb.InvolutiveLattice._signed_links
+
+    def counted(self, a, b):
+        queries.extend([a.size] if a.size else [])
+        return lookup(self, a, b)
+
+    monkeypatch.setattr(rb.InvolutiveLattice, "_signed_links", counted)
+    return queries
+
+
 @pytest.mark.parametrize("case", [("torus2", 6, 6, "xi"), ("torus2", 8, 6, "eta"),
-                                  ("torus2", 6, 8, "eta1"), ("sphere2", 4, 6)])
+                                  ("torus2", 6, 8, "eta1"), ("sphere2", 4, 6),
+                                  ("circle", 8, "reflection")])
 def test_builders_state_every_boundary_link(case, monkeypatch):
-    """The builders' boundary links all pass the gather check: the only
-    link lookup of a build is the link image's, one query per link."""
+    """The builders' boundary links and link images all pass the gather
+    check: a build makes no link lookup at all."""
     queries = count_lookups(monkeypatch)
-    lat = BUILDERS[case[0]][0](*case[1:])
-    assert queries == [lat.n_links]
+    BUILDERS[case[0]][0](*case[1:])
+    assert queries == []
 
 
 @pytest.mark.parametrize("case", LATTICE_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_reversed_copy_states_its_boundary_links(case, monkeypatch):
-    """The reversed copy states every plaquette step's link, so its only
-    link lookup is the link image's, and its tables equal those of the same
-    corners with every step looked up."""
+    """The reversed copy states every plaquette step's link and every link
+    image and carries the tree, so it makes no link lookup, and its tables
+    equal those of the same corners with every step and image looked up."""
     lat = BUILDERS[case[0]][0](*case[1:])
     queries = count_lookups(monkeypatch)
     reverse = lat.with_reversed_orientation()
-    assert queries == [lat.n_links]
+    assert queries == []
+    assert np.array_equal(reverse.tree_links, lat.tree_links)
     init = [f.name for f in dataclasses.fields(reverse) if f.init]
     looked_up = rb.InvolutiveLattice(**{name: getattr(reverse, name) for name in init})
-    assert len(queries) == (2 if lat.n_plaquettes else 1) + 1
+    assert len(queries) == (2 if lat.n_plaquettes else 1)
     for name in ("plaquette_links", "plaquette_signs", "link_image", "link_image_sign",
-                 "plaquette_image", "plaquette_image_sign"):
+                 "plaquette_image", "plaquette_image_sign", "tree_parent"):
         got, want = getattr(reverse, name), getattr(looked_up, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+# -- the spanning tree ----------------------------------------------------------
+
+
+def walk_to_root(parent: np.ndarray) -> np.ndarray:
+    """Depth of each site along `parent` (the root its own parent), walked
+    one step at a time; -1 where the walk never reaches the root."""
+    n, parent = parent.size, parent.tolist()
+    root = next(site for site in range(n) if parent[site] == site)
+    depth = np.full(n, -1)
+    for site in range(n):
+        at, steps = site, 0
+        while parent[at] != at and steps <= n:
+            at, steps = parent[at], steps + 1
+        if at == root:
+            depth[site] = steps
+    return depth
+
+
+@pytest.mark.parametrize("case", LATTICE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_builders_state_spanning_trees(case):
+    """n - 1 tree links, each joining its site to the parent, and every site
+    reaches the root, site 0."""
+    lat = BUILDERS[case[0]][0](*case[1:])
+    assert np.flatnonzero(lat.tree_links == -1).tolist() == [0]
+    tree = ref.spanning_tree(lat)  # asserts each link ends at its site
+    assert len(tree) == lat.n_sites - 1
+    parent = np.arange(lat.n_sites)
+    for child, par, _ in tree:
+        parent[child] = par
+        link = lat.tree_links[child]
+        assert {lat.link_tail[link], lat.link_head[link]} == {child, par}
+    assert np.array_equal(lat.tree_parent, parent)
+    depth = walk_to_root(parent)
+    assert depth.min() == 0 and np.array_equal(depth[[c for c, _, _ in tree]],
+                                               [d for _, _, d in tree])
+
+
+def root_fixed_component(lat) -> set:
+    """The fixed sites joined to site 0 by links with both ends fixed."""
+    fixed = lat.involution == np.arange(lat.n_sites)
+    inside = fixed[lat.link_tail] & fixed[lat.link_head]
+    pairs = list(zip(lat.link_tail[inside].tolist(), lat.link_head[inside].tolist()))
+    comp, grown = {0}, True
+    while grown:
+        new = {b for a, b in pairs if a in comp} | {a for a, b in pairs if b in comp}
+        grown = not new <= comp
+        comp |= new
+    return comp
+
+
+@pytest.mark.parametrize("case", [c for c in LATTICE_CASES
+                                  if c[-1] not in ("xi", "antipodal")],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_trees_are_tau_symmetric(case):
+    """parent(tau s) = tau parent(s), link for link, at every site but the
+    fixed sites off the root's fixed component: no tau-symmetric tree reaches
+    them, and they are leaves."""
+    lat = BUILDERS[case[0]][0](*case[1:])
+    tau, links = lat.involution, lat.tree_links
+    fixed = tau == np.arange(lat.n_sites)
+    off = fixed & ~np.isin(np.arange(lat.n_sites), sorted(root_fixed_component(lat)))
+    hung = links >= 0
+    symmetric = np.ones(lat.n_sites, dtype=bool)
+    symmetric[hung] = lat.link_image[links[hung]] == links[tau[hung]]
+    assert np.array_equal(~symmetric, off)
+    assert not np.isin(lat.tree_parent[hung], np.flatnonzero(off)).any()
+    if case[0] == "sphere2" or case[-1] == "trivial":
+        assert not off.any()
+
+
+def _tree_fields(lat, tree):
+    fields = {f.name: getattr(lat, f.name) for f in dataclasses.fields(lat) if f.init}
+    return {**fields, "tree_links": tree}
+
+
+@pytest.mark.parametrize("build", [lambda: rb.build_sphere2(5, 8),
+                                   lambda: rb.build_torus2(6, 8, "eta"),
+                                   lambda: rb.build_circle(10, "reflection")])
+def test_planted_tree_faults_name_the_site(build, rng):
+    lat = build()
+    n = lat.n_sites
+    # a link that does not end at its site, or an id off the link table
+    for site in rng.choice(np.arange(1, n), 3, replace=False).tolist():
+        tree = lat.tree_links.copy()
+        away = (lat.link_tail != site) & (lat.link_head != site)
+        for bad in (rng.choice(np.flatnonzero(away)), lat.n_links, -2):
+            tree[site] = bad
+            message = f"tree link of site {site} does not end at it"
+            with pytest.raises(InvalidDiscretizationError, match=rf"^{message}$"):
+                rb.InvolutiveLattice(**_tree_fields(lat, tree))
+    # a cycle (a parent below the root hangs from its child) and a second
+    # root each cut off a subtree, whose lowest site is named
+    ids = np.arange(n)
+    for site in rng.choice(np.flatnonzero(lat.tree_parent > 0), 3, replace=False).tolist():
+        cycle, second_root = lat.tree_links.copy(), lat.tree_links.copy()
+        cycle[lat.tree_parent[site]] = lat.tree_links[site]
+        second_root[site] = -1
+        for tree in (cycle, second_root):
+            parent = np.where(tree < 0, ids, lat.link_tail[tree] + lat.link_head[tree] - ids)
+            lowest = np.flatnonzero(walk_to_root(parent) < 0)[0]
+            message = f"tree does not bring site {lowest} to the root"
+            with pytest.raises(InvalidDiscretizationError, match=rf"^{message}$"):
+                rb.InvolutiveLattice(**_tree_fields(lat, tree))
+    # every existing construction guard comes first
+    tree = lat.tree_links.copy()
+    tree[1] = -5
+    fields = {**_tree_fields(lat, tree), "involution": np.roll(np.arange(n), 1)}
+    with pytest.raises(InvalidDiscretizationError, match="^involution is not an exact"):
+        rb.InvolutiveLattice(**fields)
