@@ -30,7 +30,8 @@ for spec in (rb.model_trivial_line("circle-trivial", 1), rb.model_mobius_circle(
     # route 3: the classification pipeline
     result = rb.classify_real_bundle(spec, lat=lat)
     print(f"  classification: group {result.group}, verdict '{result.verdict}'")
-    print(rb.mixed_case_report(result))
+    for warning in result.warnings:
+        print(f"  warning: {warning}")
     print()
 
 # The twisted structure J(theta) = exp(i theta) admits exactly one Real

@@ -29,7 +29,7 @@ for n in (8, 16, 32):
     a = rb.local_connection_from_links(u, lat)
     dev_conn = 0.0
     for lk in range(lat.n_links):
-        mid = lat.link_midpoint(lk)
+        mid = lat.link_midpoints()[lk]
         mu = int(lat.link_mu[lk])
         target = rb.oscillator_analytic_connection(params, mid)[mu]
         dev_conn = max(dev_conn, abs(a.a[lk, 0, 0] - target))

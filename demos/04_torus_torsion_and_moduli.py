@@ -8,8 +8,6 @@ form a full circle R/Z of inequivalent choices, even though the bundle
 itself is trivial; the holonomy separates them.
 """
 
-import numpy as np
-
 import realbloch as rb
 
 # -- torsion pair on the conjugation torus --------------------------------
@@ -20,8 +18,9 @@ print("fixed loops at theta2 =", [f"{lat.sites[lp.base][1]:.3f}" for lp in loops
 
 for spec in (rb.model_trivial_line("torus2-eta", 2), rb.model_mobius_pullback_torus()):
     result = rb.classify_real_bundle(spec, lat=lat)
-    print(f"\n{spec.name}:")
-    print(rb.mixed_case_report(result))
+    print(f"\n{spec.name}: group {result.group}, verdict '{result.verdict}'")
+    for warning in result.warnings:
+        print(f"  warning: {warning}")
 
 # resolution doubling leaves the verdict untouched
 fine = rb.classify_real_bundle(

@@ -14,24 +14,20 @@ from .berry import (
     ProductConnectionSpec,
     average_connection,
     equivariance_residual,
-    gauge_transform,
     j_conjugate_connection,
     link_field,
     link_field_from_connection,
     local_connection_from_links,
-    local_connection_from_spec,
 )
 from .classify import (
     ClassificationResult,
     RealBundle,
     classify_real_bundle,
-    mixed_case_report,
 )
 from .curvature import (
     CurvatureField,
     chern_number,
     chern_weil_density,
-    curvature_parity_check,
     gb_curvature_direct,
     plaquette_curvature,
 )
@@ -41,7 +37,6 @@ from .holonomy import (
     continuum_holonomy,
     fixed_loop_holonomies,
     flat_moduli_holonomy,
-    holonomy_equivariance_check,
     wilson_loop,
 )
 from .lattice import (
@@ -53,13 +48,11 @@ from .lattice import (
     circle_loop,
     fixed_loops,
     latitude_loop,
-    map_loop,
     sphere_embedding,
     torus_row_loop,
 )
 from .models import (
     OscillatorParams,
-    degree_oracle,
     direct_sum_hamiltonians,
     direct_sum_specs,
     hermite_eigenfunction,

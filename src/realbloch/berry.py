@@ -14,7 +14,6 @@ import numpy as np
 from ._matrix import (
     adjoint,
     expms,
-    frob_each,
     max_frob,
     polar_unitaries,
     principal_log_unitaries,
@@ -31,11 +30,9 @@ __all__ = [
     "link_field",
     "link_field_from_connection",
     "local_connection_from_links",
-    "local_connection_from_spec",
     "equivariance_residual",
     "average_connection",
     "j_conjugate_connection",
-    "gauge_transform",
 ]
 
 OVERLAP_SINGULAR_TOL = 1e-6
@@ -187,30 +184,6 @@ def local_connection_from_links(
     """
     a = principal_log_unitaries(u.u, what="link") / lat.link_spacing[:, None, None]
     return LocalConnectionForm(a)
-
-
-def local_connection_from_spec(
-    spec: ProductConnectionSpec, lat: InvolutiveLattice
-) -> LocalConnectionForm:
-    """Evaluate a closed-form connection on canonical links (midpoint rule)."""
-    a = _connection_steps(spec, lat) / lat.link_spacing[:, None, None]
-    return LocalConnectionForm(a)
-
-
-def gauge_transform(
-    u: LinkField, g: np.ndarray, lat: InvolutiveLattice
-) -> LinkField:
-    """Apply a per-site gauge to a link field on `lat`: U on link x->y
-    becomes g(x)^dag U g(y).
-
-    Raises DomainError naming the first site whose matrix is not unitary.
-    """
-    g = np.asarray(g, dtype=complex)
-    defect = frob_each(adjoint(g) @ g - np.eye(u.rank))
-    bad = np.flatnonzero(defect > 1e-10)
-    if bad.size:
-        raise DomainError(f"gauge matrix at site {bad[0]} is not unitary")
-    return LinkField(adjoint(g[lat.link_tail]) @ u.u @ g[lat.link_head])
 
 
 def equivariance_residual(

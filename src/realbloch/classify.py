@@ -53,7 +53,6 @@ __all__ = [
     "ClassificationResult",
     "RealBundle",
     "classify_real_bundle",
-    "mixed_case_report",
 ]
 
 # classifying group of rank-m Real bundles per base; free/torsion readout plan
@@ -304,9 +303,9 @@ def classify_real_bundle(
     Hamiltonian families are classified through their isolated-band Berry
     connection (the bands argument, required for them, selects the group,
     ascending 0-based) in the raw eigenvector gauge; product-bundle models
-    are classified through their closed-form connection and ignore bands.  Raises distinct errors for unsupported
-    bases, odd parity, gap closure, and symmetry violations.  `threads` has
-    no effect.
+    are classified through their closed-form connection and ignore bands.
+    Raises distinct errors for unsupported bases, odd parity, gap closure,
+    and symmetry violations.  `threads` has no effect.
     """
     if lat is None:
         raise ValueError("a lattice is required")
@@ -333,30 +332,3 @@ def _verdict(base_tag: str, free: list, torsion: list) -> str:
         return f"torsion ({signs})"
     return "trivial"
 
-
-def mixed_case_report(result: ClassificationResult) -> str:
-    """Plain-text report of the invariant pair without a combined label.
-
-    On bases with both free and torsion parts the two readouts are listed
-    side by side with the explicit caveat that no canonical splitting into
-    a single label exists; pure cases note which part is absent.
-    """
-    lines = [
-        f"base: {result.base_tag}",
-        f"classifying group: {result.group}",
-    ]
-    if result.free:
-        lines.append(f"free invariant (Chern number): {result.free[0]}")
-    else:
-        lines.append("free invariant: none (pure torsion base)")
-    if result.torsion:
-        signs = ", ".join(f"{s:+d}" for s in result.torsion)
-        lines.append(f"torsion invariants (fixed-loop signs): ({signs})")
-    else:
-        lines.append("torsion invariants: none (torsion-free base)")
-    if result.free and result.torsion:
-        lines.append(
-            "note: the decomposition into free and torsion parts is not "
-            "canonical; the pair is reported without a combined label"
-        )
-    return "\n".join(lines)

@@ -154,7 +154,7 @@ class RunConfig:
             model=_read(raw, "model", dict),
             bands=_read(raw, "bands", list, [0]),
             tasks=tasks,
-            tolerances=_read(raw, "tolerances", _float_values, {}),
+            tolerances=_read(raw, "tolerances", _numbers_by_key, {}),
             resolution_scale=_read(raw, "resolution_scale", _integer, 1),
             moduli_values=_read(raw, "moduli_values", _numbers, [0.0, 0.25, 0.5]),
         )
@@ -166,8 +166,19 @@ class RunConfig:
         return cfg
 
 
-def _float_values(section) -> dict:
-    return {key: float(value) for key, value in dict(section).items()}
+def _number(value) -> float:
+    """A JSON number, as a float: a string or a boolean is not one."""
+    if type(value) not in (int, float):
+        raise TypeError("not a number")
+    return float(value)
+
+
+def _real(value) -> float:
+    """A finite JSON number, as a float."""
+    number = _number(value)
+    if not np.isfinite(number):
+        raise ValueError("not finite")
+    return number
 
 
 def _numbers(value) -> list:
@@ -178,22 +189,18 @@ def _numbers(value) -> list:
     return [float(a) for a in value]
 
 
+def _numbers_by_key(section) -> dict:
+    """A JSON object of numbers, as floats; their range, finiteness
+    included, is the consumer's check."""
+    section = dict(section)
+    return {key: _read(section, key, _number) for key in section}
+
+
 def _integer(value) -> int:
-    if int(value) != value:
+    """A JSON integer, or a float of integral value; a boolean is not one."""
+    if isinstance(value, bool) or int(value) != value:
         raise ValueError("not an integer")
     return int(value)
-
-
-def _finite(convert):
-    """convert, then ValueError unless every number it gives is finite."""
-
-    def checked(value):
-        out = convert(value)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("not finite")
-        return out
-
-    return checked
 
 
 def _read(section: dict, key: str, convert, default=None):
@@ -202,6 +209,8 @@ def _read(section: dict, key: str, convert, default=None):
     value = section[key] if default is None else section.get(key, default)
     try:
         return convert(value)
+    except ConfigError:  # a nested _read names its own key
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
 
@@ -237,21 +246,20 @@ def _build_model(spec: dict, lat):
     if name == "trivial_line":
         return model_zoo.model_trivial_line(spec.get("base", lat.base_tag), lat.dim), None
     if name == "flat_line":
-        return model_zoo.model_flat_line(_read(params, "a", _finite(float), 0.25)), None
+        return model_zoo.model_flat_line(_read(params, "a", _real, 0.25)), None
     if name == "degree_k_sphere":
         return model_zoo.model_degree_k_sphere(_read(params, "k", _integer, 1))
     if name == "oscillator":
         osc = OscillatorParams(
             level=_read(params, "level", _integer, 0),
             n_basis=_read(params, "n_basis", _integer, 40),
-            delta=_read(params, "delta", _finite(float), 1.0),
+            delta=_read(params, "delta", _real, 1.0),
         )
         h, j = model_zoo.model_oscillator(osc, lat)
         h.oscillator_params = osc
         return h, j
     if name == "constant_diag":
-        floats = _finite(lambda v: np.asarray(v, float))
-        entries = _read(params, "entries", floats, [-1.0, 1.0])
+        entries = _read(params, "entries", _numbers, [-1.0, 1.0])
         mat = np.diag(entries).astype(complex)
         return (
             HamiltonianFamily(len(entries), constant(mat), "constant_diag"),

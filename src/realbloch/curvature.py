@@ -22,7 +22,6 @@ __all__ = [
     "plaquette_curvature",
     "chern_weil_density",
     "chern_number",
-    "curvature_parity_check",
     "gb_curvature_direct",
 ]
 
@@ -105,19 +104,6 @@ def chern_number(curv: CurvatureField, lat: InvolutiveLattice):
     return value, rounded
 
 
-def curvature_parity_check(curv: CurvatureField, lat: InvolutiveLattice) -> float:
-    """Parity defect of the flux trace under the involution.
-
-    Max over plaquettes of | tr F at tau(p), traversed with the
-    involution-induced orientation, minus conj(tr F_p) |.  Small residual
-    certifies the first Chern density odd/even as the involution
-    reverses/preserves orientation.
-    """
-    tr = np.trace(curv.f, axis1=1, axis2=2)
-    defect = np.abs(lat.plaquette_image_sign * tr[lat.plaquette_image] - tr.conj())
-    return float(defect.max(initial=0.0))
-
-
 def gb_curvature_direct(
     p: ProjectionFamily, lat: InvolutiveLattice, frame: Frame
 ) -> CurvatureField:
@@ -126,7 +112,9 @@ def gb_curvature_direct(
     Per plaquette, the antisymmetrized P dP dP built from the projector
     steps along the two boundary edges at the anchor vertex, compressed to
     the frame block.  Cross-validates the link-product curvature: the two
-    agree to first order in spacing under refinement.
+    agree to first order in spacing under refinement.  The pipeline never
+    calls it: it is the projector-side Chern-Weil cross-check that the
+    README and the sphere demo print beside the link-product Chern number.
     """
     if lat.dim != 2:
         raise UnsupportedBaseError("direct curvature needs a 2-dimensional lattice")

@@ -16,7 +16,7 @@ import numpy as np
 from ._matrix import BRANCH_CUT_GUARD, adjoint, expms, frob, spectral_maps
 from .berry import LinkField, ProductConnectionSpec
 from .errors import BranchCutError, IndeterminateHolonomyError
-from .lattice import InvolutiveLattice, LoopPath, fixed_loops, map_loop
+from .lattice import InvolutiveLattice, LoopPath, fixed_loops
 from .symmetry import SewingField
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "wilson_loop",
     "continuum_holonomy",
     "fixed_loop_holonomies",
-    "holonomy_equivariance_check",
     "flat_moduli_holonomy",
 ]
 
@@ -34,12 +33,12 @@ SIGN_ROUND_MARGIN = 0.3
 
 @dataclass(eq=False)
 class HolonomyResult:
-    """Loop holonomy with its base point and frame gauge tag."""
+    """Loop holonomy with its loop and base point (None and -1 off the
+    lattice)."""
 
     hol: np.ndarray  # (m, m) unitary
     loop: Optional[LoopPath]
     base: int
-    gauge_tag: str = "frame"
 
     @property
     def rank(self) -> int:
@@ -68,7 +67,11 @@ def wilson_loop(
     u: LinkField, loop: LoopPath, lat: InvolutiveLattice
 ) -> HolonomyResult:
     """Holonomy of a loop of `lat`: the adjoint of the ordered link product
-    along the one row of its link table (`InvolutiveLattice.cycle_table`)."""
+    along the one row of its link table (`InvolutiveLattice.cycle_table`).
+
+    The pipeline reads only fixed loops (fixed_loop_holonomies); this is the
+    holonomy of any loop of the lattice, which the demos compare with the
+    continuum and flat-moduli holonomies."""
     return HolonomyResult(_holonomies(u, [loop], lat)[0], loop, loop.base)
 
 
@@ -94,7 +97,7 @@ def continuum_holonomy(
     g = np.eye(spec.rank, dtype=complex)
     for step in expms(-pulled * dt):
         g = step @ g
-    return HolonomyResult(g, None, -1, gauge_tag="continuum")
+    return HolonomyResult(g, None, -1)
 
 
 def _round_sign(value: float) -> int:
@@ -134,23 +137,9 @@ def fixed_loop_holonomies(
             raise BranchCutError("sewing matrix eigenvalue at -1; refine the lattice")
         rotated = g.conj().T @ hol @ g
         sign = _round_sign(float(np.linalg.det(rotated).real))
-        result = HolonomyResult(rotated, loop, loop.base, gauge_tag="real-frame")
+        result = HolonomyResult(rotated, loop, loop.base)
         out.append(FixedLoopHolonomy(result, frob(rotated.imag), sign))
     return out
-
-
-def holonomy_equivariance_check(
-    u: LinkField, w: SewingField, loop: LoopPath, lat: InvolutiveLattice
-) -> float:
-    """Defect of the holonomy equivariance relation for one loop.
-
-    || W(base)^dag hol(tau loop) W(base) - conj(hol(loop)) ||; a residual at
-    discretization order certifies that holonomies of the image loop are the
-    conjugates of the original ones.
-    """
-    hol, hol_img = _holonomies(u, [loop, map_loop(lat, loop)], lat)
-    wb = w.w[loop.base]
-    return frob(wb.conj().T @ hol_img @ wb - hol.conj())
 
 
 def flat_moduli_holonomy(a: float) -> complex:

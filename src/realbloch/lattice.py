@@ -31,7 +31,6 @@ __all__ = [
     "build_torus2",
     "build_sphere2",
     "fixed_loops",
-    "map_loop",
 ]
 
 
@@ -155,10 +154,6 @@ class InvolutiveLattice:
     def base_tag(self) -> str:
         return f"{self.topology_tag}-{self.involution_kind}"
 
-    def directed_link(self, a: int, b: int) -> tuple[int, int]:
-        """Canonical link id and traversal sign of the directed link a->b."""
-        return self.loop_link_ids(LoopPath((a, b)))[0]
-
     def loop_link_ids(self, loop: LoopPath) -> list:
         """Signed canonical link ids traversed by a loop; validates the loop."""
         links, signs = self.cycle_table([loop.sites])
@@ -175,10 +170,6 @@ class InvolutiveLattice:
             itertools.chain.from_iterable(cycles), dtype=int, count=size.sum()
         )
         return self._link_table(corners, used, size)
-
-    def link_midpoint(self, link_id: int) -> np.ndarray:
-        """Chart coordinates of a link midpoint (unwrapped from the tail)."""
-        return self.link_midpoints()[link_id]
 
     def link_midpoints(self) -> np.ndarray:
         """Chart coordinates of all link midpoints, (n_links, dim)."""
@@ -612,12 +603,6 @@ def mirror_rows(values: np.ndarray, rows, copies, image, sign) -> np.ndarray:
 
 
 # -- loops ---------------------------------------------------------------
-
-
-def map_loop(lat: InvolutiveLattice, loop: LoopPath) -> LoopPath:
-    """Image of a loop under the involution, link by link."""
-    lat.loop_link_ids(loop)  # validates the input loop lies on the lattice
-    return LoopPath(tuple(lat.involution[list(loop.sites)].tolist()))
 
 
 def fixed_loops(lat: InvolutiveLattice) -> list:

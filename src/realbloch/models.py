@@ -26,7 +26,6 @@ __all__ = [
     "oscillator_analytic_curvature",
     "model_mobius_circle",
     "model_degree_k_sphere",
-    "degree_oracle",
     "model_mobius_pullback_torus",
     "model_trivial_line",
     "model_flat_line",
@@ -354,38 +353,6 @@ def model_degree_k_sphere(k: int) -> tuple[HamiltonianFamily, SymmetryData]:
         HamiltonianFamily(2, evaluate, f"degree_{k}_sphere"),
         SymmetryData.identity(2),
     )
-
-
-def degree_oracle(k: int, lat: InvolutiveLattice) -> int:
-    """Brouwer degree of the unit d-vector map, by summed solid angles.
-
-    Maps the sites through the d-vector, fans each plaquette into triangles
-    (corner 0, a, a + 1) oriented with the lattice, and sums their signed
-    spherical-triangle solid angles; the total is 4*pi times the degree.
-    Fully independent of the connection/curvature machinery.
-    """
-    degree = _degree_sum(k, lat)
-    rounded = int(round(degree))
-    if abs(degree - rounded) > 1e-6:
-        raise ArithmeticError(
-            f"solid angles sum to {degree:.6f} * 4pi, not an integer"
-        )
-    return rounded
-
-
-def _degree_sum(k: int, lat: InvolutiveLattice) -> float:
-    """The solid-angle sum of degree_oracle over 4*pi, before rounding."""
-    x0, x1, x2 = np.moveaxis(sphere_embedding(lat.sites), -1, 0)
-    w = _winding_factor(k, x1, x2)
-    d = np.stack([w.real, w.imag, x0], axis=-1)
-    d /= np.linalg.norm(d, axis=-1, keepdims=True)
-    corners = lat.plaquette_corners
-    # the fan triangles (0, a, a + 1); padding (-1) gathers a site, dropped
-    a, b, c = d[corners[:, :1]], d[corners[:, 1:-1]], d[corners[:, 2:]]
-    num = np.sum(a * np.cross(b, c), axis=-1)
-    den = 1.0 + np.sum(a * b + b * c + c * a, axis=-1)
-    angles = 2.0 * np.arctan2(num, den)[corners[:, 2:] >= 0]
-    return float(np.sum(angles)) / (4.0 * np.pi)
 
 
 # -- direct sums -----------------------------------------------------------

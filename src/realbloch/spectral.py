@@ -157,7 +157,6 @@ class Frame:
     """Per-point N x m orthonormal columns spanning the projector range."""
 
     columns: np.ndarray  # (n_sites, N, m)
-    gauge_tag: str = "projector-eigh"
 
     @property
     def rank(self) -> int:
@@ -584,7 +583,7 @@ def smooth_frame_gauge(f: Frame, lat: InvolutiveLattice) -> Frame:
     while not root[anc].all():
         a, anc = a @ a[anc], anc[anc]
     a, _ = polar_unitaries(a)
-    return Frame(cols @ a, gauge_tag="tree-smoothed")
+    return Frame(cols @ a)
 
 
 def _fix_gauge(basis: np.ndarray) -> np.ndarray:
@@ -621,4 +620,4 @@ def frame_from_projection(
     if ref.ndim == 2:
         ref = ref[:, :, None]
     u, _ = polar_unitaries(adjoint(cols) @ ref)
-    return Frame(cols @ u, gauge_tag="reference-aligned")
+    return Frame(cols @ u)

@@ -192,7 +192,7 @@ def _theta_blocks(cols: np.ndarray, j: SymmetryData, points, sites=None):
 
 
 def _theta_orbits(cols: np.ndarray, j: SymmetryData, lat: InvolutiveLattice):
-    """_theta_blocks over every site, or with J = 1 over one site x >= tau x
+    """_theta_blocks over every site, or with J = 1 over one site x <= tau x
     per orbit, then over the images of those whose A = conj V(x) differs
     from V(tau x): where the two are equal bit for bit (the eigensolve's
     mirror), tau x repeats x, conjugated."""
@@ -200,8 +200,8 @@ def _theta_orbits(cols: np.ndarray, j: SymmetryData, lat: InvolutiveLattice):
     if not j.unit:
         yield from _theta_blocks(cols, j, lat)
         return
-    high, again = np.flatnonzero(tau >= np.arange(tau.size)), []
-    for x, a, vt, vta in _theta_blocks(cols, j, lat, high):
+    low, again = np.flatnonzero(np.arange(tau.size) <= tau), []
+    for x, a, vt, vta in _theta_blocks(cols, j, lat, low):
         again.append(tau[x][(a != vt).reshape(len(x), -1).any(axis=1) & (tau[x] != x)])
         yield x, a, vt, vta
     yield from _theta_blocks(cols, j, lat, np.concatenate(again))

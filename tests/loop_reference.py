@@ -11,10 +11,15 @@ the tables derived from them (a dict of directed links, walked link by link
 and plaquette by plaquette), which test_lattice.py compares bitwise.
 ``fixed_loops`` walks every link into a dict of fixed neighbours, and
 ``wilson_loop`` multiplies a loop's links one at a time; the kernels must
-reproduce both bit for bit.  The per-point model evaluators, and the loops
-that called them once per site, link, plaquette or curve step, are the
-reference of test_block_contract.py.  The CLI's CSV writers, one row, link
-or plaquette at a time, are the reference whose bytes test_cli.py compares.
+reproduce both bit for bit.  ``map_loop``, ``curvature_parity_check``
+and ``holonomy_equivariance_check`` have no batched twin: they are the
+involution's image of a loop and the paper's parity and equivariance
+relations, checked plaquette by plaquette and loop by loop, that the tests
+apply to the package's fields.  The per-point model evaluators, and the
+loops that called them once per site, link, plaquette or curve step, are
+the reference of test_block_contract.py.  The CLI's CSV writers, one row,
+link or plaquette at a time, are the reference whose bytes test_cli.py
+compares.
 ``eigensolve_dense_guards`` (the eigensolve's guards over dense blocks)
 and ``site_gaps`` (the band gap over every selected and unselected pair)
 are references that test_spectral.py compares bit for bit;
@@ -508,8 +513,9 @@ def oscillator_oracle(p, u, curv, lat):
     """The CLI's oscillator-oracle deviations, link by link and plaquette by
     plaquette."""
     a = local_connection_from_links(u, lat).a[:, 0, 0]
+    mids = lat.link_midpoints()
     dev_conn = max(
-        abs(a[lk] - oscillator_connection(p, lat.link_midpoint(lk))[lat.link_mu[lk]])
+        abs(a[lk] - oscillator_connection(p, mids[lk])[lat.link_mu[lk]])
         for lk in range(lat.n_links)
     )
     h1, h2 = lat.grid_spacing
@@ -744,7 +750,7 @@ def smooth_frame_gauge(f, lat):
     for child, parent, _ in spanning_tree(lat):
         v, _ = polar_unitary(cols[child].conj().T @ cols[parent])
         cols[child] = cols[child] @ v
-    return rb.Frame(cols, gauge_tag="tree-smoothed")
+    return rb.Frame(cols)
 
 
 # -- symmetry ------------------------------------------------------------------
@@ -842,7 +848,7 @@ def link_field_from_connection(source, lat):
     m = source.rank
     u = np.empty((lat.n_links, m, m), dtype=complex)
     for lk in range(lat.n_links):
-        a = source.connection_at(lat.link_midpoint(lk))
+        a = source.connection_at(lat.link_midpoints()[lk])
         mu = int(lat.link_mu[lk])
         if mu == 2:
             step = a[0] * (2.0 * np.pi / _grid_len(lat, 0)) + a[1] * (
@@ -940,6 +946,20 @@ def chern_value(curv, lat):
     return math.fsum(chern_weil_density(curv, 1))
 
 
+def curvature_parity_check(curv, lat):
+    """Parity defect of the flux trace under the involution: max over
+    plaquettes of | tr F at tau(p), traversed with the involution-induced
+    orientation, minus conj(tr F_p) |.  A small residual certifies the first
+    Chern density odd or even as the involution reverses or preserves
+    orientation."""
+    tr = np.trace(curv.f, axis1=1, axis2=2)
+    image, sign = lat.plaquette_image, lat.plaquette_image_sign
+    return max(
+        (abs(sign[p] * tr[image[p]] - np.conj(tr[p])) for p in range(lat.n_plaquettes)),
+        default=0.0,
+    )
+
+
 # -- holonomy ------------------------------------------------------------------
 
 
@@ -948,6 +968,24 @@ def wilson_loop(u, loop, lat):
     for link_id, sign in lat.loop_link_ids(loop):
         prod = prod @ link_on(u, link_id, sign)
     return rb.HolonomyResult(prod.conj().T, loop, loop.base)
+
+
+def map_loop(lat, loop):
+    """Image of a loop under the involution, site by site; DomainError
+    names the first step of the loop that is not a link."""
+    lat.loop_link_ids(loop)
+    return rb.LoopPath(tuple(int(lat.involution[s]) for s in loop.sites))
+
+
+def holonomy_equivariance_check(u, w, loop, lat):
+    """|| W(base)^dag hol(tau loop) W(base) - conj(hol(loop)) ||, one
+    per-link Wilson loop each for the loop and its image: a residual at
+    discretization order certifies that holonomies of the image loop are the
+    conjugates of the original ones."""
+    hol = wilson_loop(u, loop, lat).hol
+    image = wilson_loop(u, map_loop(lat, loop), lat).hol
+    wb = w.w[loop.base]
+    return frob(wb.conj().T @ image @ wb - hol.conj())
 
 
 def _round_sign(value, margin=0.3):
@@ -975,7 +1013,7 @@ def fixed_loop_holonomies(u, lat, w):
         g = roots[0]
         rotated = g.conj().T @ wilson_loop(u, loop, lat).hol @ g
         sign = _round_sign(float(np.linalg.det(rotated).real))
-        hol = rb.HolonomyResult(rotated, loop, loop.base, gauge_tag="real-frame")
+        hol = rb.HolonomyResult(rotated, loop, loop.base)
         out.append(rb.FixedLoopHolonomy(hol, frob(rotated.imag), sign))
     return out
 
@@ -1004,7 +1042,7 @@ def write_connection_csv(path, u, lat, log=principal_log_unitary):
             except BranchCutError:
                 skipped += 1
                 continue
-            mid = lat.link_midpoint(lk)
+            mid = lat.link_midpoints()[lk]
             row = [f"{mid[0]:.12g}", f"{mid[1] if lat.dim > 1 else 0.0:.12g}",
                    int(lat.link_mu[lk])]
             for r in range(m):
@@ -1034,12 +1072,14 @@ def write_curvature_csv(path, curv, lat):
             writer.writerow([f"{x:.12g}", f"{y:.12g}", f"{-eigs.sum().real:.12g}"])
 
 
-# -- degree oracle -------------------------------------------------------------
+# -- solid-angle degree --------------------------------------------------------
 
 
 def degree_sum(k, lat):
-    """degree_oracle's solid-angle sum over 4*pi, plaquette by plaquette and
-    fan triangle by fan triangle, before rounding."""
+    """Brouwer degree of the degree-k sphere family's unit d-vector map,
+    before rounding: the signed spherical-triangle solid angles over 4*pi,
+    plaquette by plaquette and fan triangle (corner 0, a, a + 1) by fan
+    triangle, oriented with the lattice."""
 
     def d_vector(coords):
         x0, x1, x2 = rb.lattice.sphere_embedding(coords)

@@ -83,30 +83,35 @@ def test_sphere_classification():
     assert res.diagnostics["quantization_residual"] <= 1e-9
 
 
+NON_CANONICAL = (
+    "mixed free+torsion base: the splitting into the integer and the sign "
+    "pair is not canonical; both are reported"
+)
+
+
 def test_eta_pullback_classification_and_report():
     lat = rb.build_torus2(16, 16, "eta")
     res = rb.classify_real_bundle(rb.model_mobius_pullback_torus(), lat=lat)
     assert res.group == "Z2 + Z"
     assert res.free == [0]
     assert res.torsion == [-1, -1]
-    assert res.warnings  # non-canonical splitting note
-    report = rb.mixed_case_report(res)
-    assert "Chern number): 0" in report
-    assert "(-1, -1)" in report
-    assert "not" in report and "canonical" in report
+    assert res.verdict == "free 0, torsion (-1, -1)"
+    # the pair is reported without a combined label, with the caveat
+    assert NON_CANONICAL in res.warnings
 
 
 def test_mixed_report_pure_cases():
+    # a pure free or a pure torsion base carries no splitting caveat
     lat = rb.build_sphere2(8, 12)
     h, j = rb.model_degree_k_sphere(1)
-    sphere_report = rb.mixed_case_report(rb.classify_real_bundle(h, j, lat, {0}))
-    assert "torsion invariants: none" in sphere_report
+    sphere = rb.classify_real_bundle(h, j, lat, {0})
+    assert (sphere.free, sphere.torsion, sphere.verdict) == ([1], [], "Chern 1")
+    assert NON_CANONICAL not in sphere.warnings
 
     latc = rb.build_circle(16, "trivial")
-    circle_report = rb.mixed_case_report(
-        rb.classify_real_bundle(rb.model_mobius_circle(), lat=latc)
-    )
-    assert "free invariant: none" in circle_report
+    circle = rb.classify_real_bundle(rb.model_mobius_circle(), lat=latc)
+    assert (circle.free, circle.torsion, circle.verdict) == ([], [-1], "Mobius class")
+    assert NON_CANONICAL not in circle.warnings
 
 
 def test_torus_trivial_classification():

@@ -293,8 +293,13 @@ def test_sphere_tree_frame_is_real(tmp_path, monkeypatch):
         return dict(report_leaves(json.loads((tmp_path / out / "report.json").read_text())))
 
     got = run("doubling")
-    assert bundles[0].frame.gauge_tag == "tree-smoothed"
-    assert bundles[0].mirrored.sum() >= 12067 and bundles[0].lat.n_sites == 12162
+    frame, lat = bundles[0].frame, bundles[0].lat
+    assert bundles[0].mirrored.sum() >= 12067 and lat.n_sites == 12162
+    # the tree gauge: every tree overlap, rank one here, is real nonnegative
+    child = np.flatnonzero(lat.tree_links >= 0)
+    tail, head = frame.columns[child], frame.columns[lat.tree_parent[child]]
+    overlap = np.sum(tail.conj() * head, axis=(1, 2))
+    assert np.abs(overlap.imag).max() <= 1e-12 and overlap.real.min() >= 0.0
     monkeypatch.setattr(cli, "smooth_frame_gauge", ref.smooth_frame_gauge)
     want = run("sequential")
     assert got.keys() == want.keys()
@@ -482,8 +487,40 @@ SPHERE_CONFIG = {
         ),
         (
             {"model": {"name": "constant_diag", "params": {"entries": [1, "inf"]}}},
-            "bad entries [1, 'inf']: not finite",
+            "bad entries [1, 'inf']: expected a list of finite numbers",
         ),
+        # a number given as a JSON string or a boolean is no number, and a
+        # boolean is no integer: a tolerance of true is not read as 1.0
+        (
+            {"model": {"name": "constant_diag",
+                       "params": {"entries": [1, float("inf")]}}},
+            "bad entries [1, inf]: expected a list of finite numbers",
+        ),
+        ({"tolerances": {"projection_symmetry": True}},
+         "bad projection_symmetry True: not a number"),
+        ({"tolerances": {"hamiltonian_symmetry": "1e-3"}},
+         "bad hamiltonian_symmetry '1e-3': not a number"),
+        ({"model": {"name": "flat_line", "params": {"a": "0.25"}}},
+         "bad a '0.25': not a number"),
+        ({"model": {"name": "flat_line", "params": {"a": False}}},
+         "bad a False: not a number"),
+        ({"model": {"name": "oscillator", "params": {"delta": "1.0"}}},
+         "bad delta '1.0': not a number"),
+        ({"model": {"name": "oscillator", "params": {"delta": True}}},
+         "bad delta True: not a number"),
+        ({"model": {"name": "constant_diag", "params": {"entries": ["-1", "1"]}}},
+         "bad entries ['-1', '1']: expected a list of finite numbers"),
+        ({"model": {"name": "constant_diag", "params": {"entries": [-1, True]}}},
+         "bad entries [-1, True]: expected a list of finite numbers"),
+        ({"resolution_scale": True}, "bad resolution_scale True: not an integer"),
+        ({"lattice": dict(SPHERE_CONFIG["lattice"], n_phi=True)},
+         "bad n_phi True: not an integer"),
+        ({"model": {"name": "degree_k_sphere", "params": {"k": True}}},
+         "bad k True: not an integer"),
+        ({"model": {"name": "oscillator", "params": {"level": True}}},
+         "bad level True: not an integer"),
+        ({"model": {"name": "oscillator", "params": {"n_basis": "40"}}},
+         "bad n_basis '40': not an integer"),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, override, message):

@@ -198,7 +198,7 @@ def test_connection_deviation_insensitive_to_basis_size():
         a = rb.local_connection_from_links(rb.link_field(f, lat), lat)
         dev = 0.0
         for lk in range(lat.n_links):
-            mid = lat.link_midpoint(lk)
+            mid = lat.link_midpoints()[lk]
             mu = int(lat.link_mu[lk])
             target = rb.oscillator_analytic_connection(params, mid)[mu]
             dev = max(dev, abs(a.a[lk, 0, 0] - target))
@@ -232,9 +232,11 @@ def test_degree_model_symmetry_and_gap():
 
 
 def test_degree_oracle_exact_small_degrees():
+    # the lower band of the degree-k family carries Chern number k
     lat = rb.build_sphere2(8, 12)
     for k in (-3, -2, -1, 1, 2, 3):
-        assert rb.degree_oracle(k, lat) == k
+        h, j = rb.model_degree_k_sphere(k)
+        assert rb.classify_real_bundle(h, j, lat, [0]).free == [k]
 
 
 def test_mobius_pullback_spec():

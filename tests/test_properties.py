@@ -91,7 +91,7 @@ def test_site_gauges_leave_chern_and_signs(base, n, m, seed):
     g = random_unitaries(rng, lat.n_sites, m)
 
     def gauged(p):
-        return rb.Frame(rb.frame_from_projection(p).columns @ g, "random")
+        return rb.Frame(rb.frame_from_projection(p).columns @ g)
 
     value, rounded, signs = invariants(rb.RealBundle(h, j, lat, list(range(m))))
     bundle = rb.RealBundle(h, j, lat, list(range(m)), frame_rule=gauged)

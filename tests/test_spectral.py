@@ -162,7 +162,6 @@ def test_frame_reference_alignment():
     ref = np.tile(np.array([[1.0 + 0j], [0.0]]), (8, 1, 1))
     f = rb.frame_from_projection(p, ref)
     assert np.allclose(f.columns, ref)
-    assert f.gauge_tag == "reference-aligned"
 
 
 def test_oscillator_spectrum_matches_frequency_law():

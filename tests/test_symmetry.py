@@ -130,7 +130,7 @@ def test_sewing_gauge_covariance(rng):
     w = rb.sewing_matrix(f, j, lat)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, lat.n_sites))
     g = phases[:, None, None]
-    f2 = rb.Frame(f.columns * g, "gauged")
+    f2 = rb.Frame(f.columns * g)
     w2 = rb.sewing_matrix(f2, j, lat)
     tau = lat.involution
     for site in range(lat.n_sites):
